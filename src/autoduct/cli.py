@@ -275,6 +275,9 @@ def cmd_tune(args) -> int:
     runs = int(_cfg(args, "runs", 5))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # the log holds this invocation's trials only; its runs append to it
+    log_path = out_dir / "trials.jsonl"
+    log_path.write_text("", encoding="utf-8")
 
     evaluator = make_trial_evaluator(splits, normalizer,
                                      epochs=int(_cfg(args, "epochs", 60)),
@@ -284,7 +287,7 @@ def cmd_tune(args) -> int:
                             n_sobol=int(_cfg(args, "sobol", 16)),
                             n_bo=int(_cfg(args, "bo", 32)),
                             seeds=[seed + i for i in range(runs)],
-                            log_path=out_dir / "trials.jsonl")
+                            log_path=log_path)
     top = select_top_k(board, int(_cfg(args, "top_k", 15)))
     manifest = {"configs": [c.to_dict() for c in top]}
     (out_dir / "topk.json").write_text(json.dumps(manifest, indent=2, sort_keys=True)
@@ -293,7 +296,7 @@ def cmd_tune(args) -> int:
     print(f"{len(board.results)} trials ({len(board.ok_results())} ok); "
           f"best validation RMSE {best.rmse:.3f} "
           f"(run {best.config.run_id}, trial {best.config.trial_id})")
-    print(f"wrote {out_dir / 'trials.jsonl'} and {out_dir / 'topk.json'}")
+    print(f"wrote {log_path} and {out_dir / 'topk.json'}")
     return EXIT_OK
 
 

@@ -9,9 +9,10 @@ Kuo's D(6) table,
           over the set bits i of a                 for k > s,
 
 with the first dimension using the van der Corput numbers m_k = 1. The
-points follow the recursive ordering x_n = x_{n-1} ^ v_{ctz(n)} (ctz =
-index of the lowest zero bit of n - 1); the sequence here starts at
-x_1 = (0.5, ..., 0.5), i.e. the all-zeros leading point is skipped.
+points follow the Gray-code ordering x_n = x_{n-1} ^ v_{ctz(n)} (ctz =
+index of the lowest set bit of n), computed as one running XOR
+(np.bitwise_xor.accumulate) over rows of a uint64 table of all v_k; the
+sequence starts at x_1 = (0.5, ..., 0.5), skipping the all-zeros point.
 
 Optional scrambling is a per-dimension digital shift: every point's
 32-bit integer form is XORed with a fixed random word drawn from the
@@ -74,6 +75,10 @@ def _direction_integers(dim_index: int) -> list[int]:
     return v[1:]
 
 
+# _DIRECTIONS[k, j] = v_{k+1} of dimension j
+_DIRECTIONS = np.array([_direction_integers(j) for j in range(MAX_DIM)], np.uint64).T
+
+
 def sobol_points(dim: int, n: int, shift_seed: int = 0) -> np.ndarray:
     """First n points (skipping the all-zeros one) in [0, 1)^dim.
 
@@ -85,25 +90,15 @@ def sobol_points(dim: int, n: int, shift_seed: int = 0) -> np.ndarray:
     if n < 0 or n > _MAX_POINTS:
         raise DimensionOverflow(f"point count must be in [0, {_MAX_POINTS}], got {n}")
 
-    v = [_direction_integers(j) for j in range(dim)]
-    shifts = [0] * dim
-    if shift_seed != 0:
-        gen = SplitMix64(shift_seed)
-        shifts = [gen.next_u64() >> (64 - _BITS) for _ in range(dim)]
+    gen = SplitMix64(shift_seed)
+    shifts = np.array([gen.next_u64() >> (64 - _BITS) if shift_seed != 0 else 0
+                       for _ in range(dim)], dtype=np.uint64)
 
-    out = np.empty((n, dim))
-    state = [0] * dim
-    for i in range(n):
-        # lowest zero bit of i == ctz of (i + 1)
-        c = 0
-        mask = i
-        while mask & 1:
-            mask >>= 1
-            c += 1
-        for j in range(dim):
-            state[j] ^= v[j][c]
-            out[i, j] = (state[j] ^ shifts[j]) / 2.0**_BITS
-    return out
+    # ctz(i) for i = 1..n: frexp gives the exact exponent of the lowest set bit
+    index = np.arange(1, n + 1, dtype=np.int64)
+    ctz = np.frexp((index & -index).astype(np.float64))[1] - 1
+    states = np.bitwise_xor.accumulate(_DIRECTIONS[ctz, :dim], axis=0)
+    return (states ^ shifts) / 2.0**_BITS
 
 
 def sample_sobol(space: SearchSpace, n: int, shift_seed: int = 0) -> list[TrialConfig]:

@@ -11,7 +11,8 @@ and each categorical dimension becomes a one-hot block, giving
 
 coordinates for the default space. Decoding accepts any point of the
 cube (one-hot blocks need not be exact) and snaps each block to the
-choice with the largest weight, ties to the lowest index.
+choice with the largest weight, ties to the lowest index. canonicalize
+applies decode-then-encode to a whole matrix of cube points at once.
 """
 
 from __future__ import annotations
@@ -134,14 +135,23 @@ class EncodedPoint:
         coords = np.asarray(self.coords, dtype=np.float64)
         coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
-        if coords.shape != (self.space.encoded_dim,):
-            raise OutOfDomain(f"expected {self.space.encoded_dim} coordinates")
-        if np.any(coords < 0.0) or np.any(coords > 1.0):
-            raise OutOfDomain("coordinates must lie in the unit cube")
-        for offset, choices in self.space._blocks():
-            block = coords[offset:offset + len(choices)]
-            if abs(block.sum() - 1.0) > 1e-9:
-                raise OutOfDomain("one-hot block does not sum to 1")
+        _check_points(coords[None], self.space, one_hot=True)
+
+
+# (field name, log scale) of the continuous coordinates 0, 1, 2
+_CONTINUOUS = (("learning_rate", True), ("weight_decay", True), ("dropout_rate", False))
+
+
+def _check_points(points: np.ndarray, space: SearchSpace, one_hot: bool) -> None:
+    """Rows of `points` (m, encoded_dim) lie in the unit cube; with one_hot,
+    every categorical block of every row also sums to 1."""
+    if points.ndim != 2 or points.shape[1] != space.encoded_dim:
+        raise OutOfDomain(f"expected {space.encoded_dim} coordinates")
+    if not np.all((points >= 0.0) & (points <= 1.0)):
+        raise OutOfDomain("coordinates must lie in the unit cube")
+    for offset, choices in space._blocks() if one_hot else ():
+        if np.any(np.abs(points[:, offset:offset + len(choices)].sum(axis=1) - 1.0) > 1e-9):
+            raise OutOfDomain("one-hot block does not sum to 1")
 
 
 def _continuous_to_unit(value: float, bounds: tuple[float, float],
@@ -164,12 +174,8 @@ def _unit_to_continuous(u: float, bounds: tuple[float, float], log: bool) -> flo
 def encode(tc: TrialConfig, space: SearchSpace | None = None) -> EncodedPoint:
     space = space or default_space()
     coords = np.zeros(space.encoded_dim)
-    coords[0] = _continuous_to_unit(tc.learning_rate, space.learning_rate,
-                                    log=True, name="learning_rate")
-    coords[1] = _continuous_to_unit(tc.weight_decay, space.weight_decay,
-                                    log=True, name="weight_decay")
-    coords[2] = _continuous_to_unit(tc.dropout_rate, space.dropout_rate,
-                                    log=False, name="dropout_rate")
+    for col, (name, log) in enumerate(_CONTINUOUS):
+        coords[col] = _continuous_to_unit(getattr(tc, name), getattr(space, name), log, name)
     values = (tc.batch_size, tc.hidden_layers, tc.hidden_units, tc.activation)
     for (offset, choices), value in zip(space._blocks(), values):
         try:
@@ -192,20 +198,36 @@ def decode(point: EncodedPoint | np.ndarray,
     else:
         space = space or default_space()
         coords = np.asarray(point, dtype=np.float64)
-        if coords.shape != (space.encoded_dim,):
-            raise OutOfDomain(f"expected {space.encoded_dim} coordinates")
-        if np.any(coords < 0.0) or np.any(coords > 1.0):
-            raise OutOfDomain("coordinates must lie in the unit cube")
+        _check_points(coords[None], space, one_hot=False)
 
     choice_values = []
     for offset, choices in space._blocks():
         block = coords[offset:offset + len(choices)]
         choice_values.append(choices[int(np.argmax(block))])
     batch, layers, units, activation = choice_values
-    return TrialConfig(
-        learning_rate=_unit_to_continuous(float(coords[0]), space.learning_rate, log=True),
-        weight_decay=_unit_to_continuous(float(coords[1]), space.weight_decay, log=True),
-        dropout_rate=_unit_to_continuous(float(coords[2]), space.dropout_rate, log=False),
-        batch_size=batch, hidden_layers=layers, hidden_units=units,
-        activation=activation,
-    )
+    continuous = {name: _unit_to_continuous(float(coords[col]), getattr(space, name), log)
+                  for col, (name, log) in enumerate(_CONTINUOUS)}
+    return TrialConfig(**continuous, batch_size=batch, hidden_layers=layers,
+                       hidden_units=units, activation=activation)
+
+
+def canonicalize(raw: np.ndarray, space: SearchSpace) -> np.ndarray:
+    """Row i equals encode(decode(raw[i], space), space).coords: the
+    continuous columns make the same round trip through physical values
+    and each one-hot block snaps to its argmax, ties to the lowest index.
+    Raises OutOfDomain where decode or EncodedPoint would."""
+    raw = np.asarray(raw, dtype=np.float64)
+    _check_points(raw, space, one_hot=False)
+    out = np.zeros_like(raw)
+    for col, (name, log) in enumerate(_CONTINUOUS):
+        lo, hi = getattr(space, name)
+        value = _unit_to_continuous(raw[:, col], (lo, hi), log)
+        if not np.all((lo <= value) & (value <= hi)):
+            raise OutOfDomain(f"{name} outside [{lo}, {hi}]")
+        out[:, col] = np.log(value / lo) / math.log(hi / lo) if log \
+            else (value - lo) / (hi - lo)
+    rows = np.arange(raw.shape[0])
+    for offset, choices in space._blocks():
+        out[rows, offset + np.argmax(raw[:, offset:offset + len(choices)], axis=1)] = 1.0
+    _check_points(out, space, one_hot=True)
+    return out

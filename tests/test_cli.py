@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -207,3 +211,52 @@ def test_tune_command(tmp_path, capsys, tiny_dataset):
     assert len(lines) == 6
     top = json.loads((out_dir / "topk.json").read_text())
     assert len(top["configs"]) == 2
+
+
+_TINY_TUNE = ["--runs", "2", "--sobol", "2", "--bo", "1", "--top-k", "2",
+              "--seed", "0", "--epochs", "2", "--patience", "1"]
+
+
+def _stable_trials(path):
+    """The lines of trials.jsonl without their wall-clock field."""
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    return [json.dumps({k: v for k, v in r.items() if k != "wall_time_s"}, sort_keys=True)
+            for r in records]
+
+
+def test_tune_twice_into_one_directory(tmp_path, tiny_dataset):
+    # a second tune replaces the first one's log instead of appending to it
+    data = tmp_path / "data.csv"
+    write_csv(tiny_dataset, data)
+    out_dir = tmp_path / "tune"
+    argv = ["tune", "--data", str(data), *_TINY_TUNE, "--out-dir", str(out_dir)]
+    assert cli.main(argv) == 0
+    first = _stable_trials(out_dir / "trials.jsonl")
+    assert cli.main(argv) == 0
+    second = _stable_trials(out_dir / "trials.jsonl")
+    assert len(second) == 6          # 2 runs x (2 Sobol + 1 BO)
+    assert second == first
+    top = json.loads((out_dir / "topk.json").read_text())["configs"]
+    by_id = {(r["run_id"], r["trial_id"]): r["config"] for r in map(json.loads, second)}
+    assert all(by_id[(c["run_id"], c["trial_id"])] == c for c in top)
+
+
+def test_tune_is_identical_across_processes(tmp_path, tiny_dataset):
+    # BLAS thread count and hash seed must not reach the surrogate's results
+    data = tmp_path / "data.csv"
+    write_csv(tiny_dataset, data)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = []
+    for threads, hash_seed in (("1", "0"), ("2", "123")):
+        out_dir = tmp_path / f"tune-{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "autoduct.cli", "tune", "--data", str(data),
+             *_TINY_TUNE, "--out-dir", str(out_dir)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        outputs.append(out_dir)
+    a, b = outputs
+    assert _stable_trials(a / "trials.jsonl") == _stable_trials(b / "trials.jsonl")
+    assert (a / "topk.json").read_bytes() == (b / "topk.json").read_bytes()

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from autoduct.hpo.gp import (GPSurrogate, _ei_arrays, _kernel, _nlml_and_grad,
-                             expected_improvement, fit_gp, incumbent_value,
-                             posterior, propose_next)
-from autoduct.hpo.space import (EncodedPoint, TrialConfig, default_space,
-                                encode)
+from autoduct.hpo.gp import (_JITTERS, GPSurrogate, _ei_arrays, _kernel,
+                             _nlml_and_grad, expected_improvement, fit_gp,
+                             incumbent_value, posterior, propose_next)
+from autoduct.hpo.sobol import sobol_points
+from autoduct.hpo.space import (EncodedPoint, TrialConfig, canonicalize,
+                                default_space, encode)
 from autoduct.neural_net import ActivationKind
+from autoduct.rng import derive_seed
+from autoduct.stats import normal_cdf, normal_pdf
 
 SPACE = default_space()
 
@@ -36,12 +39,46 @@ def _toy_observations(n=8, seed=0, noise=0.0):
 
 # --- marginal likelihood -----------------------------------------------------
 
+def _diff2(x):
+    """(d, n, n) squared coordinate differences, one dimension at a time."""
+    return np.stack([(x[:, i][:, None] - x[:, i][None, :]) ** 2
+                     for i in range(x.shape[1])])
+
+
+def _nlml(x, z, theta):
+    return _nlml_and_grad(_diff2(x), z, theta[None])[0][0]
+
+
+def _scalar_nlml_and_grad(x, z, theta):
+    """Reference: one parameter vector, K^-1 from two general solves, and
+    a Python loop over the length-scale dimensions."""
+    n, d = x.shape
+    ls = np.exp(theta[:d])
+    sf2, sn2 = math.exp(theta[d]), math.exp(theta[d + 1])
+    r = np.sqrt(np.maximum(sum((x[:, i][:, None] - x[:, i][None, :]) ** 2 / ls[i] ** 2
+                               for i in range(d)), 0.0))
+    k_signal = sf2 * (1.0 + math.sqrt(5) * r + 5.0 / 3.0 * r**2) * np.exp(-math.sqrt(5) * r)
+    chol = np.linalg.cholesky(k_signal + (sn2 + _JITTERS[0]) * np.eye(n))
+    alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, z))
+    nlml = 0.5 * z @ alpha + np.log(np.diag(chol)).sum() + 0.5 * n * math.log(2 * math.pi)
+    k_inv = np.linalg.solve(chol.T, np.linalg.solve(chol, np.eye(n)))
+    inner = np.outer(alpha, alpha) - k_inv
+    common = sf2 * (5.0 / 3.0) * (1.0 + math.sqrt(5) * r) * np.exp(-math.sqrt(5) * r)
+    grad = np.empty(d + 2)
+    for i in range(d):
+        dk = common * (x[:, i][:, None] - x[:, i][None, :]) ** 2 / ls[i] ** 2
+        grad[i] = -0.5 * (inner * dk).sum()
+    grad[d] = -0.5 * (inner * k_signal).sum()
+    grad[d + 1] = -0.5 * sn2 * np.trace(inner)
+    return nlml, grad
+
+
 def test_nlml_value_matches_direct_formula():
     rng = np.random.default_rng(3)
     x = rng.uniform(size=(7, 3))
     z = rng.normal(size=7)
     theta = np.array([0.2, -0.1, 0.4, 0.3, -2.0])
-    nlml, _ = _nlml_and_grad(x, z, theta)
+    nlml = _nlml(x, z, theta)
 
     # the factorization ladder adds its smallest rung (1e-10) to the diagonal
     k = _kernel(x, x, theta[:3], theta[3]) \
@@ -58,14 +95,68 @@ def test_nlml_gradient_matches_finite_difference():
     x = rng.uniform(size=(6, 2))
     z = rng.normal(size=6)
     theta = np.array([0.1, -0.3, 0.2, -1.5])
-    _, grad = _nlml_and_grad(x, z, theta)
+    _, grad = _nlml_and_grad(_diff2(x), z, theta[None])
     h = 1e-6
     for i in range(len(theta)):
         up, down = theta.copy(), theta.copy()
         up[i] += h
         down[i] -= h
-        fd = (_nlml_and_grad(x, z, up)[0] - _nlml_and_grad(x, z, down)[0]) / (2 * h)
-        assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+        fd = (_nlml(x, z, up) - _nlml(x, z, down)) / (2 * h)
+        assert grad[0, i] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+
+
+def test_nlml_gradient_matches_finite_difference_full_space():
+    # the search space's dimension, with more observations than one fit's
+    # warm-up: every length-scale term of the einsum is checked
+    rng = np.random.default_rng(21)
+    n, d = 20, SPACE.encoded_dim
+    x = rng.uniform(size=(n, d))
+    z = rng.normal(size=n)
+    theta = np.concatenate([rng.uniform(-0.5, 1.0, size=d), [0.2, -2.0]])
+    _, grad = _nlml_and_grad(_diff2(x), z, theta[None])
+    h = 1e-6
+    for i in range(d + 2):
+        up, down = theta.copy(), theta.copy()
+        up[i] += h
+        down[i] -= h
+        fd = (_nlml(x, z, up) - _nlml(x, z, down)) / (2 * h)
+        assert grad[0, i] == pytest.approx(fd, rel=1e-5, abs=1e-7), i
+
+
+def test_stacked_nlml_matches_scalar_reference():
+    # rows of a stack are independent and each equals the one-vector
+    # computation with a per-dimension loop and solves against eye(n)
+    rng = np.random.default_rng(5)
+    n, d = 16, SPACE.encoded_dim
+    x = canonicalize(sobol_points(d, n, shift_seed=77), SPACE)
+    z = rng.normal(size=n)
+    thetas = np.array([[math.log(ls0)] * d + [0.0, math.log(sn0)]
+                       for ls0 in (0.5, 1.5, 3.0) for sn0 in (1e-4, 1e-2)])
+    thetas[:, :d] += rng.normal(0.0, 0.3, size=(len(thetas), d))
+    nlml, grad = _nlml_and_grad(_diff2(x), z, thetas)
+    for row, theta in enumerate(thetas):
+        ref_nlml, ref_grad = _scalar_nlml_and_grad(x, z, theta)
+        assert nlml[row] == pytest.approx(ref_nlml, rel=1e-10)
+        np.testing.assert_allclose(grad[row], ref_grad, rtol=1e-7, atol=1e-9)
+        one_nlml, one_grad = _nlml_and_grad(_diff2(x), z, theta[None])
+        assert one_nlml[0] == pytest.approx(nlml[row], rel=1e-12)
+        np.testing.assert_allclose(one_grad[0], grad[row], rtol=1e-10, atol=1e-12)
+
+
+def test_nlml_marks_unfactorizable_rows():
+    # two equal inputs under a signal variance of e^60 make a covariance
+    # that no jitter rung (at most 1e-4) can lift to positive definite; its
+    # row is flagged and the healthy row next to it is unaffected
+    rng = np.random.default_rng(8)
+    x = rng.uniform(size=(6, 2))
+    x[3] = x[1]
+    z = rng.normal(size=6)
+    good = np.array([0.1, -0.3, 0.2, -1.5])
+    bad = np.array([0.1, -0.3, 60.0, -60.0])
+    nlml, grad = _nlml_and_grad(_diff2(x), z, np.stack([bad, good]))
+    assert nlml[0] == np.inf
+    assert np.all(grad[0] == 0.0)
+    assert nlml[1] == pytest.approx(_nlml(x, z, good), rel=1e-12)
 
 
 # --- fitting and posterior -------------------------------------------------------
@@ -163,6 +254,30 @@ def test_expected_improvement_wrapper_and_incumbent():
     mu1, var1 = posterior(gp, p.coords[None, :])
     assert direct == pytest.approx(_ei_arrays(mu1, var1, inc)[0], rel=1e-12)
     assert direct >= 0.0
+
+
+def test_ei_arrays_match_scalar_formula():
+    # the array form against per-element normal_cdf / normal_pdf, over the
+    # posterior of real candidates and a z grid reaching far into the tails
+    obs = _toy_observations(n=8, seed=6)
+    gp = fit_gp(obs)
+    raw = sobol_points(SPACE.encoded_dim, 2048, shift_seed=derive_seed(1, "propose-candidates"))
+    mu_c, var_c = posterior(gp, canonicalize(raw, SPACE))
+    grid = np.linspace(-12.0, 12.0, 4001)
+    mu = np.concatenate([mu_c, -0.7 * grid, [1.0, -1.0]])
+    var = np.concatenate([var_c, np.full_like(grid, 0.49), [0.0, 0.0]])
+    inc = incumbent_value(gp)
+    ei = _ei_arrays(mu, var, inc)
+    expected = []
+    for m, v in zip(mu, var):
+        sigma, improve = math.sqrt(v), inc - m
+        if sigma > 0.0:
+            zz = improve / sigma
+            value = improve * normal_cdf(zz) + sigma * normal_pdf(zz, 0.0, 1.0)
+        else:
+            value = improve
+        expected.append(max(value, 0.0))
+    np.testing.assert_allclose(ei, expected, rtol=1e-15, atol=0.0)
 
 
 # --- proposals -------------------------------------------------------------------------

@@ -105,6 +105,43 @@ def test_run_bo_structure_and_reproducibility(tmp_path):
     assert [json.loads(l)["trial_id"] for l in lines] == list(range(7))
 
 
+# (trial id, origin, learning rate, weight decay, dropout, batch size, hidden
+# layers, hidden units, activation, validation RMSE) of run_bo on the tiny
+# splits, recorded with the per-candidate decode/encode proposal loop and the
+# per-dimension marginal-likelihood gradient
+_GOLDEN_TRAJECTORY = [
+    (0, "sobol", 0.0043676977230186435, 0.002695821553059712, 0.22960322429426014,
+     256, 6, 8, "elu", 1188.1653429907683),
+    (1, "sobol", 0.0013811872935870152, 0.0008524936273041153, 0.004603224294260144,
+     256, 7, 8, "gelu", 566.7948470362912),
+    (2, "sobol", 0.00013811872935870154, 0.008524936273041153, 0.15460322429426013,
+     512, 7, 48, "leaky_relu", 3663.693511754699),
+    (3, "sobol", 0.0002456136925593174, 0.00047939239609452375, 0.26710322429426014,
+     512, 7, 8, "softplus", 566.4370656625135),
+    (4, "sobol", 0.002456136925593174, 0.004793923960945238, 0.11710322429426014,
+     256, 7, 48, "elu", 835.3399534395952),
+    (5, "sobol", 0.007766986930117939, 0.00015159718646243035, 0.19210322429426013,
+     256, 7, 64, "softplus", 688.2602905599615),
+    (6, "bo", 0.00011374779561246666, 0.008575855472103391, 0.13856927859596907,
+     128, 7, 8, "gelu", 720.8328186559789),
+    (7, "bo", 0.00011811746889031676, 0.00024656385882548983, 0.022528806421905755,
+     512, 7, 96, "selu", 3449.823262529156),
+    (8, "bo", 0.001186202178822577, 0.0002480314645392714, 0.2846917079295963,
+     512, 7, 24, "softplus", 610.4759786958053),
+    (9, "bo", 0.00014167681973763525, 0.0010782244464855354, 0.007587545039132237,
+     512, 7, 32, "softplus", 845.8985277229303),
+]
+
+
+def test_run_bo_golden_trajectory(tiny_splits, tiny_normalizer):
+    evaluator = make_trial_evaluator(tiny_splits, tiny_normalizer, epochs=2,
+                                     patience=2, base_seed=0)
+    board = run_bo(SPACE, n_sobol=6, n_bo=4, evaluator=evaluator, seed=7)
+    got = [(r.config.trial_id, r.config.origin, *r.config.assignment()[:-1],
+            r.config.activation.value, r.rmse) for r in board.results]
+    assert got == _GOLDEN_TRAJECTORY
+
+
 def test_run_bo_seed_changes_warmup():
     a = run_bo(SPACE, 4, 0, _smooth_evaluator, seed=1)
     b = run_bo(SPACE, 4, 0, _smooth_evaluator, seed=2)

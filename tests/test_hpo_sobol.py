@@ -6,6 +6,7 @@ from autoduct.errors import DimensionOverflow
 from autoduct.hpo.sobol import (MAX_DIM, _direction_integers, sample_sobol,
                                 sobol_points)
 from autoduct.hpo.space import default_space
+from autoduct.rng import SplitMix64, derive_seed
 
 
 def _natural_order_point(directions, index):
@@ -33,6 +34,44 @@ def test_matches_scipy_reference():
         ours = sobol_points(dim, n)
         ref = qmc.Sobol(d=dim, scramble=False).random(128)[1:n + 1]
         assert np.array_equal(ours, ref)
+
+
+def test_matches_scipy_reference_across_powers_of_two():
+    # counts on both sides of 2^0, 2^1 and 2^10, where the Gray-code index
+    # first reaches a new direction integer
+    ref = qmc.Sobol(d=21, scramble=False).random(2048)
+    for n in (1, 2, 3, 1023, 1024, 1025):
+        assert np.array_equal(sobol_points(21, n), ref[1:n + 1]), n
+
+
+def _scalar_sobol(dim, n, shift_seed):
+    """Reference: the per-point, per-dimension Gray-code loop on Python
+    integers."""
+    v = [_direction_integers(j) for j in range(dim)]
+    shifts = [0] * dim
+    if shift_seed != 0:
+        gen = SplitMix64(shift_seed)
+        shifts = [gen.next_u64() >> 32 for _ in range(dim)]
+    out = np.empty((n, dim))
+    state = [0] * dim
+    for i in range(n):
+        c = 0
+        mask = i
+        while mask & 1:
+            mask >>= 1
+            c += 1
+        for j in range(dim):
+            state[j] ^= v[j][c]
+            out[i, j] = (state[j] ^ shifts[j]) / 2.0**32
+    return out
+
+
+def test_shifted_sequence_matches_scalar_loop():
+    for dim, n, shift_seed in ((21, 2048, derive_seed(3, "propose-candidates")),
+                               (21, 16, derive_seed(0, "sobol-init")),
+                               (7, 1025, 99), (1, 5, 0), (21, 0, 5)):
+        assert np.array_equal(sobol_points(dim, n, shift_seed),
+                              _scalar_sobol(dim, n, shift_seed)), (dim, n)
 
 
 def test_gray_order_matches_natural_order_construction():

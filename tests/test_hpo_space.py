@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from autoduct.errors import OutOfDomain
-from autoduct.hpo.space import (EncodedPoint, SearchSpace, TrialConfig, decode,
-                                default_space, encode)
+from autoduct.hpo.sobol import sobol_points
+from autoduct.hpo.space import (EncodedPoint, SearchSpace, TrialConfig,
+                                canonicalize, decode, default_space, encode)
 from autoduct.neural_net import ActivationKind
+from autoduct.rng import derive_seed
 
 SPACE = default_space()
 
@@ -144,3 +146,53 @@ def test_assignment_drops_bookkeeping():
                     trial_id=9, run_id=3, origin="bo")
     assert a.assignment() == b.assignment()
     assert len(a.assignment()) == 7
+
+
+def _row_wise_canonical(raw, space):
+    return np.array([encode(decode(row, space), space).coords for row in raw])
+
+
+def test_canonicalize_matches_row_wise_round_trip():
+    raw = sobol_points(SPACE.encoded_dim, 2048,
+                       shift_seed=derive_seed(4, "propose-candidates"))
+    # hand-made rows: u = 0 everywhere, all-equal weights (every block a
+    # tie), a tie between two later choices, and u just below 1
+    tied = np.full(SPACE.encoded_dim, 0.5)
+    late_tie = np.zeros(SPACE.encoded_dim)
+    late_tie[[4, 5, 9, 10, 17, 18]] = 0.75
+    raw = np.vstack([raw, np.zeros(SPACE.encoded_dim), tied, late_tie,
+                     np.full(SPACE.encoded_dim, 1.0 - 2.0**-32)])
+    got = canonicalize(raw, SPACE)
+    want = _row_wise_canonical(raw, SPACE)
+    # one-hot columns are exact; the continuous round trip runs through
+    # numpy's pow/log instead of the C library's, each within an ulp or so
+    np.testing.assert_array_equal(got[:, 3:], want[:, 3:])
+    np.testing.assert_allclose(got[:, :3], want[:, :3], rtol=0.0,
+                               atol=4 * np.finfo(np.float64).eps)
+    assert np.all(got[-4, :3] == 0.0)
+    assert got[-3, [3, 6, 8, 15]].tolist() == [1.0, 1.0, 1.0, 1.0]
+    assert got[-2, [4, 6, 9, 17]].tolist() == [1.0, 1.0, 1.0, 1.0]
+
+
+def test_canonicalize_other_space():
+    space = SearchSpace(batch_sizes=(64,), hidden_units=(8, 16))
+    raw = sobol_points(space.encoded_dim, 64, shift_seed=11)
+    got = canonicalize(raw, space)
+    want = _row_wise_canonical(raw, space)
+    np.testing.assert_array_equal(got[:, 3:], want[:, 3:])
+    np.testing.assert_allclose(got[:, :3], want[:, :3], rtol=0.0,
+                               atol=4 * np.finfo(np.float64).eps)
+
+
+def test_canonicalize_rejects_bad_points():
+    good = np.full((2, SPACE.encoded_dim), 0.5)
+    assert canonicalize(good, SPACE).shape == good.shape
+    with pytest.raises(OutOfDomain):
+        canonicalize(good[0], SPACE)                  # one row, not a matrix
+    with pytest.raises(OutOfDomain):
+        canonicalize(good[:, :-1], SPACE)
+    for value in (-0.1, 1.5, np.nan):
+        bad = good.copy()
+        bad[1, 7] = value
+        with pytest.raises(OutOfDomain):
+            canonicalize(bad, SPACE)
