@@ -20,14 +20,9 @@ from .executor import ExecutionResult, TaskExecutor
 from .planner import (PlanRequest, PlannerBase, build_patch_prompt,
                       build_task_prompt, prompt_digest)
 from .report import synthesize_report
-from .state import (STAGE_ORDER, WorkflowState, load_state, persist_state)
+from .state import (STAGE_KINDS, STAGE_ORDER, WorkflowState, load_state,
+                    persist_state)
 from .tasks import TaskDocument, save_document, validate_document
-
-_STAGE_KINDS = {
-    "model_generation": "model",
-    "training_execution": "train",
-    "evaluation_execution": "evaluate",
-}
 
 # where each stage's generated document is saved for audit
 _DOC_FILES = {
@@ -61,7 +56,7 @@ def generate_task(planner: PlannerBase, stage: str, ctx: ProjectContext,
     """
     prompt = build_task_prompt(stage, ctx, task)
     reply = planner.plan(PlanRequest(kind="task", prompt=prompt, stage=stage))
-    doc = TaskDocument(kind=_STAGE_KINDS[stage], payload=reply.payload,
+    doc = TaskDocument(kind=STAGE_KINDS[stage], payload=reply.payload,
                        provenance={"planner": planner.name, "stage": stage,
                                    "prompt_digest": prompt_digest(prompt)})
     return validate_document(doc)

@@ -27,16 +27,11 @@ from ..errors import AuthFailure, PlannerUnavailable, SchemaInvalid
 from ..evaluation import TWO_SIGMA_LEVEL
 from .context import ProjectContext
 from .executor import FAULT_MARKER
+from .state import STAGE_KINDS
 from .tasks import TaskDocument
 
 SCRIPTED_PROMPT_TOKENS = 75
 SCRIPTED_COMPLETION_TOKENS = 25
-
-_STAGE_KINDS = {
-    "model_generation": "model",
-    "training_execution": "train",
-    "evaluation_execution": "evaluate",
-}
 
 _GENERATE_TOOLS = {
     "model_generation": "generate_model",
@@ -251,7 +246,7 @@ class ScriptedPlanner(PlannerBase):
 
     def _reply(self, request: PlanRequest) -> tuple[PlannerReply, int]:
         if request.kind == "task":
-            payload = self.recipe.payload_for(_STAGE_KINDS[request.stage])
+            payload = self.recipe.payload_for(STAGE_KINDS[request.stage])
         elif request.kind == "patch":
             payload = self._patch(request)
         else:

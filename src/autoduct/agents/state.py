@@ -28,6 +28,13 @@ STAGE_ORDER = (
     "report_synthesis",
 )
 
+# task-document kind that each executed stage produces
+STAGE_KINDS = {
+    "model_generation": "model",
+    "training_execution": "train",
+    "evaluation_execution": "evaluate",
+}
+
 _STATUSES = ("pending", "in_progress", "done", "failed")
 
 

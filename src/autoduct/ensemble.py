@@ -12,12 +12,17 @@ uncertainty split:
 
 Members may have heterogeneous architectures; aggregation only requires
 each member to produce a Gaussian in the same target units.
+
+Predictions are columnar: an EnsemblePrediction for N inputs and M
+members holds the four moments as (N,) arrays and the member outputs as
+C-contiguous (N, M) arrays, one row per input. Each moment is a
+reduction over axis 1, so every row is summed in member order with the
+same pairwise summation as a one-dimensional array of the M values.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,7 +38,7 @@ from .errors import (
     VersionMismatch,
 )
 from .neural_net import GaussianPrediction, MLPConfig, Parameters, TrainConfig
-from .stats import central_interval_z, normal_pdf
+from .stats import central_interval_z, standard_normal_cdf_pdf
 
 ENSEMBLE_FORMAT_VERSION = 1
 
@@ -53,12 +58,14 @@ class EnsembleMember:
 
 @dataclass(frozen=True)
 class EnsemblePrediction:
-    mean: float
-    aleatory_var: float
-    epistemic_var: float
-    total_var: float
-    member_means: tuple[float, ...]
-    member_vars: tuple[float, ...]
+    """Mixture moments of N inputs: (N,) arrays, members as (N, M)."""
+
+    mean: np.ndarray
+    aleatory_var: np.ndarray
+    epistemic_var: np.ndarray
+    total_var: np.ndarray
+    member_means: np.ndarray
+    member_vars: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -77,18 +84,14 @@ class Ensemble:
     def size(self) -> int:
         return len(self.members)
 
-    def member_predictions(self, raw_inputs: np.ndarray) -> list[list[GaussianPrediction]]:
-        """Per-input list of per-member Gaussians, in member order."""
-        per_member = [neural_net.predict_batch(m.params, m.config, self.normalizer,
-                                               raw_inputs)
-                      for m in self.members]
-        return [list(column) for column in zip(*per_member)]
-
-    def predict(self, raw_inputs: np.ndarray) -> list[EnsemblePrediction]:
-        return [aggregate(preds) for preds in self.member_predictions(raw_inputs)]
-
-    def predict_one(self, raw_input: np.ndarray) -> EnsemblePrediction:
-        return self.predict(np.asarray(raw_input, dtype=np.float64)[None, :])[0]
+    def predict(self, raw_inputs: np.ndarray) -> EnsemblePrediction:
+        columns = [neural_net.predict_batch(m.params, m.config, self.normalizer,
+                                            raw_inputs)
+                   for m in self.members]
+        # rows are inputs: reducing an (M, N) stack over axis 0 instead would
+        # add the members in a different order once M >= 8
+        return _moments(np.column_stack([mu for mu, _ in columns]),
+                        np.column_stack([var for _, var in columns]))
 
 
 def train_ensemble(splits: SplitDataset, normalizer: Normalizer,
@@ -120,45 +123,55 @@ def train_ensemble(splits: SplitDataset, normalizer: Normalizer,
     return Ensemble(tuple(members), normalizer)
 
 
-def aggregate(member_preds: list[GaussianPrediction]) -> EnsemblePrediction:
-    """Moments of the equally weighted Gaussian mixture.
+def _moments(member_means: np.ndarray, member_vars: np.ndarray) -> EnsemblePrediction:
+    """Moments of the equally weighted Gaussian mixture in each row of
+    C-contiguous (N, M) member arrays.
 
     Epistemic variance uses the population form (divide by M), so the
     decomposition aleatory + epistemic reproduces the mixture's second
     central moment exactly.
     """
-    if not member_preds:
-        raise EmptyEnsemble("no member predictions to aggregate")
-    mus = np.array([p.mu for p in member_preds])
-    vars_ = np.array([p.var for p in member_preds])
-    if not (np.all(np.isfinite(mus)) and np.all(np.isfinite(vars_))):
+    if not (np.all(np.isfinite(member_means)) and np.all(np.isfinite(member_vars))):
         raise ValueError("member predictions must be finite")
-    mean = float(mus.mean())
-    aleatory = float(vars_.mean())
-    epistemic = float(((mus - mean) ** 2).mean())
+    mean = member_means.mean(axis=1)
+    aleatory = member_vars.mean(axis=1)
+    epistemic = ((member_means - mean[:, None]) ** 2).mean(axis=1)
     return EnsemblePrediction(mean=mean, aleatory_var=aleatory,
                               epistemic_var=epistemic,
                               total_var=aleatory + epistemic,
-                              member_means=tuple(float(m) for m in mus),
-                              member_vars=tuple(float(v) for v in vars_))
+                              member_means=member_means, member_vars=member_vars)
+
+
+def _member_row(member_preds: list[GaussianPrediction]) -> tuple[np.ndarray, np.ndarray]:
+    """One input's member Gaussians as (1, M) mean and variance arrays."""
+    if not member_preds:
+        raise EmptyEnsemble("no member predictions")
+    return (np.array([[p.mu for p in member_preds]]),
+            np.array([[p.var for p in member_preds]]))
+
+
+def aggregate(member_preds: list[GaussianPrediction]) -> EnsemblePrediction:
+    """Mixture moments of one input's member Gaussians, as a one-row
+    EnsemblePrediction."""
+    return _moments(*_member_row(member_preds))
 
 
 def predictive_density(member_preds: list[GaussianPrediction], y: float) -> float:
     """Mixture density (1/M) sum_m N(y; mu_m, var_m)."""
-    if not member_preds:
-        raise EmptyEnsemble("no member predictions")
-    for p in member_preds:
-        if p.var <= 0:
-            raise NonPositiveVariance(f"member variance {p.var} is not positive")
-    return sum(normal_pdf(y, p.mu, p.var) for p in member_preds) / len(member_preds)
+    mus, vars_ = _member_row(member_preds)
+    if np.any(vars_ <= 0):
+        raise NonPositiveVariance(f"member variance {vars_.min()} is not positive")
+    sd = np.sqrt(vars_)
+    _, pdf = standard_normal_cdf_pdf((y - mus) / sd)
+    return float(np.mean(pdf / sd))
 
 
-def interval(ep: EnsemblePrediction, level: float) -> tuple[float, float]:
+def interval(ep: EnsemblePrediction, level: float) -> tuple[np.ndarray, np.ndarray]:
     """Central interval under a Gaussian approximation of the mixture:
-    mean +/- z(level) * sqrt(total_var)."""
+    mean +/- z(level) * sqrt(total_var), as (lo, hi) arrays."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie strictly inside (0, 1), got {level}")
-    half = central_interval_z(level) * math.sqrt(ep.total_var)
+    half = central_interval_z(level) * np.sqrt(ep.total_var)
     return (ep.mean - half, ep.mean + half)
 
 

@@ -15,15 +15,13 @@ fraction taken over the closed interval [0.5, 2.0].
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import FEATURE_NAMES, Dataset, SliceSpec, build_slice_grid
-from .ensemble import Ensemble, EnsemblePrediction
+from .dataset import Dataset, SliceSpec, build_slice_grid
+from .ensemble import Ensemble, EnsemblePrediction, interval
 from .errors import EmptyInput, LengthMismatch, ZeroTarget
-from .stats import central_interval_z
 
 # default band level: the probability mass of mean +/- 2 sigma
 TWO_SIGMA_LEVEL = 0.9544997361036416
@@ -82,50 +80,29 @@ def rmspe(y, yhat) -> float:
 
 
 @dataclass(frozen=True)
-class RatioSeries:
-    """Scatter series for one input feature: predicted-to-measured ratio
-    against the feature scaled to [0, 1] over the evaluated set."""
-
-    feature: str
-    x: np.ndarray
-    ratios: np.ndarray
-
-
-@dataclass(frozen=True)
 class RatioAnalysis:
     ratios: np.ndarray
     mean: float
     std: float
     inside_frac: float
-    series: tuple[RatioSeries, ...]
 
 
-def ratio_analysis(y, yhat, features: np.ndarray) -> RatioAnalysis:
+def ratio_analysis(y, yhat) -> RatioAnalysis:
     y, yhat = _paired(y, yhat)
-    features = np.asarray(features, dtype=np.float64)
-    if features.shape != (y.size, len(FEATURE_NAMES)):
-        raise LengthMismatch(f"features {features.shape} do not match {y.size} points")
     zero = np.nonzero(y == 0.0)[0]
     if zero.size:
         raise ZeroTarget(int(zero[0]))
     ratios = yhat / y
     lo, hi = RATIO_INSIDE_BOUNDS
     inside = float(np.mean((ratios >= lo) & (ratios <= hi)))
-    series = []
-    for j, name in enumerate(FEATURE_NAMES):
-        col = features[:, j]
-        span = col.max() - col.min()
-        x = (col - col.min()) / span if span > 0 else np.zeros_like(col)
-        series.append(RatioSeries(name, x, ratios.copy()))
     return RatioAnalysis(ratios=ratios, mean=float(ratios.mean()),
-                         std=float(ratios.std()), inside_frac=inside,
-                         series=tuple(series))
+                         std=float(ratios.std()), inside_frac=inside)
 
 
 @dataclass(frozen=True)
 class ModelEvaluation:
     report: MetricsReport
-    predictions: list[EnsemblePrediction]
+    predictions: EnsemblePrediction
     dataset: Dataset
     level: float
 
@@ -139,9 +116,9 @@ def evaluate_model(ens: Ensemble, ds: Dataset, level: float = TWO_SIGMA_LEVEL,
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie strictly inside (0, 1), got {level}")
     preds = ens.predict(ds.features)
-    yhat = np.array([p.mean for p in preds])
+    yhat = preds.mean
     y = ds.targets
-    ratios = ratio_analysis(y, yhat, ds.features)
+    ratios = ratio_analysis(y, yhat)
     report = MetricsReport(split_label=split_label, n=len(ds),
                            rmse=rmse(y, yhat), mape=mape(y, yhat),
                            rmspe=rmspe(y, yhat), ratio_mean=ratios.mean,
@@ -153,7 +130,7 @@ def evaluate_model(ens: Ensemble, ds: Dataset, level: float = TWO_SIGMA_LEVEL,
 class SliceResult:
     spec: SliceSpec
     grid: Dataset
-    predictions: list[EnsemblePrediction]
+    predictions: EnsemblePrediction
     band_lo: np.ndarray
     band_hi: np.ndarray
     reference: np.ndarray | None
@@ -175,13 +152,11 @@ def evaluate_slices(ens: Ensemble, specs: list[SliceSpec],
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie strictly inside (0, 1), got {level}")
-    z = central_interval_z(level)
     results = []
     for spec in specs:
         grid = build_slice_grid(spec)
         preds = ens.predict(grid.features)
-        mean = np.array([p.mean for p in preds])
-        half = z * np.sqrt(np.array([p.total_var for p in preds]))
+        band_lo, band_hi = interval(preds, level)
         reference = None
         if references is not None and spec.slice_id in references:
             reference = np.asarray(references[spec.slice_id], dtype=np.float64)
@@ -189,8 +164,7 @@ def evaluate_slices(ens: Ensemble, specs: list[SliceSpec],
                 raise LengthMismatch(
                     f"reference for slice {spec.slice_id} has {reference.size} points, "
                     f"grid has {len(grid)}")
-        results.append(SliceResult(spec, grid, preds, mean - half, mean + half,
-                                   reference))
+        results.append(SliceResult(spec, grid, preds, band_lo, band_hi, reference))
     return SliceReport(tuple(results), level)
 
 

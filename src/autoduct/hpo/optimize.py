@@ -214,8 +214,7 @@ def make_trial_evaluator(splits: SplitDataset, normalizer: Normalizer,
         except DivergedLoss:
             return TrialResult(tc, None, "diverged",
                                time.perf_counter() - started)
-        preds = neural_net.predict_batch(params, mlp_cfg, normalizer, val_x)
-        mu = np.array([p.mu for p in preds])
+        mu, _ = neural_net.predict_batch(params, mlp_cfg, normalizer, val_x)
         rmse = float(np.sqrt(np.mean((val_y - mu) ** 2)))
         return TrialResult(tc, rmse, "ok", time.perf_counter() - started)
 

@@ -444,9 +444,10 @@ def train(splits: SplitDataset, normalizer: Normalizer, mlp: MLPConfig,
 
 
 def predict_batch(p: Parameters, cfg: MLPConfig, normalizer: Normalizer,
-                  raw_inputs: np.ndarray) -> list[GaussianPrediction]:
-    """Inference on raw (physical-unit) inputs; outputs are mapped back
-    through the target affine transform, variances by its square."""
+                  raw_inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inference on raw (physical-unit) inputs: (mu, var) arrays of shape
+    (N,), mapped back through the target affine transform, variances by
+    its square."""
     raw_inputs = np.asarray(raw_inputs, dtype=np.float64)
     if raw_inputs.ndim == 1:
         raw_inputs = raw_inputs[None, :]
@@ -454,9 +455,7 @@ def predict_batch(p: Parameters, cfg: MLPConfig, normalizer: Normalizer,
         raise DimensionMismatch(f"expected inputs of width {cfg.input_dim}")
     x = normalizer.transform_features(raw_inputs)
     mu, var, _, _, _ = _forward_batch(p, cfg, x, None)
-    mu = normalizer.inverse_target_mean(mu)
-    var = normalizer.inverse_target_var(var)
-    return [GaussianPrediction(float(m), float(s)) for m, s in zip(mu, var)]
+    return normalizer.inverse_target_mean(mu), normalizer.inverse_target_var(var)
 
 
 # --- serialization --------------------------------------------------------

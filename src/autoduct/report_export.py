@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .ensemble import interval
 from .errors import IoFailure
 from .evaluation import ModelEvaluation, SliceReport
-from .stats import central_interval_z
 
 METRICS_HEADER = "split,n,rmse_kw_m2,mape_pct,rmspe_pct,ratio_mean,ratio_std,ratio_inside_frac"
 POINTS_HEADER = "D,L,P,G,X,y_true,y_pred,aleatory_var,epistemic_var,total_var"
@@ -61,13 +61,10 @@ def export_report(me: ModelEvaluation, slices: SliceReport | None,
     written.append(path)
 
     path = directory / "predictions.csv"
-    lines = [POINTS_HEADER]
-    for i, pred in enumerate(me.predictions):
-        row = [_fmt(v) for v in me.dataset.features[i]]
-        row += [_fmt(me.dataset.targets[i]), _fmt(pred.mean),
-                _fmt(pred.aleatory_var), _fmt(pred.epistemic_var),
-                _fmt(pred.total_var)]
-        lines.append(",".join(row))
+    preds = me.predictions
+    table = np.column_stack([me.dataset.features, me.dataset.targets, preds.mean,
+                             preds.aleatory_var, preds.epistemic_var, preds.total_var])
+    lines = [POINTS_HEADER] + [",".join(map(_fmt, row)) for row in table.tolist()]
     _write_text(path, "\n".join(lines) + "\n")
     written.append(path)
 
@@ -77,7 +74,7 @@ def export_report(me: ModelEvaluation, slices: SliceReport | None,
 
     path = directory / "error_hist.svg"
     y = me.dataset.targets
-    yhat = np.array([p.mean for p in me.predictions])
+    yhat = preds.mean
     errors_pct = 100.0 * (yhat - y) / y
     _write_text(path, _histogram_svg(errors_pct, ERROR_BIN_EDGES,
                                      "prediction error [%]"))
@@ -93,15 +90,14 @@ def export_report(me: ModelEvaluation, slices: SliceReport | None,
             sid = result.spec.slice_id
             path = directory / f"slice_{sid}.csv"
             header = SLICE_HEADER + (",reference" if result.reference is not None else "")
-            lines = [header]
-            varying = result.grid.column(result.spec.varying)
-            for i, pred in enumerate(result.predictions):
-                row = [sid, result.spec.varying, _fmt(varying[i]), _fmt(pred.mean),
-                       _fmt(np.sqrt(pred.total_var)), _fmt(result.band_lo[i]),
-                       _fmt(result.band_hi[i])]
-                if result.reference is not None:
-                    row.append(_fmt(result.reference[i]))
-                lines.append(",".join(row))
+            columns = [result.grid.column(result.spec.varying), result.predictions.mean,
+                       np.sqrt(result.predictions.total_var), result.band_lo,
+                       result.band_hi]
+            if result.reference is not None:
+                columns.append(result.reference)
+            prefix = f"{sid},{result.spec.varying},"
+            lines = [header] + [prefix + ",".join(map(_fmt, row))
+                                for row in np.column_stack(columns).tolist()]
             _write_text(path, "\n".join(lines) + "\n")
             written.append(path)
 
@@ -187,11 +183,10 @@ class _Canvas:
 
 def _parity_svg(me: ModelEvaluation) -> str:
     y = me.dataset.targets
-    yhat = np.array([p.mean for p in me.predictions])
-    z = central_interval_z(me.level)
-    half = z * np.sqrt(np.array([p.total_var for p in me.predictions]))
-    lo = float(min(y.min(), (yhat - half).min()))
-    hi = float(max(y.max(), (yhat + half).max()))
+    yhat = me.predictions.mean
+    band_lo, band_hi = interval(me.predictions, me.level)
+    lo = float(min(y.min(), band_lo.min()))
+    hi = float(max(y.max(), band_hi.max()))
     pad = 0.05 * (hi - lo) if hi > lo else 1.0
     canvas = _Canvas(480, 480, (lo - pad, hi + pad), (lo - pad, hi + pad))
     parts = canvas.open_tag()
@@ -201,8 +196,8 @@ def _parity_svg(me: ModelEvaluation) -> str:
     for i in range(y.size):
         px = canvas.x(float(y[i]))
         parts.append(f'<line class="err" x1="{_c(px)}" '
-                     f'y1="{_c(canvas.y(float(yhat[i] - half[i])))}" x2="{_c(px)}" '
-                     f'y2="{_c(canvas.y(float(yhat[i] + half[i])))}"/>')
+                     f'y1="{_c(canvas.y(float(band_lo[i])))}" x2="{_c(px)}" '
+                     f'y2="{_c(canvas.y(float(band_hi[i])))}"/>')
     for i in range(y.size):
         parts.append(f'<circle class="pt" cx="{_c(canvas.x(float(y[i])))}" '
                      f'cy="{_c(canvas.y(float(yhat[i])))}" r="2.5"/>')
@@ -213,7 +208,7 @@ def _parity_svg(me: ModelEvaluation) -> str:
 
 def _slice_svg(result) -> str:
     varying = result.grid.column(result.spec.varying)
-    mean = np.array([p.mean for p in result.predictions])
+    mean = result.predictions.mean
     y_lo = float(result.band_lo.min())
     y_hi = float(result.band_hi.max())
     if result.reference is not None:

@@ -135,14 +135,11 @@ def test_ac03_interval_coverage_on_held_out_data(calibration_run):
     preds = ens.predict(held_out.features)
     y = held_out.targets
 
-    inside = 0
-    for pred, yi in zip(preds, y):
-        lo, hi = interval(pred, 0.95)
-        inside += int(lo <= yi <= hi)
-    coverage = inside / len(y)
+    lo, hi = interval(preds, 0.95)
+    coverage = np.mean((lo <= y) & (y <= hi))
     assert 0.90 <= coverage <= 0.98, f"coverage {coverage:.4f} outside [0.90, 0.98]"
 
-    yhat = np.array([pred.mean for pred in preds])
+    yhat = preds.mean
     assert rmse(y, yhat) < float(y.std())
 
 
@@ -387,7 +384,7 @@ def test_ac11_slice_protocol(tiny_ensemble):
 
     report = evaluate_slices(tiny_ensemble, list(BLIND_SLICES), level=0.95)
     for result in report.results:
-        means = np.array([p.mean for p in result.predictions])
+        means = result.predictions.mean
         assert np.all(np.isfinite(means))
         widths = result.band_hi - result.band_lo
         assert np.all(np.isfinite(widths))

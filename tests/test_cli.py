@@ -260,3 +260,35 @@ def test_tune_is_identical_across_processes(tmp_path, tiny_dataset):
     a, b = outputs
     assert _stable_trials(a / "trials.jsonl") == _stable_trials(b / "trials.jsonl")
     assert (a / "topk.json").read_bytes() == (b / "topk.json").read_bytes()
+
+
+def test_direct_and_agent_reports_are_identical_across_processes(tmp_path):
+    # BLAS thread count and hash seed must not reach training, the ensemble's
+    # moments or the exported bytes; `direct` writes no report.json, so a
+    # scripted `agent` run covers that file
+    src = str(Path(cli.__file__).resolve().parents[1])
+    reports = []
+    for threads, hash_seed in (("1", "0"), ("2", "123")):
+        cwd = tmp_path / f"run-{threads}"
+        cwd.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for command in ("direct", "agent"):
+            done = subprocess.run(
+                [sys.executable, "-m", "autoduct.cli", command, "--workspace", command,
+                 "--synthetic", "200", "--seed", "5", "--slices", "blind", *_FAST],
+                cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+        reports.append(cwd)
+    def report_files(root):
+        return sorted(str(p.relative_to(root)) for p in root.glob("*/report/*")
+                      if p.name != "timings.json")      # wall-clock sidecar
+
+    a, b = reports
+    names = report_files(a)
+    assert "agent/report/report.json" in names
+    for kind in ("metrics.csv", "predictions.csv", "parity.svg", "slice_8.svg"):
+        assert f"direct/report/{kind}" in names and f"agent/report/{kind}" in names
+    assert report_files(b) == names
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name

@@ -1,11 +1,13 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from autoduct.dataset import Normalizer, fit_normalizer
+from autoduct.dataset import (Normalizer, SyntheticConfig, fit_normalizer,
+                              generate_synthetic)
 from autoduct.ensemble import (DEFAULT_MEMBERS, FAST_MEMBERS, Ensemble,
                                EnsembleMember, EnsemblePrediction, aggregate,
                                interval, load_ensemble, predictive_density,
@@ -60,12 +62,12 @@ def test_aggregate_matches_monte_carlo():
 
 def test_aggregate_single_member_passthrough():
     ep = aggregate([GaussianPrediction(3.0, 0.7)])
-    assert ep.mean == 3.0
-    assert ep.aleatory_var == 0.7
-    assert ep.epistemic_var == 0.0
-    assert ep.total_var == 0.7
-    assert ep.member_means == (3.0,)
-    assert ep.member_vars == (0.7,)
+    np.testing.assert_array_equal(ep.mean, [3.0])
+    np.testing.assert_array_equal(ep.aleatory_var, [0.7])
+    np.testing.assert_array_equal(ep.epistemic_var, [0.0])
+    np.testing.assert_array_equal(ep.total_var, [0.7])
+    np.testing.assert_array_equal(ep.member_means, [[3.0]])
+    np.testing.assert_array_equal(ep.member_vars, [[0.7]])
 
 
 def test_aggregate_validation():
@@ -106,26 +108,32 @@ def test_predictive_density_validation():
 
 # --- intervals ---------------------------------------------------------------------
 
+def _one_row(mean, aleatory, epistemic):
+    return EnsemblePrediction(mean=np.array([mean]), aleatory_var=np.array([aleatory]),
+                              epistemic_var=np.array([epistemic]),
+                              total_var=np.array([aleatory + epistemic]),
+                              member_means=np.array([[mean]]),
+                              member_vars=np.array([[aleatory]]))
+
+
 def test_interval_worked_example():
     # level 0.95, mean 1, total variance 4 -> ~(-2.92, 4.92)
-    ep = EnsemblePrediction(mean=1.0, aleatory_var=4.0, epistemic_var=0.0,
-                            total_var=4.0, member_means=(1.0,), member_vars=(4.0,))
-    lo, hi = interval(ep, 0.95)
-    assert lo == pytest.approx(-2.9199, abs=1e-3)
-    assert hi == pytest.approx(4.9199, abs=1e-3)
+    lo, hi = interval(_one_row(1.0, 4.0, 0.0), 0.95)
+    assert lo.shape == hi.shape == (1,)
+    assert lo[0] == pytest.approx(-2.9199, abs=1e-3)
+    assert hi[0] == pytest.approx(4.9199, abs=1e-3)
 
 
 def test_interval_symmetry_and_monotonicity():
-    ep = EnsemblePrediction(mean=2.0, aleatory_var=1.0, epistemic_var=0.5,
-                            total_var=1.5, member_means=(2.0,), member_vars=(1.0,))
+    ep = _one_row(2.0, 1.0, 0.5)
     lo68, hi68 = interval(ep, 0.68)
     lo95, hi95 = interval(ep, 0.95)
-    assert hi68 - ep.mean == pytest.approx(ep.mean - lo68, rel=1e-12)
-    assert lo95 < lo68 < hi68 < hi95
+    assert hi68[0] - ep.mean[0] == pytest.approx(ep.mean[0] - lo68[0], rel=1e-12)
+    assert lo95[0] < lo68[0] < hi68[0] < hi95[0]
 
 
 def test_interval_level_domain():
-    ep = EnsemblePrediction(1.0, 1.0, 0.0, 1.0, (1.0,), (1.0,))
+    ep = _one_row(1.0, 1.0, 0.0)
     for bad in (0.0, 1.0, -0.5, 1.5):
         with pytest.raises(ValueError):
             interval(ep, bad)
@@ -147,24 +155,85 @@ def test_ensemble_rejects_mixed_input_dims():
         Ensemble(members, Normalizer.identity())
 
 
+def _assert_predictions_equal(a, b):
+    for f in fields(EnsemblePrediction):
+        assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+
+
 def test_member_prediction_order_and_aggregation(tiny_ensemble, tiny_splits):
     raw = tiny_splits.test.features[:3]
-    per_input = tiny_ensemble.member_predictions(raw)
-    assert len(per_input) == 3
-    assert all(len(row) == tiny_ensemble.size for row in per_input)
-    first_member = predict_batch(tiny_ensemble.members[0].params,
-                                 tiny_ensemble.members[0].config,
-                                 tiny_ensemble.normalizer, raw)
-    for row, expect in zip(per_input, first_member):
-        assert row[0] == expect
+    ep = tiny_ensemble.predict(raw)
+    assert ep.mean.shape == ep.total_var.shape == (3,)
+    assert ep.member_means.shape == ep.member_vars.shape == (3, tiny_ensemble.size)
+    assert ep.member_means.flags.c_contiguous and ep.member_vars.flags.c_contiguous
+    for j, member in enumerate(tiny_ensemble.members):
+        mu, var = predict_batch(member.params, member.config,
+                                tiny_ensemble.normalizer, raw)
+        assert np.array_equal(ep.member_means[:, j], mu)
+        assert np.array_equal(ep.member_vars[:, j], var)
 
-    preds = tiny_ensemble.predict(raw)
-    for ep, row in zip(preds, per_input):
-        assert ep == aggregate(row)
+    for i in range(3):
+        row = aggregate([GaussianPrediction(float(mu), float(var)) for mu, var
+                         in zip(ep.member_means[i], ep.member_vars[i])])
+        for f in fields(EnsemblePrediction):
+            assert np.array_equal(getattr(ep, f.name)[i:i + 1], getattr(row, f.name))
     # single-row matmuls may take a different BLAS path, so allow float slack
-    one = tiny_ensemble.predict_one(raw[0])
-    assert one.mean == pytest.approx(preds[0].mean, rel=1e-12)
-    assert one.total_var == pytest.approx(preds[0].total_var, rel=1e-12)
+    one = tiny_ensemble.predict(raw[0])
+    assert one.mean.shape == (1,)
+    assert one.mean[0] == pytest.approx(ep.mean[0], rel=1e-12)
+    assert one.total_var[0] == pytest.approx(ep.total_var[0], rel=1e-12)
+
+
+def _per_row_predict(ens, raw):
+    """The per-row path that Ensemble.predict replaced, kept as an oracle:
+    one Gaussian per member per row, transposed, aggregated row by row."""
+    per_member = []
+    for m in ens.members:
+        mu, var = predict_batch(m.params, m.config, ens.normalizer, raw)
+        per_member.append([GaussianPrediction(float(a), float(b))
+                           for a, b in zip(mu, var)])
+    rows = []
+    for member_preds in zip(*per_member):
+        mus = np.array([p.mu for p in member_preds])
+        vars_ = np.array([p.var for p in member_preds])
+        mean = float(mus.mean())
+        aleatory = float(vars_.mean())
+        epistemic = float(((mus - mean) ** 2).mean())
+        rows.append((mean, aleatory, epistemic, aleatory + epistemic,
+                     tuple(float(m) for m in mus), tuple(float(v) for v in vars_)))
+    return [np.array(column) for column in zip(*rows)]
+
+
+@pytest.mark.parametrize("m", [1, 3, 5, 8, 15, 32])
+def test_predict_is_bit_identical_to_per_row_aggregation(m, tiny_normalizer):
+    # eight or more members is where summing an (M, N) stack over axis 0
+    # would stop matching the per-row pairwise sums
+    raw = generate_synthetic(SyntheticConfig(n=2000, seed=77)).features
+    kinds = list(ActivationKind)
+    members = []
+    for j in range(m):
+        cfg = MLPConfig(5, 1 + j % 2, 8, kinds[j % len(kinds)])
+        members.append(EnsembleMember(init_params(cfg, 500 + j), cfg, 500 + j, "init"))
+    ens = Ensemble(tuple(members), tiny_normalizer)
+
+    got = ens.predict(raw)
+    expect = _per_row_predict(ens, raw)
+    for f, want in zip(fields(EnsemblePrediction), expect):
+        assert np.array_equal(getattr(got, f.name), want), f.name
+
+
+@pytest.mark.parametrize("head_row", [0, 1])
+def test_predict_rejects_non_finite_member_output(head_row, tiny_ensemble, tiny_splits):
+    # a NaN head weight makes one member's mean (row 0) or variance (row 1)
+    # NaN for every input
+    broken = tiny_ensemble.members[1]
+    params = broken.params.copy()
+    params.head_w[head_row, 0] = np.nan
+    members = list(tiny_ensemble.members)
+    members[1] = EnsembleMember(params, broken.config, broken.seed, broken.provenance)
+    ens = Ensemble(tuple(members), tiny_ensemble.normalizer)
+    with pytest.raises(ValueError, match="finite"):
+        ens.predict(tiny_splits.test.features[:4])
 
 
 def test_member_count_presets():
@@ -270,4 +339,4 @@ def test_loaded_ensemble_predicts_identically(tmp_path, tiny_ensemble, tiny_spli
     save_ensemble(tiny_ensemble, out)
     again = load_ensemble(out)
     raw = tiny_splits.test.features[:5]
-    assert again.predict(raw) == tiny_ensemble.predict(raw)
+    _assert_predictions_equal(again.predict(raw), tiny_ensemble.predict(raw))

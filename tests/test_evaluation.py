@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from autoduct.dataset import FEATURE_NAMES, SliceSpec, build_slice_grid
+from autoduct.dataset import SliceSpec, build_slice_grid
 from autoduct.errors import EmptyInput, LengthMismatch, ZeroTarget
 from autoduct.evaluation import (RATIO_INSIDE_BOUNDS, TWO_SIGMA_LEVEL,
                                  TrialStats, aggregate_trials, evaluate_model,
@@ -76,15 +76,10 @@ def test_two_sigma_level_closed_form():
 
 # --- ratio analysis ----------------------------------------------------------
 
-def _feature_block(n, seed=3):
-    rng = np.random.default_rng(seed)
-    return rng.uniform(0.1, 1.0, size=(n, len(FEATURE_NAMES)))
-
-
 def test_ratio_interval_endpoints_count_as_inside():
     y = np.full(4, 100.0)
     yhat = np.array([50.0, 200.0, 49.999, 200.001])
-    analysis = ratio_analysis(y, yhat, _feature_block(4))
+    analysis = ratio_analysis(y, yhat)
     assert RATIO_INSIDE_BOUNDS == (0.5, 2.0)
     np.testing.assert_allclose(analysis.ratios,
                                np.array([0.5, 2.0, 0.49999, 2.00001]))
@@ -95,37 +90,18 @@ def test_ratio_moments_match_numpy():
     rng = np.random.default_rng(11)
     y = rng.uniform(100.0, 1000.0, size=60)
     yhat = y * rng.uniform(0.7, 1.4, size=60)
-    analysis = ratio_analysis(y, yhat, _feature_block(60))
+    analysis = ratio_analysis(y, yhat)
     ratios = yhat / y
     assert analysis.mean == pytest.approx(ratios.mean(), rel=1e-14)
     assert analysis.std == pytest.approx(ratios.std(), rel=1e-14)
 
 
-def test_ratio_series_scales_each_feature_to_unit_range():
-    n = 30
-    features = _feature_block(n, seed=5)
-    features[:, 2] = 7.5            # constant column collapses to zeros
-    y = np.full(n, 200.0)
-    analysis = ratio_analysis(y, y * 1.1, features)
-    assert tuple(s.feature for s in analysis.series) == FEATURE_NAMES
-    for j, series in enumerate(analysis.series):
-        if j == 2:
-            assert np.all(series.x == 0.0)
-        else:
-            assert series.x.min() == 0.0
-            assert series.x.max() == 1.0
-        col = features[:, j]
-        order_expected = np.argsort(col, kind="stable")
-        order_scaled = np.argsort(series.x, kind="stable")
-        np.testing.assert_array_equal(order_expected, order_scaled)
-
-
 def test_ratio_analysis_validation():
     y = np.array([1.0, 2.0])
     with pytest.raises(LengthMismatch):
-        ratio_analysis(y, y, np.ones((3, len(FEATURE_NAMES))))
+        ratio_analysis(y, np.ones(3))
     with pytest.raises(ZeroTarget) as err:
-        ratio_analysis(np.array([5.0, 0.0]), y, _feature_block(2))
+        ratio_analysis(np.array([5.0, 0.0]), y)
     assert err.value.index == 1
 
 
@@ -134,9 +110,9 @@ def test_ratio_analysis_validation():
 def test_evaluate_model_report_matches_direct_metrics(tiny_ensemble, tiny_splits):
     ds = tiny_splits.test
     me = evaluate_model(tiny_ensemble, ds, level=0.9, split_label="holdout")
-    yhat = np.array([p.mean for p in me.predictions])
+    yhat = me.predictions.mean
     direct = tiny_ensemble.predict(ds.features)
-    np.testing.assert_array_equal(yhat, np.array([p.mean for p in direct]))
+    np.testing.assert_array_equal(yhat, direct.mean)
 
     assert me.report.split_label == "holdout"
     assert me.report.n == len(ds)
@@ -176,8 +152,8 @@ def test_evaluate_slices_band_is_z_times_total_std(tiny_ensemble):
     np.testing.assert_array_equal(result.grid.features, grid.features)
 
     z = central_interval_z(0.8)
-    mean = np.array([p.mean for p in result.predictions])
-    total = np.array([p.total_var for p in result.predictions])
+    mean = result.predictions.mean
+    total = result.predictions.total_var
     np.testing.assert_allclose(result.band_lo, mean - z * np.sqrt(total),
                                rtol=1e-14)
     np.testing.assert_allclose(result.band_hi, mean + z * np.sqrt(total),

@@ -375,14 +375,15 @@ def test_predict_batch_applies_normalizer(tiny_splits, tiny_normalizer):
     cfg = MLPConfig(5, 1, 8, ActivationKind.RELU)
     p = init_params(cfg, 0)
     raw = tiny_splits.test.features[:4]
-    got = predict_batch(p, cfg, tiny_normalizer, raw)
+    got_mu, got_var = predict_batch(p, cfg, tiny_normalizer, raw)
+    assert got_mu.shape == got_var.shape == (4,)
     z = tiny_normalizer.transform_features(raw)
-    for pred, row in zip(got, z):
+    for pred_mu, pred_var, row in zip(got_mu, got_var, z):
         inner = forward(p, cfg, row)
         mu = tiny_normalizer.inverse_target_mean(np.array([inner.mu]))[0]
         var = tiny_normalizer.inverse_target_var(np.array([inner.var]))[0]
-        assert pred.mu == pytest.approx(mu, rel=1e-12)
-        assert pred.var == pytest.approx(var, rel=1e-12)
+        assert pred_mu == pytest.approx(mu, rel=1e-12)
+        assert pred_var == pytest.approx(var, rel=1e-12)
 
 
 # --- serialization ---------------------------------------------------------------------

@@ -80,12 +80,12 @@ def test_predictions_csv_round_trips(evaluation, tmp_path):
     for i in (0, len(rows) // 2, len(rows) - 1):
         values = [float(v) for v in rows[i]]
         assert values[:5] == list(evaluation.dataset.features[i])
-        pred = evaluation.predictions[i]
+        pred = evaluation.predictions
         assert values[5] == evaluation.dataset.targets[i]
-        assert values[6] == pred.mean
-        assert values[7] == pred.aleatory_var
-        assert values[8] == pred.epistemic_var
-        assert values[9] == pred.total_var
+        assert values[6] == pred.mean[i]
+        assert values[7] == pred.aleatory_var[i]
+        assert values[8] == pred.epistemic_var[i]
+        assert values[9] == pred.total_var[i]
         # exact round trip preserves the moment identity exactly
         assert values[9] == values[7] + values[8]
 
@@ -120,7 +120,7 @@ def test_histogram_bin_edges_are_fixed():
 def test_error_histogram_bars_match_recomputed_counts(evaluation, tmp_path):
     export_report(evaluation, None, tmp_path)
     y = evaluation.dataset.targets
-    yhat = np.array([p.mean for p in evaluation.predictions])
+    yhat = evaluation.predictions.mean
     errors_pct = np.clip(100.0 * (yhat - y) / y, ERROR_BIN_EDGES[0],
                          ERROR_BIN_EDGES[-1])
     counts, _ = np.histogram(errors_pct, bins=ERROR_BIN_EDGES)
@@ -148,9 +148,9 @@ def test_slice_csv_round_trips(evaluation, slice_report, tmp_path):
         assert row[0] == "g_sweep"
         assert row[1] == "G"
         assert float(row[2]) == varying[i]
-        pred = result.predictions[i]
-        assert float(row[3]) == pred.mean
-        assert float(row[4]) == math.sqrt(pred.total_var)
+        pred = result.predictions
+        assert float(row[3]) == pred.mean[i]
+        assert float(row[4]) == math.sqrt(pred.total_var[i])
         assert float(row[5]) == result.band_lo[i]
         assert float(row[6]) == result.band_hi[i]
         assert float(row[7]) == result.reference[i]
