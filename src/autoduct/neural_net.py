@@ -20,7 +20,10 @@ dropped)
 by mini-batch gradient descent with adaptive moment estimates and
 decoupled weight decay. Gradients are computed analytically in
 ``backward``; the test suite checks them against central finite
-differences.
+differences. Each training step runs one forward pass, whose cache the
+backward pass reuses. A network's parameters are views into one flat
+float64 buffer, all weight matrices first and all biases after, so the
+AdamW update is one vector operation and weight decay is one slice.
 
 Activation constants (fixed, from the original publications of each
 unit): LeakyReLU negative slope 0.01; SELU lambda 1.0507009873554805 and
@@ -31,7 +34,7 @@ is taken as 0.
 
 from __future__ import annotations
 
-import copy
+import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -183,27 +186,39 @@ class TrainConfig:
                    seed=int(doc["seed"]), patience=int(doc["patience"]))
 
 
-@dataclass
-class Parameters:
-    """Weights of one network. head_w rows: 0 = mean head, 1 = raw
-    variance head. Also reused as the container for gradients, which share
-    the same shapes."""
+def _param_shapes(cfg: MLPConfig) -> list[tuple[int, ...]]:
+    """The parameter layout, in buffer order: W_1..W_L, head_w, then
+    b_1..b_L, head_b. Weight matrices are (units out, units in)."""
+    fan_in = [cfg.input_dim] + [cfg.hidden_units] * (cfg.hidden_layers - 1)
+    return ([(cfg.hidden_units, f) for f in fan_in] + [(2, cfg.hidden_units)]
+            + [(cfg.hidden_units,)] * cfg.hidden_layers + [(2,)])
 
-    hidden_w: list[np.ndarray]
-    hidden_b: list[np.ndarray]
-    head_w: np.ndarray
-    head_b: np.ndarray
+
+class Parameters:
+    """Weights of one network: contiguous views into the buffer ``flat``
+    (zeros unless given), laid out by ``_param_shapes`` with the weight
+    matrices in ``flat[:n_weights]``. head_w rows: 0 = mean head, 1 = raw
+    variance head. Also the container for gradients, which share the layout."""
+
+    def __init__(self, cfg: MLPConfig, flat: np.ndarray | None = None):
+        shapes = _param_shapes(cfg)
+        sizes = [math.prod(s) for s in shapes]
+        self._cfg = cfg
+        self.flat = np.zeros(sum(sizes)) if flat is None else flat
+        ends = np.cumsum(sizes)
+        views = [self.flat[e - n:e].reshape(s) for e, n, s in zip(ends, sizes, shapes)]
+        layers = cfg.hidden_layers
+        self.hidden_w = views[:layers]
+        self.head_w = views[layers]
+        self.hidden_b = views[layers + 1:-1]
+        self.head_b = views[-1]
+        self.n_weights = int(ends[layers])
 
     def arrays(self) -> list[np.ndarray]:
         return [*self.hidden_w, *self.hidden_b, self.head_w, self.head_b]
 
     def copy(self) -> "Parameters":
-        return Parameters([w.copy() for w in self.hidden_w],
-                          [b.copy() for b in self.hidden_b],
-                          self.head_w.copy(), self.head_b.copy())
-
-    def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(a)) for a in self.arrays())
+        return Parameters(self._cfg, self.flat.copy())
 
 
 @dataclass(frozen=True)
@@ -221,18 +236,13 @@ class TrainHistory:
 
 
 def init_params(cfg: MLPConfig, seed: int) -> Parameters:
-    """Gaussian weights scaled by sqrt(2 / fan_in), zero biases."""
+    """Gaussian weights scaled by sqrt(2 / fan_in), drawn in the order
+    W_1..W_L, head_w; zero biases."""
     rng = np.random.default_rng(seed)
-    hidden_w, hidden_b = [], []
-    fan_in = cfg.input_dim
-    for _ in range(cfg.hidden_layers):
-        hidden_w.append(rng.normal(0.0, np.sqrt(2.0 / fan_in),
-                                   size=(cfg.hidden_units, fan_in)))
-        hidden_b.append(np.zeros(cfg.hidden_units))
-        fan_in = cfg.hidden_units
-    head_w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(2, fan_in))
-    head_b = np.zeros(2)
-    return Parameters(hidden_w, hidden_b, head_w, head_b)
+    p = Parameters(cfg)
+    for w in [*p.hidden_w, p.head_w]:
+        w[...] = rng.normal(0.0, np.sqrt(2.0 / w.shape[1]), size=w.shape)
+    return p
 
 
 def _make_masks(cfg: MLPConfig, n: int, rng: np.random.Generator) -> list[np.ndarray] | None:
@@ -276,15 +286,18 @@ def forward(p: Parameters, cfg: MLPConfig, x: np.ndarray, training_mode: bool = 
     """Evaluate one normalized input vector.
 
     Dropout fires only in training mode; the masks use inverted scaling so
-    inference applies no correction. Pass an explicit generator for
-    reproducible training-mode calls.
+    inference applies no correction. Training mode with dropout draws its
+    masks from `rng`, which must then be given: there is no unseeded
+    fallback.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (cfg.input_dim,):
         raise DimensionMismatch(f"expected input of shape ({cfg.input_dim},), got {x.shape}")
     masks = None
     if training_mode and cfg.dropout_rate > 0.0:
-        masks = _make_masks(cfg, 1, rng if rng is not None else np.random.default_rng())
+        if rng is None:
+            raise ValueError("training-mode dropout needs an explicit rng")
+        masks = _make_masks(cfg, 1, rng)
     mu, var, _, _, _ = _forward_batch(p, cfg, x[None, :], masks)
     return GaussianPrediction(float(mu[0]), float(var[0]))
 
@@ -307,11 +320,14 @@ def _nll_arrays(mu: np.ndarray, var: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean((y - mu) ** 2 / (2.0 * var) + 0.5 * np.log(var)))
 
 
-def _backward_batch(p: Parameters, cfg: MLPConfig, x: np.ndarray, y: np.ndarray,
-                    masks: list[np.ndarray] | None, weight_decay: float) -> Parameters:
-    n = x.shape[0]
+def _backward_batch(p: Parameters, cfg: MLPConfig, y: np.ndarray,
+                    masks: list[np.ndarray] | None, cache: tuple,
+                    grads: Parameters) -> None:
+    """Writes the NLL gradient into `grads`, given the `cache` that
+    _forward_batch returned for this batch and these masks."""
+    mu, var, raw, pre, post = cache
+    n = y.shape[0]
     _, dact = _ACTIVATIONS[cfg.activation]
-    mu, var, raw, pre, post = _forward_batch(p, cfg, x, masks)
 
     # d loss / d mu and d loss / d raw-variance-head output
     dmu = (mu - y) / var / n
@@ -319,25 +335,17 @@ def _backward_batch(p: Parameters, cfg: MLPConfig, x: np.ndarray, y: np.ndarray,
     draw = dvar * _sigmoid(raw)
 
     dout = np.stack([dmu, draw], axis=1)            # (n, 2)
-    g_head_w = dout.T @ post[-1]
-    g_head_b = dout.sum(axis=0)
+    np.matmul(dout.T, post[-1], out=grads.head_w)
+    dout.sum(axis=0, out=grads.head_b)
 
     delta = dout @ p.head_w                          # gradient w.r.t. h_L
-    g_w = [None] * cfg.hidden_layers
-    g_b = [None] * cfg.hidden_layers
     for l in range(cfg.hidden_layers - 1, -1, -1):
         if masks is not None:
             delta = delta * masks[l]
         da = delta * dact(pre[l])
-        g_w[l] = da.T @ post[l]
-        g_b[l] = da.sum(axis=0)
+        np.matmul(da.T, post[l], out=grads.hidden_w[l])
+        da.sum(axis=0, out=grads.hidden_b[l])
         delta = da @ p.hidden_w[l]
-
-    if weight_decay:
-        for l in range(cfg.hidden_layers):
-            g_w[l] = g_w[l] + weight_decay * p.hidden_w[l]
-        g_head_w = g_head_w + weight_decay * p.head_w
-    return Parameters(g_w, g_b, g_head_w, g_head_b)
 
 
 def backward(p: Parameters, cfg: MLPConfig, batch: tuple[np.ndarray, np.ndarray],
@@ -353,7 +361,11 @@ def backward(p: Parameters, cfg: MLPConfig, batch: tuple[np.ndarray, np.ndarray]
         raise DimensionMismatch(f"expected batch of shape (n, {cfg.input_dim})")
     if x.shape[0] == 0:
         raise LengthMismatch("batch must be non-empty")
-    return _backward_batch(p, cfg, x, y, None, weight_decay)
+    grads = Parameters(cfg, np.empty_like(p.flat))
+    _backward_batch(p, cfg, y, None, _forward_batch(p, cfg, x, None), grads)
+    if weight_decay:
+        grads.flat[:p.n_weights] += weight_decay * p.flat[:p.n_weights]
+    return grads
 
 
 def train(splits: SplitDataset, normalizer: Normalizer, mlp: MLPConfig,
@@ -378,15 +390,18 @@ def train(splits: SplitDataset, normalizer: Normalizer, mlp: MLPConfig,
     # distinct stream from init_params' so batching noise is not tied to
     # the initial weights
     rng = np.random.default_rng((int(tc.seed) + 0x9E3779B9) % 2**64)
-    m = [np.zeros_like(a) for a in params.arrays()]
-    v = [np.zeros_like(a) for a in params.arrays()]
+    theta = params.flat
+    grads = Parameters(mlp, np.empty_like(theta))
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    n_w = params.n_weights
     step = 0
 
     n = x_train.shape[0]
     train_losses: list[float] = []
     val_losses: list[float] = []
     best_val = np.inf
-    best_params = params.copy()
+    best_theta = theta.copy()
     best_epoch = 0
     stale = 0
 
@@ -397,29 +412,25 @@ def train(splits: SplitDataset, normalizer: Normalizer, mlp: MLPConfig,
             idx = order[start:start + tc.batch_size]
             xb, yb = x_train[idx], y_train[idx]
             masks = _make_masks(mlp, xb.shape[0], rng)
-            mu, var, _, _, _ = _forward_batch(params, mlp, xb, masks)
-            batch_loss = _nll_arrays(mu, var, yb)
+            cache = _forward_batch(params, mlp, xb, masks)
+            batch_loss = _nll_arrays(cache[0], cache[1], yb)
             if not np.isfinite(batch_loss):
                 raise DivergedLoss(epoch)
             epoch_loss += batch_loss * xb.shape[0]
-            grads = _backward_batch(params, mlp, xb, yb, masks, 0.0)
+            _backward_batch(params, mlp, yb, masks, cache, grads)
 
             step += 1
             bias1 = 1.0 - ADAM_BETA1**step
             bias2 = 1.0 - ADAM_BETA2**step
-            arrays = params.arrays()
-            g_arrays = grads.arrays()
-            n_w = mlp.hidden_layers      # weight-matrix entries come first
-            for i, (a, g) in enumerate(zip(arrays, g_arrays)):
-                m[i] = ADAM_BETA1 * m[i] + (1.0 - ADAM_BETA1) * g
-                v[i] = ADAM_BETA2 * v[i] + (1.0 - ADAM_BETA2) * g**2
-                update = (m[i] / bias1) / (np.sqrt(v[i] / bias2) + ADAM_EPS)
-                is_weight = i < n_w or i == len(arrays) - 2
-                if is_weight and tc.weight_decay:
-                    update = update + tc.weight_decay * a
-                a -= tc.learning_rate * update
+            g = grads.flat
+            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g**2
+            update = (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+            if tc.weight_decay:
+                update[:n_w] += tc.weight_decay * theta[:n_w]
+            theta -= tc.learning_rate * update
 
-        if not params.all_finite():
+        if not np.all(np.isfinite(theta)):
             raise DivergedLoss(epoch)
         train_losses.append(epoch_loss / n)
         mu, var, _, _, _ = _forward_batch(params, mlp, x_val, None)
@@ -430,7 +441,7 @@ def train(splits: SplitDataset, normalizer: Normalizer, mlp: MLPConfig,
 
         if val_loss < best_val:
             best_val = val_loss
-            best_params = params.copy()
+            best_theta[...] = theta
             best_epoch = epoch
             stale = 0
         else:
@@ -440,7 +451,7 @@ def train(splits: SplitDataset, normalizer: Normalizer, mlp: MLPConfig,
 
     history = TrainHistory(train_losses, val_losses, best_epoch,
                            time.perf_counter() - started)
-    return best_params, history
+    return Parameters(mlp, best_theta), history
 
 
 def predict_batch(p: Parameters, cfg: MLPConfig, normalizer: Normalizer,
@@ -487,32 +498,15 @@ def params_from_doc(doc: dict) -> tuple[Parameters, MLPConfig, Normalizer]:
         cfg = MLPConfig.from_dict(doc["config"])
         normalizer = Normalizer.from_dict(doc["normalizer"])
         block = doc["parameters"]
-
-        def unpack(entry: dict) -> np.ndarray:
-            a = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-            if not np.all(np.isfinite(a)):
-                raise ValueError("non-finite parameter entry")
-            return a
-
-        params = Parameters(
-            hidden_w=[unpack(e) for e in block["hidden_w"]],
-            hidden_b=[unpack(e) for e in block["hidden_b"]],
-            head_w=unpack(block["head_w"]),
-            head_b=unpack(block["head_b"]),
-        )
+        params = Parameters(cfg)
+        entries = [*block["hidden_w"], *block["hidden_b"], block["head_w"], block["head_b"]]
+        shapes = [tuple(e["shape"]) for e in entries]
+        if shapes != [a.shape for a in params.arrays()]:
+            raise CorruptArtifact(f"parameter shapes {shapes} do not match the config")
+        for entry, a in zip(entries, params.arrays()):
+            a[...] = np.array(entry["data"], dtype=np.float64).reshape(a.shape)
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptArtifact(f"malformed parameter document: {exc}") from exc
-    _check_shapes(params, cfg)
+    if not np.all(np.isfinite(params.flat)):
+        raise CorruptArtifact("malformed parameter document: non-finite parameter entry")
     return params, cfg, normalizer
-
-
-def _check_shapes(p: Parameters, cfg: MLPConfig) -> None:
-    expected_in = cfg.input_dim
-    if len(p.hidden_w) != cfg.hidden_layers or len(p.hidden_b) != cfg.hidden_layers:
-        raise CorruptArtifact("hidden layer count does not match config")
-    for w, b in zip(p.hidden_w, p.hidden_b):
-        if w.shape != (cfg.hidden_units, expected_in) or b.shape != (cfg.hidden_units,):
-            raise CorruptArtifact(f"bad hidden layer shapes {w.shape}, {b.shape}")
-        expected_in = cfg.hidden_units
-    if p.head_w.shape != (2, cfg.hidden_units) or p.head_b.shape != (2,):
-        raise CorruptArtifact(f"bad head shapes {p.head_w.shape}, {p.head_b.shape}")

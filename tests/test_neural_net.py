@@ -1,9 +1,11 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
+from autoduct import neural_net
 from autoduct.dataset import (Dataset, Normalizer, SplitDataset, SyntheticConfig,
                               fit_normalizer, generate_synthetic, split)
 from autoduct.errors import (CorruptArtifact, DimensionMismatch, DivergedLoss,
@@ -163,6 +165,16 @@ def test_forward_dropout_modes():
     assert t1 != t2                              # masks actually fire
     t1_again = forward(p, cfg, x, training_mode=True, rng=np.random.default_rng(0))
     assert t1 == t1_again
+
+
+def test_forward_training_dropout_requires_rng():
+    cfg = MLPConfig(3, 1, 8, ActivationKind.RELU, dropout_rate=0.2)
+    p = init_params(cfg, 1)
+    with pytest.raises(ValueError, match="rng"):
+        forward(p, cfg, np.zeros(3), training_mode=True)
+    # without dropout there is nothing to draw, so no generator is needed
+    plain = MLPConfig(3, 1, 8, ActivationKind.RELU)
+    forward(init_params(plain, 1), plain, np.zeros(3), training_mode=True)
 
 
 def test_dropout_inverted_scaling_preserves_mean():
@@ -369,6 +381,73 @@ def test_decoupled_decay_single_step():
     assert np.array_equal(p_plain.head_b, p_decay.head_b)
 
 
+# Parameters and loss curves of small dropout + decay runs, pinned so that
+# a change to the training step's layout or arithmetic shows up as a
+# different number: (activation, sha256 of the returned parameter bytes,
+# train_losses, val_losses).
+_TRAIN_GOLDEN = [
+    ("relu", "8d3e9d939bd7c86c70f527c65dd627dc5784f6fa20a0402fb73058347fab5f8a",
+     [2643.5208628465784, 3.5042529439098558, 14.338279777502786,
+      31.594304419103324, 4.29180263230558],
+     [1.1226661156860627, 0.48117497887194627, 0.36504121660657046,
+      0.34655169124979623, 0.35712602557818424]),
+    ("leaky_relu", "843bd8c25418139f0537246e851e1d14eb7c989f2ac936f217dc0df3610bf421",
+     [0.5699173334869925, 0.5206444564416468, 0.5097139157982082,
+      0.4547814585156981, 0.4556807543903819],
+     [0.031052043675106243, 0.005321721190704306, -0.0027007702625471697,
+      -0.015550927436936318, -0.028937894373997974]),
+    ("gelu", "1becba257c7b55a4fed605c9a7581d17e1dcf566fd4106d0274cb706bc0863d9",
+     [5.175405224837666, 1.4120020582603066, 0.7897126886635973,
+      0.8822136177110601, 1.131040034437262],
+     [0.568263519791405, 0.37653338475771597, 0.308181414837953,
+      0.27633070771255674, 0.27182124286990605]),
+    ("selu", "07857193fd188072935dfba4c1619d3b5ddee07996007d00874918573d209289",
+     [2551.5031170203315, 46.4441059841394, 82.13103031588088,
+      66.26053030044243, 8.914095993664947],
+     [33.65795997872122, 24.01462971870959, 19.635073049426477,
+      17.12289343781413, 15.538383808359432]),
+    ("elu", "7ab8127fb4f1fef6454de5c19058a8af7c8bf6c5b1b23be1e855893b7cc6ac6a",
+     [1.2859076398298095, 0.8379919113400469, 0.8897056450414307,
+      0.7934146771346964, 0.27964881682239895],
+     [-0.04385127696753165, -0.05485337079778181, -0.07045492425511571,
+      -0.09529527397208692, -0.12022469081402723]),
+    ("softplus", "51a46a80a18d1e302062f49e0cbc6728c96f4a6dec57aa3c9811e7ae6d29f348",
+     [1.6234479522609395, 1.3058777808034197, 1.2172632446345848,
+      1.0783920765349306, 0.9576419062361768],
+     [1.1267294088391746, 0.9219767425524983, 0.8238798725695162,
+      0.7704565550836967, 0.7037101943727057]),
+]
+
+
+def test_train_golden_and_one_forward_per_step(monkeypatch):
+    splits = _small_splits(n=60, seed=4)
+    norm = fit_normalizer(splits.train)
+    n_train = len(splits.train)
+    batch_size = 10
+    assert n_train % batch_size != 0          # a short last batch is covered
+    calls = []
+    real_forward = neural_net._forward_batch
+
+    def counting_forward(*args, **kwargs):
+        calls.append(1)
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(neural_net, "_forward_batch", counting_forward)
+    for i, (kind, digest, train_losses, val_losses) in enumerate(_TRAIN_GOLDEN):
+        calls.clear()
+        cfg = MLPConfig(5, 2, 6, ActivationKind(kind), dropout_rate=0.2)
+        tc = TrainConfig(1e-2, 0.05, batch_size, epochs=5, seed=20 + i, patience=5)
+        p, hist = train(splits, norm, cfg, tc)
+        got = hashlib.sha256(b"".join(a.tobytes() for a in p.arrays())).hexdigest()
+        assert got == digest, kind
+        assert hist.train_losses == train_losses, kind
+        assert hist.val_losses == val_losses, kind
+        epochs = len(hist.val_losses)
+        steps = epochs * math.ceil(n_train / batch_size)
+        # one forward per mini-batch step plus one validation pass per epoch
+        assert len(calls) == steps + epochs, kind
+
+
 # --- prediction on raw units --------------------------------------------------------
 
 def test_predict_batch_applies_normalizer(tiny_splits, tiny_normalizer):
@@ -428,3 +507,18 @@ def test_params_doc_corruption_detected():
     misshapen["parameters"]["head_b"]["data"].append(0.0)
     with pytest.raises(CorruptArtifact):
         params_from_doc(misshapen)
+
+    dropped = json.loads(json.dumps(good))
+    del dropped["parameters"]["hidden_w"][0]
+    del dropped["parameters"]["hidden_b"][0]
+
+    # (4, 2) -> (2, 4): same element count, so only the layout check sees it
+    transposed = json.loads(json.dumps(good))
+    transposed["parameters"]["hidden_w"][0]["shape"] = [2, 4]
+
+    extra_bias = json.loads(json.dumps(good))
+    extra_bias["parameters"]["hidden_b"].append(good["parameters"]["hidden_b"][0])
+
+    for doc in (dropped, transposed, extra_bias):
+        with pytest.raises(CorruptArtifact):
+            params_from_doc(doc)
