@@ -12,16 +12,6 @@ from pathlib import Path
 
 from ..errors import UnboundRole
 
-STANDARD_ROLES = (
-    "dataset_file",
-    "model_spec",
-    "training_spec",
-    "evaluation_spec",
-    "ensemble_dir",
-    "report_dir",
-    "state_file",
-)
-
 _DEFAULT_LAYOUT = {
     "dataset_file": "data.csv",
     "model_spec": "model_spec.json",
@@ -31,6 +21,8 @@ _DEFAULT_LAYOUT = {
     "report_dir": "report",
     "state_file": "state.json",
 }
+
+STANDARD_ROLES = tuple(_DEFAULT_LAYOUT)
 
 
 class ProjectContext:

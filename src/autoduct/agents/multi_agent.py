@@ -20,20 +20,9 @@ from .executor import ExecutionResult, TaskExecutor
 from .planner import (PlanRequest, PlannerBase, build_patch_prompt,
                       build_task_prompt, prompt_digest)
 from .report import synthesize_report
-from .state import (STAGE_KINDS, STAGE_ORDER, WorkflowState, load_state,
+from .state import (STAGE_ORDER, STAGE_TASKS, WorkflowState, load_state,
                     persist_state)
 from .tasks import TaskDocument, save_document, validate_document
-
-# where each stage's generated document is saved for audit
-_DOC_FILES = {
-    "model_generation": "model_task.json",
-    "training_execution": None,       # bound role "training_spec"
-    "evaluation_execution": None,     # bound role "evaluation_spec"
-}
-_DOC_ROLES = {
-    "training_execution": "training_spec",
-    "evaluation_execution": "evaluation_spec",
-}
 
 
 @dataclass
@@ -56,7 +45,7 @@ def generate_task(planner: PlannerBase, stage: str, ctx: ProjectContext,
     """
     prompt = build_task_prompt(stage, ctx, task)
     reply = planner.plan(PlanRequest(kind="task", prompt=prompt, stage=stage))
-    doc = TaskDocument(kind=STAGE_KINDS[stage], payload=reply.payload,
+    doc = TaskDocument(kind=STAGE_TASKS[stage].kind, payload=reply.payload,
                        provenance={"planner": planner.name, "stage": stage,
                                    "prompt_digest": prompt_digest(prompt)})
     return validate_document(doc)
@@ -83,9 +72,16 @@ def execute_task(executor: TaskExecutor, doc: TaskDocument,
     return executor.execute(doc)
 
 
-def _doc_path(ctx: ProjectContext, stage: str):
-    role = _DOC_ROLES.get(stage)
-    return ctx.path(role) if role else ctx.workspace / _DOC_FILES[stage]
+def _save_stage_document(doc: TaskDocument, ctx: ProjectContext,
+                         stage: str) -> None:
+    """Save a stage's latest task document to its workspace file for audit."""
+    save_document(doc, ctx.workspace / STAGE_TASKS[stage].doc_file)
+
+
+def _check_stop_stage(stop_after_stage: str | None) -> None:
+    if stop_after_stage is not None and stop_after_stage not in STAGE_ORDER:
+        raise ValueError(f"unknown stage {stop_after_stage!r}; "
+                         f"expected one of {', '.join(STAGE_ORDER)}")
 
 
 def _load_or_create_state(ctx: ProjectContext, mode: str,
@@ -110,22 +106,24 @@ def run_multi_agent(task: str, ctx: ProjectContext, planner: PlannerBase,
     Raises StageExhausted when a stage keeps failing; the state file is
     left failed-but-resumable. `stop_after_stage` ends the run cleanly
     after the named stage (a controlled substitute for kill -9 in resume
-    drills).
+    drills); a name outside STAGE_ORDER raises ValueError before any
+    state is read.
     """
     if max_retries < 1:
         raise ValueError("max_retries must be at least 1")
+    _check_stop_stage(stop_after_stage)
     state = _load_or_create_state(ctx, "multi", resume)
     state_path = ctx.path("state_file")
     timings: dict[str, float] = {}
 
-    for stage in STAGE_ORDER[:3]:
+    for stage in STAGE_TASKS:
         if state.is_done(stage):
             continue
         state.mark_in_progress(stage)
         persist_state(state, state_path)
         try:
             doc = generate_task(planner, stage, ctx, task)
-            save_document(doc, _doc_path(ctx, stage))
+            _save_stage_document(doc, ctx, stage)
 
             attempts = 0
             while True:
@@ -141,7 +139,7 @@ def run_multi_agent(task: str, ctx: ProjectContext, planner: PlannerBase,
                     persist_state(state, state_path)
                     raise StageExhausted(stage, state.error_count(stage))
                 doc = tune_task(planner, doc, result.log)
-                save_document(doc, _doc_path(ctx, stage))
+                _save_stage_document(doc, ctx, stage)
         except StageExhausted:
             raise
         except AutoductError:
@@ -153,13 +151,24 @@ def run_multi_agent(task: str, ctx: ProjectContext, planner: PlannerBase,
         if stage == stop_after_stage:
             return AgentOutcome(report=None, state=state)
 
+    report = _finish_report(ctx, state, planner, timings)
+    return AgentOutcome(report=report, state=state)
+
+
+def _finish_report(ctx: ProjectContext, state: WorkflowState,
+                   planner: PlannerBase, stage_times: dict,
+                   steps: int | None = None) -> dict:
+    """The report stage both loops end with: reload the report of a run
+    that already finished it, else synthesize it between two persisted
+    transitions (in progress, then done)."""
     if state.is_done("report_synthesis"):
         report_path = ctx.path("report_dir") / "report.json"
-        report = json.loads(report_path.read_text(encoding="utf-8"))
-    else:
-        state.mark_in_progress("report_synthesis")
-        persist_state(state, state_path)
-        report = synthesize_report(ctx, state, planner, stage_times=timings)
-        state.mark_done("report_synthesis")
-        persist_state(state, state_path)
-    return AgentOutcome(report=report, state=state)
+        return json.loads(report_path.read_text(encoding="utf-8"))
+    state_path = ctx.path("state_file")
+    state.mark_in_progress("report_synthesis")
+    persist_state(state, state_path)
+    report = synthesize_report(ctx, state, planner, stage_times=stage_times,
+                               steps=steps)
+    state.mark_done("report_synthesis")
+    persist_state(state, state_path)
+    return report

@@ -27,17 +27,11 @@ from ..errors import AuthFailure, PlannerUnavailable, SchemaInvalid
 from ..evaluation import TWO_SIGMA_LEVEL
 from .context import ProjectContext
 from .executor import FAULT_MARKER
-from .state import STAGE_KINDS
+from .state import STAGE_TASKS
 from .tasks import TaskDocument
 
 SCRIPTED_PROMPT_TOKENS = 75
 SCRIPTED_COMPLETION_TOKENS = 25
-
-_GENERATE_TOOLS = {
-    "model_generation": "generate_model",
-    "training_execution": "generate_training_task",
-    "evaluation_execution": "generate_evaluation_task",
-}
 
 
 @dataclass(frozen=True)
@@ -246,7 +240,7 @@ class ScriptedPlanner(PlannerBase):
 
     def _reply(self, request: PlanRequest) -> tuple[PlannerReply, int]:
         if request.kind == "task":
-            payload = self.recipe.payload_for(STAGE_KINDS[request.stage])
+            payload = self.recipe.payload_for(STAGE_TASKS[request.stage].kind)
         elif request.kind == "patch":
             payload = self._patch(request)
         else:
@@ -281,10 +275,10 @@ class ScriptedPlanner(PlannerBase):
         if last.startswith("ok: generate_"):
             return {"thought": "a task document is ready; execute it",
                     "action": "execute_task", "args": {}}
-        for stage, tool in _GENERATE_TOOLS.items():
+        for stage, stage_task in STAGE_TASKS.items():
             if state.get(stage) != "done":
                 return {"thought": f"{stage} is not done; generate its task",
-                        "action": tool, "args": {}}
+                        "action": stage_task.tool, "args": {}}
         return {"thought": "all stages complete; finish",
                 "action": "finish_task", "args": {}}
 

@@ -11,38 +11,26 @@ scripted or LLM planner route through patch_task and recover.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 from ..errors import AutoductError, SchemaInvalid, StepBudgetExhausted, UnknownTool
 from .context import ProjectContext
 from .executor import ExecutionResult, TaskExecutor
-from .multi_agent import (AgentOutcome, _load_or_create_state, generate_task,
-                          tune_task)
+from .multi_agent import (AgentOutcome, _check_stop_stage, _finish_report,
+                          _load_or_create_state, _save_stage_document,
+                          generate_task, tune_task)
 from .planner import PlanRequest, PlannerBase, build_directive_prompt
-from .report import synthesize_report
-from .state import WorkflowState, persist_state
-from .tasks import save_document
+from .state import STAGE_TASKS, WorkflowState, persist_state
 
 OBSERVATION_LIMIT = 512
 DEFAULT_WINDOW = 8
 DEFAULT_MAX_STEPS = 40
 
-TOOL_NAMES = ("generate_model", "generate_training_task",
-              "generate_evaluation_task", "execute_task", "patch_task",
-              "read_log", "finish_task")
-
-_TOOL_STAGES = {
-    "generate_model": "model_generation",
-    "generate_training_task": "training_execution",
-    "generate_evaluation_task": "evaluation_execution",
-}
-
-_DOC_FILES = {
-    "model_generation": "model_task.json",
-    "training_execution": "training_task.json",
-    "evaluation_execution": "evaluation_task.json",
-}
+# one generate tool per executed stage, in stage order, then the rest;
+# every directive prompt lists the tools in this order
+TOOL_NAMES = tuple(t.tool for t in STAGE_TASKS.values()) + (
+    "execute_task", "patch_task", "read_log", "finish_task")
 
 
 @dataclass(frozen=True)
@@ -141,7 +129,6 @@ class _RunState:
     pending_stage: str | None = None
     last_failure: ExecutionResult | None = None
     finished: bool = False
-    patch_actions: int = 0
     stage_times: dict = field(default_factory=dict)
 
 
@@ -151,33 +138,25 @@ def build_tools(ctx: ProjectContext, planner: PlannerBase,
     """The registered tool set; every tool returns an ExecutionResult."""
     state_path = ctx.path("state_file")
 
-    def _generate(stage: str, name: str) -> ExecutionResult:
+    def generate(stage: str, args: dict) -> ExecutionResult:
+        name = STAGE_TASKS[stage].tool
+        if state.is_done(stage):
+            # refuse before the planner runs or the stage's files change
+            return ExecutionResult(status="error", action=name,
+                                   log=f"{stage} is already done")
         doc = generate_task(planner, stage, ctx, run.task)
-        save_document(doc, ctx.workspace / _DOC_FILES[stage])
+        _save_stage_document(doc, ctx, stage)
         run.pending_doc, run.pending_stage = doc, stage
         state.mark_in_progress(stage)
         persist_state(state, state_path)
         return ExecutionResult(status="ok", action=name,
                                log=f"task document ready for {stage}")
 
-    def generate_model(args: dict) -> ExecutionResult:
-        return _generate("model_generation", "generate_model")
-
-    def generate_training_task(args: dict) -> ExecutionResult:
-        return _generate("training_execution", "generate_training_task")
-
-    def generate_evaluation_task(args: dict) -> ExecutionResult:
-        return _generate("evaluation_execution", "generate_evaluation_task")
-
     def execute_task(args: dict) -> ExecutionResult:
         if run.pending_doc is None:
             return ExecutionResult(status="error", action="execute_task",
                                    log="no task document pending; generate one first")
-        result = executor.execute(run.pending_doc)
-        result = ExecutionResult(status=result.status, action="execute_task",
-                                 log=result.log, artifacts=result.artifacts,
-                                 wall_time_s=result.wall_time_s,
-                                 injected_fault=result.injected_fault)
+        result = replace(executor.execute(run.pending_doc), action="execute_task")
         stage = run.pending_stage
         if result.ok:
             run.stage_times[stage] = run.stage_times.get(stage, 0.0) + result.wall_time_s
@@ -194,9 +173,8 @@ def build_tools(ctx: ProjectContext, planner: PlannerBase,
             return ExecutionResult(status="error", action="patch_task",
                                    log="nothing to patch: no failed task on record")
         patched = tune_task(planner, run.pending_doc, run.last_failure.log)
-        save_document(patched, ctx.workspace / _DOC_FILES[run.pending_stage])
+        _save_stage_document(patched, ctx, run.pending_stage)
         run.pending_doc = patched
-        run.patch_actions += 1
         return ExecutionResult(status="ok", action="patch_task",
                                log="task patched from the error log")
 
@@ -210,8 +188,11 @@ def build_tools(ctx: ProjectContext, planner: PlannerBase,
         return ExecutionResult(status="ok", action="finish_task",
                                log="run marked finished")
 
-    tools = {name: fn for name, fn in locals().items() if name in TOOL_NAMES}
-    return {name: tools[name] for name in TOOL_NAMES}
+    tools = {task.tool: partial(generate, stage)
+             for stage, task in STAGE_TASKS.items()}
+    tools.update(execute_task=execute_task, patch_task=patch_task,
+                 read_log=read_log, finish_task=finish_task)
+    return tools
 
 
 def run_react(task: str, ctx: ProjectContext, planner: PlannerBase,
@@ -222,10 +203,13 @@ def run_react(task: str, ctx: ProjectContext, planner: PlannerBase,
     """Think -> act -> observe until finish_task or the step budget.
 
     Raises StepBudgetExhausted when the budget runs out; state stays
-    resumable. Returns the outcome with the full transcript attached.
+    resumable. A `stop_after_stage` outside STAGE_ORDER raises ValueError
+    before any state is read. Returns the outcome with the full
+    transcript attached.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
+    _check_stop_stage(stop_after_stage)
     executor = executor or TaskExecutor(ctx)
     state = _load_or_create_state(ctx, "react", resume)
     state_path = ctx.path("state_file")
@@ -246,15 +230,6 @@ def run_react(task: str, ctx: ProjectContext, planner: PlannerBase,
     else:
         raise StepBudgetExhausted(max_steps)
 
-    if state.is_done("report_synthesis"):
-        report = json.loads((ctx.path("report_dir") / "report.json")
-                            .read_text(encoding="utf-8"))
-    else:
-        state.mark_in_progress("report_synthesis")
-        persist_state(state, state_path)
-        report = synthesize_report(ctx, state, planner,
-                                   stage_times=run.stage_times,
-                                   steps=len(transcript))
-        state.mark_done("report_synthesis")
-        persist_state(state, state_path)
+    report = _finish_report(ctx, state, planner, run.stage_times,
+                            steps=len(transcript))
     return AgentOutcome(report=report, state=state, transcript=transcript)

@@ -28,11 +28,25 @@ STAGE_ORDER = (
     "report_synthesis",
 )
 
-# task-document kind that each executed stage produces
-STAGE_KINDS = {
-    "model_generation": "model",
-    "training_execution": "train",
-    "evaluation_execution": "evaluate",
+
+@dataclass(frozen=True)
+class StageTask:
+    """What an executed stage runs: the kind of its task document, the
+    ReAct tool that generates it, and the workspace file it is saved to."""
+
+    kind: str
+    tool: str
+    doc_file: str
+
+
+# every stage but the report runs one task document; both loops and the
+# scripted planner read this table, in this order
+STAGE_TASKS = {
+    "model_generation": StageTask("model", "generate_model", "model_task.json"),
+    "training_execution": StageTask("train", "generate_training_task",
+                                    "training_task.json"),
+    "evaluation_execution": StageTask("evaluate", "generate_evaluation_task",
+                                      "evaluation_task.json"),
 }
 
 _STATUSES = ("pending", "in_progress", "done", "failed")

@@ -374,13 +374,14 @@ def cmd_agent(args) -> int:
     recipe = _recipe(args)
     spec = _cfg(args, "inject_fault", None)
     injector = FaultInjector(parse_fault_spec(spec)) if spec else None
+    stop_after_stage = _cfg(args, "stop_after_stage", None)
     outcome = _run_agent_once(args, workspace,
                               run_id=_cfg(args, "run_id", "run-001"),
                               recipe=recipe, injector=injector,
                               resume=bool(args.resume),
-                              stop_after_stage=_cfg(args, "stop_after_stage", None))
+                              stop_after_stage=stop_after_stage)
     if outcome.report is None:
-        print(f"stopped after stage {args.stop_after_stage}; resume with --resume")
+        print(f"stopped after stage {stop_after_stage}; resume with --resume")
         return EXIT_OK
     print(render_report(outcome.report), end="")
     print(f"report: {workspace / 'report' / 'report.json'}")

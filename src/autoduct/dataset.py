@@ -16,7 +16,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -43,21 +42,6 @@ REFERENCE_ENVELOPE = {
     "X": (-0.497, 0.999),
     "CHF": (50.0, 16339.3),
 }
-
-
-@dataclass(frozen=True)
-class DataPoint:
-    """One observation: five inputs and an optional measured heat flux."""
-
-    d: float
-    l: float
-    p: float
-    g: float
-    x: float
-    chf: float | None = None
-
-    def features(self) -> tuple[float, float, float, float, float]:
-        return (self.d, self.l, self.p, self.g, self.x)
 
 
 class Dataset:
@@ -104,13 +88,6 @@ class Dataset:
                 raise ValueError("dataset has no targets")
             return self.targets
         return self.features[:, FEATURE_NAMES.index(name)]
-
-    def points(self) -> Iterator[DataPoint]:
-        for i in range(len(self)):
-            chf = None if self.targets is None else float(self.targets[i])
-            row = self.features[i]
-            yield DataPoint(float(row[0]), float(row[1]), float(row[2]),
-                            float(row[3]), float(row[4]), chf)
 
     def subset(self, indices: np.ndarray, provenance: str) -> "Dataset":
         targets = None if self.targets is None else self.targets[indices]

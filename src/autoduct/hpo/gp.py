@@ -65,10 +65,6 @@ class GPSurrogate:
     alpha: np.ndarray           # K^{-1} z for standardized objectives z
     jitter: float
 
-    @property
-    def noise_var(self) -> float:
-        return math.exp(self.log_noise_var)
-
 
 def _matern52(r: np.ndarray) -> np.ndarray:
     return (1.0 + _SQRT5 * r + (5.0 / 3.0) * r**2) * np.exp(-_SQRT5 * r)

@@ -4,7 +4,7 @@ import pytest
 
 from autoduct.agents.context import (STANDARD_ROLES, ProjectContext,
                                      _DEFAULT_LAYOUT)
-from autoduct.agents.state import (STAGE_KINDS, STAGE_ORDER, STATE_FORMAT_VERSION,
+from autoduct.agents.state import (STAGE_ORDER, STAGE_TASKS, STATE_FORMAT_VERSION,
                                    WorkflowState, load_state, persist_state)
 from autoduct.errors import CorruptState, UnboundRole, VersionMismatch
 
@@ -73,8 +73,9 @@ def test_stage_order():
     assert STAGE_ORDER == ("model_generation", "training_execution",
                            "evaluation_execution", "report_synthesis")
     # every stage but the report runs one task document
-    assert STAGE_KINDS == {"model_generation": "model", "training_execution": "train",
-                           "evaluation_execution": "evaluate"}
+    kinds = {stage: task.kind for stage, task in STAGE_TASKS.items()}
+    assert kinds == {"model_generation": "model", "training_execution": "train",
+                     "evaluation_execution": "evaluate"}
 
 
 def test_fresh_state_all_pending():

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -8,9 +9,9 @@ from autoduct.agents.executor import FaultInjector, TaskExecutor
 from autoduct.agents.multi_agent import (AgentOutcome, execute_task,
                                          generate_task, run_multi_agent,
                                          tune_task)
-from autoduct.agents.planner import ScriptedPlanner
-from autoduct.agents.react import (OBSERVATION_LIMIT, ReActStep, Transcript,
-                                   act, observe, run_react)
+from autoduct.agents.planner import PlannerReply, ScriptedPlanner
+from autoduct.agents.react import (OBSERVATION_LIMIT, TOOL_NAMES, ReActStep,
+                                   Transcript, act, observe, run_react)
 from autoduct.agents.report import render_report
 from autoduct.agents.state import load_state
 from autoduct.errors import (SchemaInvalid, StageExhausted,
@@ -310,6 +311,94 @@ def test_react_and_multi_agree_on_metrics(agent_workspace, drill_recipe):
     react, _, _ = _react(react_ctx, drill_recipe)
     assert multi.report["metrics"] == react.report["metrics"]
     assert multi.report["level"] == react.report["level"]
+
+
+def test_loops_save_the_same_task_documents(agent_workspace, drill_recipe):
+    kinds = {"model_generation": "model", "training_execution": "train",
+             "evaluation_execution": "evaluate"}
+    listings = []
+    for name, run in (("multi", _multi), ("react", _react)):
+        ctx = agent_workspace(name)
+        run(ctx, drill_recipe)
+        docs = {"model_generation": ctx.workspace / "model_task.json",
+                "training_execution": ctx.path("training_spec"),
+                "evaluation_execution": ctx.path("evaluation_spec")}
+        for stage, path in docs.items():
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            assert (doc["kind"], doc["provenance"]["stage"]) == (kinds[stage], stage)
+        listings.append(sorted(p.name for p in ctx.workspace.iterdir()))
+    assert listings[0] == listings[1]
+
+
+def test_tool_names_order(agent_workspace, drill_recipe):
+    expected = ("generate_model", "generate_training_task",
+                "generate_evaluation_task", "execute_task", "patch_task",
+                "read_log", "finish_task")
+    assert TOOL_NAMES == expected
+    ctx = agent_workspace()
+    planner = ScriptedPlanner(drill_recipe, verbose=True)
+    with pytest.raises(StepBudgetExhausted):
+        run_react("t", ctx, planner, max_steps=1)
+    assert f"Available tools: {', '.join(expected)}\n" in planner.calls[0].prompt
+
+
+def _model_files(ctx):
+    return {name: (ctx.workspace / name).read_bytes()
+            for name in ("model_task.json", "model_spec.json")}
+
+
+def test_react_refuses_to_regenerate_a_done_stage(agent_workspace, drill_recipe):
+    class AsksTwice(ScriptedPlanner):
+        """Directs generate_model again once the model stage is done. A
+        second model task would carry two more members than the first."""
+
+        script = ("generate_model", "execute_task", "generate_model",
+                  "execute_task", "read_log")
+
+        def __init__(self, recipe, ctx):
+            super().__init__(recipe)
+            self.ctx = ctx
+            self.observations = []
+            self.files_after_model = None
+
+        def _reply(self, request):
+            if request.kind == "task":
+                reply = super()._reply(request)
+                self.recipe = replace(self.recipe,
+                                      member_count=self.recipe.member_count + 2)
+                return reply
+            step = len(self.observations)
+            self.observations.append(request.last_observation)
+            if step == 2:
+                self.files_after_model = _model_files(self.ctx)
+            return PlannerReply({"thought": "scripted", "args": {},
+                                 "action": self.script[step]}, 0, 0), 1
+
+    ctx = agent_workspace()
+    planner = AsksTwice(drill_recipe, ctx)
+    executor = TaskExecutor(ctx)
+    with pytest.raises(StepBudgetExhausted):
+        run_react("t", ctx, planner, executor=executor, max_steps=5)
+
+    assert [c.purpose for c in planner.calls if c.purpose != "directive"] == \
+        ["task:model_generation"]
+    assert _model_files(ctx) == planner.files_after_model
+    assert planner.observations[3].startswith("error: generate_model → ")
+    assert planner.observations[4] == ("error: execute_task → no task document "
+                                       "pending; generate one first")
+    assert len(executor.history) == 1
+    saved = load_state(ctx.path("state_file"))
+    assert saved.is_done("model_generation")
+    assert saved.status("training_execution") == "pending"
+
+
+@pytest.mark.parametrize("run", [_multi, _react], ids=["multi", "react"])
+def test_unknown_stop_stage_is_rejected_before_any_state(agent_workspace,
+                                                         drill_recipe, run):
+    ctx = agent_workspace()
+    with pytest.raises(ValueError, match="unknown stage 'bogus'"):
+        run(ctx, drill_recipe, stop_after_stage="bogus")
+    assert not ctx.path("state_file").exists()
 
 
 # --- transcript mechanics ------------------------------------------------------------

@@ -169,6 +169,29 @@ def test_agent_stop_then_resume(tmp_path, capsys):
     assert "status: completed" in capsys.readouterr().out
 
 
+def test_agent_unknown_stop_stage_is_an_error(tmp_path, capsys):
+    for mode in ("multi", "react"):
+        ws = tmp_path / mode
+        assert cli.main(["agent", "--workspace", str(ws), "--synthetic", "120",
+                         "--seed", "5", "--mode", mode,
+                         "--stop-after-stage", "bogus", *_FAST]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown stage 'bogus'")
+        assert not (ws / "state.json").exists()
+
+
+def test_agent_stop_stage_from_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"stop_after_stage": "training_execution"}))
+    ws = tmp_path / "agent_ws"
+    assert cli.main(["agent", "--workspace", str(ws), "--synthetic", "120",
+                     "--seed", "5", "--config", str(cfg), *_FAST]) == 0
+    out = capsys.readouterr().out
+    assert "stopped after stage training_execution; resume with --resume" in out
+    state = json.loads((ws / "state.json").read_text())
+    assert state["stages"]["evaluation_execution"]["status"] == "pending"
+
+
 def test_agent_with_injected_fault(tmp_path, capsys):
     ws = tmp_path / "agent_ws"
     assert cli.main(["agent", "--workspace", str(ws), "--synthetic", "120",
