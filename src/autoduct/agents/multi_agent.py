@@ -84,6 +84,13 @@ def _check_stop_stage(stop_after_stage: str | None) -> None:
                          f"expected one of {', '.join(STAGE_ORDER)}")
 
 
+def _stop_stage_done(state: WorkflowState, stop_after_stage: str | None) -> bool:
+    """The rule both loops share for a resumed run whose stop stage is
+    already done: there is nothing left to stop after, so the run ends
+    before any step, with no report and no stage put in progress."""
+    return stop_after_stage is not None and state.is_done(stop_after_stage)
+
+
 def _load_or_create_state(ctx: ProjectContext, mode: str,
                           resume: bool) -> WorkflowState:
     state_path = ctx.path("state_file")
@@ -106,13 +113,15 @@ def run_multi_agent(task: str, ctx: ProjectContext, planner: PlannerBase,
     Raises StageExhausted when a stage keeps failing; the state file is
     left failed-but-resumable. `stop_after_stage` ends the run cleanly
     after the named stage (a controlled substitute for kill -9 in resume
-    drills); a name outside STAGE_ORDER raises ValueError before any
-    state is read.
+    drills), and ends a resumed run at once if that stage is already done;
+    a name outside STAGE_ORDER raises ValueError before any state is read.
     """
     if max_retries < 1:
         raise ValueError("max_retries must be at least 1")
     _check_stop_stage(stop_after_stage)
     state = _load_or_create_state(ctx, "multi", resume)
+    if _stop_stage_done(state, stop_after_stage):
+        return AgentOutcome(report=None, state=state)
     state_path = ctx.path("state_file")
     timings: dict[str, float] = {}
 

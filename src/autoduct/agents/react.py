@@ -19,7 +19,7 @@ from .context import ProjectContext
 from .executor import ExecutionResult, TaskExecutor
 from .multi_agent import (AgentOutcome, _check_stop_stage, _finish_report,
                           _load_or_create_state, _save_stage_document,
-                          generate_task, tune_task)
+                          _stop_stage_done, generate_task, tune_task)
 from .planner import PlanRequest, PlannerBase, build_directive_prompt
 from .state import STAGE_TASKS, WorkflowState, persist_state
 
@@ -203,17 +203,20 @@ def run_react(task: str, ctx: ProjectContext, planner: PlannerBase,
     """Think -> act -> observe until finish_task or the step budget.
 
     Raises StepBudgetExhausted when the budget runs out; state stays
-    resumable. A `stop_after_stage` outside STAGE_ORDER raises ValueError
-    before any state is read. Returns the outcome with the full
-    transcript attached.
+    resumable. A `stop_after_stage` ends the run once that stage is done,
+    before any step if a resumed run has already done it; a name outside
+    STAGE_ORDER raises ValueError before any state is read. Returns the
+    outcome with the full transcript attached.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
     _check_stop_stage(stop_after_stage)
     executor = executor or TaskExecutor(ctx)
     state = _load_or_create_state(ctx, "react", resume)
-    state_path = ctx.path("state_file")
     transcript = Transcript(window_size)
+    if _stop_stage_done(state, stop_after_stage):
+        return AgentOutcome(report=None, state=state, transcript=transcript)
+    state_path = ctx.path("state_file")
     run = _RunState(task=task)
     tools = build_tools(ctx, planner, executor, state, run)
 
@@ -225,7 +228,7 @@ def run_react(task: str, ctx: ProjectContext, planner: PlannerBase,
         persist_state(state, state_path)
         if run.finished:
             break
-        if stop_after_stage is not None and state.is_done(stop_after_stage):
+        if _stop_stage_done(state, stop_after_stage):
             return AgentOutcome(report=None, state=state, transcript=transcript)
     else:
         raise StepBudgetExhausted(max_steps)

@@ -31,8 +31,8 @@ import numpy as np
 from . import neural_net
 from .dataset import Normalizer, SplitDataset
 from .errors import (
-    AutoductError,
     CorruptArtifact,
+    DivergedLoss,
     EmptyEnsemble,
     NonPositiveVariance,
     VersionMismatch,
@@ -100,8 +100,11 @@ def train_ensemble(splits: SplitDataset, normalizer: Normalizer,
     """Train every member independently with its own seed.
 
     Seeds must be pairwise distinct, otherwise two members would be
-    identical and contribute nothing. Any training error is re-raised
-    with a `member_index` attribute identifying the failing member.
+    identical and contribute nothing. Members that share a
+    `neural_net.stack_key` train together as one stack, which leaves each
+    bit-identical to training it alone. A divergence is re-raised as it
+    would be by training the members in order: the lowest-indexed failing
+    member's error, with a `member_index` attribute identifying it.
     """
     if not member_configs:
         raise EmptyEnsemble("need at least one member config")
@@ -111,15 +114,30 @@ def train_ensemble(splits: SplitDataset, normalizer: Normalizer,
     if provenance is not None and len(provenance) != len(member_configs):
         raise ValueError("provenance list must match member count")
 
+    stacks: dict[tuple, list[int]] = {}
+    for i, (mlp_cfg, train_cfg) in enumerate(member_configs):
+        stacks.setdefault(neural_net.stack_key(mlp_cfg, train_cfg), []).append(i)
+    trained: dict[int, Parameters] = {}
+    failed: DivergedLoss | None = None
+    for indices in stacks.values():
+        if failed is not None and indices[0] > failed.member_index:
+            continue            # in order, training would have stopped before these
+        try:
+            results = neural_net.train_stack(splits, normalizer,
+                                             [member_configs[i] for i in indices])
+        except DivergedLoss as exc:
+            exc.member_index = indices[exc.member_index]
+            if failed is None or exc.member_index < failed.member_index:
+                failed = exc
+            continue
+        trained.update((i, params) for i, (params, _) in zip(indices, results))
+    if failed is not None:
+        raise failed
+
     members = []
     for i, (mlp_cfg, train_cfg) in enumerate(member_configs):
-        try:
-            params, _ = neural_net.train(splits, normalizer, mlp_cfg, train_cfg)
-        except AutoductError as exc:
-            exc.member_index = i
-            raise
         tag = provenance[i] if provenance is not None else f"seed={train_cfg.seed}"
-        members.append(EnsembleMember(params, mlp_cfg, train_cfg.seed, tag))
+        members.append(EnsembleMember(trained[i], mlp_cfg, train_cfg.seed, tag))
     return Ensemble(tuple(members), normalizer)
 
 

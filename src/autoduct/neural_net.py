@@ -20,23 +20,35 @@ dropped)
 by mini-batch gradient descent with adaptive moment estimates and
 decoupled weight decay. Gradients are computed analytically in
 ``backward``; the test suite checks them against central finite
-differences. Each training step runs one forward pass, whose cache the
-backward pass reuses. A network's parameters are views into one flat
-float64 buffer, all weight matrices first and all biases after, so the
-AdamW update is one vector operation and weight decay is one slice.
+differences. A network's parameters are views into one flat float64
+buffer, all weight matrices first and all biases after, so the AdamW
+update is one vector operation and weight decay is one slice.
+
+There is one training loop, ``train_stack``. It trains M networks that
+differ only in activation and seed as one stack: their parameters are
+the rows of one (M, P) buffer, each step gathers every network's
+mini-batch into an (M, B, d) array, runs each layer as one stacked
+matmul and each activation on its own rows, and updates all rows with
+one AdamW step. The step's forward pass keeps each layer's activation
+derivative, so the backward pass recomputes none. Every network draws
+its batch order and dropout masks from its own generator and leaves the
+stack when it stops early, so each result is bit-identical to training
+that network alone. ``train`` is the M = 1 case. Inference
+(``predict_batch``) runs one network at a time.
 
 Activation constants (fixed, from the original publications of each
 unit): LeakyReLU negative slope 0.01; SELU lambda 1.0507009873554805 and
 alpha 1.6732632423543772; GELU in its tanh form with coefficients
-sqrt(2/pi) and 0.044715; ELU alpha 1.0. The ReLU derivative at exactly 0
-is taken as 0.
+sqrt(2/pi) and 0.044715, its cube computed as (x * x) * x; ELU alpha 1.0.
+The ReLU derivative at exactly 0 is taken as 0.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -73,28 +85,43 @@ class ActivationKind(Enum):
     SOFTPLUS = "softplus"
 
 
-def _softplus(x: np.ndarray) -> np.ndarray:
-    # overflow-safe: softplus(x) = max(x, 0) + log1p(exp(-|x|))
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+def _softplus(x: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+    # overflow-safe: softplus(x) = max(x, 0) + log1p(exp(-|x|)); `e` is
+    # exp(-|x|) when the caller already has it
+    if e is None:
+        e = np.exp(-np.abs(x))
+    return np.maximum(x, 0.0) + np.log1p(e)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def _sigmoid(x: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+    # both branches divide by 1 + exp(-|x|), which never overflows
+    if e is None:
+        e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
+def _softplus_and_deriv(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    e = np.exp(-np.abs(x))
+    return _softplus(x, e), _sigmoid(x, e)
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + _GELU_B * x**3)))
+    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + _GELU_B * (x * x * x))))
+
+
+def _gelu_and_deriv(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the same value as _gelu, keeping x^2 and the tanh for the derivative
+    x2 = x * x
+    t = np.tanh(_GELU_C * (x + _GELU_B * (x2 * x)))
+    half_x = 0.5 * x
+    one_t = 1.0 + t
+    return (half_x * one_t,
+            0.5 * one_t + half_x * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_B * x2))
 
 
 def _gelu_deriv(x: np.ndarray) -> np.ndarray:
-    inner = _GELU_C * (x + _GELU_B * x**3)
-    t = np.tanh(inner)
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * _GELU_C * (1.0 + 3.0 * _GELU_B * x**2)
+    return _gelu_and_deriv(x)[1]
 
 
 _ACTIVATIONS = {
@@ -117,6 +144,17 @@ _ACTIVATIONS = {
     ),
     ActivationKind.SOFTPLUS: (_softplus, _sigmoid),
 }
+
+
+def _value_and_deriv(act, dact):
+    return lambda x: (act(x), dact(x))
+
+
+# what a training forward pass applies: (value, derivative) together, GELU
+# and softplus sharing their tanh and exp between the two
+_ACTIVATION_GRADS = {kind: _value_and_deriv(*pair) for kind, pair in _ACTIVATIONS.items()}
+_ACTIVATION_GRADS[ActivationKind.GELU] = _gelu_and_deriv
+_ACTIVATION_GRADS[ActivationKind.SOFTPLUS] = _softplus_and_deriv
 
 
 @dataclass(frozen=True)
@@ -198,15 +236,20 @@ class Parameters:
     """Weights of one network: contiguous views into the buffer ``flat``
     (zeros unless given), laid out by ``_param_shapes`` with the weight
     matrices in ``flat[:n_weights]``. head_w rows: 0 = mean head, 1 = raw
-    variance head. Also the container for gradients, which share the layout."""
+    variance head. Also the container for gradients, which share the layout.
+
+    A 2-D ``flat`` of shape (M, P) holds a stack of M networks, one per
+    row; every view then has a leading axis of length M."""
 
     def __init__(self, cfg: MLPConfig, flat: np.ndarray | None = None):
         shapes = _param_shapes(cfg)
         sizes = [math.prod(s) for s in shapes]
         self._cfg = cfg
         self.flat = np.zeros(sum(sizes)) if flat is None else flat
+        lead = self.flat.shape[:-1]
         ends = np.cumsum(sizes)
-        views = [self.flat[e - n:e].reshape(s) for e, n, s in zip(ends, sizes, shapes)]
+        views = [self.flat[..., e - n:e].reshape(lead + s)
+                 for e, n, s in zip(ends, sizes, shapes)]
         layers = cfg.hidden_layers
         self.hidden_w = views[:layers]
         self.head_w = views[layers]
@@ -245,40 +288,68 @@ def init_params(cfg: MLPConfig, seed: int) -> Parameters:
     return p
 
 
-def _make_masks(cfg: MLPConfig, n: int, rng: np.random.Generator) -> list[np.ndarray] | None:
-    """Inverted dropout masks, one per hidden layer, already divided by
-    the keep probability."""
+def _make_masks(cfg: MLPConfig, n: int,
+                rngs: list[np.random.Generator]) -> np.ndarray | None:
+    """Inverted dropout masks for a stack of networks, one generator each,
+    as a (hidden_layers, len(rngs), n, units) array already divided by the
+    keep probability. Each network draws its layers' masks in layer order
+    from its own generator."""
     if cfg.dropout_rate == 0.0:
         return None
     keep = 1.0 - cfg.dropout_rate
-    return [(rng.random((n, cfg.hidden_units)) < keep) / keep
-            for _ in range(cfg.hidden_layers)]
+    draws = np.empty((cfg.hidden_layers, len(rngs), n, cfg.hidden_units))
+    for r, rng in enumerate(rngs):
+        for layer in draws[:, r]:
+            rng.random(out=layer)
+    return np.divide(draws < keep, keep, out=draws)
+
+
+def _activate(a: np.ndarray, runs, grad: bool):
+    """Each run's activation on its rows of `a`: (values, derivatives),
+    the derivatives None unless `grad`."""
+    def one(kind, x):
+        return _ACTIVATION_GRADS[kind](x) if grad else (_ACTIVATIONS[kind][0](x), None)
+
+    if len(runs) == 1:
+        return one(runs[0][0], a)
+    parts = [one(kind, a[rows]) for kind, rows in runs]
+    return (np.concatenate([h for h, _ in parts]),
+            np.concatenate([d for _, d in parts]) if grad else None)
 
 
 def _forward_batch(p: Parameters, cfg: MLPConfig, x: np.ndarray,
-                   masks: list[np.ndarray] | None):
-    """Returns (mu, var, raw, pre_activations, post_dropout_activations).
+                   masks: np.ndarray | None, runs=None, grad: bool = False):
+    """Returns (mu, var, sig, dacts, post).
 
-    x has shape (n, input_dim); raw is the variance head before softplus;
-    the activation lists hold one (n, units) array per hidden layer, with
-    index 0 of the post list being x itself.
+    x has shape (n, input_dim), and masks[l] is hidden layer l's (n, units)
+    dropout mask. For a stack of M networks, p holds (M, ...) views, x may
+    also be (M, n, input_dim), and masks and outputs gain the leading M
+    axis. `runs` lists (activation, row slice) pairs covering the stack in
+    order; by default cfg.activation applies to every row. The post list
+    holds one (n, units) array per hidden layer after dropout, index 0
+    being x itself. With `grad`, dacts holds each hidden layer's
+    activation derivative and sig the sigmoid of the raw variance head,
+    which is all _backward_batch needs; otherwise both are None.
     """
-    act, _ = _ACTIVATIONS[cfg.activation]
-    pre: list[np.ndarray] = []
+    runs = runs or ((cfg.activation, slice(None)),)
+    dacts = [] if grad else None
     post: list[np.ndarray] = [x]
     h = x
     for l in range(cfg.hidden_layers):
-        a = h @ p.hidden_w[l].T + p.hidden_b[l]
-        h = act(a)
+        a = h @ p.hidden_w[l].swapaxes(-1, -2) + p.hidden_b[l][..., None, :]
+        h, d = _activate(a, runs, grad)
         if masks is not None:
             h = h * masks[l]
-        pre.append(a)
+        if grad:
+            dacts.append(d)
         post.append(h)
-    out = h @ p.head_w.T + p.head_b
-    mu = out[:, 0]
-    raw = out[:, 1]
-    var = _softplus(raw) + VAR_FLOOR
-    return mu, var, raw, pre, post
+    out = h @ p.head_w.swapaxes(-1, -2) + p.head_b[..., None, :]
+    mu = out[..., 0]
+    raw = out[..., 1]
+    if grad:
+        e = np.exp(-np.abs(raw))
+        return mu, _softplus(raw, e) + VAR_FLOOR, _sigmoid(raw, e), dacts, post
+    return mu, _softplus(raw) + VAR_FLOOR, None, None, post
 
 
 def forward(p: Parameters, cfg: MLPConfig, x: np.ndarray, training_mode: bool = False,
@@ -297,7 +368,7 @@ def forward(p: Parameters, cfg: MLPConfig, x: np.ndarray, training_mode: bool = 
     if training_mode and cfg.dropout_rate > 0.0:
         if rng is None:
             raise ValueError("training-mode dropout needs an explicit rng")
-        masks = _make_masks(cfg, 1, rng)
+        masks = _make_masks(cfg, 1, [rng])[:, 0]
     mu, var, _, _, _ = _forward_batch(p, cfg, x[None, :], masks)
     return GaussianPrediction(float(mu[0]), float(var[0]))
 
@@ -316,36 +387,38 @@ def nll_loss(preds: list[GaussianPrediction], targets: list[float]) -> float:
     return float(total / len(preds))
 
 
-def _nll_arrays(mu: np.ndarray, var: np.ndarray, y: np.ndarray) -> float:
-    return float(np.mean((y - mu) ** 2 / (2.0 * var) + 0.5 * np.log(var)))
+def _nll_arrays(mu: np.ndarray, var: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Mean NLL over the last axis: one value per network of a stack."""
+    return np.mean((y - mu) ** 2 / (2.0 * var) + 0.5 * np.log(var), axis=-1)
 
 
 def _backward_batch(p: Parameters, cfg: MLPConfig, y: np.ndarray,
-                    masks: list[np.ndarray] | None, cache: tuple,
+                    masks: np.ndarray | None, cache: tuple,
                     grads: Parameters) -> None:
     """Writes the NLL gradient into `grads`, given the `cache` that
-    _forward_batch returned for this batch and these masks."""
-    mu, var, raw, pre, post = cache
-    n = y.shape[0]
-    _, dact = _ACTIVATIONS[cfg.activation]
+    _forward_batch returned with `grad` for this batch and these masks.
+    Stacked networks get one gradient row each."""
+    mu, var, sig, dacts, post = cache
+    n = y.shape[-1]
 
     # d loss / d mu and d loss / d raw-variance-head output
     dmu = (mu - y) / var / n
     dvar = (-((y - mu) ** 2) / (2.0 * var**2) + 1.0 / (2.0 * var)) / n
-    draw = dvar * _sigmoid(raw)
+    draw = dvar * sig
 
-    dout = np.stack([dmu, draw], axis=1)            # (n, 2)
-    np.matmul(dout.T, post[-1], out=grads.head_w)
-    dout.sum(axis=0, out=grads.head_b)
+    dout = np.stack([dmu, draw], axis=-1)           # (..., n, 2)
+    np.matmul(dout.swapaxes(-1, -2), post[-1], out=grads.head_w)
+    dout.sum(axis=-2, out=grads.head_b)
 
     delta = dout @ p.head_w                          # gradient w.r.t. h_L
     for l in range(cfg.hidden_layers - 1, -1, -1):
         if masks is not None:
             delta = delta * masks[l]
-        da = delta * dact(pre[l])
-        np.matmul(da.T, post[l], out=grads.hidden_w[l])
-        da.sum(axis=0, out=grads.hidden_b[l])
-        delta = da @ p.hidden_w[l]
+        da = delta * dacts[l]
+        np.matmul(da.swapaxes(-1, -2), post[l], out=grads.hidden_w[l])
+        da.sum(axis=-2, out=grads.hidden_b[l])
+        if l:
+            delta = da @ p.hidden_w[l]
 
 
 def backward(p: Parameters, cfg: MLPConfig, batch: tuple[np.ndarray, np.ndarray],
@@ -362,96 +435,181 @@ def backward(p: Parameters, cfg: MLPConfig, batch: tuple[np.ndarray, np.ndarray]
     if x.shape[0] == 0:
         raise LengthMismatch("batch must be non-empty")
     grads = Parameters(cfg, np.empty_like(p.flat))
-    _backward_batch(p, cfg, y, None, _forward_batch(p, cfg, x, None), grads)
+    _backward_batch(p, cfg, y, None, _forward_batch(p, cfg, x, None, grad=True), grads)
     if weight_decay:
         grads.flat[:p.n_weights] += weight_decay * p.flat[:p.n_weights]
     return grads
 
 
+def stack_key(mlp: MLPConfig, tc: TrainConfig) -> tuple:
+    """What networks must share to train as one stack: everything but the
+    activation and the seed."""
+    return (mlp.input_dim, mlp.hidden_layers, mlp.hidden_units, mlp.dropout_rate,
+            replace(tc, seed=0))
+
+
+def _activation_runs(kinds: list[ActivationKind]) -> list[tuple[ActivationKind, slice]]:
+    """(activation, row slice) runs of a stack whose rows have `kinds`."""
+    runs, start = [], 0
+    for kind, group in itertools.groupby(kinds):
+        stop = start + len(list(group))
+        runs.append((kind, slice(start, stop)))
+        start = stop
+    return runs
+
+
 def train(splits: SplitDataset, normalizer: Normalizer, mlp: MLPConfig,
           tc: TrainConfig) -> tuple[Parameters, TrainHistory]:
-    """Mini-batch AdamW on the negative log-likelihood.
+    """Mini-batch AdamW on the negative log-likelihood: train_stack with
+    one network. Raises DivergedLoss when the loss or the parameters stop
+    being finite."""
+    [(params, history)] = train_stack(splits, normalizer, [(mlp, tc)])
+    return params, history
+
+
+def train_stack(splits: SplitDataset, normalizer: Normalizer,
+                members: list[tuple[MLPConfig, TrainConfig]]
+                ) -> list[tuple[Parameters, TrainHistory]]:
+    """Mini-batch AdamW on the negative log-likelihood, for networks that
+    share a stack_key, all in one loop.
 
     Weight decay is decoupled: applied directly in the update step, not
-    through the loss gradient. The parameters returned are the snapshot
-    with the lowest validation NLL; training stops once validation fails
-    to improve for more than `patience` consecutive epochs.
+    through the loss gradient. Each network gets back the snapshot with
+    its lowest validation NLL, and stops once validation fails to improve
+    for more than `patience` consecutive epochs. Every network keeps its
+    own initial weights, batch order and dropout masks, so each result is
+    bit-identical to training that network alone. Returns one
+    (parameters, history) pair per member, in order.
+
+    When members diverge, raises the DivergedLoss of the lowest-indexed
+    one, the error that training them one after another raises first;
+    its `member_index` is that member's position in `members`.
     """
+    if not members:
+        raise ValueError("need at least one network to train")
+    if len({stack_key(mlp, tc) for mlp, tc in members}) != 1:
+        raise ValueError("stacked networks must share their shape and every "
+                         "training setting but the seed")
     if len(splits.train) == 0 or len(splits.validation) == 0:
         raise ValueError("train and validation splits must be non-empty")
     started = time.perf_counter()
+    cfg, tc = members[0]
 
     x_train = normalizer.transform_features(splits.train.features)
     y_train = normalizer.transform_targets(splits.train.targets)
     x_val = normalizer.transform_features(splits.validation.features)
     y_val = normalizer.transform_targets(splits.validation.targets)
 
-    params = init_params(mlp, tc.seed)
+    # row r of the stack is member rows[r]; rows are grouped by activation
+    # so each activation runs on one slice
+    rows = sorted(range(len(members)), key=lambda i: members[i][0].activation.value)
+    theta = np.stack([init_params(members[i][0], members[i][1].seed).flat for i in rows])
     # distinct stream from init_params' so batching noise is not tied to
     # the initial weights
-    rng = np.random.default_rng((int(tc.seed) + 0x9E3779B9) % 2**64)
-    theta = params.flat
-    grads = Parameters(mlp, np.empty_like(theta))
+    rngs = [np.random.default_rng((int(members[i][1].seed) + 0x9E3779B9) % 2**64)
+            for i in rows]
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
-    n_w = params.n_weights
+    best_theta = theta.copy()
+    best_val = np.full(len(rows), np.inf)
     step = 0
 
+    def views():
+        # rebuilt only when the stack shrinks: the index that selects its
+        # rows, the parameter and gradient views, and the activation runs.
+        # A stack of one drops its row axis, because plain 2-D matmuls
+        # cost less than a stack of one.
+        lead = 0 if len(rows) == 1 else slice(None)
+        return (lead, Parameters(cfg, theta[lead]),
+                Parameters(cfg, np.empty_like(theta[lead])),
+                _activation_runs([members[i][0].activation for i in rows]))
+
+    lead, params, grads, runs = views()
+    n_w = params.n_weights
+
     n = x_train.shape[0]
-    train_losses: list[float] = []
-    val_losses: list[float] = []
-    best_val = np.inf
-    best_theta = theta.copy()
-    best_epoch = 0
-    stale = 0
+    train_losses: list[list[float]] = [[] for _ in members]
+    val_losses: list[list[float]] = [[] for _ in members]
+    best_epoch = [0] * len(members)
+    stale = [0] * len(members)
+    results: dict[int, tuple[Parameters, TrainHistory]] = {}
+    failed: tuple[int, DivergedLoss] | None = None
 
     for epoch in range(tc.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
+        order = np.stack([rng.permutation(n) for rng in rngs])
+        epoch_loss = np.zeros(len(rows))
+        finite = np.ones(len(rows), dtype=bool)
         for start in range(0, n, tc.batch_size):
-            idx = order[start:start + tc.batch_size]
+            idx = order[lead, start:start + tc.batch_size]
             xb, yb = x_train[idx], y_train[idx]
-            masks = _make_masks(mlp, xb.shape[0], rng)
-            cache = _forward_batch(params, mlp, xb, masks)
+            masks = _make_masks(cfg, idx.shape[-1], rngs)
+            if masks is not None:
+                masks = masks[:, lead]
+            cache = _forward_batch(params, cfg, xb, masks, runs, grad=True)
             batch_loss = _nll_arrays(cache[0], cache[1], yb)
-            if not np.isfinite(batch_loss):
-                raise DivergedLoss(epoch)
-            epoch_loss += batch_loss * xb.shape[0]
-            _backward_batch(params, mlp, yb, masks, cache, grads)
+            finite &= np.isfinite(batch_loss)
+            epoch_loss += batch_loss * idx.shape[-1]
+            _backward_batch(params, cfg, yb, masks, cache, grads)
 
             step += 1
             bias1 = 1.0 - ADAM_BETA1**step
             bias2 = 1.0 - ADAM_BETA2**step
-            g = grads.flat
-            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g**2
+            g = grads.flat                  # broadcasts over a stack of one
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g**2
             update = (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
             if tc.weight_decay:
-                update[:n_w] += tc.weight_decay * theta[:n_w]
+                update[:, :n_w] += tc.weight_decay * theta[:, :n_w]
             theta -= tc.learning_rate * update
 
-        if not np.all(np.isfinite(theta)):
-            raise DivergedLoss(epoch)
-        train_losses.append(epoch_loss / n)
-        mu, var, _, _, _ = _forward_batch(params, mlp, x_val, None)
-        val_loss = _nll_arrays(mu, var, y_val)
-        if not np.isfinite(val_loss):
-            raise DivergedLoss(epoch)
-        val_losses.append(val_loss)
+        mu, var, _, _, _ = _forward_batch(params, cfg, x_val, None, runs)
+        val_loss = np.atleast_1d(_nll_arrays(mu, var, y_val))
+        # a network whose batch loss, parameters or validation loss stopped
+        # being finite this epoch diverged in it
+        diverged = ~(finite & np.isfinite(theta).all(axis=1) & np.isfinite(val_loss))
+        done = np.zeros(len(rows), dtype=bool)
+        for r, i in enumerate(rows):
+            if diverged[r]:
+                if failed is None or i < failed[0]:
+                    failed = (i, DivergedLoss(epoch))
+                continue
+            train_losses[i].append(float(epoch_loss[r] / n))
+            val_losses[i].append(float(val_loss[r]))
+            if val_loss[r] < best_val[r]:
+                best_val[r] = val_loss[r]
+                best_theta[r] = theta[r]
+                best_epoch[i] = epoch
+                stale[i] = 0
+            else:
+                stale[i] += 1
+            done[r] = stale[i] > tc.patience or epoch == tc.epochs - 1
+            if done[r]:
+                results[i] = (Parameters(members[i][0], best_theta[r].copy()),
+                              TrainHistory(train_losses[i], val_losses[i], best_epoch[i],
+                                           time.perf_counter() - started))
 
-        if val_loss < best_val:
-            best_val = val_loss
-            best_theta[...] = theta
-            best_epoch = epoch
-            stale = 0
-        else:
-            stale += 1
-            if stale > tc.patience:
-                break
+        # finished and diverged networks leave the stack, and so does every
+        # network indexed above a diverged one: training the members in
+        # order would never reach it
+        keep = ~(diverged | done)
+        if failed is not None:
+            keep &= np.array(rows) < failed[0]
+        if not keep.any():
+            break
+        if not keep.all():
+            theta, m, v, best_theta = (a[keep] for a in (theta, m, v, best_theta))
+            best_val = best_val[keep]
+            rows = [i for i, k in zip(rows, keep) if k]
+            rngs = [rng for rng, k in zip(rngs, keep) if k]
+            lead, params, grads, runs = views()
 
-    history = TrainHistory(train_losses, val_losses, best_epoch,
-                           time.perf_counter() - started)
-    return Parameters(mlp, best_theta), history
+    if failed is not None:
+        index, exc = failed
+        exc.member_index = index
+        raise exc
+    return [results[i] for i in range(len(members))]
 
 
 def predict_batch(p: Parameters, cfg: MLPConfig, normalizer: Normalizer,

@@ -393,6 +393,24 @@ def test_react_refuses_to_regenerate_a_done_stage(agent_workspace, drill_recipe)
 
 
 @pytest.mark.parametrize("run", [_multi, _react], ids=["multi", "react"])
+def test_resumed_run_whose_stop_stage_is_done_ends_before_any_step(
+        agent_workspace, drill_recipe, run):
+    ctx = agent_workspace()
+    run(ctx, drill_recipe, stop_after_stage="training_execution")
+    saved = ctx.path("state_file").read_bytes()
+
+    from autoduct.agents.context import ProjectContext
+    resumed_ctx = ProjectContext.create(ctx.workspace, run_id="run-t")
+    outcome, planner, executor = run(resumed_ctx, drill_recipe, resume=True,
+                                     stop_after_stage="model_generation")
+    assert outcome.report is None
+    assert planner.calls == [] and executor.history == []
+    assert [s.status for s in outcome.state.stages.values()] == [
+        "done", "done", "pending", "pending"]
+    assert ctx.path("state_file").read_bytes() == saved
+
+
+@pytest.mark.parametrize("run", [_multi, _react], ids=["multi", "react"])
 def test_unknown_stop_stage_is_rejected_before_any_state(agent_workspace,
                                                          drill_recipe, run):
     ctx = agent_workspace()

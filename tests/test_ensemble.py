@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate
 
 from autoduct.dataset import (Normalizer, SyntheticConfig, fit_normalizer,
-                              generate_synthetic)
+                              generate_synthetic, split)
 from autoduct.ensemble import (DEFAULT_MEMBERS, FAST_MEMBERS, Ensemble,
                                EnsembleMember, EnsemblePrediction, aggregate,
                                interval, load_ensemble, predictive_density,
@@ -15,7 +15,8 @@ from autoduct.ensemble import (DEFAULT_MEMBERS, FAST_MEMBERS, Ensemble,
 from autoduct.errors import (CorruptArtifact, DivergedLoss, EmptyEnsemble,
                              NonPositiveVariance, VersionMismatch)
 from autoduct.neural_net import (ActivationKind, GaussianPrediction, MLPConfig,
-                                 TrainConfig, init_params, predict_batch)
+                                 TrainConfig, init_params, predict_batch, train,
+                                 train_stack)
 
 
 def _random_members(rng, m):
@@ -283,6 +284,94 @@ def test_train_ensemble_members_differ(tiny_splits, tiny_normalizer):
     assert not np.array_equal(a.params.hidden_w[0], b.params.hidden_w[0])
     assert ens.size == 2
     assert a.provenance == "seed=100"
+
+
+# Members of one stack: every activation in turn, dropout, weight decay, a
+# short last batch on the 288 training rows, and a patience of 1 so that
+# members stop at different epochs and leave the stack one by one.
+def _stack_members(count, units=8, layers=2, dropout=0.2, seed0=300):
+    kinds = list(ActivationKind)
+    return [(MLPConfig(5, layers, units, kinds[i % len(kinds)], dropout_rate=dropout),
+             TrainConfig(3e-2, 1e-3, 40, epochs=12, seed=seed0 + i, patience=1))
+            for i in range(count)]
+
+
+def _train_alone(splits, norm, members):
+    return [train(splits, norm, mlp, tc) for mlp, tc in members]
+
+
+@pytest.mark.parametrize("count", [1, 3, 5, 8])
+def test_stacked_training_is_bit_identical_to_training_alone(tiny_splits,
+                                                             tiny_normalizer, count):
+    assert len(tiny_splits.train) % 40 != 0
+    members = _stack_members(count)
+    ens = train_ensemble(tiny_splits, tiny_normalizer, members)
+    alone = _train_alone(tiny_splits, tiny_normalizer, members)
+    for member, (params, _) in zip(ens.members, alone):
+        assert np.array_equal(member.params.flat, params.flat)
+    if count > 1:
+        assert len({len(history.val_losses) for _, history in alone}) > 1
+
+
+def test_train_stack_returns_each_members_history(tiny_splits, tiny_normalizer):
+    members = _stack_members(5)
+    stacked = train_stack(tiny_splits, tiny_normalizer, members)
+    alone = _train_alone(tiny_splits, tiny_normalizer, members)
+    assert [h for _, h in stacked] == [h for _, h in alone]
+    for (a, _), (b, _) in zip(stacked, alone):
+        assert np.array_equal(a.flat, b.flat)
+
+
+def test_train_stack_rejects_members_that_differ_beyond_activation_and_seed(
+        tiny_splits, tiny_normalizer):
+    members = _stack_members(2)
+    members[1] = (members[1][0], TrainConfig(5e-3, 1e-3, 40, epochs=12, seed=301,
+                                             patience=1))
+    with pytest.raises(ValueError, match="share"):
+        train_stack(tiny_splits, tiny_normalizer, members)
+
+
+def test_members_of_two_shapes_train_in_two_stacks_in_member_order(tiny_splits,
+                                                                   tiny_normalizer):
+    wide = _stack_members(3, seed0=400)
+    narrow = _stack_members(3, units=5, layers=1, dropout=0.0, seed0=500)
+    members = [wide[0], narrow[0], narrow[1], wide[1], wide[2], narrow[2]]
+    ens = train_ensemble(tiny_splits, tiny_normalizer, members)
+    assert [m.config for m in ens.members] == [mlp for mlp, _ in members]
+    assert [m.seed for m in ens.members] == [tc.seed for _, tc in members]
+    alone = _train_alone(tiny_splits, tiny_normalizer, members)
+    for member, (params, _) in zip(ens.members, alone):
+        assert np.array_equal(member.params.flat, params.flat)
+
+
+def test_stacked_divergence_raises_what_training_in_order_raises():
+    splits = split(generate_synthetic(SyntheticConfig(n=120, seed=5)),
+                   (0.72, 0.18, 0.10), seed=1)
+    norm = fit_normalizer(splits.train)
+
+    def exploding(kind, seed):
+        return (MLPConfig(5, 1, 8, kind),
+                TrainConfig(3e76, 0.0, 32, epochs=30, seed=seed, patience=30))
+
+    # member 0 trains in a stack of its own; members 1-3 share one
+    members = [(MLPConfig(5, 1, 8, ActivationKind.RELU),
+                TrainConfig(1e-2, 0.0, 32, epochs=3, seed=7, patience=3)),
+               exploding(ActivationKind.SOFTPLUS, 2),
+               exploding(ActivationKind.RELU, 1),
+               exploding(ActivationKind.GELU, 0)]
+    diverged_at = {}
+    with np.errstate(all="ignore"):
+        for i, (mlp, tc) in enumerate(members):
+            try:
+                train(splits, norm, mlp, tc)
+            except DivergedLoss as exc:
+                diverged_at[i] = exc.epoch
+        # member 1 diverges, but later than member 2 does
+        assert 0 not in diverged_at and diverged_at[2] < diverged_at[1]
+        with pytest.raises(DivergedLoss) as err:
+            train_ensemble(splits, norm, members)
+    assert err.value.member_index == 1
+    assert err.value.epoch == diverged_at[1]
 
 
 # --- persistence -------------------------------------------------------------------------
