@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -71,6 +73,108 @@ def test_csv_round_trip_bit_exact(tmp_path, tiny_dataset):
     again = load_csv(p)
     assert np.array_equal(again.features, tiny_dataset.features)
     assert np.array_equal(again.targets, tiny_dataset.targets)
+
+
+def test_load_csv_skips_utf8_bom(tmp_path):
+    p = tmp_path / "bom.csv"
+    p.write_bytes(b"\xef\xbb\xbfD,L,P,G,X,CHF\r\n0.008,1.0,10000,2000,0.1,1500\r\n"
+                  b"0.01,2.0,5000,1000,0.5,800\r\n")
+    ds = load_csv(p)
+    assert ds.features.tolist() == [[0.008, 1.0, 10000.0, 2000.0, 0.1],
+                                    [0.01, 2.0, 5000.0, 1000.0, 0.5]]
+    assert ds.targets.tolist() == [1500.0, 800.0]
+
+
+_GOOD_ROW = "0.008,1.0,10000,2000,0.1,1500"
+
+
+@pytest.mark.parametrize("rows, row, column", [
+    (["0.008,nan,10000,2000,0.1,1500"], 1, "L"),
+    (["0.008,1.0,10000,2000,0.1,inf"], 1, "CHF"),
+    (["abc,1.0,10000,2000,0.1,1500"], 1, "D"),
+    (["0.008,1.0,1e400,2000,0.1,1500"], 1, "P"),
+    ([_GOOD_ROW, "", "0.008,1.0,10000,x,0.1,1500"], 3, "G"),
+    ([_GOOD_ROW, "  ,\t, ", "0.008,1.0,10000,2000,,1500"], 3, "X"),
+    (["0.008,1.0,10000"], 1, "G"),
+    (["0.008,1.0,10000,2000,0.1"], 1, "CHF"),
+    # the first bad cell wins: row order, then D, L, P, G, X, CHF
+    ([_GOOD_ROW, "0.008,1.0,10000,2000,0.1,-inf", "nan,1.0,10000,2000,0.1,1500"],
+     2, "CHF"),
+    (["nan,nan,10000,2000,0.1,1500"], 1, "D"),
+    # the second 4096-row block, with a blank row counted in the first
+    ([_GOOD_ROW] * 9 + [""] + [_GOOD_ROW] * 4989 + ["0.008,1.0,NaN,2000,0.1,1500"]
+     + [_GOOD_ROW] * 10, 5000, "P"),
+])
+def test_load_csv_names_first_bad_cell(tmp_path, rows, row, column):
+    p = _write(tmp_path / "bad.csv", "D,L,P,G,X,CHF\n" + "\n".join(rows) + "\n")
+    with pytest.raises(NonFiniteValue) as err:
+        load_csv(p)
+    assert (err.value.row, err.value.column) == (row, column)
+
+
+def test_load_csv_parses_cells_as_float_does(tmp_path):
+    cells = [" 1.5 ", "1_000", "+2", "-0.0", "5e-324", "1.7976931348623157e308"]
+    p = _write(tmp_path / "d.csv", "D,L,P,G,X,CHF\n" + ",".join(cells) + "\n")
+    ds = load_csv(p)
+    expected = np.array([float(c) for c in cells])
+    got = np.append(ds.features[0], ds.targets[0])
+    assert got.tobytes() == expected.tobytes()
+
+
+def _awkward_dataset(targets):
+    """More rows than one 4096-row block, with awkward floats in place."""
+    rng = np.random.default_rng(5)
+    n = 4096 + 904
+    features = rng.uniform(0.001, 2000.0, size=(n, len(FEATURE_NAMES)))
+    features[1::7] = np.round(features[1::7])
+    features[0] = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 2.0]
+    features[4095] = [0.1, -1.7976931348623157e308, -5e-324, 1e16, 123456789.0]
+    features[4096] = [1.0, 0.0, 3.0, 1e-300, 0.30000000000000004]
+    y = None
+    if targets:
+        y = rng.uniform(50.0, 16000.0, size=n)
+        y[::5] = np.round(y[::5])
+        y[2] = 0.1
+    return Dataset(features, y, provenance="awkward")
+
+
+def _csv_writer_oracle(ds: Dataset) -> bytes:
+    """The former write_csv: csv.writer with one f-string per value."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    if ds.has_targets:
+        writer.writerow(list(FEATURE_NAMES) + ["CHF"])
+        for i in range(len(ds)):
+            writer.writerow([f"{v:.17g}" for v in ds.features[i]]
+                            + [f"{ds.targets[i]:.17g}"])
+    else:
+        writer.writerow(list(FEATURE_NAMES))
+        for i in range(len(ds)):
+            writer.writerow([f"{v:.17g}" for v in ds.features[i]])
+    return buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("targets", [True, False])
+def test_write_csv_matches_csv_writer_oracle(tmp_path, targets):
+    ds = _awkward_dataset(targets=targets)
+    p = tmp_path / "w.csv"
+    write_csv(ds, p)
+    assert p.read_bytes() == _csv_writer_oracle(ds)
+
+
+@pytest.mark.parametrize("targets", [True, False])
+def test_write_load_round_trip_is_bit_exact(tmp_path, targets):
+    ds = _awkward_dataset(targets=targets)
+    p = tmp_path / "rt.csv"
+    write_csv(ds, p)
+    again = load_csv(p, require_target=targets)
+    assert again.features.flags.c_contiguous
+    assert again.features.tobytes() == ds.features.tobytes()
+    if targets:
+        assert again.targets.flags.c_contiguous
+        assert again.targets.tobytes() == ds.targets.tobytes()
+    else:
+        assert not again.has_targets
 
 
 # --- splitting ---------------------------------------------------------------

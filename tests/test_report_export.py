@@ -4,12 +4,14 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from autoduct.dataset import SliceSpec
+from autoduct.dataset import Dataset, SliceSpec, build_slice_grid
+from autoduct.ensemble import EnsemblePrediction, interval
 from autoduct.errors import IoFailure
-from autoduct.evaluation import evaluate_model, evaluate_slices
+from autoduct.evaluation import (MetricsReport, ModelEvaluation, SliceReport,
+                                 SliceResult, evaluate_model, evaluate_slices)
 from autoduct.report_export import (ERROR_BIN_EDGES, METRICS_HEADER,
                                     POINTS_HEADER, RATIO_BIN_EDGES,
-                                    SLICE_HEADER, export_report)
+                                    SLICE_HEADER, _c, _Canvas, export_report)
 
 _SPEC = SliceSpec(slice_id="g_sweep", varying="G", lo=100.0, hi=4000.0,
                   count=25, constants={"D": 0.008, "L": 6.0, "P": 10000.0,
@@ -197,3 +199,105 @@ def test_export_raises_io_failure_on_unwritable_target(evaluation, tmp_path):
     blocker.write_text("file in the way")
     with pytest.raises(IoFailure, match="cannot create"):
         export_report(evaluation, None, blocker)
+
+
+# --- byte oracles -------------------------------------------------------------
+# The exporters render rows a block at a time through one `%` template. These
+# are the former per-value renderers; the exported bytes must equal theirs.
+
+_AWKWARD = (-0.0, 5e-324, 1.7976931348623157e308, 0.1, 2.0, 1e16, -5e-324)
+
+
+def _prediction(rng, n, scale):
+    mean = scale * rng.uniform(0.8, 1.2, size=n)
+    mean[::4] = np.round(mean[::4])
+    aleatory = rng.uniform(1.0, 0.01 * scale**2, size=n)
+    epistemic = rng.uniform(0.0, 0.001 * scale**2, size=n)
+    aleatory[5], epistemic[6], epistemic[7] = 5e-324, -0.0, 0.1
+    return EnsemblePrediction(mean, aleatory, epistemic, aleatory + epistemic,
+                              mean[:, None], aleatory[:, None])
+
+
+@pytest.fixture(scope="module")
+def awkward():
+    """An evaluation and a slice, each longer than one 4096-row block, with
+    awkward floats and `%` and `,` in the free-text labels."""
+    rng = np.random.default_rng(17)
+    n = 4096 + 1100
+    features = rng.uniform(0.001, 5000.0, size=(n, 5))
+    features[1::3] = np.round(features[1::3])
+    features[0] = _AWKWARD[:5]
+    features[4096] = _AWKWARD[2:]
+    targets = rng.uniform(100.0, 9000.0, size=n)
+    targets[::5] = np.round(targets[::5])
+    dataset = Dataset(features, targets, "awkward")
+    report = MetricsReport("test 100%s,x", n, -0.0, 5e-324, 1.7976931348623157e308,
+                           0.1, 2.0, 1.0)
+    me = ModelEvaluation(report, _prediction(rng, n, 3000.0), dataset, 0.9)
+
+    spec = SliceSpec(slice_id="50%d,x", varying="G", lo=0.0, hi=8000.0, count=4500,
+                     constants={"D": 0.008, "L": 6.0, "P": 10000.0, "X": -0.0})
+    pred = _prediction(rng, spec.count, 2000.0)
+    pred.mean[1], pred.mean[2] = -0.0, 5e-324
+    lo, hi = interval(pred, 0.9)
+    reference = np.linspace(400.0, 900.0, spec.count)
+    result = SliceResult(spec, build_slice_grid(spec), pred, lo, hi, reference)
+    return me, SliceReport((result,), 0.9)
+
+
+def _csv_oracle(header, prefix, table):
+    lines = [header] + [prefix + ",".join(f"{v:.17g}" for v in row)
+                        for row in table.tolist()]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _parity_oracle(me):
+    y = me.dataset.targets
+    yhat = me.predictions.mean
+    band_lo, band_hi = interval(me.predictions, me.level)
+    lo = float(min(y.min(), band_lo.min()))
+    hi = float(max(y.max(), band_hi.max()))
+    pad = 0.05 * (hi - lo) if hi > lo else 1.0
+    canvas = _Canvas(480, 480, (lo - pad, hi + pad), (lo - pad, hi + pad))
+    parts = canvas.open_tag()
+    parts.append(f'<line class="ref" x1="{_c(canvas.x(lo - pad))}" '
+                 f'y1="{_c(canvas.y(lo - pad))}" x2="{_c(canvas.x(hi + pad))}" '
+                 f'y2="{_c(canvas.y(hi + pad))}"/>')
+    for i in range(y.size):
+        px = canvas.x(float(y[i]))
+        parts.append(f'<line class="err" x1="{_c(px)}" '
+                     f'y1="{_c(canvas.y(float(band_lo[i])))}" x2="{_c(px)}" '
+                     f'y2="{_c(canvas.y(float(band_hi[i])))}"/>')
+    for i in range(y.size):
+        parts.append(f'<circle class="pt" cx="{_c(canvas.x(float(y[i])))}" '
+                     f'cy="{_c(canvas.y(float(yhat[i])))}" r="2.5"/>')
+    parts += canvas.ticks("measured [kW/m²]", "predicted [kW/m²]")
+    parts.append("</svg>")
+    return ("\n".join(parts) + "\n").encode("utf-8")
+
+
+def test_export_matches_per_value_oracles(awkward, tmp_path):
+    me, slices = awkward
+    export_report(me, slices, tmp_path)
+    r = me.report
+    metrics = ",".join([r.split_label, str(r.n)] + [
+        f"{float(v):.17g}" for v in (r.rmse, r.mape, r.rmspe, r.ratio_mean,
+                                     r.ratio_std, r.ratio_inside_frac)])
+    assert (tmp_path / "metrics.csv").read_bytes() == \
+        f"{METRICS_HEADER}\n{metrics}\n".encode("utf-8")
+
+    preds = me.predictions
+    table = np.column_stack([me.dataset.features, me.dataset.targets, preds.mean,
+                             preds.aleatory_var, preds.epistemic_var, preds.total_var])
+    assert (tmp_path / "predictions.csv").read_bytes() == \
+        _csv_oracle(POINTS_HEADER, "", table)
+
+    assert (tmp_path / "parity.svg").read_bytes() == _parity_oracle(me)
+
+    (result,) = slices.results
+    columns = np.column_stack([result.grid.column("G"), result.predictions.mean,
+                               np.sqrt(result.predictions.total_var), result.band_lo,
+                               result.band_hi, result.reference])
+    assert (tmp_path / "slice_50%d,x.csv").read_bytes() == _csv_oracle(
+        SLICE_HEADER + ",reference", "50%d,x,G,", columns)
+
