@@ -19,9 +19,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
-
-import requests
+from dataclasses import dataclass
 
 from ..errors import AuthFailure, PlannerUnavailable, SchemaInvalid
 from ..evaluation import TWO_SIGMA_LEVEL
@@ -311,6 +309,8 @@ _SYSTEM_PROMPTS = {
 
 def _default_transport(url: str, body: dict, headers: dict,
                        timeout: float) -> tuple[int, dict]:
+    import requests  # only the LLM backend needs it; keeps CLI start-up light
+
     resp = requests.post(url, json=body, headers=headers, timeout=timeout)
     try:
         doc = resp.json()
@@ -353,6 +353,7 @@ class HttpPlanner(PlannerBase):
         headers = {"Authorization": f"Bearer {api_key}",
                    "Content-Type": "application/json"}
         url = self.endpoint + "/chat/completions"
+        import requests  # transports signal network failures with its exceptions
 
         last_error = "no attempt made"
         for attempt in range(1, self.max_retries + 1):

@@ -16,8 +16,6 @@ import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import jsonschema
-
 from ..errors import SchemaInvalid
 from ..neural_net import ActivationKind
 
@@ -145,16 +143,24 @@ class TaskDocument:
 
 def validate_document(doc: TaskDocument) -> TaskDocument:
     """Schema gate: raises SchemaInvalid for anything the engine should
-    never see. Returns the document to allow call chaining."""
+    never see. Returns the document to allow call chaining.
+
+    The schemas are constants, checked against the 2020-12 metaschema by
+    the test suite rather than on every call; the reported error is the
+    one `jsonschema.validate` would pick (`best_match`).
+    """
+    # deferred: most commands never validate a task document
+    from jsonschema import Draft202012Validator
+    from jsonschema.exceptions import best_match
+
     if doc.version != TASK_FORMAT_VERSION:
         raise SchemaInvalid(f"unsupported task document version {doc.version!r}")
-    schema = _SCHEMAS.get(doc.kind)
+    schema = _SCHEMAS.get(doc.kind) if isinstance(doc.kind, str) else None
     if schema is None:
         raise SchemaInvalid(f"unknown task kind {doc.kind!r}")
-    try:
-        jsonschema.validate(doc.payload, schema)
-    except jsonschema.ValidationError as exc:
-        raise SchemaInvalid(f"{doc.kind} payload invalid: {exc.message}") from exc
+    error = best_match(Draft202012Validator(schema).iter_errors(doc.payload))
+    if error is not None:
+        raise SchemaInvalid(f"{doc.kind} payload invalid: {error.message}") from error
     return doc
 
 

@@ -26,6 +26,7 @@ from .errors import (
     DegenerateFeature,
     EmptyFile,
     FractionSumInvalid,
+    MalformedCsv,
     MissingColumn,
     NonFiniteValue,
 )
@@ -143,7 +144,9 @@ def load_csv(path: str | Path, require_target: bool = True) -> Dataset:
 
     Rows are parsed a block at a time with `float()`. A block that holds
     a bad cell is scanned again cell by cell, so `NonFiniteValue` names
-    the first bad cell's data row (blank rows count) and column.
+    the first bad cell's data row (blank rows count) and column. A line
+    the csv module cannot parse raises `MalformedCsv` with its line
+    number, unless a row before it holds a bad cell.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig") as fh:
@@ -152,6 +155,8 @@ def load_csv(path: str | Path, require_target: bool = True) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise EmptyFile(f"{path} has no header row") from None
+        except csv.Error as exc:
+            raise _malformed(path, reader, exc) from None
         header = [h.strip() for h in header]
         for name in FEATURE_NAMES:
             if name not in header:
@@ -164,7 +169,17 @@ def load_csv(path: str | Path, require_target: bool = True) -> Dataset:
 
         blocks = []
         rows_read = 0
-        while rows := list(itertools.islice(reader, _BLOCK_ROWS)):
+        while True:
+            rows = []
+            try:
+                # extend keeps the rows read before a malformed line, so
+                # a bad cell among them is reported first
+                rows.extend(itertools.islice(reader, _BLOCK_ROWS))
+            except csv.Error as exc:
+                _parse_block(rows, rows_read + 1, cols, names)
+                raise _malformed(path, reader, exc) from None
+            if not rows:
+                break
             block = _parse_block(rows, rows_read + 1, cols, names)
             if len(block):
                 blocks.append(block)
@@ -177,6 +192,10 @@ def load_csv(path: str | Path, require_target: bool = True) -> Dataset:
         return Dataset(table, None, provenance=str(path))
     return Dataset(np.ascontiguousarray(table[:, :-1]), table[:, -1].copy(),
                    provenance=str(path))
+
+
+def _malformed(path: Path, reader, exc: csv.Error) -> MalformedCsv:
+    return MalformedCsv(f"{path}: malformed CSV at line {reader.line_num}: {exc}")
 
 
 def _parse_block(rows: list[list[str]], first_row: int, cols: list[int],

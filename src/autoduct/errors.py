@@ -28,6 +28,11 @@ class EmptyFile(AutoductError):
     pass
 
 
+class MalformedCsv(AutoductError):
+    """The csv module could not parse a line (e.g. a field over its size
+    limit)."""
+
+
 class FractionSumInvalid(AutoductError):
     pass
 

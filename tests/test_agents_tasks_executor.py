@@ -1,11 +1,12 @@
 import json
 
+import jsonschema
 import pytest
 
 from autoduct.agents.executor import (FAULT_MARKER, ExecutionResult,
                                       FaultInjector, TaskExecutor,
                                       parse_fault_spec)
-from autoduct.agents.tasks import (TASK_FORMAT_VERSION, TaskDocument,
+from autoduct.agents.tasks import (_SCHEMAS, TASK_FORMAT_VERSION, TaskDocument,
                                    render_script, save_document,
                                    validate_document)
 from autoduct.errors import SchemaInvalid
@@ -99,6 +100,72 @@ def test_validate_rejects_bad_payloads():
     for kind, payload in bad:
         with pytest.raises(SchemaInvalid):
             validate_document(_doc(kind, payload))
+
+
+@pytest.mark.parametrize("kind", [["model"], {"a": 1}])
+def test_validate_rejects_non_string_kind(kind):
+    doc = TaskDocument.from_dict({"kind": kind, "payload": {}})
+    with pytest.raises(SchemaInvalid, match="unknown task kind"):
+        validate_document(doc)
+
+
+@pytest.mark.parametrize("kind", sorted(_SCHEMAS))
+def test_schemas_are_valid_2020_12_schemas(kind):
+    # validate_document trusts its constant schemas; this is where they
+    # are checked against the metaschema
+    schema = _SCHEMAS[kind]
+    jsonschema.Draft202012Validator.check_schema(schema)
+    assert jsonschema.validators.validator_for(schema) is jsonschema.Draft202012Validator
+
+
+def _full_payloads():
+    """A valid payload per kind, with every optional key present."""
+    paths = {"paths": {"extra": "extra.json"}}
+    return {"model": _model_payload(**paths),
+            "train": _train_payload(**paths),
+            "evaluate": _evaluate_payload(slices=[{"varying": "G"}], **paths)}
+
+
+def _mutants(payload):
+    """Bad (and some still-valid) variants of a good payload: each key
+    dropped or set to None, nested ones too, an extra key, and a list or
+    string in place of the payload."""
+    yield [payload], "list"
+    yield json.dumps(payload), "string"
+    yield {**payload, "surprise": 1}, "extra key"
+    for key, value in payload.items():
+        yield {k: v for k, v in payload.items() if k != key}, f"drop {key}"
+        yield {**payload, key: None}, f"{key}=None"
+        if isinstance(value, dict):
+            for sub in value:
+                nested = {k: v for k, v in value.items() if k != sub}
+                yield {**payload, key: nested}, f"drop {key}.{sub}"
+                yield {**payload, key: {**value, sub: None}}, f"{key}.{sub}=None"
+        if isinstance(value, list) and value and isinstance(value[0], dict):
+            for sub in value[0]:
+                first = {k: v for k, v in value[0].items() if k != sub}
+                yield {**payload, key: [first, *value[1:]]}, f"drop {key}[0].{sub}"
+                yield ({**payload, key: [{**value[0], sub: None}, *value[1:]]},
+                       f"{key}[0].{sub}=None")
+
+
+@pytest.mark.parametrize("kind", sorted(_SCHEMAS))
+def test_schema_errors_match_jsonschema_validate(kind):
+    # jsonschema.validate (metaschema check included) is the reference
+    # for which error is reported and how it reads
+    checked = 0
+    for payload, label in _mutants(_full_payloads()[kind]):
+        doc = _doc(kind, payload)
+        try:
+            jsonschema.validate(payload, _SCHEMAS[kind])
+        except jsonschema.ValidationError as ref:
+            with pytest.raises(SchemaInvalid) as err:
+                validate_document(doc)
+            assert str(err.value) == f"{kind} payload invalid: {ref.message}", label
+            checked += 1
+        else:
+            assert validate_document(doc) is doc, label
+    assert checked >= 10
 
 
 def test_document_dict_round_trip(tmp_path):

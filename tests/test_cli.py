@@ -315,3 +315,58 @@ def test_direct_and_agent_reports_are_identical_across_processes(tmp_path):
     assert report_files(b) == names
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_data_validate_oversized_field_is_an_error(tmp_path, capsys):
+    path = tmp_path / "big.csv"
+    path.write_text("D,L,P,G,X,CHF\n0.008,1.0,10000,2000,0.1," + "1" * 140_000 + "\n")
+    assert cli.main(["data", "validate", "--data", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and "line 2" in err
+
+
+_IMPORT_PROBE = """
+import json, sys
+from autoduct import cli
+from autoduct.agents import PipelineRecipe
+from autoduct.agents.tasks import TaskDocument, validate_document
+
+heavy = ("requests", "jsonschema")
+def loaded():
+    return [name for name in heavy if name in sys.modules]
+
+seen = {"import": loaded()}
+data, ensemble, out = sys.argv[1:]
+assert cli.main(["data", "gen", "--n", "400", "--seed", "3", "--out", data]) == 0
+seen["data gen"] = loaded()
+assert cli.main(["tune", "--data", data, "--runs", "1", "--sobol", "2", "--bo", "1",
+                 "--top-k", "1", "--seed", "0", "--epochs", "2", "--patience", "1",
+                 "--out-dir", out + "/tune"]) == 0
+seen["tune"] = loaded()
+assert cli.main(["evaluate", "--ensemble", ensemble, "--data", data,
+                 "--out-dir", out + "/eval"]) == 0
+seen["evaluate"] = loaded()
+validate_document(TaskDocument(kind="model", payload=PipelineRecipe().payload_for("model"),
+                               provenance={}))
+seen["validate_document"] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_requests_and_jsonschema_load_only_when_used(tmp_path):
+    # neither library is imported until a command needs it: requests for
+    # the LLM planner, jsonschema for the first task-document validation
+    ws = tmp_path / "ws"
+    assert cli.main(["direct", "--workspace", str(ws), "--synthetic", "120",
+                     "--seed", "5", *_FAST]) == 0
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "data.csv"),
+         str(ws / "ensemble"), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert seen == {"import": [], "data gen": [], "tune": [], "evaluate": [],
+                    "validate_document": ["jsonschema"]}

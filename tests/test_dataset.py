@@ -13,7 +13,7 @@ from autoduct.dataset import (BLIND_SLICES, FEATURE_NAMES, REFERENCE_ENVELOPE,
                               save_slice_specs, split, synthetic_noise_std,
                               synthetic_oracle, validate_ranges, write_csv)
 from autoduct.errors import (DegenerateFeature, EmptyFile, FractionSumInvalid,
-                             MissingColumn, NonFiniteValue)
+                             MalformedCsv, MissingColumn, NonFiniteValue)
 
 
 def _write(path, text):
@@ -110,6 +110,34 @@ def test_load_csv_names_first_bad_cell(tmp_path, rows, row, column):
     with pytest.raises(NonFiniteValue) as err:
         load_csv(p)
     assert (err.value.row, err.value.column) == (row, column)
+
+
+# one cell over the csv module's default field size limit (131,072 characters)
+_OVERSIZED_ROW = "0.008,1.0,10000,2000,0.1," + "1" * 140_000
+
+
+@pytest.mark.parametrize("lines, line", [
+    (["D,L,P,G,X,CHF"] + [_GOOD_ROW] * 5 + [_OVERSIZED_ROW] + [_GOOD_ROW] * 3, 7),
+    (["D,L,P,G,X,CHF," + "h" * 140_000, _GOOD_ROW], 1),
+])
+def test_load_csv_oversized_field_is_malformed_csv(tmp_path, lines, line):
+    p = _write(tmp_path / "big.csv", "\n".join(lines) + "\n")
+    with pytest.raises(MalformedCsv) as err:
+        load_csv(p)
+    message = str(err.value)
+    assert str(p) in message
+    assert f"line {line}:" in message
+    assert "field larger than field limit" in message
+
+
+def test_load_csv_bad_cell_before_malformed_line_wins(tmp_path):
+    # both lines fall in the first 4096-row block; the earlier row is reported
+    rows = ([_GOOD_ROW, "0.008,1.0,10000,2000,nan,1500"] + [_GOOD_ROW] * 7
+            + [_OVERSIZED_ROW])
+    p = _write(tmp_path / "big.csv", "D,L,P,G,X,CHF\n" + "\n".join(rows) + "\n")
+    with pytest.raises(NonFiniteValue) as err:
+        load_csv(p)
+    assert (err.value.row, err.value.column) == (2, "X")
 
 
 def test_load_csv_parses_cells_as_float_does(tmp_path):
