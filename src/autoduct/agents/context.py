@@ -67,4 +67,8 @@ class ProjectContext:
         return role in self._bindings
 
     def roles(self) -> dict[str, str]:
-        return {role: str(path) for role, path in sorted(self._bindings.items())}
+        """Role -> path, sorted by role, each path relative to the workspace
+        in POSIX form, so that what is built from it (the planner prompts
+        and their digests) does not depend on where the workspace lives."""
+        return {role: path.relative_to(self.workspace).as_posix()
+                for role, path in sorted(self._bindings.items())}

@@ -85,13 +85,15 @@ class Ensemble:
         return len(self.members)
 
     def predict(self, raw_inputs: np.ndarray) -> EnsemblePrediction:
-        columns = [neural_net.predict_batch(m.params, m.config, self.normalizer,
-                                            raw_inputs)
-                   for m in self.members]
+        raw_inputs = np.atleast_2d(np.asarray(raw_inputs, dtype=np.float64))
         # rows are inputs: reducing an (M, N) stack over axis 0 instead would
         # add the members in a different order once M >= 8
-        return _moments(np.column_stack([mu for mu, _ in columns]),
-                        np.column_stack([var for _, var in columns]))
+        shape = (raw_inputs.shape[0], self.size)
+        member_means, member_vars = np.empty(shape), np.empty(shape)
+        for j, m in enumerate(self.members):
+            neural_net.predict_batch(m.params, m.config, self.normalizer, raw_inputs,
+                                     out=(member_means[:, j], member_vars[:, j]))
+        return _moments(member_means, member_vars)
 
 
 def train_ensemble(splits: SplitDataset, normalizer: Normalizer,
@@ -219,6 +221,9 @@ def save_ensemble(ens: Ensemble, path: str | Path) -> None:
 
 
 def load_ensemble(path: str | Path) -> Ensemble:
+    """Read a directory artifact written by save_ensemble. Each manifest
+    entry must name its member file by a plain file name, so a manifest
+    cannot load a member from outside the directory."""
     path = Path(path)
     manifest_path = path / "manifest.json"
     if not manifest_path.is_file():
@@ -240,7 +245,11 @@ def load_ensemble(path: str | Path) -> Ensemble:
             raise CorruptArtifact("manifest lists no members")
         members = []
         for entry in entries:
-            member_path = path / entry["file"]
+            name = entry["file"]
+            if not isinstance(name, str) or name in ("", "..") or Path(name).name != name:
+                raise CorruptArtifact(f"member file {name!r} in {manifest_path} "
+                                      "is not a plain file name")
+            member_path = path / name
             try:
                 with member_path.open(encoding="utf-8") as fh:
                     doc = json.load(fh)

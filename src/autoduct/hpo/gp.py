@@ -66,8 +66,11 @@ class GPSurrogate:
     jitter: float
 
 
-def _matern52(r: np.ndarray) -> np.ndarray:
-    return (1.0 + _SQRT5 * r + (5.0 / 3.0) * r**2) * np.exp(-_SQRT5 * r)
+def _matern52(r: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+    # `e` is exp(-sqrt5 r) when the caller already has it
+    if e is None:
+        e = np.exp(-_SQRT5 * r)
+    return (1.0 + _SQRT5 * r + (5.0 / 3.0) * r**2) * e
 
 
 def _kernel(a: np.ndarray, b: np.ndarray, log_ls: np.ndarray,
@@ -87,19 +90,20 @@ def _chol_with_ladder(k: np.ndarray) -> tuple[np.ndarray, float]:
     raise SingularCovariance("covariance failed to factorize at every jitter level")
 
 
-def _nlml_and_grad(diff2: np.ndarray, z: np.ndarray,
-                   theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _nlml_and_grad(diff2: np.ndarray, z: np.ndarray, theta: np.ndarray,
+                   grad: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Negative log marginal likelihood (s,) and gradient (s, d + 2) for
     each row of theta (s, d + 2): log length scales, log signal and log
     noise variance. diff2[i, j, k] = (x[j, i] - x[k, i])^2 for inputs x
     (n, d). Rows that no jitter level factorizes get nlml = inf and a zero
-    gradient."""
+    gradient. Without `grad` the gradient is not computed and is None."""
     d, n, _ = diff2.shape
     ls = np.exp(theta[:, :d])
     sf2 = np.exp(theta[:, d])[:, None, None]
     sn2 = np.exp(theta[:, d + 1])
     r = np.sqrt(np.einsum("ijk,si->sjk", diff2, ls**-2))
-    k_signal = sf2 * _matern52(r)
+    e = np.exp(-_SQRT5 * r)
+    k_signal = sf2 * _matern52(r, e)
     k = k_signal + sn2[:, None, None] * np.eye(n)
     try:    # one stacked call when every row factorizes at the first rung
         chol, ok = np.linalg.cholesky(k + _JITTERS[0] * np.eye(n)), np.ones(len(k), bool)
@@ -111,19 +115,21 @@ def _nlml_and_grad(diff2: np.ndarray, z: np.ndarray,
     chol_inv = np.linalg.inv(chol)
     w = chol_inv @ z
     alpha = (w[:, None, :] @ chol_inv)[:, 0]
-    nlml = (0.5 * np.einsum("si,si->s", w, w)
-            + np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-            + 0.5 * n * math.log(2.0 * math.pi))
+    nlml = np.where(ok, 0.5 * np.einsum("si,si->s", w, w)
+                    + np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+                    + 0.5 * n * math.log(2.0 * math.pi), np.inf)
+    if not grad:
+        return nlml, None
 
     # d(LML)/dK = inner / 2
     inner = alpha[:, :, None] * alpha[:, None, :] - np.swapaxes(chol_inv, 1, 2) @ chol_inv
-    grad = np.empty_like(theta)
+    gradient = np.empty_like(theta)
     # dK/d(log ell_i) = sf2 * (5/3)(1 + sqrt5 r) exp(-sqrt5 r) * d_ij^2 / ell_i^2
-    common = sf2 * (5.0 / 3.0) * (1.0 + _SQRT5 * r) * np.exp(-_SQRT5 * r)
-    grad[:, :d] = -0.5 * np.einsum("ijk,sjk->si", diff2, inner * common) / ls**2
-    grad[:, d] = -0.5 * (inner * k_signal).sum(axis=(1, 2))
-    grad[:, d + 1] = -0.5 * sn2 * np.trace(inner, axis1=1, axis2=2)
-    return np.where(ok, nlml, np.inf), np.where(ok[:, None], grad, 0.0)
+    common = sf2 * (5.0 / 3.0) * (1.0 + _SQRT5 * r) * e
+    gradient[:, :d] = -0.5 * np.einsum("ijk,sjk->si", diff2, inner * common) / ls**2
+    gradient[:, d] = -0.5 * (inner * k_signal).sum(axis=(1, 2))
+    gradient[:, d + 1] = -0.5 * sn2 * np.trace(inner, axis1=1, axis2=2)
+    return nlml, np.where(ok[:, None], gradient, 0.0)
 
 
 def fit_gp(observations: list[tuple[EncodedPoint, float]]) -> GPSurrogate:
@@ -159,7 +165,7 @@ def fit_gp(observations: list[tuple[EncodedPoint, float]]) -> GPSurrogate:
         m_hat = m / (1.0 - 0.9**step)
         v_hat = v / (1.0 - 0.999**step)
         theta = np.clip(theta - _OPT_LR * m_hat / (np.sqrt(v_hat) + 1e-8), lo, hi)
-    nlml, _ = _nlml_and_grad(diff2, z, theta)
+    nlml, _ = _nlml_and_grad(diff2, z, theta, grad=False)
     nlml = np.where(alive & np.isfinite(nlml), nlml, np.inf)
     if not np.isfinite(nlml).any():
         raise SingularCovariance("covariance failed to factorize at every jitter level")

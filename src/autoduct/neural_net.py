@@ -33,8 +33,15 @@ one AdamW step. The step's forward pass keeps each layer's activation
 derivative, so the backward pass recomputes none. Every network draws
 its batch order and dropout masks from its own generator and leaves the
 stack when it stops early, so each result is bit-identical to training
-that network alone. ``train`` is the M = 1 case. Inference
-(``predict_batch``) runs one network at a time.
+that network alone. ``train`` is the M = 1 case.
+
+Inference (``predict_batch``) runs one network at a time, in near-equal
+row blocks of at most ``dataset._BLOCK_ROWS`` rows, and keeps only the
+current layer; its memory is bounded by a block, not by the row count.
+A row's result does not depend on the block it falls in: the blocks
+are near-equal, so none has a single row unless the input does (numpy
+computes a one-row matmul as a matrix-vector product, whose bits can
+differ), and the bytes equal one pass over all rows.
 
 Activation constants (fixed, from the original publications of each
 unit): LeakyReLU negative slope 0.01; SELU lambda 1.0507009873554805 and
@@ -53,7 +60,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dataset import Normalizer, SplitDataset
+from .dataset import _BLOCK_ROWS, Normalizer, SplitDataset
 from .errors import (
     CorruptArtifact,
     DimensionMismatch,
@@ -325,15 +332,16 @@ def _forward_batch(p: Parameters, cfg: MLPConfig, x: np.ndarray,
     dropout mask. For a stack of M networks, p holds (M, ...) views, x may
     also be (M, n, input_dim), and masks and outputs gain the leading M
     axis. `runs` lists (activation, row slice) pairs covering the stack in
-    order; by default cfg.activation applies to every row. The post list
-    holds one (n, units) array per hidden layer after dropout, index 0
-    being x itself. With `grad`, dacts holds each hidden layer's
-    activation derivative and sig the sigmoid of the raw variance head,
-    which is all _backward_batch needs; otherwise both are None.
+    order; by default cfg.activation applies to every row. With `grad`,
+    the post list holds one (n, units) array per hidden layer after
+    dropout, index 0 being x itself, dacts each hidden layer's activation
+    derivative and sig the sigmoid of the raw variance head, which is all
+    _backward_batch needs; otherwise all three are None and only the
+    current layer is kept.
     """
     runs = runs or ((cfg.activation, slice(None)),)
     dacts = [] if grad else None
-    post: list[np.ndarray] = [x]
+    post = [x] if grad else None
     h = x
     for l in range(cfg.hidden_layers):
         a = h @ p.hidden_w[l].swapaxes(-1, -2) + p.hidden_b[l][..., None, :]
@@ -342,14 +350,14 @@ def _forward_batch(p: Parameters, cfg: MLPConfig, x: np.ndarray,
             h = h * masks[l]
         if grad:
             dacts.append(d)
-        post.append(h)
+            post.append(h)
     out = h @ p.head_w.swapaxes(-1, -2) + p.head_b[..., None, :]
     mu = out[..., 0]
     raw = out[..., 1]
     if grad:
         e = np.exp(-np.abs(raw))
         return mu, _softplus(raw, e) + VAR_FLOOR, _sigmoid(raw, e), dacts, post
-    return mu, _softplus(raw) + VAR_FLOOR, None, None, post
+    return mu, _softplus(raw) + VAR_FLOOR, None, None, None
 
 
 def forward(p: Parameters, cfg: MLPConfig, x: np.ndarray, training_mode: bool = False,
@@ -612,19 +620,37 @@ def train_stack(splits: SplitDataset, normalizer: Normalizer,
     return [results[i] for i in range(len(members))]
 
 
+def _row_blocks(n: int) -> list[tuple[int, int]]:
+    """(start, stop) bounds of near-equal blocks of at most _BLOCK_ROWS
+    rows covering n rows; once n > _BLOCK_ROWS every block has at least
+    _BLOCK_ROWS // 2 rows, so none is left with one row."""
+    blocks = max(1, -(-n // _BLOCK_ROWS))
+    bounds = [n * b // blocks for b in range(blocks + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
 def predict_batch(p: Parameters, cfg: MLPConfig, normalizer: Normalizer,
-                  raw_inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                  raw_inputs: np.ndarray,
+                  out: tuple[np.ndarray, np.ndarray] | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """Inference on raw (physical-unit) inputs: (mu, var) arrays of shape
     (N,), mapped back through the target affine transform, variances by
-    its square."""
+    its square. Runs in row blocks (see the module docstring); `out`, when
+    given, is the pair of (N,) arrays, views included, that receive mu
+    and var, and is returned."""
     raw_inputs = np.asarray(raw_inputs, dtype=np.float64)
     if raw_inputs.ndim == 1:
         raw_inputs = raw_inputs[None, :]
     if raw_inputs.shape[1] != cfg.input_dim:
         raise DimensionMismatch(f"expected inputs of width {cfg.input_dim}")
-    x = normalizer.transform_features(raw_inputs)
-    mu, var, _, _, _ = _forward_batch(p, cfg, x, None)
-    return normalizer.inverse_target_mean(mu), normalizer.inverse_target_var(var)
+    n = raw_inputs.shape[0]
+    mu_out, var_out = out if out is not None else (np.empty(n), np.empty(n))
+    for start, stop in _row_blocks(n):
+        x = normalizer.transform_features(raw_inputs[start:stop])
+        mu, var, _, _, _ = _forward_batch(p, cfg, x, None)
+        mu_out[start:stop] = normalizer.inverse_target_mean(mu)
+        var_out[start:stop] = normalizer.inverse_target_var(var)
+    return mu_out, var_out
 
 
 # --- serialization --------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import pytest
 import requests
 
+from autoduct.agents.context import ProjectContext
 from autoduct.agents.executor import FAULT_MARKER
 from autoduct.agents.planner import (SCRIPTED_COMPLETION_TOKENS,
                                      SCRIPTED_PROMPT_TOKENS, HttpPlanner,
@@ -67,8 +68,8 @@ def test_task_prompt_mentions_objective_and_roles(agent_workspace):
     ctx = agent_workspace()
     prompt = build_task_prompt("model_generation", ctx, "CHF pipeline")
     assert "CHF pipeline" in prompt
-    assert "dataset_file" in prompt
-    assert str(ctx.path("dataset_file")) in prompt
+    assert "  dataset_file: data.csv\n" in prompt
+    assert str(ctx.workspace) not in prompt
     with pytest.raises(ValueError):
         build_task_prompt("report_synthesis", ctx, "t")
 
@@ -78,9 +79,18 @@ def test_identical_context_gives_identical_digest(agent_workspace):
     a = build_task_prompt("training_execution", ctx, "t")
     b = build_task_prompt("training_execution", ctx, "t")
     assert prompt_digest(a) == prompt_digest(b)
-    other = agent_workspace("different")
-    c = build_task_prompt("training_execution", other, "t")
-    assert prompt_digest(a) != prompt_digest(c)
+    # role paths are listed relative to the workspace, so the same layout
+    # elsewhere gives the same digest, and a different binding another one
+    elsewhere = agent_workspace("elsewhere")
+    c = build_task_prompt("training_execution", elsewhere, "t")
+    assert prompt_digest(a) == prompt_digest(c)
+    moved = ProjectContext(elsewhere.workspace, run_id="run-t")
+    for role, path in elsewhere.roles().items():
+        moved.bind(role, elsewhere.workspace / "inputs" / path if role == "dataset_file"
+                   else elsewhere.workspace / path)
+    d = build_task_prompt("training_execution", moved, "t")
+    assert "  dataset_file: inputs/data.csv\n" in d
+    assert prompt_digest(a) != prompt_digest(d)
 
 
 def test_patch_prompt_embeds_document_and_log():
@@ -98,6 +108,8 @@ def test_directive_prompt_renders_window(agent_workspace):
     assert "model_generation=pending" in prompt
     assert "thought: a | action: b | obs: c" in prompt
     assert "finish_task" in prompt
+    assert "  dataset_file: data.csv\n" in prompt
+    assert str(ctx.workspace) not in prompt
 
 
 # --- scripted rules -------------------------------------------------------------------

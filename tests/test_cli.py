@@ -201,6 +201,35 @@ def test_agent_with_injected_fault(tmp_path, capsys):
     assert "errors total: 1 (recovered 1)" in out
 
 
+def test_agent_workspace_is_identical_across_directories(tmp_path, capsys):
+    # the planner prompts list role paths relative to the workspace, so the
+    # task documents' prompt and patch digests do not depend on where the
+    # run is made; the fault makes the training stage record a patch digest
+    def contents(ws):
+        files = {str(p.relative_to(ws)): p.read_bytes() for p in sorted(ws.rglob("*"))
+                 if p.is_file() and p.name != "timings.json"}     # wall-clock sidecar
+        state = json.loads(files.pop("state.json"))
+        for stage in state["stages"].values():
+            del stage["updated_at"]
+        return files, state
+
+    runs = []
+    for where in ("one", "two/nested"):
+        ws = tmp_path / where / "ws"
+        assert cli.main(["agent", "--workspace", str(ws), "--synthetic", "120",
+                         "--seed", "5", "--inject-fault", "stage=train,attempt=1",
+                         *_FAST]) == 0
+        runs.append(contents(ws))
+    capsys.readouterr()
+    (a, a_state), (b, b_state) = runs
+    assert b"patch_digest" in a["training_task.json"]
+    assert b"prompt_digest" in a["evaluation_task.json"]
+    assert sorted(a) == sorted(b)
+    for name in a:
+        assert a[name] == b[name], name
+    assert a_state == b_state
+
+
 def test_trials_command(tmp_path, capsys):
     ws = tmp_path / "trials_ws"
     assert cli.main(["trials", "--workspace", str(ws), "--synthetic", "120",
@@ -313,6 +342,37 @@ def test_direct_and_agent_reports_are_identical_across_processes(tmp_path):
     for kind in ("metrics.csv", "predictions.csv", "parity.svg", "slice_8.svg"):
         assert f"direct/report/{kind}" in names and f"agent/report/{kind}" in names
     assert report_files(b) == names
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_evaluate_in_row_blocks_is_identical_across_processes(tmp_path, capsys):
+    # 9,000 rows run in three row blocks; the BLAS thread count must not
+    # reach the blocked inference or the exported bytes
+    ws = tmp_path / "ws"
+    data = tmp_path / "data.csv"
+    assert cli.main(["direct", "--workspace", str(ws), "--synthetic", "120",
+                     "--seed", "5", *_FAST]) == 0
+    assert cli.main(["data", "gen", "--n", "9000", "--seed", "3", "--out", str(data)]) == 0
+    capsys.readouterr()
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = []
+    for threads, hash_seed in (("1", "0"), ("2", "123")):
+        out_dir = tmp_path / f"eval-{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "autoduct.cli", "evaluate", "--ensemble",
+             str(ws / "ensemble"), "--data", str(data), "--slices", "blind",
+             "--out-dir", str(out_dir)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        outputs.append(out_dir)
+    a, b = outputs
+    names = sorted(p.name for p in a.iterdir() if p.name != "timings.json")
+    assert "predictions.csv" in names and "slice_8.svg" in names
+    assert sorted(p.name for p in b.iterdir() if p.name != "timings.json") == names
+    assert len((a / "predictions.csv").read_text().splitlines()) > 9000
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 

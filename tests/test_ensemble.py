@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -183,6 +184,27 @@ def test_member_prediction_order_and_aggregation(tiny_ensemble, tiny_splits):
     assert one.mean.shape == (1,)
     assert one.mean[0] == pytest.approx(ep.mean[0], rel=1e-12)
     assert one.total_var[0] == pytest.approx(ep.total_var[0], rel=1e-12)
+
+
+def _traced_excess(ens, raw):
+    """Ensemble.predict's traced peak minus the bytes of what it returns."""
+    tracemalloc.start()
+    try:
+        ep = ens.predict(raw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - sum(getattr(ep, f.name).nbytes for f in fields(EnsemblePrediction))
+
+
+def test_predict_memory_is_bounded_by_a_row_block(tiny_ensemble, tiny_splits):
+    # the transient beyond the returned arrays is set by one row block, not
+    # by the row count
+    one_block = _traced_excess(tiny_ensemble, np.resize(tiny_splits.test.features,
+                                                        (4096, 5)))
+    ten_blocks = _traced_excess(tiny_ensemble, np.resize(tiny_splits.test.features,
+                                                         (10 * 4096 + 1, 5)))
+    assert ten_blocks <= 2 * one_block
 
 
 def _per_row_predict(ens, raw):
@@ -420,6 +442,25 @@ def test_load_rejects_empty_member_list(tmp_path, tiny_ensemble):
     manifest["members"] = []
     (out / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(CorruptArtifact):
+        load_ensemble(out)
+
+
+@pytest.mark.parametrize("entry", ["../outside.json", "ABSOLUTE", "sub/member_000.json",
+                                   "..", ".", "", ["member_000.json"], 7, None])
+def test_load_rejects_member_files_that_are_not_plain_names(tmp_path, tiny_ensemble,
+                                                            entry):
+    # a member outside the directory would load without this check
+    out = tmp_path / "ens"
+    save_ensemble(tiny_ensemble, out)
+    (tmp_path / "outside.json").write_bytes((out / "member_000.json").read_bytes())
+    (out / "sub").mkdir()
+    (out / "sub" / "member_000.json").write_bytes((out / "member_000.json").read_bytes())
+    if entry == "ABSOLUTE":
+        entry = str(tmp_path / "outside.json")
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["members"][0]["file"] = entry
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(CorruptArtifact, match="not a plain file name"):
         load_ensemble(out)
 
 

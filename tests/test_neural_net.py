@@ -465,6 +465,55 @@ def test_predict_batch_applies_normalizer(tiny_splits, tiny_normalizer):
         assert pred_var == pytest.approx(var, rel=1e-12)
 
 
+# row counts on both sides of each block boundary; N = 4096k + 1 would leave a
+# one-row tail with fixed-size blocks
+_BLOCK_NS = (0, 1, 7, 4095, 4096, 4097, 4098, 4101, 4103, 4111, 8191, 8193, 8195,
+             12289, 16385, 20000, 40001)
+
+
+def test_row_blocks_are_near_equal_and_cover_the_rows():
+    for n in (*_BLOCK_NS, 2, 4096 * 10 + 1):
+        blocks = neural_net._row_blocks(n)
+        assert blocks[0][0] == 0 and blocks[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        sizes = [stop - start for start, stop in blocks]
+        assert max(sizes) <= 4096
+        if n > 4096:
+            assert min(sizes) >= 2048
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_predict_batch_blocks_match_one_unblocked_pass(kind):
+    # the oracle is one _forward_batch over every row through the normalizer
+    rng = np.random.default_rng(13)
+    norm = Normalizer(np.array([8e-3, 2.0, 1e4, 2e3, 0.1]),
+                      np.array([4e-3, 3.0, 5e3, 1.5e3, 0.3]), 3000.0, 1500.0)
+    raw_all = norm.inverse_features(rng.normal(size=(max(_BLOCK_NS), 5)))
+    for (layers, units), sizes in (((2, 16), _BLOCK_NS), ((3, 1), _BLOCK_NS),
+                                   ((7, 96), (4097, 8193))):
+        cfg = MLPConfig(5, layers, units, kind)
+        p = init_params(cfg, 3)
+        for n in sizes:
+            raw = raw_all[:n]
+            mu, var = predict_batch(p, cfg, norm, raw)
+            ref_mu, ref_var, _, _, _ = neural_net._forward_batch(
+                p, cfg, norm.transform_features(raw), None)
+            assert mu.tobytes() == norm.inverse_target_mean(ref_mu).tobytes(), (cfg, n)
+            assert var.tobytes() == norm.inverse_target_var(ref_var).tobytes(), (cfg, n)
+
+
+def test_predict_batch_writes_into_out_views(tiny_splits, tiny_normalizer):
+    cfg = MLPConfig(5, 2, 8, ActivationKind.GELU)
+    p = init_params(cfg, 1)
+    raw = tiny_splits.test.features
+    cols = np.full((len(raw), 3), -1.0)
+    got = predict_batch(p, cfg, tiny_normalizer, raw, out=(cols[:, 2], cols[:, 0]))
+    assert got[0].base is cols and got[1].base is cols
+    mu, var = predict_batch(p, cfg, tiny_normalizer, raw)
+    assert np.array_equal(cols[:, 2], mu) and np.array_equal(cols[:, 0], var)
+    assert np.all(cols[:, 1] == -1.0)
+
+
 # --- serialization ---------------------------------------------------------------------
 
 def test_params_doc_round_trip_bit_exact():
