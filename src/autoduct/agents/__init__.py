@@ -7,7 +7,7 @@ think/act/observe loop with a bounded transcript window.
 
 from .context import ProjectContext, STANDARD_ROLES
 from .state import STAGE_ORDER, StageState, WorkflowState, load_state, persist_state
-from .tasks import TaskDocument, render_script, validate_document
+from .tasks import TaskDocument, validate_document
 from .executor import (FAULT_MARKER, ExecutionResult, FaultInjector,
                        TaskExecutor, parse_fault_spec)
 from .planner import (
@@ -19,10 +19,8 @@ from .planner import (
     PipelineRecipe,
     TokenUsage,
     account_tokens,
-    llm_planner,
 )
-from .multi_agent import (AgentOutcome, execute_task, generate_task,
-                          run_multi_agent, tune_task)
+from .multi_agent import AgentOutcome, generate_task, run_multi_agent, tune_task
 from .react import (PlannerDirective, Transcript, act, build_tools, observe,
                     run_react, think)
 from .report import render_report, synthesize_report
@@ -30,11 +28,11 @@ from .report import render_report, synthesize_report
 __all__ = [
     "ProjectContext", "STANDARD_ROLES", "STAGE_ORDER", "StageState",
     "WorkflowState", "load_state", "persist_state", "TaskDocument",
-    "render_script", "validate_document", "FAULT_MARKER", "ExecutionResult",
+    "validate_document", "FAULT_MARKER", "ExecutionResult",
     "FaultInjector", "TaskExecutor", "parse_fault_spec", "HttpPlanner",
     "PlannerCall", "PlannerReply", "PlanRequest", "ScriptedPlanner",
-    "PipelineRecipe", "TokenUsage", "account_tokens", "llm_planner",
-    "AgentOutcome", "execute_task", "generate_task", "run_multi_agent",
+    "PipelineRecipe", "TokenUsage", "account_tokens",
+    "AgentOutcome", "generate_task", "run_multi_agent",
     "tune_task", "PlannerDirective", "Transcript", "act", "build_tools",
     "observe", "run_react", "think", "render_report", "synthesize_report",
 ]

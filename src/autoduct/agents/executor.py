@@ -22,6 +22,7 @@ from ..evaluation import evaluate_model, evaluate_slices
 from ..neural_net import ActivationKind, MLPConfig, TrainConfig
 from ..report_export import export_report
 from .context import ProjectContext
+from .state import STAGE_TASKS
 from .tasks import TaskDocument, validate_document
 
 # Recognizable first-line marker for synthetic failures. The scripted
@@ -30,13 +31,6 @@ from .tasks import TaskDocument, validate_document
 FAULT_MARKER = "injected fault"
 
 MODEL_SPEC_VERSION = 1
-
-_KIND_ALIASES = {
-    "model": "model", "model_generation": "model",
-    "train": "train", "training": "train", "training_execution": "train",
-    "evaluate": "evaluate", "evaluation": "evaluate",
-    "evaluation_execution": "evaluate",
-}
 
 
 @dataclass(frozen=True)
@@ -64,9 +58,18 @@ class ExecutionResult:
         return self.log.splitlines()[0] if self.log else ""
 
 
+def _fault_kind(name: str) -> str:
+    """The task kind a fault clause targets: a stage name or its kind."""
+    for stage, task in STAGE_TASKS.items():
+        if name in (stage, task.kind):
+            return task.kind
+    raise ValueError(f"unknown stage {name!r} in fault spec")
+
+
 def parse_fault_spec(spec: str) -> dict[str, frozenset[int]]:
     """Parse e.g. "stage=evaluate,attempt=1" or
-    "stage=train,attempts=1-3"; multiple clauses separated by ";"."""
+    "stage=train,attempts=1-3"; multiple clauses separated by ";". A
+    stage is named by its `STAGE_TASKS` key or its task kind."""
     plan: dict[str, set[int]] = {}
     for clause in spec.split(";"):
         clause = clause.strip()
@@ -79,9 +82,7 @@ def parse_fault_spec(spec: str) -> dict[str, frozenset[int]]:
             if not value:
                 raise ValueError(f"malformed fault clause {clause!r}")
             if key == "stage":
-                stage = _KIND_ALIASES.get(value)
-                if stage is None:
-                    raise ValueError(f"unknown stage {value!r} in fault spec")
+                stage = _fault_kind(value)
             elif key == "attempt":
                 attempts.add(int(value))
             elif key == "attempts":

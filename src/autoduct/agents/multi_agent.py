@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from ..errors import AutoductError, StageExhausted
 from .context import ProjectContext
-from .executor import ExecutionResult, TaskExecutor
+from .executor import TaskExecutor
 from .planner import (PlanRequest, PlannerBase, build_patch_prompt,
                       build_task_prompt, prompt_digest)
 from .report import synthesize_report
@@ -65,20 +65,17 @@ def tune_task(planner: PlannerBase, doc: TaskDocument,
     return validate_document(patched)
 
 
-def execute_task(executor: TaskExecutor, doc: TaskDocument,
-                 ctx: ProjectContext) -> ExecutionResult:
-    if executor.ctx is not ctx:
-        raise ValueError("executor is bound to a different context")
-    return executor.execute(doc)
-
-
 def _save_stage_document(doc: TaskDocument, ctx: ProjectContext,
                          stage: str) -> None:
     """Save a stage's latest task document to its workspace file for audit."""
     save_document(doc, ctx.workspace / STAGE_TASKS[stage].doc_file)
 
 
-def _check_stop_stage(stop_after_stage: str | None) -> None:
+def _check_loop_args(ctx: ProjectContext, executor: TaskExecutor,
+                     stop_after_stage: str | None) -> None:
+    """Argument checks both loops make before any state is read or written."""
+    if executor.ctx is not ctx:
+        raise ValueError("executor is bound to a different context")
     if stop_after_stage is not None and stop_after_stage not in STAGE_ORDER:
         raise ValueError(f"unknown stage {stop_after_stage!r}; "
                          f"expected one of {', '.join(STAGE_ORDER)}")
@@ -113,12 +110,13 @@ def run_multi_agent(task: str, ctx: ProjectContext, planner: PlannerBase,
     Raises StageExhausted when a stage keeps failing; the state file is
     left failed-but-resumable. `stop_after_stage` ends the run cleanly
     after the named stage (a controlled substitute for kill -9 in resume
-    drills), and ends a resumed run at once if that stage is already done;
-    a name outside STAGE_ORDER raises ValueError before any state is read.
+    drills), and ends a resumed run at once if that stage is already done.
+    A name outside STAGE_ORDER, or an executor bound to another context,
+    raises ValueError before any state is read.
     """
     if max_retries < 1:
         raise ValueError("max_retries must be at least 1")
-    _check_stop_stage(stop_after_stage)
+    _check_loop_args(ctx, executor, stop_after_stage)
     state = _load_or_create_state(ctx, "multi", resume)
     if _stop_stage_done(state, stop_after_stage):
         return AgentOutcome(report=None, state=state)
@@ -137,7 +135,7 @@ def run_multi_agent(task: str, ctx: ProjectContext, planner: PlannerBase,
             attempts = 0
             while True:
                 attempts += 1
-                result = execute_task(executor, doc, ctx)
+                result = executor.execute(doc)
                 if result.ok:
                     timings[stage] = timings.get(stage, 0.0) + result.wall_time_s
                     break

@@ -93,26 +93,11 @@ def account_tokens(calls: list[PlannerCall]) -> TokenUsage:
 
 # --- prompt assembly (shared by both loops) --------------------------------
 
-_TASK_TEMPLATES = {
-    "model_generation": (
-        "Design the regression model for this run: an ensemble of MLPs with "
-        "mean and variance heads. Emit the JSON payload for a 'model' task."),
-    "training_execution": (
-        "Produce the training task for the declared model: data split, "
-        "optimizer settings, and output location. Emit the JSON payload for "
-        "a 'train' task."),
-    "evaluation_execution": (
-        "Produce the evaluation task for the trained ensemble: metric list, "
-        "interval level, and report location. Emit the JSON payload for an "
-        "'evaluate' task."),
-}
-
-
 def build_task_prompt(stage: str, ctx: ProjectContext, task: str) -> str:
-    if stage not in _TASK_TEMPLATES:
-        raise ValueError(f"no task template for stage {stage!r}")
+    if stage not in STAGE_TASKS:
+        raise ValueError(f"no task for stage {stage!r}")
     roles = "\n".join(f"  {role}: {path}" for role, path in ctx.roles().items())
-    return (f"Objective: {task}\n\n{_TASK_TEMPLATES[stage]}\n\n"
+    return (f"Objective: {task}\n\n{STAGE_TASKS[stage].instruction}\n\n"
             f"Workspace roles (use role names, not paths, in the payload):\n{roles}\n")
 
 
@@ -393,8 +378,3 @@ class HttpPlanner(PlannerBase):
         return PlannerReply(payload=payload,
                             prompt_tokens=int(usage.get("prompt_tokens", 0)),
                             completion_tokens=int(usage.get("completion_tokens", 0)))
-
-
-def llm_planner(endpoint: str, model: str, **kwargs) -> HttpPlanner:
-    """Factory matching the CLI's --planner llm wiring."""
-    return HttpPlanner(endpoint=endpoint, model=model, **kwargs)

@@ -17,7 +17,7 @@ from functools import partial
 from ..errors import AutoductError, SchemaInvalid, StepBudgetExhausted, UnknownTool
 from .context import ProjectContext
 from .executor import ExecutionResult, TaskExecutor
-from .multi_agent import (AgentOutcome, _check_stop_stage, _finish_report,
+from .multi_agent import (AgentOutcome, _check_loop_args, _finish_report,
                           _load_or_create_state, _save_stage_document,
                           _stop_stage_done, generate_task, tune_task)
 from .planner import PlanRequest, PlannerBase, build_directive_prompt
@@ -204,14 +204,15 @@ def run_react(task: str, ctx: ProjectContext, planner: PlannerBase,
 
     Raises StepBudgetExhausted when the budget runs out; state stays
     resumable. A `stop_after_stage` ends the run once that stage is done,
-    before any step if a resumed run has already done it; a name outside
-    STAGE_ORDER raises ValueError before any state is read. Returns the
-    outcome with the full transcript attached.
+    before any step if a resumed run has already done it. A name outside
+    STAGE_ORDER, or an executor bound to another context, raises
+    ValueError before any state is read. Returns the outcome with the full
+    transcript attached.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
-    _check_stop_stage(stop_after_stage)
     executor = executor or TaskExecutor(ctx)
+    _check_loop_args(ctx, executor, stop_after_stage)
     state = _load_or_create_state(ctx, "react", resume)
     transcript = Transcript(window_size)
     if _stop_stage_done(state, stop_after_stage):

@@ -21,33 +21,39 @@ from ..errors import CorruptState, VersionMismatch
 
 STATE_FORMAT_VERSION = 1
 
-STAGE_ORDER = (
-    "model_generation",
-    "training_execution",
-    "evaluation_execution",
-    "report_synthesis",
-)
-
 
 @dataclass(frozen=True)
 class StageTask:
     """What an executed stage runs: the kind of its task document, the
-    ReAct tool that generates it, and the workspace file it is saved to."""
+    ReAct tool that generates it, the workspace file it is saved to, and
+    the instruction its task prompt gives the planner."""
 
     kind: str
     tool: str
     doc_file: str
+    instruction: str
 
 
-# every stage but the report runs one task document; both loops and the
-# scripted planner read this table, in this order
+# every stage but the report runs one task document; both loops, the
+# planner prompts, fault specs and `direct` read this table, in this order
 STAGE_TASKS = {
-    "model_generation": StageTask("model", "generate_model", "model_task.json"),
-    "training_execution": StageTask("train", "generate_training_task",
-                                    "training_task.json"),
-    "evaluation_execution": StageTask("evaluate", "generate_evaluation_task",
-                                      "evaluation_task.json"),
+    "model_generation": StageTask(
+        "model", "generate_model", "model_task.json",
+        "Design the regression model for this run: an ensemble of MLPs with "
+        "mean and variance heads. Emit the JSON payload for a 'model' task."),
+    "training_execution": StageTask(
+        "train", "generate_training_task", "training_task.json",
+        "Produce the training task for the declared model: data split, "
+        "optimizer settings, and output location. Emit the JSON payload for "
+        "a 'train' task."),
+    "evaluation_execution": StageTask(
+        "evaluate", "generate_evaluation_task", "evaluation_task.json",
+        "Produce the evaluation task for the trained ensemble: metric list, "
+        "interval level, and report location. Emit the JSON payload for an "
+        "'evaluate' task."),
 }
+
+STAGE_ORDER = (*STAGE_TASKS, "report_synthesis")
 
 _STATUSES = ("pending", "in_progress", "done", "failed")
 

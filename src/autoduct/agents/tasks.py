@@ -5,9 +5,7 @@ A task document fully describes one stage (model / train / evaluate) as
 JSON and is validated against its kind's schema before anything
 executes. This keeps the generate -> execute -> tune loop intact while
 making execution sandbox-friendly: the engine interprets documents, it
-never runs planner-supplied code. `render_script` produces a
-human-readable rendering of the actions a document implies, for audit
-logs.
+never runs planner-supplied code.
 """
 
 from __future__ import annotations
@@ -168,41 +166,3 @@ def save_document(doc: TaskDocument, path: str | Path) -> None:
     with Path(path).open("w", encoding="utf-8") as fh:
         json.dump(doc.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def render_script(doc: TaskDocument) -> str:
-    """Human-readable rendering of the actions a document implies.
-
-    Purely for audit: the engine executes the document, never this text.
-    """
-    lines = [f"# task: {doc.kind} (document v{doc.version})"]
-    p = doc.payload
-    if doc.kind == "model":
-        lines.append(f"# declare ensemble of {len(p['members'])} member networks")
-        for i, m in enumerate(p["members"]):
-            lines.append(f"member[{i}] = mlp(input_dim={p['input_dim']}, "
-                         f"layers={m['hidden_layers']}, units={m['hidden_units']}, "
-                         f"activation={m['activation']}, dropout={m['dropout_rate']})")
-        lines.append(f"write_model_spec(role={p['output_role']!r})")
-    elif doc.kind == "train":
-        opt = p["optimizer"]
-        lines.append(f"data = load_csv(role={p['data_role']!r})")
-        lines.append(f"splits = split(data, fractions={p['split']['fractions']}, "
-                     f"seed={p['split']['seed']})")
-        lines.append(f"spec = read_model_spec(role={p['model_role']!r})")
-        lines.append(f"ensemble = train_ensemble(splits, spec, lr={opt['learning_rate']}, "
-                     f"weight_decay={opt['weight_decay']}, batch={opt['batch_size']}, "
-                     f"epochs={opt['epochs']}, patience={opt['patience']}, "
-                     f"base_seed={opt['base_seed']})")
-        lines.append(f"save_ensemble(role={p['output_role']!r})")
-    elif doc.kind == "evaluate":
-        lines.append(f"data = load_csv(role={p['data_role']!r})")
-        lines.append(f"test = split(data, fractions={p['split']['fractions']}, "
-                     f"seed={p['split']['seed']}).test")
-        lines.append(f"ensemble = load_ensemble(role={p['ensemble_role']!r})")
-        lines.append(f"metrics = evaluate(ensemble, test, metrics={p['metrics']}, "
-                     f"level={p['level']})")
-        if p.get("slices"):
-            lines.append(f"slices = evaluate_slices(ensemble, {len(p['slices'])} specs)")
-        lines.append(f"export_report(role={p['output_role']!r})")
-    return "\n".join(lines) + "\n"

@@ -23,11 +23,10 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .agents import (FaultInjector, PipelineRecipe, ProjectContext,
-                     ScriptedPlanner, TaskExecutor, llm_planner,
-                     parse_fault_spec, render_report, run_multi_agent,
-                     run_react)
-from .agents.state import STATE_FORMAT_VERSION
+from .agents import (FaultInjector, HttpPlanner, PipelineRecipe,
+                     ProjectContext, ScriptedPlanner, TaskExecutor,
+                     render_report, run_multi_agent, run_react)
+from .agents.state import STAGE_TASKS, STATE_FORMAT_VERSION
 from .agents.tasks import TASK_FORMAT_VERSION, TaskDocument
 from .dataset import (BLIND_SLICES, SyntheticConfig, fit_normalizer,
                       generate_synthetic, load_csv, load_slice_specs, split,
@@ -347,7 +346,7 @@ def _planner_for(args, recipe: PipelineRecipe):
     model = _cfg(args, "model", None)
     if not endpoint or not model:
         raise ValueError("--planner llm requires --endpoint and --model")
-    return llm_planner(endpoint, model)
+    return HttpPlanner(endpoint, model)
 
 
 def _run_agent_once(args, workspace: Path, run_id: str, recipe: PipelineRecipe,
@@ -373,7 +372,7 @@ def cmd_agent(args) -> int:
     workspace = Path(args.workspace)
     recipe = _recipe(args)
     spec = _cfg(args, "inject_fault", None)
-    injector = FaultInjector(parse_fault_spec(spec)) if spec else None
+    injector = FaultInjector.from_spec(spec) if spec else None
     stop_after_stage = _cfg(args, "stop_after_stage", None)
     outcome = _run_agent_once(args, workspace,
                               run_id=_cfg(args, "run_id", "run-001"),
@@ -406,8 +405,7 @@ def cmd_trials(args) -> int:
         # distinct member seeds per trial give the RMSE spread some width
         recipe = PipelineRecipe(**{**base_recipe.__dict__,
                                    "base_seed": base_recipe.base_seed + 1000 * i})
-        injector = (FaultInjector(parse_fault_spec(fault_spec))
-                    if i in fault_runs else None)
+        injector = FaultInjector.from_spec(fault_spec) if i in fault_runs else None
         try:
             outcome = _run_agent_once(args, run_dir, run_id=f"trial-{i:03d}",
                                       recipe=recipe, injector=injector)
@@ -438,7 +436,7 @@ def cmd_direct(args) -> int:
     ctx = ProjectContext.create(workspace, "direct")
     recipe = _recipe(args)
     executor = TaskExecutor(ctx)
-    for kind in ("model", "train", "evaluate"):
+    for kind in (task.kind for task in STAGE_TASKS.values()):
         doc = TaskDocument(kind=kind, payload=recipe.payload_for(kind),
                            provenance={"planner": "direct"})
         result = executor.execute(doc)

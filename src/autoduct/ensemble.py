@@ -222,12 +222,14 @@ def save_ensemble(ens: Ensemble, path: str | Path) -> None:
 
 def load_ensemble(path: str | Path) -> Ensemble:
     """Read a directory artifact written by save_ensemble. Each manifest
-    entry must name its member file by a plain file name, so a manifest
-    cannot load a member from outside the directory."""
+    entry must name its member file by a plain file name that resolves,
+    symlinks followed, inside the directory, so a manifest cannot load a
+    member from outside it."""
     path = Path(path)
     manifest_path = path / "manifest.json"
     if not manifest_path.is_file():
         raise CorruptArtifact(f"missing manifest: {manifest_path}")
+    root = path.resolve()
     try:
         with manifest_path.open(encoding="utf-8") as fh:
             manifest = json.load(fh)
@@ -251,9 +253,13 @@ def load_ensemble(path: str | Path) -> Ensemble:
                                       "is not a plain file name")
             member_path = path / name
             try:
+                if root not in member_path.resolve().parents:
+                    raise CorruptArtifact(f"member file {member_path} resolves outside "
+                                          f"the ensemble directory {root}")
                 with member_path.open(encoding="utf-8") as fh:
                     doc = json.load(fh)
-            except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+            # resolve() raises RuntimeError on a symlink loop before Python 3.13
+            except (OSError, RuntimeError, json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise CorruptArtifact(f"unreadable member file {member_path}: {exc}") from exc
             params, cfg, _ = neural_net.params_from_doc(doc)
             members.append(EnsembleMember(params, cfg, int(entry["seed"]),

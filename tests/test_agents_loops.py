@@ -6,9 +6,8 @@ from pathlib import Path
 import pytest
 
 from autoduct.agents.executor import FaultInjector, TaskExecutor
-from autoduct.agents.multi_agent import (AgentOutcome, execute_task,
-                                         generate_task, run_multi_agent,
-                                         tune_task)
+from autoduct.agents.multi_agent import (AgentOutcome, generate_task,
+                                         run_multi_agent, tune_task)
 from autoduct.agents.planner import PlannerReply, ScriptedPlanner
 from autoduct.agents.react import (OBSERVATION_LIMIT, TOOL_NAMES, ReActStep,
                                    Transcript, act, observe, run_react)
@@ -59,13 +58,17 @@ def test_tune_task_requires_log(agent_workspace, drill_recipe):
 
 
 def test_execute_task_checks_context_identity(agent_workspace, drill_recipe):
-    ctx = agent_workspace("one")
-    other = agent_workspace("two")
-    planner = ScriptedPlanner(drill_recipe)
-    executor = TaskExecutor(ctx)
-    doc = generate_task(planner, "model_generation", ctx)
-    with pytest.raises(ValueError, match="different context"):
-        execute_task(executor, doc, other)
+    # both loops refuse an executor bound to another workspace at entry:
+    # no planner call, no state, no task document in either workspace
+    for loop in (run_multi_agent, run_react):
+        ctx = agent_workspace(f"{loop.__name__}_one")
+        other = agent_workspace(f"{loop.__name__}_two")
+        planner = ScriptedPlanner(drill_recipe)
+        with pytest.raises(ValueError, match="different context"):
+            loop("t", ctx, planner, TaskExecutor(other))
+        assert planner.calls == []
+        for workspace in (ctx.workspace, other.workspace):
+            assert sorted(p.name for p in workspace.iterdir()) == ["data.csv"]
 
 
 # --- supervisor loop --------------------------------------------------------------

@@ -10,8 +10,8 @@ from autoduct.agents.planner import (SCRIPTED_COMPLETION_TOKENS,
                                      PipelineRecipe, PlanRequest, PlannerCall,
                                      ScriptedPlanner, account_tokens,
                                      build_directive_prompt, build_patch_prompt,
-                                     build_task_prompt, llm_planner,
-                                     prompt_digest)
+                                     build_task_prompt, prompt_digest)
+from autoduct.agents.state import STAGE_TASKS
 from autoduct.agents.tasks import TaskDocument, validate_document
 from autoduct.errors import AuthFailure, PlannerUnavailable, SchemaInvalid
 
@@ -72,6 +72,22 @@ def test_task_prompt_mentions_objective_and_roles(agent_workspace):
     assert str(ctx.workspace) not in prompt
     with pytest.raises(ValueError):
         build_task_prompt("report_synthesis", ctx, "t")
+
+
+def test_task_prompt_digests_are_pinned(tmp_path):
+    # the prompt text, and so every *_task.json prompt_digest, must not move
+    # when the stage instructions move; pinned on the standard layout
+    ctx = ProjectContext.create(tmp_path, run_id="run-t")
+    digests = {stage: prompt_digest(build_task_prompt(stage, ctx, "t"))
+               for stage in STAGE_TASKS}
+    assert digests == {
+        "model_generation":
+            "c789253b0faa2fe060bfb5841372a4dbdba43ab6d3d8ea4d255642a112ac7924",
+        "training_execution":
+            "dc63d2701925b270bd150d84797800fb849b3ee9fadb0cdbca546d2da70e53ed",
+        "evaluation_execution":
+            "3cc78196458cd9cbe3ca9a2503c016788402d2b990d867544dd4279b95572439",
+    }
 
 
 def test_identical_context_gives_identical_digest(agent_workspace):
@@ -330,11 +346,3 @@ def test_http_missing_usage_defaults_to_zero(monkeypatch):
 def test_http_constructor_validation():
     with pytest.raises(ValueError):
         HttpPlanner("https://x", "m", max_retries=0)
-
-
-def test_llm_planner_factory():
-    planner = llm_planner("https://api.example.test/v2", "m", max_retries=5)
-    assert isinstance(planner, HttpPlanner)
-    assert planner.endpoint == "https://api.example.test/v2"
-    assert planner.max_retries == 5
-    assert planner.name == "llm"

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -7,8 +8,7 @@ from autoduct.agents.executor import (FAULT_MARKER, ExecutionResult,
                                       FaultInjector, TaskExecutor,
                                       parse_fault_spec)
 from autoduct.agents.tasks import (_SCHEMAS, TASK_FORMAT_VERSION, TaskDocument,
-                                   render_script, save_document,
-                                   validate_document)
+                                   save_document, validate_document)
 from autoduct.errors import SchemaInvalid
 
 
@@ -189,31 +189,25 @@ def test_patched_increments_count_and_merges_provenance():
     assert doc.provenance == {"planner": "scripted"}      # original untouched
 
 
-def test_render_script_reflects_payload():
-    text = render_script(_doc("model", _model_payload()))
-    assert "2 member networks" in text
-    assert "activation=relu" in text
-    text = render_script(_doc("train", _train_payload()))
-    assert "lr=0.003" in text
-    assert "base_seed=100" in text
-    text = render_script(_doc("evaluate", _evaluate_payload()))
-    assert "level=0.9" in text
-
-
 # --- fault plans ------------------------------------------------------------------
 
 def test_parse_fault_spec_forms():
-    assert parse_fault_spec("stage=evaluate,attempt=1") == {"evaluate": frozenset({1})}
+    # a stage is named by its STAGE_TASKS key or its task kind: six names
+    for stage, kind in (("model_generation", "model"), ("training_execution", "train"),
+                        ("evaluation_execution", "evaluate")):
+        for name in (stage, kind):
+            assert parse_fault_spec(f"stage={name},attempt=1") == {kind: frozenset({1})}
     assert parse_fault_spec("stage=train,attempts=2-4") == {"train": frozenset({2, 3, 4})}
-    assert parse_fault_spec("stage=training_execution,attempt=1") \
-        == {"train": frozenset({1})}
     two = parse_fault_spec("stage=model,attempt=1; stage=evaluate,attempts=1-2")
     assert two == {"model": frozenset({1}), "evaluate": frozenset({1, 2})}
     assert parse_fault_spec("") == {}
 
 
 def test_parse_fault_spec_rejects_malformed():
-    for bad in ("stage=nowhere,attempt=1", "phase=train,attempt=1",
+    for name in ("nowhere", "training", "evaluation", "report_synthesis"):
+        with pytest.raises(ValueError, match=f"unknown stage '{name}' in fault spec"):
+            parse_fault_spec(f"stage={name},attempt=1")
+    for bad in ("phase=train,attempt=1",
                 "stage=train", "attempt=1", "stage=train,attempt=0",
                 "stage=train,attempt="):
         with pytest.raises(ValueError):
@@ -346,6 +340,23 @@ def test_evaluate_refuses_a_member_outside_the_ensemble_dir(agent_workspace):
     assert not result.ok
     assert result.log.startswith("CorruptArtifact:")
     assert "not a plain file name" in result.log
+    assert not ctx.path("report_dir").exists()
+
+
+def test_evaluate_refuses_a_member_symlinked_outside_the_ensemble_dir(agent_workspace):
+    ctx = agent_workspace()
+    executor = TaskExecutor(ctx)
+    assert executor.execute(_doc("model", _model_payload())).ok
+    assert executor.execute(_doc("train", _train_payload())).ok
+    member = ctx.path("ensemble_dir") / "member_000.json"
+    outside = ctx.workspace.parent / "outside.json"
+    outside.write_bytes(member.read_bytes())
+    member.unlink()
+    member.symlink_to(Path("..") / ".." / "outside.json")
+    result = executor.execute(_doc("evaluate", _evaluate_payload()))
+    assert not result.ok
+    assert result.log.startswith("CorruptArtifact:")
+    assert "resolves outside the ensemble directory" in result.log
     assert not ctx.path("report_dir").exists()
 
 

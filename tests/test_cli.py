@@ -148,6 +148,41 @@ def test_evaluate_with_blind_slices(tmp_path, capsys, tiny_dataset):
     assert (report_dir / "slice_8.svg").is_file()
 
 
+def test_evaluate_refuses_a_member_symlinked_outside_the_ensemble(tmp_path, capsys):
+    ws = tmp_path / "ws"
+    assert cli.main(["direct", "--workspace", str(ws), "--synthetic", "120",
+                     "--seed", "5", *_FAST]) == 0
+    capsys.readouterr()
+    member = ws / "ensemble" / "member_000.json"
+    (tmp_path / "outside.json").write_bytes(member.read_bytes())
+    member.unlink()
+    member.symlink_to(Path("..") / ".." / "outside.json")
+    assert cli.main(["evaluate", "--ensemble", str(ws / "ensemble"),
+                     "--data", str(ws / "data.csv"),
+                     "--out-dir", str(tmp_path / "eval")]) == 1
+    assert "resolves outside the ensemble directory" in capsys.readouterr().err
+    assert not (tmp_path / "eval").exists()
+
+
+def test_agent_llm_planner_needs_credentials_and_endpoint(tmp_path, capsys,
+                                                         monkeypatch):
+    from autoduct.agents import planner as planner_mod
+
+    requests_made = []
+    monkeypatch.setattr(planner_mod, "_default_transport",
+                        lambda *args: requests_made.append(args))
+    monkeypatch.delenv("AUTODUCT_API_KEY", raising=False)
+    base = ["agent", "--synthetic", "120", "--seed", "5", "--planner", "llm",
+            "--model", "m", *_FAST]
+    assert cli.main(base + ["--workspace", str(tmp_path / "a"),
+                            "--endpoint", "http://127.0.0.1:9"]) == 1
+    assert "AUTODUCT_API_KEY" in capsys.readouterr().err
+    assert requests_made == []
+
+    assert cli.main(base + ["--workspace", str(tmp_path / "b")]) == 1
+    assert "--planner llm requires --endpoint and --model" in capsys.readouterr().err
+
+
 def test_agent_command_multi(tmp_path, capsys):
     ws = tmp_path / "agent_ws"
     assert cli.main(["agent", "--workspace", str(ws), "--synthetic", "120",

@@ -464,6 +464,36 @@ def test_load_rejects_member_files_that_are_not_plain_names(tmp_path, tiny_ensem
         load_ensemble(out)
 
 
+@pytest.mark.parametrize("target, message", [
+    ("../outside.json", "resolves outside the ensemble directory"),
+    ("member_000.json", "unreadable member file"),          # a symlink loop
+])
+def test_load_rejects_a_member_symlink_that_leaves_or_loops(tmp_path, tiny_ensemble,
+                                                            target, message):
+    out = tmp_path / "ens"
+    save_ensemble(tiny_ensemble, out)
+    member = out / "member_000.json"
+    (tmp_path / "outside.json").write_bytes(member.read_bytes())
+    member.unlink()
+    member.symlink_to(target)
+    with pytest.raises(CorruptArtifact, match=message):
+        load_ensemble(out)
+
+
+def test_load_follows_symlinks_that_stay_inside(tmp_path, tiny_ensemble):
+    # a linked ensemble directory, and a member linked to a file inside it
+    out = tmp_path / "ens"
+    save_ensemble(tiny_ensemble, out)
+    member = out / "member_000.json"
+    member.rename(out / "copy.json")
+    member.symlink_to("copy.json")
+    (tmp_path / "link").symlink_to(out)
+    again = load_ensemble(tmp_path / "link")
+    for a, b in zip(tiny_ensemble.members[0].params.arrays(),
+                    again.members[0].params.arrays()):
+        assert np.array_equal(a, b)
+
+
 def test_loaded_ensemble_predicts_identically(tmp_path, tiny_ensemble, tiny_splits):
     out = tmp_path / "ens"
     save_ensemble(tiny_ensemble, out)
