@@ -3,8 +3,8 @@ Bayesian hyperparameter search, and agent-driven pipeline orchestration."""
 
 from .dataset import (Dataset, Normalizer, SliceSpec, SplitDataset,
                       fit_normalizer, generate_synthetic, load_csv, split)
-from .ensemble import (Ensemble, EnsemblePrediction, aggregate, interval,
-                       load_ensemble, save_ensemble, train_ensemble)
+from .ensemble import (Ensemble, EnsemblePrediction, interval, load_ensemble,
+                       save_ensemble, train_ensemble)
 from .errors import AutoductError
 from .evaluation import (aggregate_trials, evaluate_model, evaluate_slices,
                          mape, rmse, rmspe)
@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Dataset", "Normalizer", "SliceSpec", "SplitDataset", "fit_normalizer",
     "generate_synthetic", "load_csv", "split", "Ensemble",
-    "EnsemblePrediction", "aggregate", "interval", "load_ensemble",
+    "EnsemblePrediction", "interval", "load_ensemble",
     "save_ensemble", "train_ensemble", "AutoductError", "aggregate_trials",
     "evaluate_model", "evaluate_slices", "mape", "rmse", "rmspe",
     "SearchSpace", "TrialConfig", "default_space", "run_bo",

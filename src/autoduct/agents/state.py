@@ -118,12 +118,6 @@ class WorkflowState:
         entry.error_count += 1
         entry.updated_at = _now()
 
-    def next_pending(self) -> str | None:
-        for stage in STAGE_ORDER:
-            if not self.is_done(stage):
-                return stage
-        return None
-
     def to_dict(self) -> dict:
         return {
             "version": STATE_FORMAT_VERSION,

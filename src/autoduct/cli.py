@@ -352,10 +352,11 @@ def _planner_for(args, recipe: PipelineRecipe):
 def _run_agent_once(args, workspace: Path, run_id: str, recipe: PipelineRecipe,
                     injector: FaultInjector | None, resume: bool = False,
                     stop_after_stage: str | None = None):
+    # a usage error in the planner flags must come before any file is written
+    planner = _planner_for(args, recipe)
     workspace.mkdir(parents=True, exist_ok=True)
     _stage_dataset(args, workspace, resume=resume)
     ctx = ProjectContext.create(workspace, run_id)
-    planner = _planner_for(args, recipe)
     executor = TaskExecutor(ctx, injector)
     task = _cfg(args, "task", DEFAULT_TASK)
     mode = _cfg(args, "mode", "multi")
@@ -401,7 +402,6 @@ def cmd_trials(args) -> int:
     reports = []
     for i in range(1, n + 1):
         run_dir = workspace / f"trial_{i:03d}"
-        run_dir.mkdir(exist_ok=True)
         # distinct member seeds per trial give the RMSE spread some width
         recipe = PipelineRecipe(**{**base_recipe.__dict__,
                                    "base_seed": base_recipe.base_seed + 1000 * i})

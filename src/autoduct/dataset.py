@@ -23,6 +23,7 @@ from typing import TextIO
 import numpy as np
 
 from .errors import (
+    CorruptArtifact,
     DegenerateFeature,
     EmptyFile,
     FractionSumInvalid,
@@ -312,9 +313,6 @@ class Normalizer:
     def transform_features(self, x: np.ndarray) -> np.ndarray:
         return (np.asarray(x, dtype=np.float64) - self.feature_shift) / self.feature_scale
 
-    def inverse_features(self, z: np.ndarray) -> np.ndarray:
-        return np.asarray(z, dtype=np.float64) * self.feature_scale + self.feature_shift
-
     def transform_targets(self, y: np.ndarray) -> np.ndarray:
         return (np.asarray(y, dtype=np.float64) - self.target_shift) / self.target_scale
 
@@ -324,10 +322,6 @@ class Normalizer:
     def inverse_target_var(self, var: np.ndarray) -> np.ndarray:
         # affine law: Var(aY + b) = a^2 Var(Y)
         return np.asarray(var, dtype=np.float64) * self.target_scale**2
-
-    @classmethod
-    def identity(cls) -> "Normalizer":
-        return cls(np.zeros(len(FEATURE_NAMES)), np.ones(len(FEATURE_NAMES)), 0.0, 1.0)
 
     def to_dict(self) -> dict:
         return {
@@ -508,15 +502,13 @@ BLIND_SLICES = (
 
 def load_slice_specs(path: str | Path) -> list[SliceSpec]:
     """Read slice specs from a JSON document: either a list of spec
-    objects or {"slices": [...]}."""
+    objects or {"slices": [...]}. A document of another shape, or a spec
+    that fails validation, raises CorruptArtifact naming the file."""
     with Path(path).open(encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if isinstance(doc, dict):
-        doc = doc["slices"]
-    return [SliceSpec.from_dict(entry) for entry in doc]
-
-
-def save_slice_specs(specs: list[SliceSpec], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        json.dump({"slices": [s.to_dict() for s in specs]}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        try:
+            doc = json.load(fh)
+            if isinstance(doc, dict):
+                doc = doc["slices"]
+            return [SliceSpec.from_dict(entry) for entry in doc]
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise CorruptArtifact(f"malformed slice-spec file {path}: {exc}") from exc

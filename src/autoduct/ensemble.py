@@ -34,11 +34,10 @@ from .errors import (
     CorruptArtifact,
     DivergedLoss,
     EmptyEnsemble,
-    NonPositiveVariance,
     VersionMismatch,
 )
-from .neural_net import GaussianPrediction, MLPConfig, Parameters, TrainConfig
-from .stats import central_interval_z, standard_normal_cdf_pdf
+from .neural_net import MLPConfig, Parameters, TrainConfig
+from .stats import central_interval_z
 
 ENSEMBLE_FORMAT_VERSION = 1
 
@@ -160,30 +159,6 @@ def _moments(member_means: np.ndarray, member_vars: np.ndarray) -> EnsemblePredi
                               epistemic_var=epistemic,
                               total_var=aleatory + epistemic,
                               member_means=member_means, member_vars=member_vars)
-
-
-def _member_row(member_preds: list[GaussianPrediction]) -> tuple[np.ndarray, np.ndarray]:
-    """One input's member Gaussians as (1, M) mean and variance arrays."""
-    if not member_preds:
-        raise EmptyEnsemble("no member predictions")
-    return (np.array([[p.mu for p in member_preds]]),
-            np.array([[p.var for p in member_preds]]))
-
-
-def aggregate(member_preds: list[GaussianPrediction]) -> EnsemblePrediction:
-    """Mixture moments of one input's member Gaussians, as a one-row
-    EnsemblePrediction."""
-    return _moments(*_member_row(member_preds))
-
-
-def predictive_density(member_preds: list[GaussianPrediction], y: float) -> float:
-    """Mixture density (1/M) sum_m N(y; mu_m, var_m)."""
-    mus, vars_ = _member_row(member_preds)
-    if np.any(vars_ <= 0):
-        raise NonPositiveVariance(f"member variance {vars_.min()} is not positive")
-    sd = np.sqrt(vars_)
-    _, pdf = standard_normal_cdf_pdf((y - mus) / sd)
-    return float(np.mean(pdf / sd))
 
 
 def interval(ep: EnsemblePrediction, level: float) -> tuple[np.ndarray, np.ndarray]:

@@ -53,10 +53,6 @@ class LengthMismatch(AutoductError):
     pass
 
 
-class NonPositiveVariance(AutoductError):
-    pass
-
-
 class DivergedLoss(AutoductError):
     def __init__(self, epoch: int):
         super().__init__(f"loss became non-finite at epoch {epoch}")

@@ -2,7 +2,7 @@
 
 from .space import EncodedPoint, SearchSpace, TrialConfig, decode, default_space, encode
 from .sobol import sample_sobol, sobol_points
-from .gp import GPSurrogate, expected_improvement, fit_gp, incumbent_value, propose_next
+from .gp import GPSurrogate, fit_gp, incumbent_value, propose_next
 from .optimize import (
     Leaderboard,
     TrialResult,
@@ -14,8 +14,8 @@ from .optimize import (
 
 __all__ = [
     "EncodedPoint", "SearchSpace", "TrialConfig", "decode", "default_space",
-    "encode", "sample_sobol", "sobol_points", "GPSurrogate",
-    "expected_improvement", "fit_gp", "incumbent_value", "propose_next",
+    "encode", "sample_sobol", "sobol_points", "GPSurrogate", "fit_gp",
+    "incumbent_value", "propose_next",
     "Leaderboard", "TrialResult", "make_trial_evaluator", "run_bo",
     "run_parallel_bo", "select_top_k",
 ]

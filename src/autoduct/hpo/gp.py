@@ -198,12 +198,6 @@ def incumbent_value(gp: GPSurrogate) -> float:
     return float(mu.min())
 
 
-def expected_improvement(gp: GPSurrogate, p: EncodedPoint, incumbent: float) -> float:
-    """Closed-form EI for minimization at one encoded point."""
-    mu, var = posterior(gp, p.coords[None, :])
-    return float(_ei_arrays(mu, var, incumbent)[0])
-
-
 def _ei_arrays(mu: np.ndarray, var: np.ndarray, incumbent: float) -> np.ndarray:
     sigma = np.sqrt(var)
     improve = incumbent - mu

@@ -67,9 +67,6 @@ class TrialResult:
 class Leaderboard:
     results: tuple[TrialResult, ...]
 
-    def sorted_results(self) -> list[TrialResult]:
-        return sorted(self.results, key=TrialResult.sort_key)
-
     def ok_results(self) -> list[TrialResult]:
         return [r for r in self.results if r.status == "ok"]
 

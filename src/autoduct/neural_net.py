@@ -18,11 +18,12 @@ dropped)
     loss = mean_i [ (y_i - mu_i)^2 / (2 var_i) + log(var_i) / 2 ]
 
 by mini-batch gradient descent with adaptive moment estimates and
-decoupled weight decay. Gradients are computed analytically in
-``backward``; the test suite checks them against central finite
-differences. A network's parameters are views into one flat float64
-buffer, all weight matrices first and all biases after, so the AdamW
-update is one vector operation and weight decay is one slice.
+decoupled weight decay. Gradients are computed analytically
+(``backward`` is the public entry point); the test suite checks them
+against central finite differences of a per-row reference network. A
+network's parameters are views into one flat float64 buffer, all
+weight matrices first and all biases after, so the AdamW update is one
+vector operation and weight decay is one slice.
 
 There is one training loop, ``train_stack``. It trains M networks that
 differ only in activation and seed as one stack: their parameters are
@@ -66,7 +67,6 @@ from .errors import (
     DimensionMismatch,
     DivergedLoss,
     LengthMismatch,
-    NonPositiveVariance,
     VersionMismatch,
 )
 
@@ -272,12 +272,6 @@ class Parameters:
 
 
 @dataclass(frozen=True)
-class GaussianPrediction:
-    mu: float
-    var: float
-
-
-@dataclass(frozen=True)
 class TrainHistory:
     train_losses: list[float]
     val_losses: list[float]
@@ -360,41 +354,6 @@ def _forward_batch(p: Parameters, cfg: MLPConfig, x: np.ndarray,
     return mu, _softplus(raw) + VAR_FLOOR, None, None, None
 
 
-def forward(p: Parameters, cfg: MLPConfig, x: np.ndarray, training_mode: bool = False,
-            rng: np.random.Generator | None = None) -> GaussianPrediction:
-    """Evaluate one normalized input vector.
-
-    Dropout fires only in training mode; the masks use inverted scaling so
-    inference applies no correction. Training mode with dropout draws its
-    masks from `rng`, which must then be given: there is no unseeded
-    fallback.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (cfg.input_dim,):
-        raise DimensionMismatch(f"expected input of shape ({cfg.input_dim},), got {x.shape}")
-    masks = None
-    if training_mode and cfg.dropout_rate > 0.0:
-        if rng is None:
-            raise ValueError("training-mode dropout needs an explicit rng")
-        masks = _make_masks(cfg, 1, [rng])[:, 0]
-    mu, var, _, _, _ = _forward_batch(p, cfg, x[None, :], masks)
-    return GaussianPrediction(float(mu[0]), float(var[0]))
-
-
-def nll_loss(preds: list[GaussianPrediction], targets: list[float]) -> float:
-    """Mean negative log-likelihood, constant term omitted."""
-    if len(preds) != len(targets):
-        raise LengthMismatch(f"{len(preds)} predictions vs {len(targets)} targets")
-    if not preds:
-        raise LengthMismatch("need at least one sample")
-    total = 0.0
-    for pred, y in zip(preds, targets):
-        if pred.var <= 0:
-            raise NonPositiveVariance(f"variance {pred.var} is not positive")
-        total += (y - pred.mu) ** 2 / (2.0 * pred.var) + 0.5 * np.log(pred.var)
-    return float(total / len(preds))
-
-
 def _nll_arrays(mu: np.ndarray, var: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Mean NLL over the last axis: one value per network of a stack."""
     return np.mean((y - mu) ** 2 / (2.0 * var) + 0.5 * np.log(var), axis=-1)
@@ -429,12 +388,11 @@ def _backward_batch(p: Parameters, cfg: MLPConfig, y: np.ndarray,
             delta = da @ p.hidden_w[l]
 
 
-def backward(p: Parameters, cfg: MLPConfig, batch: tuple[np.ndarray, np.ndarray],
-             weight_decay: float = 0.0) -> Parameters:
-    """Analytic gradient of nll_loss over a (features, targets) batch,
-    plus weight_decay * W on every weight matrix (never on biases).
-    Dropout is not applied here; training replays its own masks
-    internally."""
+def backward(p: Parameters, cfg: MLPConfig,
+             batch: tuple[np.ndarray, np.ndarray]) -> Parameters:
+    """Analytic gradient of the mean NLL over a (features, targets) batch,
+    without dropout or weight decay: training applies its own masks and
+    decays the weights in the AdamW update."""
     x, y = batch
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -444,8 +402,6 @@ def backward(p: Parameters, cfg: MLPConfig, batch: tuple[np.ndarray, np.ndarray]
         raise LengthMismatch("batch must be non-empty")
     grads = Parameters(cfg, np.empty_like(p.flat))
     _backward_batch(p, cfg, y, None, _forward_batch(p, cfg, x, None, grad=True), grads)
-    if weight_decay:
-        grads.flat[:p.n_weights] += weight_decay * p.flat[:p.n_weights]
     return grads
 
 

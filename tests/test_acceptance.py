@@ -21,16 +21,17 @@ from autoduct.agents import (FaultInjector, ProjectContext, ScriptedPlanner,
                              TaskExecutor, run_multi_agent, run_react)
 from autoduct.dataset import (BLIND_SLICES, SyntheticConfig, build_slice_grid,
                               fit_normalizer, generate_synthetic, split)
-from autoduct.ensemble import aggregate, interval, train_ensemble
+from autoduct.ensemble import _moments, interval, train_ensemble
 from autoduct.errors import StageExhausted
 from autoduct.evaluation import evaluate_slices, mape, rmse, rmspe
 from autoduct.hpo import (default_space, make_trial_evaluator,
                           run_parallel_bo, select_top_k)
 from autoduct.hpo.gp import _ei_arrays
 from autoduct.hpo.sobol import sobol_points
-from autoduct.neural_net import (ActivationKind, GaussianPrediction,
-                                 MLPConfig, TrainConfig, backward, forward,
-                                 init_params, nll_loss)
+from autoduct.neural_net import (ActivationKind, MLPConfig, TrainConfig,
+                                 backward, init_params)
+
+from reference_mlp import fd_gradient
 
 MC_DRAWS = 1_000_000
 
@@ -44,8 +45,7 @@ def test_ac01_variance_decomposition_identity():
         m = int(rng.integers(1, 33))
         mus = rng.normal(0.0, 10.0, size=m)
         vs = rng.lognormal(0.0, 1.0, size=m)
-        ep = aggregate([GaussianPrediction(float(mu), float(v))
-                        for mu, v in zip(mus, vs)])
+        ep = _moments(mus[None, :], vs[None, :])
 
         assert ep.total_var == pytest.approx(
             ep.aleatory_var + ep.epistemic_var, rel=1e-12)
@@ -62,27 +62,6 @@ def test_ac01_variance_decomposition_identity():
 
 
 # --- AC2: analytic gradients ------------------------------------------------------
-
-def _fd_gradient(p, cfg, x, y, h=1e-6):
-    """Central differences over every parameter entry, via ravel views."""
-    def loss():
-        return nll_loss([forward(p, cfg, xi) for xi in x], list(y))
-
-    grads = []
-    for arr in p.arrays():
-        flat = arr.ravel()
-        g = np.empty_like(flat)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + h
-            hi = loss()
-            flat[j] = orig - h
-            lo = loss()
-            flat[j] = orig
-            g[j] = (hi - lo) / (2.0 * h)
-        grads.append(g.reshape(arr.shape))
-    return grads
-
 
 def test_ac02_gradients_match_finite_differences():
     kinds = list(ActivationKind)
@@ -101,7 +80,8 @@ def test_ac02_gradients_match_finite_differences():
         y = rng.normal(0.0, 1.0, size=n)
 
         analytic = backward(p, cfg, (x, y))
-        numeric = _fd_gradient(p, cfg, x, y)
+        # central differences of a per-row, plain-loop reference network
+        numeric = fd_gradient(p, cfg, x, y)
         for ga, gn in zip(analytic.arrays(), numeric):
             scale = max(float(np.max(np.abs(ga))), 1e-12)
             assert float(np.max(np.abs(ga - gn))) / scale <= 1e-4, \

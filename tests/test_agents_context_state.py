@@ -82,7 +82,6 @@ def test_fresh_state_all_pending():
     st = WorkflowState(run_id="r", mode="multi")
     assert all(st.status(s) == "pending" for s in STAGE_ORDER)
     assert st.total_errors() == 0
-    assert st.next_pending() == STAGE_ORDER[0]
 
 
 def test_stage_transitions_and_error_counts():
@@ -94,7 +93,8 @@ def test_stage_transitions_and_error_counts():
     assert st.error_count("model_generation") == 2
     st.mark_done("model_generation")
     assert st.is_done("model_generation")
-    assert st.next_pending() == "training_execution"
+    assert [s for s in STAGE_ORDER if not st.is_done(s)] == list(STAGE_ORDER[1:])
+    assert st.status("training_execution") == "pending"
     assert st.total_errors() == 2
 
 

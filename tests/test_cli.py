@@ -164,6 +164,34 @@ def test_evaluate_refuses_a_member_symlinked_outside_the_ensemble(tmp_path, caps
     assert not (tmp_path / "eval").exists()
 
 
+_MALFORMED_SLICE_FILES = ({"slices": [{"slice_id": "a", "varying": "G"}]},
+                          {"slices": 3}, {"other": []}, ["not a spec"],
+                          {"slices": [{"slice_id": "a", "varying": "G", "lo": 0,
+                                       "hi": 1, "count": 3, "constants": 3}]})
+
+
+def test_malformed_slice_file_is_an_error(tmp_path, capsys):
+    ws = tmp_path / "ws"
+    assert cli.main(["direct", "--workspace", str(ws), "--synthetic", "120",
+                     "--seed", "5", *_FAST]) == 0
+    capsys.readouterr()
+    for i, doc in enumerate(_MALFORMED_SLICE_FILES):
+        spec_file = tmp_path / f"slices_{i}.json"
+        spec_file.write_text(json.dumps(doc), encoding="utf-8")
+        agent_ws = tmp_path / f"agent_{i}"
+        assert cli.main(["agent", "--workspace", str(agent_ws), "--synthetic", "120",
+                         "--slices", str(spec_file), *_FAST]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed slice-spec file {spec_file}"), err
+        assert not agent_ws.exists()
+        assert cli.main(["evaluate", "--ensemble", str(ws / "ensemble"),
+                         "--data", str(ws / "data.csv"), "--slices", str(spec_file),
+                         "--out-dir", str(tmp_path / "eval")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed slice-spec file {spec_file}"), err
+        assert not (tmp_path / "eval").exists()
+
+
 def test_agent_llm_planner_needs_credentials_and_endpoint(tmp_path, capsys,
                                                          monkeypatch):
     from autoduct.agents import planner as planner_mod
@@ -179,8 +207,16 @@ def test_agent_llm_planner_needs_credentials_and_endpoint(tmp_path, capsys,
     assert "AUTODUCT_API_KEY" in capsys.readouterr().err
     assert requests_made == []
 
+    # the flags are checked before the dataset is staged or a trial directory made
+    message = "--planner llm requires --endpoint and --model"
     assert cli.main(base + ["--workspace", str(tmp_path / "b")]) == 1
-    assert "--planner llm requires --endpoint and --model" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "b" / "data.csv").exists()
+    assert cli.main(["trials", "--n", "2", *base[1:],
+                     "--workspace", str(tmp_path / "c")]) == 1
+    assert message in capsys.readouterr().err
+    assert not list((tmp_path / "c").glob("**/data.csv"))
+    assert not list((tmp_path / "c").glob("trial_*"))
 
 
 def test_agent_command_multi(tmp_path, capsys):

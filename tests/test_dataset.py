@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import math
 
 import numpy as np
@@ -10,10 +11,11 @@ from autoduct.dataset import (BLIND_SLICES, FEATURE_NAMES, REFERENCE_ENVELOPE,
                               Dataset, Normalizer, SliceSpec, SyntheticConfig,
                               build_slice_grid, fit_normalizer,
                               generate_synthetic, load_csv, load_slice_specs,
-                              save_slice_specs, split, synthetic_noise_std,
-                              synthetic_oracle, validate_ranges, write_csv)
-from autoduct.errors import (DegenerateFeature, EmptyFile, FractionSumInvalid,
-                             MalformedCsv, MissingColumn, NonFiniteValue)
+                              split, synthetic_noise_std, synthetic_oracle,
+                              validate_ranges, write_csv)
+from autoduct.errors import (CorruptArtifact, DegenerateFeature, EmptyFile,
+                             FractionSumInvalid, MalformedCsv, MissingColumn,
+                             NonFiniteValue)
 
 
 def _write(path, text):
@@ -255,7 +257,8 @@ def test_normalizer_round_trip(tiny_splits):
     norm = fit_normalizer(tiny_splits.train)
     x = tiny_splits.validation.features
     y = tiny_splits.validation.targets
-    assert np.allclose(norm.inverse_features(norm.transform_features(x)), x,
+    z = norm.transform_features(x)
+    assert np.allclose(z * norm.feature_scale + norm.feature_shift, x,
                        rtol=1e-12, atol=1e-12)
     assert np.allclose(norm.inverse_target_mean(norm.transform_targets(y)), y,
                        rtol=1e-12, atol=1e-9)
@@ -402,9 +405,24 @@ def test_slice_spec_validation():
 
 def test_slice_specs_file_round_trip(tmp_path):
     p = tmp_path / "slices.json"
-    save_slice_specs(list(BLIND_SLICES), p)
+    p.write_text(json.dumps({"slices": [s.to_dict() for s in BLIND_SLICES]}),
+                 encoding="utf-8")
     again = load_slice_specs(p)
     assert again == list(BLIND_SLICES)
+
+
+@pytest.mark.parametrize("doc", [
+    {"slices": [{"slice_id": "a", "varying": "G"}]},     # missing keys
+    {"slices": 3},                                        # not a list
+    {"other": []},                                        # no "slices" key
+    [{**BLIND_SLICES[0].to_dict(), "constants": 3}],      # constants not a map
+    [{**BLIND_SLICES[0].to_dict(), "varying": "Q"}],      # fails validation
+])
+def test_malformed_slice_specs_file_is_a_corrupt_artifact(tmp_path, doc):
+    p = tmp_path / "slices.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(CorruptArtifact, match="malformed slice-spec file"):
+        load_slice_specs(p)
 
 
 # --- dataset container ------------------------------------------------------------

@@ -1,29 +1,34 @@
 import json
-import math
 import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
-from scipy import integrate
 
 from autoduct.dataset import (Normalizer, SyntheticConfig, fit_normalizer,
                               generate_synthetic, split)
 from autoduct.ensemble import (DEFAULT_MEMBERS, FAST_MEMBERS, Ensemble,
-                               EnsembleMember, EnsemblePrediction, aggregate,
-                               interval, load_ensemble, predictive_density,
-                               save_ensemble, train_ensemble)
+                               EnsembleMember, EnsemblePrediction, _moments,
+                               interval, load_ensemble, save_ensemble,
+                               train_ensemble)
 from autoduct.errors import (CorruptArtifact, DivergedLoss, EmptyEnsemble,
-                             NonPositiveVariance, VersionMismatch)
-from autoduct.neural_net import (ActivationKind, GaussianPrediction, MLPConfig,
-                                 TrainConfig, init_params, predict_batch, train,
-                                 train_stack)
+                             VersionMismatch)
+from autoduct.neural_net import (ActivationKind, MLPConfig, TrainConfig,
+                                 init_params, predict_batch, train, train_stack)
+
+IDENTITY = Normalizer(np.zeros(5), np.ones(5), 0.0, 1.0)
 
 
 def _random_members(rng, m):
-    return [GaussianPrediction(float(rng.normal(0, 3)),
-                               float(rng.uniform(0.1, 5.0)))
-            for _ in range(m)]
+    """One input's member Gaussians, drawn member by member: (mus, vars)."""
+    pairs = [(float(rng.normal(0, 3)), float(rng.uniform(0.1, 5.0)))
+             for _ in range(m)]
+    return tuple(np.array(column) for column in zip(*pairs))
+
+
+def _one_input(mus, vars_):
+    """Mixture moments of one input's members, as a one-row prediction."""
+    return _moments(np.array([mus], dtype=np.float64), np.array([vars_], dtype=np.float64))
 
 
 # --- mixture moments -----------------------------------------------------------
@@ -33,10 +38,8 @@ def test_aggregate_matches_mixture_moment_identity():
     rng = np.random.default_rng(0)
     for _ in range(200):
         m = int(rng.integers(1, 12))
-        preds = _random_members(rng, m)
-        ep = aggregate(preds)
-        mus = np.array([p.mu for p in preds])
-        vs = np.array([p.var for p in preds])
+        mus, vs = _random_members(rng, m)
+        ep = _one_input(mus, vs)
         mean = mus.mean()
         second_moment = np.mean(vs + mus**2)
         assert ep.mean == pytest.approx(mean, rel=1e-12, abs=1e-15)
@@ -50,20 +53,19 @@ def test_aggregate_matches_mixture_moment_identity():
 
 def test_aggregate_matches_monte_carlo():
     rng = np.random.default_rng(7)
-    preds = [GaussianPrediction(-1.0, 0.5), GaussianPrediction(2.0, 1.5),
-             GaussianPrediction(0.5, 0.2)]
-    ep = aggregate(preds)
+    member_mus, member_vars = np.array([-1.0, 2.0, 0.5]), np.array([0.5, 1.5, 0.2])
+    ep = _one_input(member_mus, member_vars)
     n = 500_000
-    idx = rng.integers(0, len(preds), size=n)
-    mus = np.array([p.mu for p in preds])[idx]
-    sds = np.sqrt(np.array([p.var for p in preds])[idx])
+    idx = rng.integers(0, len(member_mus), size=n)
+    mus = member_mus[idx]
+    sds = np.sqrt(member_vars[idx])
     draws = rng.normal(mus, sds)
     assert draws.mean() == pytest.approx(ep.mean, abs=0.01)
     assert draws.var() == pytest.approx(ep.total_var, rel=0.01)
 
 
 def test_aggregate_single_member_passthrough():
-    ep = aggregate([GaussianPrediction(3.0, 0.7)])
+    ep = _one_input([3.0], [0.7])
     np.testing.assert_array_equal(ep.mean, [3.0])
     np.testing.assert_array_equal(ep.aleatory_var, [0.7])
     np.testing.assert_array_equal(ep.epistemic_var, [0.0])
@@ -74,38 +76,9 @@ def test_aggregate_single_member_passthrough():
 
 def test_aggregate_validation():
     with pytest.raises(EmptyEnsemble):
-        aggregate([])
+        train_ensemble(None, None, [])
     with pytest.raises(ValueError):
-        aggregate([GaussianPrediction(float("nan"), 1.0)])
-
-
-# --- mixture density -------------------------------------------------------------
-
-def test_predictive_density_closed_form():
-    preds = [GaussianPrediction(0.0, 1.0), GaussianPrediction(2.0, 4.0)]
-    y = 1.0
-
-    def pdf(y, mu, var):
-        return math.exp(-((y - mu) ** 2) / (2 * var)) / math.sqrt(2 * math.pi * var)
-
-    expected = 0.5 * (pdf(y, 0.0, 1.0) + pdf(y, 2.0, 4.0))
-    assert predictive_density(preds, y) == pytest.approx(expected, rel=1e-14)
-
-
-def test_predictive_density_integrates_to_one():
-    preds = [GaussianPrediction(-1.0, 0.3), GaussianPrediction(1.5, 2.0),
-             GaussianPrediction(4.0, 0.8)]
-    total, err = integrate.quad(lambda y: predictive_density(preds, y), -30, 40)
-    assert total == pytest.approx(1.0, abs=1e-9)
-    mean, _ = integrate.quad(lambda y: y * predictive_density(preds, y), -30, 40)
-    assert mean == pytest.approx(aggregate(preds).mean, abs=1e-9)
-
-
-def test_predictive_density_validation():
-    with pytest.raises(EmptyEnsemble):
-        predictive_density([], 0.0)
-    with pytest.raises(NonPositiveVariance):
-        predictive_density([GaussianPrediction(0.0, 0.0)], 0.0)
+        _one_input([float("nan")], [1.0])
 
 
 # --- intervals ---------------------------------------------------------------------
@@ -145,7 +118,7 @@ def test_interval_level_domain():
 
 def test_ensemble_requires_members():
     with pytest.raises(EmptyEnsemble):
-        Ensemble((), Normalizer.identity())
+        Ensemble((), IDENTITY)
 
 
 def test_ensemble_rejects_mixed_input_dims():
@@ -154,7 +127,7 @@ def test_ensemble_rejects_mixed_input_dims():
     members = (EnsembleMember(init_params(cfg_a, 0), cfg_a, 0, "a"),
                EnsembleMember(init_params(cfg_b, 1), cfg_b, 1, "b"))
     with pytest.raises(ValueError):
-        Ensemble(members, Normalizer.identity())
+        Ensemble(members, IDENTITY)
 
 
 def _assert_predictions_equal(a, b):
@@ -175,8 +148,7 @@ def test_member_prediction_order_and_aggregation(tiny_ensemble, tiny_splits):
         assert np.array_equal(ep.member_vars[:, j], var)
 
     for i in range(3):
-        row = aggregate([GaussianPrediction(float(mu), float(var)) for mu, var
-                         in zip(ep.member_means[i], ep.member_vars[i])])
+        row = _one_input(ep.member_means[i], ep.member_vars[i])
         for f in fields(EnsemblePrediction):
             assert np.array_equal(getattr(ep, f.name)[i:i + 1], getattr(row, f.name))
     # single-row matmuls may take a different BLAS path, so allow float slack
@@ -213,12 +185,11 @@ def _per_row_predict(ens, raw):
     per_member = []
     for m in ens.members:
         mu, var = predict_batch(m.params, m.config, ens.normalizer, raw)
-        per_member.append([GaussianPrediction(float(a), float(b))
-                           for a, b in zip(mu, var)])
+        per_member.append([(float(a), float(b)) for a, b in zip(mu, var)])
     rows = []
     for member_preds in zip(*per_member):
-        mus = np.array([p.mu for p in member_preds])
-        vars_ = np.array([p.var for p in member_preds])
+        mus = np.array([mu for mu, _ in member_preds])
+        vars_ = np.array([var for _, var in member_preds])
         mean = float(mus.mean())
         aleatory = float(vars_.mean())
         epistemic = float(((mus - mean) ** 2).mean())

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from autoduct.hpo.gp import (_JITTERS, GPSurrogate, _ei_arrays, _kernel,
-                             _nlml_and_grad, expected_improvement, fit_gp,
-                             incumbent_value, posterior, propose_next)
+from autoduct.hpo.gp import (_JITTERS, _ei_arrays, _kernel, _nlml_and_grad,
+                             fit_gp, incumbent_value, posterior, propose_next)
 from autoduct.hpo.sobol import sobol_points
 from autoduct.hpo.space import (EncodedPoint, TrialConfig, canonicalize,
                                 default_space, encode)
@@ -249,10 +248,11 @@ def test_expected_improvement_wrapper_and_incumbent():
     inc = incumbent_value(gp)
     mu, _ = posterior(gp, gp.x)
     assert inc == pytest.approx(mu.min(), rel=1e-12)
+    # EI at one point agrees with the same point inside a batch
     p = obs[0][0]
-    direct = expected_improvement(gp, p, inc)
-    mu1, var1 = posterior(gp, p.coords[None, :])
-    assert direct == pytest.approx(_ei_arrays(mu1, var1, inc)[0], rel=1e-12)
+    direct = _ei_arrays(*posterior(gp, p.coords[None, :]), inc)[0]
+    batch = _ei_arrays(*posterior(gp, np.array([o[0].coords for o in obs])), inc)
+    assert direct == pytest.approx(batch[0], rel=1e-12)
     assert direct >= 0.0
 
 
@@ -317,6 +317,7 @@ def test_propose_next_is_argmax_over_canonical_candidates():
                        shift_seed=derive_seed(seed, "propose-candidates"))
     configs = [decode(raw[i], SPACE) for i in range(count)]
     inc = incumbent_value(gp)
-    eis = [expected_improvement(gp, encode(c, SPACE), inc) for c in configs]
+    eis = [_ei_arrays(*posterior(gp, encode(c, SPACE).coords[None, :]), inc)[0]
+           for c in configs]
     assert chosen.assignment() == configs[int(np.argmax(eis))].assignment()
     assert max(eis) >= 0.0

@@ -56,7 +56,7 @@ def test_trial_result_validation():
 def test_leaderboard_ordering_and_best():
     board = Leaderboard((_mk(0, 0, 3.0), _mk(0, 1, 1.0),
                          _mk(0, 2, None, "diverged"), _mk(1, 0, 2.0)))
-    ordered = board.sorted_results()
+    ordered = sorted(board.results, key=TrialResult.sort_key)
     assert [r.rmse for r in ordered] == [1.0, 2.0, 3.0, None]
     assert board.best().rmse == 1.0
     assert len(board.ok_results()) == 3

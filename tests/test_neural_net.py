@@ -6,18 +6,20 @@ import numpy as np
 import pytest
 
 from autoduct import neural_net
-from autoduct.dataset import (Dataset, Normalizer, SplitDataset, SyntheticConfig,
-                              fit_normalizer, generate_synthetic, split)
+from autoduct.dataset import (Normalizer, SyntheticConfig, fit_normalizer,
+                              generate_synthetic, split)
 from autoduct.errors import (CorruptArtifact, DimensionMismatch, DivergedLoss,
-                             LengthMismatch, NonPositiveVariance,
-                             VersionMismatch)
+                             LengthMismatch, VersionMismatch)
 from autoduct.neural_net import (_ACTIVATIONS, VAR_FLOOR, ActivationKind,
-                                 GaussianPrediction, MLPConfig, Parameters,
-                                 TrainConfig, backward, forward, init_params,
-                                 nll_loss, params_from_doc, params_to_doc,
+                                 MLPConfig, TrainConfig, _forward_batch,
+                                 _make_masks, _nll_arrays, backward,
+                                 init_params, params_from_doc, params_to_doc,
                                  predict_batch, train)
 
+from reference_mlp import fd_gradient, forward_row
+
 ALL_KINDS = list(ActivationKind)
+IDENTITY = Normalizer(np.zeros(5), np.ones(5), 0.0, 1.0)
 
 
 def _zeroed(cfg):
@@ -25,6 +27,17 @@ def _zeroed(cfg):
     for a in p.arrays():
         a[...] = 0.0
     return p
+
+
+def _array_row(p, cfg, x, masks=None):
+    """(mu, var) of one input row through the array path."""
+    mu, var, _, _, _ = _forward_batch(p, cfg, np.asarray(x)[None, :], masks)
+    return float(mu[0]), float(var[0])
+
+
+def _row_masks(cfg, rng):
+    """Dropout masks for one row, drawn from `rng`."""
+    return _make_masks(cfg, 1, [rng])[:, 0]
 
 
 # --- activations ------------------------------------------------------------
@@ -132,49 +145,42 @@ def test_init_params_deterministic():
 def test_forward_zero_network_variance():
     cfg = MLPConfig(5, 2, 8, ActivationKind.RELU)
     p = _zeroed(cfg)
-    pred = forward(p, cfg, np.ones(5))
-    assert pred.mu == 0.0
-    assert pred.var == pytest.approx(math.log(2.0) + VAR_FLOOR, rel=1e-12)
+    mu, var = _array_row(p, cfg, np.ones(5))
+    assert mu == 0.0
+    assert var == pytest.approx(math.log(2.0) + VAR_FLOOR, rel=1e-12)
 
 
 def test_forward_variance_floor():
     cfg = MLPConfig(2, 1, 4, ActivationKind.RELU)
     p = _zeroed(cfg)
     p.head_b[1] = -60.0        # drives softplus to ~1e-26
-    pred = forward(p, cfg, np.zeros(2))
-    assert pred.var >= VAR_FLOOR
-    assert pred.var == pytest.approx(VAR_FLOOR, rel=1e-9)
+    _, var = _array_row(p, cfg, np.zeros(2))
+    assert var >= VAR_FLOOR
+    assert var == pytest.approx(VAR_FLOOR, rel=1e-9)
 
 
 def test_forward_shape_check():
     cfg = MLPConfig(5, 1, 4, ActivationKind.RELU)
     p = init_params(cfg, 0)
     with pytest.raises(DimensionMismatch):
-        forward(p, cfg, np.zeros(4))
+        predict_batch(p, cfg, IDENTITY, np.zeros(4))
 
 
 def test_forward_dropout_modes():
     cfg = MLPConfig(3, 2, 32, ActivationKind.GELU, dropout_rate=0.3)
     p = init_params(cfg, 1)
     x = np.array([0.3, -0.2, 0.9])
-    eval_a = forward(p, cfg, x)
-    eval_b = forward(p, cfg, x)
+    eval_a = _array_row(p, cfg, x)
+    eval_b = _array_row(p, cfg, x)
     assert eval_a == eval_b                      # inference is deterministic
-    t1 = forward(p, cfg, x, training_mode=True, rng=np.random.default_rng(0))
-    t2 = forward(p, cfg, x, training_mode=True, rng=np.random.default_rng(1))
+    t1 = _array_row(p, cfg, x, _row_masks(cfg, np.random.default_rng(0)))
+    t2 = _array_row(p, cfg, x, _row_masks(cfg, np.random.default_rng(1)))
     assert t1 != t2                              # masks actually fire
-    t1_again = forward(p, cfg, x, training_mode=True, rng=np.random.default_rng(0))
+    t1_again = _array_row(p, cfg, x, _row_masks(cfg, np.random.default_rng(0)))
     assert t1 == t1_again
-
-
-def test_forward_training_dropout_requires_rng():
-    cfg = MLPConfig(3, 1, 8, ActivationKind.RELU, dropout_rate=0.2)
-    p = init_params(cfg, 1)
-    with pytest.raises(ValueError, match="rng"):
-        forward(p, cfg, np.zeros(3), training_mode=True)
-    # without dropout there is nothing to draw, so no generator is needed
+    # without dropout there is nothing to draw
     plain = MLPConfig(3, 1, 8, ActivationKind.RELU)
-    forward(init_params(plain, 1), plain, np.zeros(3), training_mode=True)
+    assert _make_masks(plain, 1, [np.random.default_rng(0)]) is None
 
 
 def test_dropout_inverted_scaling_preserves_mean():
@@ -182,59 +188,29 @@ def test_dropout_inverted_scaling_preserves_mean():
     cfg = MLPConfig(3, 1, 64, ActivationKind.RELU, dropout_rate=0.2)
     p = init_params(cfg, 5)
     x = np.array([0.5, -1.0, 0.25])
-    clean = forward(p, cfg, x).mu
+    clean, _ = _array_row(p, cfg, x)
     rng = np.random.default_rng(9)
-    draws = [forward(p, cfg, x, training_mode=True, rng=rng).mu
-             for _ in range(4000)]
+    draws = [_array_row(p, cfg, x, _row_masks(cfg, rng))[0] for _ in range(4000)]
     assert np.mean(draws) == pytest.approx(clean, abs=0.05 * max(1.0, abs(clean)))
 
 
 # --- loss ----------------------------------------------------------------------
 
 def test_nll_loss_hand_computed():
-    preds = [GaussianPrediction(1.0, 2.0)]
     expected = 0.25 + 0.5 * math.log(2.0)
-    assert nll_loss(preds, [0.0]) == pytest.approx(expected, rel=1e-15)
-    two = [GaussianPrediction(1.0, 2.0), GaussianPrediction(0.0, 1.0)]
+    assert _nll_arrays(np.array([1.0]), np.array([2.0]), np.array([0.0])) == \
+        pytest.approx(expected, rel=1e-15)
     expected2 = 0.5 * (expected + 0.5 * 4.0)      # second term: (2-0)^2/2, log 1 = 0
-    assert nll_loss(two, [0.0, 2.0]) == pytest.approx(expected2, rel=1e-15)
-
-
-def test_nll_loss_validation():
-    with pytest.raises(LengthMismatch):
-        nll_loss([GaussianPrediction(0.0, 1.0)], [0.0, 1.0])
-    with pytest.raises(LengthMismatch):
-        nll_loss([], [])
-    with pytest.raises(NonPositiveVariance):
-        nll_loss([GaussianPrediction(0.0, 0.0)], [0.0])
+    assert _nll_arrays(np.array([1.0, 0.0]), np.array([2.0, 1.0]),
+                       np.array([0.0, 2.0])) == pytest.approx(expected2, rel=1e-15)
+    # a stack of networks gets one loss each
+    stacked = _nll_arrays(np.array([[1.0, 0.0], [1.0, 0.0]]),
+                          np.array([[2.0, 1.0], [2.0, 1.0]]), np.array([0.0, 2.0]))
+    assert stacked.shape == (2,)
+    assert stacked[0] == stacked[1] == pytest.approx(expected2, rel=1e-15)
 
 
 # --- gradients ------------------------------------------------------------------
-
-def _batch_loss(p, cfg, x, y, weight_decay=0.0):
-    preds = [forward(p, cfg, row) for row in x]
-    loss = nll_loss(preds, list(y))
-    if weight_decay:
-        penalty = sum(float(np.sum(w**2)) for w in p.hidden_w)
-        penalty += float(np.sum(p.head_w**2))
-        loss += 0.5 * weight_decay * penalty
-    return loss
-
-
-def _fd_gradient(p, cfg, x, y, weight_decay=0.0, h=1e-6):
-    grads = p.copy()
-    for a, g in zip(p.arrays(), grads.arrays()):
-        flat_a, flat_g = a.ravel(), g.ravel()
-        for i in range(flat_a.size):
-            orig = flat_a[i]
-            flat_a[i] = orig + h
-            up = _batch_loss(p, cfg, x, y, weight_decay)
-            flat_a[i] = orig - h
-            down = _batch_loss(p, cfg, x, y, weight_decay)
-            flat_a[i] = orig
-            flat_g[i] = (up - down) / (2 * h)
-    return grads
-
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=[k.value for k in ALL_KINDS])
 def test_backward_matches_finite_difference(kind):
@@ -244,41 +220,10 @@ def test_backward_matches_finite_difference(kind):
     x = rng.normal(size=(6, 3))
     y = rng.normal(size=6)
     analytic = backward(p, cfg, (x, y))
-    fd = _fd_gradient(p, cfg, x, y)
-    for a, f in zip(analytic.arrays(), fd.arrays()):
+    fd = fd_gradient(p, cfg, x, y)
+    for a, f in zip(analytic.arrays(), fd):
         scale = max(np.max(np.abs(f)), 1e-8)
         assert np.max(np.abs(a - f)) / scale < 1e-4
-
-
-def test_backward_with_weight_decay_matches_augmented_loss():
-    cfg = MLPConfig(3, 2, 4, ActivationKind.GELU)
-    p = init_params(cfg, 8)
-    rng = np.random.default_rng(31)
-    x = rng.normal(size=(5, 3))
-    y = rng.normal(size=5)
-    wd = 0.05
-    analytic = backward(p, cfg, (x, y), weight_decay=wd)
-    fd = _fd_gradient(p, cfg, x, y, weight_decay=wd)
-    for a, f in zip(analytic.arrays(), fd.arrays()):
-        scale = max(np.max(np.abs(f)), 1e-8)
-        assert np.max(np.abs(a - f)) / scale < 1e-4
-
-
-def test_backward_decay_hits_weights_not_biases():
-    cfg = MLPConfig(3, 2, 4, ActivationKind.RELU)
-    p = init_params(cfg, 2)
-    rng = np.random.default_rng(4)
-    x = rng.normal(size=(5, 3))
-    y = rng.normal(size=5)
-    wd = 0.1
-    plain = backward(p, cfg, (x, y))
-    decayed = backward(p, cfg, (x, y), weight_decay=wd)
-    for l in range(cfg.hidden_layers):
-        assert np.allclose(decayed.hidden_w[l] - plain.hidden_w[l],
-                           wd * p.hidden_w[l], rtol=1e-12)
-        assert np.array_equal(decayed.hidden_b[l], plain.hidden_b[l])
-    assert np.allclose(decayed.head_w - plain.head_w, wd * p.head_w, rtol=1e-12)
-    assert np.array_equal(decayed.head_b, plain.head_b)
 
 
 def test_backward_validation():
@@ -343,8 +288,8 @@ def test_train_best_snapshot_returned():
     params, hist = train(splits, norm, cfg, tc)
     x_val = norm.transform_features(splits.validation.features)
     y_val = norm.transform_targets(splits.validation.targets)
-    preds = [forward(params, cfg, row) for row in x_val]
-    assert nll_loss(preds, list(y_val)) == pytest.approx(
+    mu, var, _, _, _ = _forward_batch(params, cfg, x_val, None)
+    assert _nll_arrays(mu, var, y_val) == pytest.approx(
         hist.val_losses[hist.best_epoch], rel=1e-12)
 
 
@@ -458,9 +403,9 @@ def test_predict_batch_applies_normalizer(tiny_splits, tiny_normalizer):
     assert got_mu.shape == got_var.shape == (4,)
     z = tiny_normalizer.transform_features(raw)
     for pred_mu, pred_var, row in zip(got_mu, got_var, z):
-        inner = forward(p, cfg, row)
-        mu = tiny_normalizer.inverse_target_mean(np.array([inner.mu]))[0]
-        var = tiny_normalizer.inverse_target_var(np.array([inner.var]))[0]
+        inner_mu, inner_var = forward_row(p, cfg, row)
+        mu = tiny_normalizer.inverse_target_mean(np.array([inner_mu]))[0]
+        var = tiny_normalizer.inverse_target_var(np.array([inner_var]))[0]
         assert pred_mu == pytest.approx(mu, rel=1e-12)
         assert pred_var == pytest.approx(var, rel=1e-12)
 
@@ -488,7 +433,7 @@ def test_predict_batch_blocks_match_one_unblocked_pass(kind):
     rng = np.random.default_rng(13)
     norm = Normalizer(np.array([8e-3, 2.0, 1e4, 2e3, 0.1]),
                       np.array([4e-3, 3.0, 5e3, 1.5e3, 0.3]), 3000.0, 1500.0)
-    raw_all = norm.inverse_features(rng.normal(size=(max(_BLOCK_NS), 5)))
+    raw_all = rng.normal(size=(max(_BLOCK_NS), 5)) * norm.feature_scale + norm.feature_shift
     for (layers, units), sizes in (((2, 16), _BLOCK_NS), ((3, 1), _BLOCK_NS),
                                    ((7, 96), (4097, 8193))):
         cfg = MLPConfig(5, layers, units, kind)
@@ -519,7 +464,7 @@ def test_predict_batch_writes_into_out_views(tiny_splits, tiny_normalizer):
 def test_params_doc_round_trip_bit_exact():
     cfg = MLPConfig(5, 2, 8, ActivationKind.SELU, 0.1)
     p = init_params(cfg, 13)
-    norm = Normalizer.identity()
+    norm = IDENTITY
     doc = params_to_doc(p, cfg, norm)
     wire = json.loads(json.dumps(doc))        # force a real serialization pass
     p2, cfg2, norm2 = params_from_doc(wire)
@@ -531,7 +476,7 @@ def test_params_doc_round_trip_bit_exact():
 
 def test_params_doc_version_gate():
     cfg = MLPConfig(2, 1, 4, ActivationKind.RELU)
-    doc = params_to_doc(init_params(cfg, 0), cfg, Normalizer.identity())
+    doc = params_to_doc(init_params(cfg, 0), cfg, IDENTITY)
     doc["format_version"] = 99
     with pytest.raises(VersionMismatch):
         params_from_doc(doc)
@@ -539,7 +484,7 @@ def test_params_doc_version_gate():
 
 def test_params_doc_corruption_detected():
     cfg = MLPConfig(2, 1, 4, ActivationKind.RELU)
-    good = params_to_doc(init_params(cfg, 0), cfg, Normalizer.identity())
+    good = params_to_doc(init_params(cfg, 0), cfg, IDENTITY)
 
     missing = json.loads(json.dumps(good))
     del missing["parameters"]
