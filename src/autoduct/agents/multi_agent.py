@@ -126,12 +126,13 @@ def run_multi_agent(task: str, ctx: ProjectContext, planner: PlannerBase,
     for stage in STAGE_TASKS:
         if state.is_done(stage):
             continue
+        # as in ReAct's generate tool, a stage goes in progress only once
+        # the planner has produced its task; until then it stays pending
+        doc = generate_task(planner, stage, ctx, task)
+        _save_stage_document(doc, ctx, stage)
         state.mark_in_progress(stage)
         persist_state(state, state_path)
         try:
-            doc = generate_task(planner, stage, ctx, task)
-            _save_stage_document(doc, ctx, stage)
-
             attempts = 0
             while True:
                 attempts += 1

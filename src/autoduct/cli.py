@@ -9,7 +9,9 @@ One binary, six subcommands:
   evaluate                      metrics + slices for a saved ensemble
   direct                        train + evaluate without any agent loop
 
-Flags can come from a JSON config file (--config); explicit flags win.
+Flags can come from a JSON config file (--config): each key is an option
+of the command, its value is checked as the flag's would be, and flags
+given on the command line win.
 Exit codes: 0 success, 1 error, 2 validation findings. LLM credentials
 are read from the AUTODUCT_API_KEY environment variable, never flags.
 """
@@ -44,23 +46,20 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_FINDINGS = 2
 
-DEFAULT_FRACTIONS = (0.72, 0.18, 0.10)
-DEFAULT_TASK = "CHF regression pipeline"
-
-# CLI flag -> PipelineRecipe field, for the agent-style commands
+# agent-style flag -> (PipelineRecipe field, type); the recipe holds the defaults
 _RECIPE_FLAGS = {
-    "members": "member_count",
-    "layers": "hidden_layers",
-    "units": "hidden_units",
-    "dropout": "dropout_rate",
-    "lr": "learning_rate",
-    "weight_decay": "weight_decay",
-    "batch": "batch_size",
-    "epochs": "epochs",
-    "patience": "patience",
-    "base_seed": "base_seed",
-    "split_seed": "split_seed",
-    "level": "level",
+    "members": ("member_count", int),
+    "layers": ("hidden_layers", int),
+    "units": ("hidden_units", int),
+    "dropout": ("dropout_rate", float),
+    "lr": ("learning_rate", float),
+    "weight_decay": ("weight_decay", float),
+    "batch": ("batch_size", int),
+    "epochs": ("epochs", int),
+    "patience": ("patience", int),
+    "base_seed": ("base_seed", int),
+    "split_seed": ("split_seed", int),
+    "level": ("level", float),
 }
 
 
@@ -73,17 +72,16 @@ def main(argv: list[str] | None = None) -> int:
     if args.command is None:
         parser.print_help()
         return EXIT_ERROR
-    handler = {
-        "data": cmd_data, "tune": cmd_tune, "agent": cmd_agent,
-        "trials": cmd_trials, "evaluate": cmd_evaluate, "direct": cmd_direct,
-    }[args.command]
     try:
-        args.config_doc = _load_config(args)
-        return handler(args)
-    except AutoductError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, OSError) as exc:
+        if args.config:
+            # config values become the command's defaults, so flags still win
+            args.command_parser.set_defaults(
+                **_config_defaults(args.command_parser, args.config))
+            args = parser.parse_args(argv)
+        if isinstance(getattr(args, "fracs", None), str):
+            args.fracs = _parse_fracs(args.fracs)
+        return args.handler(args)
+    except (AutoductError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
@@ -95,29 +93,47 @@ def _print_versions() -> None:
           f"rng-stream {STREAM_VERSION}")
 
 
-def _load_config(args) -> dict:
-    path = getattr(args, "config", None)
-    if not path:
-        return {}
+def _config_defaults(command: argparse.ArgumentParser, path: str) -> dict:
+    """The config file's values, each keyed by an option of the command
+    and checked as that flag's own argument would be."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("config file must hold a JSON object")
-    return doc
+    options = {action.dest: action for action in command._actions
+               if action.option_strings and action.dest not in ("help", "config")}
+    checked = {}
+    for key, value in doc.items():
+        if key not in options:
+            raise ValueError(f"config key {key!r} is not an option of '{command.prog}'")
+        checked[key] = _config_value(options[key], key, value)
+    return checked
 
 
-def _cfg(args, key: str, default=None):
-    """Flag if given, else config-file value, else default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    return args.config_doc.get(key, default)
+def _config_value(action: argparse.Action, key: str, value):
+    """Store-true flags take a JSON boolean, typed flags a JSON number of
+    their type, the rest a string; --fracs also takes a list of three."""
+    if key == "fracs" and isinstance(value, list):
+        value = ",".join(map(str, value))       # the text --fracs would take
+    if action.nargs == 0:
+        expected, ok = "true or false", isinstance(value, bool)
+    elif action.type is None:
+        expected, ok = "a string", isinstance(value, str)
+    else:
+        expected = "an integer" if action.type is int else "a number"
+        ok = isinstance(value, (int, action.type)) and not isinstance(value, bool)
+    if not ok:
+        raise ValueError(f"config key {key!r} takes {expected}, got {json.dumps(value)}")
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"config key {key!r} takes one of "
+                         f"{', '.join(action.choices)}, got {value!r}")
+    return action.type(value) if action.type else value
 
 
 def _parse_fracs(text: str) -> tuple[float, float, float]:
     parts = [float(p) for p in text.split(",")]
     if len(parts) != 3:
-        raise ValueError(f"expected three comma-separated fractions, got {text!r}")
+        raise ValueError(f"fracs: expected three comma-separated fractions, got {text!r}")
     return tuple(parts)
 
 
@@ -132,162 +148,153 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags take precedence")
 
-    p = sub.add_parser("data", parents=[common], help="dataset operations")
-    dsub = p.add_subparsers(dest="data_command", required=True)
-    g = dsub.add_parser("gen", parents=[common], help="write a synthetic CSV")
-    g.add_argument("--n", type=int)
-    g.add_argument("--seed", type=int)
-    g.add_argument("--noise-scale", dest="noise_scale", type=float)
+    def command(subparsers, name: str, handler, help_text: str):
+        p = subparsers.add_parser(name, parents=[common], help=help_text)
+        p.set_defaults(handler=handler, command_parser=p)
+        return p
+
+    dsub = sub.add_parser("data", help="dataset operations").add_subparsers(
+        dest="data_command", required=True)
+    g = command(dsub, "gen", cmd_data_gen, "write a synthetic CSV")
+    g.add_argument("--n", type=int, default=1000)
+    g.add_argument("--seed", type=int, default=SyntheticConfig.seed)
+    g.add_argument("--noise-scale", dest="noise_scale", type=float,
+                   default=SyntheticConfig.noise_scale)
     g.add_argument("--out", required=True)
-    v = dsub.add_parser("validate", parents=[common],
-                        help="range report against the reference envelope")
+    v = command(dsub, "validate", cmd_data_validate,
+                "range report against the reference envelope")
     v.add_argument("--data", required=True)
-    s = dsub.add_parser("split", parents=[common],
-                        help="write train/validation/test CSVs")
+    s = command(dsub, "split", cmd_data_split, "write train/validation/test CSVs")
     s.add_argument("--data", required=True)
-    s.add_argument("--fracs")
-    s.add_argument("--seed", type=int)
+    s.add_argument("--fracs", default=PipelineRecipe.fractions)
+    s.add_argument("--seed", type=int, default=PipelineRecipe.split_seed)
     s.add_argument("--out-dir", dest="out_dir", required=True)
 
-    p = sub.add_parser("tune", parents=[common],
-                       help="parallel Bayesian-optimization search")
+    p = command(sub, "tune", cmd_tune, "parallel Bayesian-optimization search")
     p.add_argument("--data", required=True)
-    p.add_argument("--runs", type=int)
-    p.add_argument("--sobol", type=int)
-    p.add_argument("--bo", type=int)
-    p.add_argument("--top-k", dest="top_k", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--fracs")
-    p.add_argument("--split-seed", dest="split_seed", type=int)
+    p.add_argument("--runs", type=int, default=5)
+    p.add_argument("--sobol", type=int, default=16)
+    p.add_argument("--bo", type=int, default=32)
+    p.add_argument("--top-k", dest="top_k", type=int, default=15)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=int, default=60)
+    p.add_argument("--patience", type=int, default=10)
+    p.add_argument("--fracs", default=PipelineRecipe.fractions)
+    p.add_argument("--split-seed", dest="split_seed", type=int,
+                   default=PipelineRecipe.split_seed)
     p.add_argument("--out-dir", dest="out_dir", required=True)
 
-    for name, help_text in (("agent", "one agent-driven pipeline run"),
-                            ("direct", "train + evaluate, no agent loop"),
-                            ("trials", "repeated runs, Table-style stats")):
-        p = sub.add_parser(name, parents=[common], help=help_text)
+    for name, handler, help_text in (
+            ("agent", cmd_agent, "one agent-driven pipeline run"),
+            ("direct", cmd_direct, "train + evaluate, no agent loop"),
+            ("trials", cmd_trials, "repeated runs, Table-style stats")):
+        p = command(sub, name, handler, help_text)
         p.add_argument("--workspace", required=True)
         p.add_argument("--data", help="existing CSV, copied into the workspace")
         p.add_argument("--synthetic", type=int,
                        help="generate this many synthetic rows instead of --data")
-        p.add_argument("--seed", type=int, help="synthetic-data seed")
-        p.add_argument("--fracs")
+        p.add_argument("--seed", type=int, default=SyntheticConfig.seed,
+                       help="synthetic-data seed")
+        p.add_argument("--fracs", default=PipelineRecipe.fractions)
         p.add_argument("--slices", help="'blind' or a slice-spec JSON file")
-        for flag in _RECIPE_FLAGS:
-            if flag in ("split_seed",):
-                p.add_argument("--split-seed", dest="split_seed", type=int)
-            elif flag in ("base_seed",):
-                p.add_argument("--base-seed", dest="base_seed", type=int)
-            elif flag in ("weight_decay",):
-                p.add_argument("--weight-decay", dest="weight_decay", type=float)
-            elif flag in ("lr", "dropout", "level"):
-                p.add_argument(f"--{flag}", type=float)
-            else:
-                p.add_argument(f"--{flag}", type=int)
+        for flag, (field_name, kind) in _RECIPE_FLAGS.items():
+            p.add_argument("--" + flag.replace("_", "-"), dest=flag, type=kind,
+                           default=getattr(PipelineRecipe, field_name))
         if name in ("agent", "trials"):
-            p.add_argument("--mode", choices=["multi", "react"])
-            p.add_argument("--planner", choices=["scripted", "llm"])
+            p.add_argument("--mode", choices=["multi", "react"], default="multi")
+            p.add_argument("--planner", choices=["scripted", "llm"], default="scripted")
             p.add_argument("--endpoint")
             p.add_argument("--model")
-            p.add_argument("--task")
-            p.add_argument("--max-retries", dest="max_retries", type=int)
-            p.add_argument("--max-steps", dest="max_steps", type=int)
+            p.add_argument("--task", default="CHF regression pipeline")
+            p.add_argument("--max-retries", dest="max_retries", type=int, default=3)
+            p.add_argument("--max-steps", dest="max_steps", type=int, default=40)
         if name == "agent":
-            p.add_argument("--run-id", dest="run_id")
+            p.add_argument("--run-id", dest="run_id", default="run-001")
             p.add_argument("--inject-fault", dest="inject_fault",
                            help="e.g. stage=evaluate,attempt=1")
             p.add_argument("--resume", action="store_true")
             p.add_argument("--stop-after-stage", dest="stop_after_stage")
         if name == "trials":
-            p.add_argument("--n", type=int)
-            p.add_argument("--fault-runs", dest="fault_runs",
+            p.add_argument("--n", type=int, default=10)
+            p.add_argument("--fault-runs", dest="fault_runs", default="",
                            help="comma-separated 1-based run numbers to fault")
             p.add_argument("--fault-spec", dest="fault_spec",
+                           default="stage=evaluate,attempt=1",
                            help="fault injected into the chosen runs")
 
-    p = sub.add_parser("evaluate", parents=[common],
-                       help="metrics and slices for a saved ensemble")
+    p = command(sub, "evaluate", cmd_evaluate, "metrics and slices for a saved ensemble")
     p.add_argument("--ensemble", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out-dir", dest="out_dir", required=True)
-    p.add_argument("--level", type=float)
+    p.add_argument("--level", type=float, default=TWO_SIGMA_LEVEL)
     p.add_argument("--slices", help="'blind' or a slice-spec JSON file")
     p.add_argument("--fracs", help="evaluate only the test split of this split")
-    p.add_argument("--split-seed", dest="split_seed", type=int)
+    p.add_argument("--split-seed", dest="split_seed", type=int,
+                   default=PipelineRecipe.split_seed)
 
     return parser
 
 
 # --- data -------------------------------------------------------------------
 
-def cmd_data(args) -> int:
-    if args.data_command == "gen":
-        cfg = SyntheticConfig(n=int(_cfg(args, "n", 1000)),
-                              noise_scale=float(_cfg(args, "noise_scale", 1.0)),
-                              seed=int(_cfg(args, "seed", 0)))
-        ds = generate_synthetic(cfg)
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        write_csv(ds, out)
-        print(f"wrote {len(ds)} rows to {out}")
+def cmd_data_gen(args) -> int:
+    ds = generate_synthetic(SyntheticConfig(n=args.n, noise_scale=args.noise_scale,
+                                            seed=args.seed))
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    write_csv(ds, out)
+    print(f"wrote {len(ds)} rows to {out}")
+    return EXIT_OK
+
+
+def cmd_data_validate(args) -> int:
+    ds = load_csv(args.data, require_target=False)
+    report = validate_ranges(ds)
+    print(f"{'column':<8}{'observed':<28}{'envelope':<28}outside")
+    for name, entry in report.entries.items():
+        observed = f"[{entry.observed_min:.6g}, {entry.observed_max:.6g}]"
+        envelope = f"[{entry.envelope[0]:.6g}, {entry.envelope[1]:.6g}]"
+        print(f"{name:<8}{observed:<28}{envelope:<28}{entry.outside}")
+    if report.ok:
+        print("all values inside the reference envelope")
         return EXIT_OK
+    print(f"{report.total_violations} values outside the reference envelope")
+    return EXIT_FINDINGS
 
-    if args.data_command == "validate":
-        ds = load_csv(args.data, require_target=False)
-        report = validate_ranges(ds)
-        print(f"{'column':<8}{'observed':<28}{'envelope':<28}outside")
-        for name, entry in report.entries.items():
-            observed = f"[{entry.observed_min:.6g}, {entry.observed_max:.6g}]"
-            envelope = f"[{entry.envelope[0]:.6g}, {entry.envelope[1]:.6g}]"
-            print(f"{name:<8}{observed:<28}{envelope:<28}{entry.outside}")
-        if report.ok:
-            print("all values inside the reference envelope")
-            return EXIT_OK
-        print(f"{report.total_violations} values outside the reference envelope")
-        return EXIT_FINDINGS
 
-    if args.data_command == "split":
-        ds = load_csv(args.data)
-        splits = split(ds, _fractions(args), int(_cfg(args, "seed", 1)))
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for label, part in (("train", splits.train), ("validation", splits.validation),
-                            ("test", splits.test)):
-            write_csv(part, out_dir / f"{label}.csv")
-        print(f"split {len(ds)} rows into {len(splits.train)}/"
-              f"{len(splits.validation)}/{len(splits.test)} under {out_dir}")
-        return EXIT_OK
-
-    raise ValueError(f"unknown data subcommand {args.data_command!r}")
+def cmd_data_split(args) -> int:
+    ds = load_csv(args.data)
+    splits = split(ds, args.fracs, args.seed)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for label, part in (("train", splits.train), ("validation", splits.validation),
+                        ("test", splits.test)):
+        write_csv(part, out_dir / f"{label}.csv")
+    print(f"split {len(ds)} rows into {len(splits.train)}/"
+          f"{len(splits.validation)}/{len(splits.test)} under {out_dir}")
+    return EXIT_OK
 
 
 # --- tune -------------------------------------------------------------------
 
 def cmd_tune(args) -> int:
     ds = load_csv(args.data)
-    fractions = _fractions(args)
-    splits = split(ds, fractions, int(_cfg(args, "split_seed", 1)))
+    splits = split(ds, args.fracs, args.split_seed)
     normalizer = fit_normalizer(splits.train)
 
-    seed = int(_cfg(args, "seed", 0))
-    runs = int(_cfg(args, "runs", 5))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     # the log holds this invocation's trials only; its runs append to it
     log_path = out_dir / "trials.jsonl"
     log_path.write_text("", encoding="utf-8")
 
-    evaluator = make_trial_evaluator(splits, normalizer,
-                                     epochs=int(_cfg(args, "epochs", 60)),
-                                     patience=int(_cfg(args, "patience", 10)),
-                                     base_seed=seed)
-    board = run_parallel_bo(default_space(), evaluator, run_count=runs,
-                            n_sobol=int(_cfg(args, "sobol", 16)),
-                            n_bo=int(_cfg(args, "bo", 32)),
-                            seeds=[seed + i for i in range(runs)],
+    evaluator = make_trial_evaluator(splits, normalizer, epochs=args.epochs,
+                                     patience=args.patience, base_seed=args.seed)
+    board = run_parallel_bo(default_space(), evaluator, run_count=args.runs,
+                            n_sobol=args.sobol, n_bo=args.bo,
+                            seeds=[args.seed + i for i in range(args.runs)],
                             log_path=log_path)
-    top = select_top_k(board, int(_cfg(args, "top_k", 15)))
+    top = select_top_k(board, args.top_k)
     manifest = {"configs": [c.to_dict() for c in top]}
     (out_dir / "topk.json").write_text(json.dumps(manifest, indent=2, sort_keys=True)
                                        + "\n", encoding="utf-8")
@@ -301,25 +308,17 @@ def cmd_tune(args) -> int:
 
 # --- agent-style commands ----------------------------------------------------
 
-def _fractions(args) -> tuple[float, float, float]:
-    raw = _cfg(args, "fracs", None)
-    if raw is None:
-        return DEFAULT_FRACTIONS
-    return _parse_fracs(raw) if isinstance(raw, str) else tuple(raw)
+def _slice_specs(args) -> list:
+    """--slices: none, the blind slices, or the specs of a slice-spec file."""
+    if not args.slices:
+        return []
+    return list(BLIND_SLICES) if args.slices == "blind" else load_slice_specs(args.slices)
 
 
 def _recipe(args) -> PipelineRecipe:
-    kwargs = {}
-    for flag, field_name in _RECIPE_FLAGS.items():
-        value = _cfg(args, flag, None)
-        if value is not None:
-            kwargs[field_name] = value
-    kwargs["fractions"] = _fractions(args)
-    slices = _cfg(args, "slices", None)
-    if slices:
-        specs = list(BLIND_SLICES) if slices == "blind" else load_slice_specs(slices)
-        kwargs["slices"] = tuple(spec.to_dict() for spec in specs)
-    return PipelineRecipe(**kwargs)
+    fields = {name: getattr(args, flag) for flag, (name, _) in _RECIPE_FLAGS.items()}
+    return PipelineRecipe(**fields, fractions=args.fracs,
+                          slices=tuple(spec.to_dict() for spec in _slice_specs(args)))
 
 
 def _stage_dataset(args, workspace: Path, resume: bool = False) -> None:
@@ -327,26 +326,21 @@ def _stage_dataset(args, workspace: Path, resume: bool = False) -> None:
     target = workspace / "data.csv"
     if resume and target.exists():
         return
-    data = _cfg(args, "data", None)
-    synthetic = _cfg(args, "synthetic", None)
-    if data:
-        shutil.copyfile(data, target)
-    elif synthetic:
-        cfg = SyntheticConfig(n=int(synthetic), seed=int(_cfg(args, "seed", 0)))
-        write_csv(generate_synthetic(cfg), target)
+    if args.data:
+        shutil.copyfile(args.data, target)
+    elif args.synthetic:
+        write_csv(generate_synthetic(SyntheticConfig(n=args.synthetic, seed=args.seed)),
+                  target)
     elif not target.exists():
         raise ValueError("no dataset: pass --data or --synthetic")
 
 
 def _planner_for(args, recipe: PipelineRecipe):
-    kind = _cfg(args, "planner", "scripted")
-    if kind == "scripted":
+    if args.planner == "scripted":
         return ScriptedPlanner(recipe)
-    endpoint = _cfg(args, "endpoint", None)
-    model = _cfg(args, "model", None)
-    if not endpoint or not model:
+    if not args.endpoint or not args.model:
         raise ValueError("--planner llm requires --endpoint and --model")
-    return HttpPlanner(endpoint, model)
+    return HttpPlanner(args.endpoint, args.model)
 
 
 def _run_agent_once(args, workspace: Path, run_id: str, recipe: PipelineRecipe,
@@ -358,30 +352,23 @@ def _run_agent_once(args, workspace: Path, run_id: str, recipe: PipelineRecipe,
     _stage_dataset(args, workspace, resume=resume)
     ctx = ProjectContext.create(workspace, run_id)
     executor = TaskExecutor(ctx, injector)
-    task = _cfg(args, "task", DEFAULT_TASK)
-    mode = _cfg(args, "mode", "multi")
-    if mode == "multi":
-        return run_multi_agent(task, ctx, planner, executor,
-                               max_retries=int(_cfg(args, "max_retries", 3)),
+    if args.mode == "multi":
+        return run_multi_agent(args.task, ctx, planner, executor,
+                               max_retries=args.max_retries,
                                resume=resume, stop_after_stage=stop_after_stage)
-    return run_react(task, ctx, planner, executor,
-                     max_steps=int(_cfg(args, "max_steps", 40)),
+    return run_react(args.task, ctx, planner, executor, max_steps=args.max_steps,
                      resume=resume, stop_after_stage=stop_after_stage)
 
 
 def cmd_agent(args) -> int:
     workspace = Path(args.workspace)
     recipe = _recipe(args)
-    spec = _cfg(args, "inject_fault", None)
-    injector = FaultInjector.from_spec(spec) if spec else None
-    stop_after_stage = _cfg(args, "stop_after_stage", None)
-    outcome = _run_agent_once(args, workspace,
-                              run_id=_cfg(args, "run_id", "run-001"),
-                              recipe=recipe, injector=injector,
-                              resume=bool(args.resume),
-                              stop_after_stage=stop_after_stage)
+    injector = FaultInjector.from_spec(args.inject_fault) if args.inject_fault else None
+    outcome = _run_agent_once(args, workspace, run_id=args.run_id, recipe=recipe,
+                              injector=injector, resume=args.resume,
+                              stop_after_stage=args.stop_after_stage)
     if outcome.report is None:
-        print(f"stopped after stage {stop_after_stage}; resume with --resume")
+        print(f"stopped after stage {args.stop_after_stage}; resume with --resume")
         return EXIT_OK
     print(render_report(outcome.report), end="")
     print(f"report: {workspace / 'report' / 'report.json'}")
@@ -389,23 +376,20 @@ def cmd_agent(args) -> int:
 
 
 def cmd_trials(args) -> int:
+    if args.n < 1:
+        raise ValueError("trial count must be at least 1")
+    fault_runs = {int(tok) for tok in args.fault_runs.split(",") if tok.strip()}
+    base_recipe = _recipe(args)
     workspace = Path(args.workspace)
     workspace.mkdir(parents=True, exist_ok=True)
-    n = int(_cfg(args, "n", 10))
-    if n < 1:
-        raise ValueError("trial count must be at least 1")
-    fault_runs = {int(tok) for tok in str(_cfg(args, "fault_runs", "") or "").split(",")
-                  if tok.strip()}
-    fault_spec = _cfg(args, "fault_spec", "stage=evaluate,attempt=1")
-    base_recipe = _recipe(args)
 
     reports = []
-    for i in range(1, n + 1):
+    for i in range(1, args.n + 1):
         run_dir = workspace / f"trial_{i:03d}"
         # distinct member seeds per trial give the RMSE spread some width
         recipe = PipelineRecipe(**{**base_recipe.__dict__,
                                    "base_seed": base_recipe.base_seed + 1000 * i})
-        injector = FaultInjector.from_spec(fault_spec) if i in fault_runs else None
+        injector = FaultInjector.from_spec(args.fault_spec) if i in fault_runs else None
         try:
             outcome = _run_agent_once(args, run_dir, run_id=f"trial-{i:03d}",
                                       recipe=recipe, injector=injector)
@@ -422,19 +406,18 @@ def cmd_trials(args) -> int:
     doc = {"stats": stats.to_dict(), "runs": reports}
     (workspace / "trials.json").write_text(json.dumps(doc, indent=2, sort_keys=True)
                                            + "\n", encoding="utf-8")
-    table = format_trial_table(stats, f"{_cfg(args, 'mode', 'multi')} agent, "
-                                      f"{_cfg(args, 'planner', 'scripted')} planner")
+    table = format_trial_table(stats, f"{args.mode} agent, {args.planner} planner")
     (workspace / "trials.txt").write_text(table, encoding="utf-8")
     print(table, end="")
     return EXIT_OK
 
 
 def cmd_direct(args) -> int:
+    recipe = _recipe(args)
     workspace = Path(args.workspace)
     workspace.mkdir(parents=True, exist_ok=True)
     _stage_dataset(args, workspace)
     ctx = ProjectContext.create(workspace, "direct")
-    recipe = _recipe(args)
     executor = TaskExecutor(ctx)
     for kind in (task.kind for task in STAGE_TASKS.values()):
         doc = TaskDocument(kind=kind, payload=recipe.payload_for(kind),
@@ -454,21 +437,15 @@ def cmd_direct(args) -> int:
 # --- evaluate ----------------------------------------------------------------
 
 def cmd_evaluate(args) -> int:
+    specs = _slice_specs(args)          # a bad slice file fails before any scoring
     ens = load_ensemble(args.ensemble)
     ds = load_csv(args.data)
     label = "all"
-    if _cfg(args, "fracs", None) is not None:
-        splits = split(ds, _fractions(args), int(_cfg(args, "split_seed", 1)))
-        ds = splits.test
+    if args.fracs is not None:
+        ds = split(ds, args.fracs, args.split_seed).test
         label = "test"
-    level = float(_cfg(args, "level", TWO_SIGMA_LEVEL))
-    me = evaluate_model(ens, ds, level=level, split_label=label)
-
-    slice_report = None
-    slices = _cfg(args, "slices", None)
-    if slices:
-        specs = list(BLIND_SLICES) if slices == "blind" else load_slice_specs(slices)
-        slice_report = evaluate_slices(ens, specs, level=level)
+    me = evaluate_model(ens, ds, level=args.level, split_label=label)
+    slice_report = evaluate_slices(ens, specs, level=args.level) if specs else None
 
     out_dir = Path(args.out_dir)
     written = export_report(me, slice_report, out_dir)

@@ -41,11 +41,6 @@ from .stats import central_interval_z
 
 ENSEMBLE_FORMAT_VERSION = 1
 
-# Member-count presets: the full baseline uses the top 15 search trials,
-# the fast preset 5.
-DEFAULT_MEMBERS = 15
-FAST_MEMBERS = 5
-
 
 @dataclass(frozen=True)
 class EnsembleMember:

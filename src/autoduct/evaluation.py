@@ -133,7 +133,6 @@ class SliceResult:
     predictions: EnsemblePrediction
     band_lo: np.ndarray
     band_hi: np.ndarray
-    reference: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -143,13 +142,8 @@ class SliceReport:
 
 
 def evaluate_slices(ens: Ensemble, specs: list[SliceSpec],
-                    level: float = TWO_SIGMA_LEVEL,
-                    references: dict[str, np.ndarray] | None = None) -> SliceReport:
-    """Mean and total-uncertainty band along each slice grid.
-
-    references optionally maps a slice id to measured values on the same
-    grid (e.g. a look-up-table export) for overlay in reports.
-    """
+                    level: float = TWO_SIGMA_LEVEL) -> SliceReport:
+    """Mean and total-uncertainty band along each slice grid."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie strictly inside (0, 1), got {level}")
     results = []
@@ -157,14 +151,7 @@ def evaluate_slices(ens: Ensemble, specs: list[SliceSpec],
         grid = build_slice_grid(spec)
         preds = ens.predict(grid.features)
         band_lo, band_hi = interval(preds, level)
-        reference = None
-        if references is not None and spec.slice_id in references:
-            reference = np.asarray(references[spec.slice_id], dtype=np.float64)
-            if reference.shape != (len(grid),):
-                raise LengthMismatch(
-                    f"reference for slice {spec.slice_id} has {reference.size} points, "
-                    f"grid has {len(grid)}")
-        results.append(SliceResult(spec, grid, preds, band_lo, band_hi, reference))
+        results.append(SliceResult(spec, grid, preds, band_lo, band_hi))
     return SliceReport(tuple(results), level)
 
 

@@ -105,14 +105,11 @@ def export_report(me: ModelEvaluation, slices: SliceReport | None,
         for result in slices.results:
             sid = result.spec.slice_id
             path = directory / f"slice_{sid}.csv"
-            header = SLICE_HEADER + (",reference" if result.reference is not None else "")
             columns = [result.grid.column(result.spec.varying), result.predictions.mean,
                        np.sqrt(result.predictions.total_var), result.band_lo,
                        result.band_hi]
-            if result.reference is not None:
-                columns.append(result.reference)
             with _open(path) as fh:
-                fh.write(header + "\n")
+                fh.write(SLICE_HEADER + "\n")
                 _write_rows(fh, _row_template(f"{sid},{result.spec.varying},", len(columns)),
                             np.column_stack(columns))
             written.append(path)
@@ -227,9 +224,6 @@ def _slice_svg(result) -> str:
     mean = result.predictions.mean
     y_lo = float(result.band_lo.min())
     y_hi = float(result.band_hi.max())
-    if result.reference is not None:
-        y_lo = min(y_lo, float(result.reference.min()))
-        y_hi = max(y_hi, float(result.reference.max()))
     pad = 0.05 * (y_hi - y_lo) if y_hi > y_lo else 1.0
     canvas = _Canvas(560, 360, (float(varying[0]), float(varying[-1])),
                      (y_lo - pad, y_hi + pad))
@@ -242,10 +236,6 @@ def _slice_svg(result) -> str:
     line = " ".join(f"{_c(canvas.x(float(v)))},{_c(canvas.y(float(m)))}"
                     for v, m in zip(varying, mean))
     parts.append(f'<polyline class="mean" points="{line}"/>')
-    if result.reference is not None:
-        ref = " ".join(f"{_c(canvas.x(float(v)))},{_c(canvas.y(float(m)))}"
-                       for v, m in zip(varying, result.reference))
-        parts.append(f'<polyline class="ref" points="{ref}"/>')
     parts += canvas.ticks(f"slice {result.spec.slice_id}: {result.spec.varying}",
                           "CHF [kW/m²]")
     parts.append("</svg>")

@@ -130,6 +130,17 @@ def test_direct_then_evaluate(tmp_path, capsys):
     assert (report_dir / "metrics.csv").is_file()
     assert (report_dir / "parity.svg").is_file()
 
+    # the same settings from a config file, fracs as a JSON list
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fracs": [0.72, 0.18, 0.10], "level": 0.9}))
+    assert cli.main(["evaluate", "--ensemble", str(ws / "ensemble"),
+                     "--data", str(ws / "data.csv"), "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "eval_cfg")]) == 0
+    names = sorted(p.name for p in report_dir.iterdir() if p.name != "timings.json")
+    for name in names:
+        assert (tmp_path / "eval_cfg" / name).read_bytes() == \
+            (report_dir / name).read_bytes(), name
+
 
 def test_evaluate_with_blind_slices(tmp_path, capsys, tiny_dataset):
     ws = tmp_path / "ws"
@@ -253,7 +264,7 @@ def test_agent_unknown_stop_stage_is_an_error(tmp_path, capsys):
 
 def test_agent_stop_stage_from_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"stop_after_stage": "training_execution"}))
+    cfg.write_text(json.dumps({"stop_after_stage": "training_execution", "epochs": 3}))
     ws = tmp_path / "agent_ws"
     assert cli.main(["agent", "--workspace", str(ws), "--synthetic", "120",
                      "--seed", "5", "--config", str(cfg), *_FAST]) == 0
@@ -261,6 +272,9 @@ def test_agent_stop_stage_from_config(tmp_path, capsys):
     assert "stopped after stage training_execution; resume with --resume" in out
     state = json.loads((ws / "state.json").read_text())
     assert state["stages"]["evaluation_execution"]["status"] == "pending"
+    # the config's epochs lose to the --epochs 4 given on the command line
+    task = json.loads((ws / "training_task.json").read_text())
+    assert task["payload"]["optimizer"]["epochs"] == 4
 
 
 def test_agent_with_injected_fault(tmp_path, capsys):
@@ -501,3 +515,54 @@ def test_requests_and_jsonschema_load_only_when_used(tmp_path):
     seen = json.loads(done.stdout.splitlines()[-1])
     assert seen == {"import": [], "data gen": [], "tune": [], "evaluate": [],
                     "validate_document": ["jsonschema"]}
+
+
+@pytest.mark.parametrize("doc", [{"epoch": 3}, {"epochs": [3]}, {"slices": ["a"]},
+                                 {"members": True}, {"mode": "bogus"}],
+                         ids=["unknown-key", "list-for-int", "list-for-path",
+                              "bool-for-int", "bad-choice"])
+def test_bad_config_value_is_an_error_before_any_file(tmp_path, capsys, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    ws = tmp_path / "ws"
+    assert cli.main(["agent", "--workspace", str(ws), "--synthetic", "120",
+                     "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    (key,) = doc
+    assert err.startswith(f"error: config key {key!r} ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert not (ws / "data.csv").exists()
+
+
+def test_evaluate_checks_slices_before_scoring(tmp_path, capsys, monkeypatch):
+    ws = tmp_path / "ws"
+    assert cli.main(["direct", "--workspace", str(ws), "--synthetic", "120",
+                     "--seed", "5", *_FAST]) == 0
+    capsys.readouterr()
+    scored = []
+    monkeypatch.setattr(cli, "evaluate_model", lambda *a, **k: scored.append(a))
+    spec_file = tmp_path / "slices.json"
+    spec_file.write_text(json.dumps({"slices": 3}), encoding="utf-8")
+    assert cli.main(["evaluate", "--ensemble", str(ws / "ensemble"),
+                     "--data", str(ws / "data.csv"), "--slices", str(spec_file),
+                     "--out-dir", str(tmp_path / "eval")]) == 1
+    assert capsys.readouterr().err.startswith("error: malformed slice-spec file")
+    assert scored == []
+
+
+@pytest.mark.parametrize("mode", ["multi", "react"])
+def test_planner_failure_before_the_first_task_writes_no_state(tmp_path, capsys,
+                                                              monkeypatch, mode):
+    # with no API key the planner fails on its first request; no stage's
+    # task was generated, so no stage leaves pending and no state is written
+    from autoduct.agents import planner as planner_mod
+
+    monkeypatch.setattr(planner_mod, "_default_transport", lambda *args: None)
+    monkeypatch.delenv("AUTODUCT_API_KEY", raising=False)
+    ws = tmp_path / "ws"
+    assert cli.main(["agent", "--workspace", str(ws), "--synthetic", "120",
+                     "--mode", mode, "--planner", "llm", "--endpoint",
+                     "http://127.0.0.1:9", "--model", "m", *_FAST]) == 1
+    assert "AUTODUCT_API_KEY" in capsys.readouterr().err
+    assert (ws / "data.csv").is_file()
+    assert not (ws / "state.json").exists()

@@ -7,9 +7,8 @@ import pytest
 
 from autoduct.dataset import (Normalizer, SyntheticConfig, fit_normalizer,
                               generate_synthetic, split)
-from autoduct.ensemble import (DEFAULT_MEMBERS, FAST_MEMBERS, Ensemble,
-                               EnsembleMember, EnsemblePrediction, _moments,
-                               interval, load_ensemble, save_ensemble,
+from autoduct.ensemble import (Ensemble, EnsembleMember, EnsemblePrediction,
+                               _moments, interval, load_ensemble, save_ensemble,
                                train_ensemble)
 from autoduct.errors import (CorruptArtifact, DivergedLoss, EmptyEnsemble,
                              VersionMismatch)
@@ -228,11 +227,6 @@ def test_predict_rejects_non_finite_member_output(head_row, tiny_ensemble, tiny_
     ens = Ensemble(tuple(members), tiny_ensemble.normalizer)
     with pytest.raises(ValueError, match="finite"):
         ens.predict(tiny_splits.test.features[:4])
-
-
-def test_member_count_presets():
-    assert DEFAULT_MEMBERS == 15
-    assert FAST_MEMBERS == 5
 
 
 # --- training --------------------------------------------------------------------------

@@ -158,18 +158,7 @@ def test_evaluate_slices_band_is_z_times_total_std(tiny_ensemble):
                                rtol=1e-14)
     np.testing.assert_allclose(result.band_hi, mean + z * np.sqrt(total),
                                rtol=1e-14)
-    assert result.reference is None
     assert np.all(result.band_hi >= result.band_lo)
-
-
-def test_evaluate_slices_reference_overlay(tiny_ensemble):
-    lut = np.linspace(500.0, 900.0, _SPEC.count)
-    report = evaluate_slices(tiny_ensemble, [_SPEC],
-                             references={"s1": lut, "other": np.zeros(3)})
-    np.testing.assert_array_equal(report.results[0].reference, lut)
-
-    with pytest.raises(LengthMismatch):
-        evaluate_slices(tiny_ensemble, [_SPEC], references={"s1": lut[:-1]})
 
 
 def test_evaluate_slices_level_domain(tiny_ensemble):

@@ -25,9 +25,7 @@ def evaluation(tiny_ensemble, tiny_splits):
 
 @pytest.fixture(scope="module")
 def slice_report(tiny_ensemble):
-    reference = np.linspace(400.0, 900.0, _SPEC.count)
-    return evaluate_slices(tiny_ensemble, [_SPEC], level=0.9,
-                           references={"g_sweep": reference})
+    return evaluate_slices(tiny_ensemble, [_SPEC], level=0.9)
 
 
 def _rows(path):
@@ -142,8 +140,9 @@ def test_slice_csv_round_trips(evaluation, slice_report, tmp_path):
     export_dir = tmp_path / "out"
     export_report(evaluation, slice_report, export_dir)
     header, rows = _rows(export_dir / "slice_g_sweep.csv")
-    assert header == SLICE_HEADER + ",reference"
+    assert header == SLICE_HEADER
     assert len(rows) == _SPEC.count
+    assert all(len(r) == len(SLICE_HEADER.split(",")) for r in rows)
     varying = result.grid.column("G")
     for i in (0, 12, 24):
         row = rows[i]
@@ -155,15 +154,6 @@ def test_slice_csv_round_trips(evaluation, slice_report, tmp_path):
         assert float(row[4]) == math.sqrt(pred.total_var[i])
         assert float(row[5]) == result.band_lo[i]
         assert float(row[6]) == result.band_hi[i]
-        assert float(row[7]) == result.reference[i]
-
-
-def test_slice_csv_without_reference(evaluation, tiny_ensemble, tmp_path):
-    report = evaluate_slices(tiny_ensemble, [_SPEC], level=0.9)
-    export_report(evaluation, report, tmp_path)
-    header, rows = _rows(tmp_path / "slice_g_sweep.csv")
-    assert header == SLICE_HEADER
-    assert all(len(r) == len(SLICE_HEADER.split(",")) for r in rows)
 
 
 def test_slice_svg_layers(evaluation, slice_report, tmp_path):
@@ -172,18 +162,10 @@ def test_slice_svg_layers(evaluation, slice_report, tmp_path):
     polygons = _elements(path, "polygon")
     assert [p.get("class") for p in polygons] == ["band"]
     polylines = _elements(path, "polyline")
-    assert sorted(p.get("class") for p in polylines) == ["mean", "ref"]
+    assert [p.get("class") for p in polylines] == ["mean"]
     # the band polygon closes the loop: one vertex per grid point, out and back
     points = polygons[0].get("points").split()
     assert len(points) == 2 * _SPEC.count
-
-
-def test_slice_svg_without_reference_has_no_ref_line(evaluation, tiny_ensemble,
-                                                     tmp_path):
-    report = evaluate_slices(tiny_ensemble, [_SPEC], level=0.9)
-    export_report(evaluation, report, tmp_path)
-    polylines = _elements(tmp_path / "slice_g_sweep.svg", "polyline")
-    assert [p.get("class") for p in polylines] == ["mean"]
 
 
 def test_all_svgs_parse_as_xml(evaluation, slice_report, tmp_path):
@@ -240,8 +222,7 @@ def awkward():
     pred = _prediction(rng, spec.count, 2000.0)
     pred.mean[1], pred.mean[2] = -0.0, 5e-324
     lo, hi = interval(pred, 0.9)
-    reference = np.linspace(400.0, 900.0, spec.count)
-    result = SliceResult(spec, build_slice_grid(spec), pred, lo, hi, reference)
+    result = SliceResult(spec, build_slice_grid(spec), pred, lo, hi)
     return me, SliceReport((result,), 0.9)
 
 
@@ -297,7 +278,7 @@ def test_export_matches_per_value_oracles(awkward, tmp_path):
     (result,) = slices.results
     columns = np.column_stack([result.grid.column("G"), result.predictions.mean,
                                np.sqrt(result.predictions.total_var), result.band_lo,
-                               result.band_hi, result.reference])
+                               result.band_hi])
     assert (tmp_path / "slice_50%d,x.csv").read_bytes() == _csv_oracle(
-        SLICE_HEADER + ",reference", "50%d,x,G,", columns)
+        SLICE_HEADER, "50%d,x,G,", columns)
 
