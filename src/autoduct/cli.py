@@ -27,9 +27,9 @@ from pathlib import Path
 from . import __version__
 from .agents import (FaultInjector, HttpPlanner, PipelineRecipe,
                      ProjectContext, ScriptedPlanner, TaskExecutor,
-                     render_report, run_multi_agent, run_react)
+                     parse_fault_spec, render_report, run_multi_agent, run_react)
 from .agents.state import STAGE_TASKS, STATE_FORMAT_VERSION
-from .agents.tasks import TASK_FORMAT_VERSION, TaskDocument
+from .agents.tasks import TASK_FORMAT_VERSION, TaskDocument, validate_document
 from .dataset import (BLIND_SLICES, SyntheticConfig, fit_normalizer,
                       generate_synthetic, load_csv, load_slice_specs, split,
                       validate_ranges, write_csv)
@@ -316,9 +316,16 @@ def _slice_specs(args) -> list:
 
 
 def _recipe(args) -> PipelineRecipe:
+    """The run's recipe, every stage's payload checked against its task
+    schema, so that a value no stage accepts fails before any file is
+    written."""
     fields = {name: getattr(args, flag) for flag, (name, _) in _RECIPE_FLAGS.items()}
-    return PipelineRecipe(**fields, fractions=args.fracs,
-                          slices=tuple(spec.to_dict() for spec in _slice_specs(args)))
+    recipe = PipelineRecipe(**fields, fractions=args.fracs,
+                            slices=tuple(spec.to_dict() for spec in _slice_specs(args)))
+    for kind in (task.kind for task in STAGE_TASKS.values()):
+        validate_document(TaskDocument(kind=kind, payload=recipe.payload_for(kind),
+                                       provenance={}))
+    return recipe
 
 
 def _stage_dataset(args, workspace: Path, resume: bool = False) -> None:
@@ -378,7 +385,18 @@ def cmd_agent(args) -> int:
 def cmd_trials(args) -> int:
     if args.n < 1:
         raise ValueError("trial count must be at least 1")
-    fault_runs = {int(tok) for tok in args.fault_runs.split(",") if tok.strip()}
+    try:
+        fault_runs = {int(tok) for tok in args.fault_runs.split(",") if tok.strip()}
+    except ValueError:
+        raise ValueError(f"--fault-runs takes comma-separated run numbers, "
+                         f"got {args.fault_runs!r}") from None
+    outside = sorted(run for run in fault_runs if not 1 <= run <= args.n)
+    if outside:
+        raise ValueError(f"--fault-runs {', '.join(map(str, outside))} "
+                         f"outside the runs 1..{args.n}")
+    # parsed once, before trial 1; each faulted run gets its own injector,
+    # whose attempt counts start at zero
+    fault_plan = parse_fault_spec(args.fault_spec)
     base_recipe = _recipe(args)
     workspace = Path(args.workspace)
     workspace.mkdir(parents=True, exist_ok=True)
@@ -389,7 +407,7 @@ def cmd_trials(args) -> int:
         # distinct member seeds per trial give the RMSE spread some width
         recipe = PipelineRecipe(**{**base_recipe.__dict__,
                                    "base_seed": base_recipe.base_seed + 1000 * i})
-        injector = FaultInjector.from_spec(args.fault_spec) if i in fault_runs else None
+        injector = FaultInjector(fault_plan) if i in fault_runs else None
         try:
             outcome = _run_agent_once(args, run_dir, run_id=f"trial-{i:03d}",
                                       recipe=recipe, injector=injector)

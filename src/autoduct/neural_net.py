@@ -23,7 +23,7 @@ decoupled weight decay. Gradients are computed analytically
 against central finite differences of a per-row reference network. A
 network's parameters are views into one flat float64 buffer, all
 weight matrices first and all biases after, so the AdamW update is one
-vector operation and weight decay is one slice.
+vector operation and weight decay touches one leading span.
 
 There is one training loop, ``train_stack``. It trains M networks that
 differ only in activation and seed as one stack: their parameters are
@@ -35,6 +35,19 @@ derivative, so the backward pass recomputes none. Every network draws
 its batch order and dropout masks from its own generator and leaves the
 stack when it stops early, so each result is bit-identical to training
 that network alone. ``train`` is the M = 1 case.
+
+Training workspace: ``train_stack`` allocates every array a step uses
+once per stack, in a ``_Workspace``: the gathered batch, one
+pre-activation buffer shared by all layers (backward reuses it), each
+layer's output and activation derivative, the head, the loss terms,
+``dout`` and ``delta``, the dropout masks, and the AdamW temporaries. It
+rebuilds them only when the stack shrinks. The batches, the short last
+batch and the per-epoch validation pass take views of the row count they
+need from the same buffers, and every step writes into them with ``out=``
+and in-place ufuncs. Each activation is a kernel that writes its value,
+and its derivative when asked, into given buffers, keeping the operands
+and order of the plain numpy expression it replaces, so the bits are the
+same as allocating each result would give.
 
 Inference (``predict_batch``) runs one network at a time, in near-equal
 row blocks of at most ``dataset._BLOCK_ROWS`` rows, and keeps only the
@@ -58,6 +71,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -92,76 +106,102 @@ class ActivationKind(Enum):
     SOFTPLUS = "softplus"
 
 
-def _softplus(x: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
-    # overflow-safe: softplus(x) = max(x, 0) + log1p(exp(-|x|)); `e` is
-    # exp(-|x|) when the caller already has it
-    if e is None:
-        e = np.exp(-np.abs(x))
-    return np.maximum(x, 0.0) + np.log1p(e)
+# Activation kernels: kernel(x, h, d, s, mask) writes act(x) into h and,
+# when d is not None, act'(x) into d. s (float) and mask (bool) are scratch
+# of x's shape; with d, a kernel may also overwrite x. Each keeps the
+# operands and order of the plain numpy expression in its comment, so its
+# bits equal that expression's.
+
+def _relu(x, h, d, s, mask):
+    # max(x, 0); (x > 0) as 0.0 / 1.0
+    np.maximum(x, 0.0, out=h)
+    if d is not None:
+        np.greater(x, 0.0, out=mask)
+        np.copyto(d, mask)
 
 
-def _sigmoid(x: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
-    # both branches divide by 1 + exp(-|x|), which never overflows
-    if e is None:
-        e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+def _leaky_relu(x, h, d, s, mask):
+    # where(x > 0, x, slope * x); where(x > 0, 1, slope)
+    np.greater(x, 0.0, out=mask)
+    np.multiply(x, _LEAKY_SLOPE, out=h)
+    np.copyto(h, x, where=mask)
+    if d is not None:
+        d.fill(_LEAKY_SLOPE)
+        np.copyto(d, 1.0, where=mask)
 
 
-def _softplus_and_deriv(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    e = np.exp(-np.abs(x))
-    return _softplus(x, e), _sigmoid(x, e)
+def _exponential_linear(x, h, d, mask, alpha=None, scale=None):
+    # ELU, or SELU given alpha and scale:
+    # scale * where(x > 0, x, alpha * expm1(x)); scale * where(x > 0, 1, alpha * exp(x))
+    np.greater(x, 0.0, out=mask)
+    for out, f, positive in ((h, np.expm1, x), (d, np.exp, 1.0)):
+        if out is None:
+            continue
+        f(x, out=out)
+        if alpha is not None:
+            out *= alpha
+        np.copyto(out, positive, where=mask)
+        if scale is not None:
+            out *= scale
 
 
-def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + _GELU_B * (x * x * x))))
+def _gelu(x, h, d, s, mask):
+    # (0.5 * x) * (1 + t) with t = tanh(c * (x + b * ((x * x) * x)));
+    # 0.5 * (1 + t) + (0.5 * x) * (1 - t * t) * c * (1 + (3 * b) * (x * x))
+    np.multiply(x, 0.5, out=h)
+    np.multiply(x, x, out=s)
+    t = s if d is None else d
+    np.multiply(s, x, out=t)
+    t *= _GELU_B
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    if d is not None:
+        np.multiply(t, t, out=x)
+        np.subtract(1.0, x, out=x)
+        x *= h
+        x *= _GELU_C
+        s *= 3.0 * _GELU_B
+        s += 1.0
+        x *= s
+    t += 1.0
+    h *= t
+    if d is not None:
+        d *= 0.5
+        d += x
 
 
-def _gelu_and_deriv(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # the same value as _gelu, keeping x^2 and the tanh for the derivative
-    x2 = x * x
-    t = np.tanh(_GELU_C * (x + _GELU_B * (x2 * x)))
-    half_x = 0.5 * x
-    one_t = 1.0 + t
-    return (half_x * one_t,
-            0.5 * one_t + half_x * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_B * x2))
-
-
-def _gelu_deriv(x: np.ndarray) -> np.ndarray:
-    return _gelu_and_deriv(x)[1]
+def _softplus(x, h, d, s, mask):
+    # overflow-safe: max(x, 0) + log1p(e) with e = exp(-|x|); the
+    # derivative, the sigmoid, divides by 1 + e, which never overflows:
+    # where(x >= 0, 1 / (1 + e), e / (1 + e))
+    np.abs(x, out=s)
+    np.negative(s, out=s)
+    np.exp(s, out=s)
+    np.maximum(x, 0.0, out=h)
+    if d is None:
+        h += np.log1p(s, out=s)
+        return
+    np.log1p(s, out=d)
+    h += d
+    np.add(s, 1.0, out=d)
+    np.divide(s, d, out=s)
+    np.divide(1.0, d, out=d)
+    # a NaN takes e / (1 + e), as where(x >= 0, ...) gives it
+    np.greater_equal(x, 0.0, out=mask)
+    np.logical_not(mask, out=mask)
+    np.copyto(d, s, where=mask)
 
 
 _ACTIVATIONS = {
-    ActivationKind.RELU: (
-        lambda x: np.maximum(x, 0.0),
-        lambda x: (x > 0).astype(np.float64),
-    ),
-    ActivationKind.LEAKY_RELU: (
-        lambda x: np.where(x > 0, x, _LEAKY_SLOPE * x),
-        lambda x: np.where(x > 0, 1.0, _LEAKY_SLOPE),
-    ),
-    ActivationKind.GELU: (_gelu, _gelu_deriv),
-    ActivationKind.SELU: (
-        lambda x: _SELU_LAMBDA * np.where(x > 0, x, _SELU_ALPHA * np.expm1(x)),
-        lambda x: _SELU_LAMBDA * np.where(x > 0, 1.0, _SELU_ALPHA * np.exp(x)),
-    ),
-    ActivationKind.ELU: (
-        lambda x: np.where(x > 0, x, np.expm1(x)),
-        lambda x: np.where(x > 0, 1.0, np.exp(x)),
-    ),
-    ActivationKind.SOFTPLUS: (_softplus, _sigmoid),
+    ActivationKind.RELU: _relu,
+    ActivationKind.LEAKY_RELU: _leaky_relu,
+    ActivationKind.GELU: _gelu,
+    ActivationKind.SELU: lambda x, h, d, s, mask: _exponential_linear(
+        x, h, d, mask, _SELU_ALPHA, _SELU_LAMBDA),
+    ActivationKind.ELU: lambda x, h, d, s, mask: _exponential_linear(x, h, d, mask),
+    ActivationKind.SOFTPLUS: _softplus,
 }
-
-
-def _value_and_deriv(act, dact):
-    return lambda x: (act(x), dact(x))
-
-
-# what a training forward pass applies: (value, derivative) together, GELU
-# and softplus sharing their tanh and exp between the two
-_ACTIVATION_GRADS = {kind: _value_and_deriv(*pair) for kind, pair in _ACTIVATIONS.items()}
-_ACTIVATION_GRADS[ActivationKind.GELU] = _gelu_and_deriv
-_ACTIVATION_GRADS[ActivationKind.SOFTPLUS] = _softplus_and_deriv
 
 
 @dataclass(frozen=True)
@@ -289,103 +329,200 @@ def init_params(cfg: MLPConfig, seed: int) -> Parameters:
     return p
 
 
-def _make_masks(cfg: MLPConfig, n: int,
-                rngs: list[np.random.Generator]) -> np.ndarray | None:
+class _Workspace:
+    """Preallocated arrays for the passes of one network (`lead` = ()) or
+    a stack of M networks (`lead` = (M,)), so that a pass allocates none.
+
+    Each array is a view, for the row count a pass needs, into a flat
+    buffer sized for the most rows that use it: passes without gradients
+    (validation, inference blocks) of up to `rows` rows and, when
+    `batch_rows`, training steps of up to `batch_rows` rows. A training
+    run's batches, its short last batch and its validation pass thereby
+    share one arena. The layers share one pre-activation buffer `a`; a pass
+    without gradients also writes every layer's output into one buffer,
+    post[0]. Only a workspace for training steps holds the loss terms. The
+    views for each row count are made once and kept."""
+
+    def __init__(self, cfg: MLPConfig, lead: tuple[int, ...], rows: int,
+                 batch_rows: int = 0):
+        self._cfg, self._lead, self._batch_rows = cfg, tuple(lead), batch_rows
+        self._views: dict[int, SimpleNamespace] = {}
+        width = math.prod(self._lead) * max(rows, batch_rows)
+        batch = math.prod(self._lead) * batch_rows
+        loss = width if batch_rows else 0
+        units, layers = cfg.hidden_units, cfg.hidden_layers
+        self._flat = {name: np.empty(size, dtype) for name, size, dtype in (
+            ("a", width * units, float), ("s", width * units, float),
+            ("mask", width * units, bool), ("post0", width * units, float),
+            ("out", width * 2, float), ("hmask", width, bool),
+            ("var", width, float), ("t", width, float),
+            *((name, loss, float) for name in ("u", "sq", "v2")),
+            ("x", batch * cfg.input_dim, float), ("y", batch, float), ("sig", batch, float),
+            *((f"post{l}", batch * units, float) for l in range(1, layers)),
+            *((f"dact{l}", batch * units, float) for l in range(layers)),
+            ("delta", batch * units, float), ("dout", batch * 2, float),
+            *((name, batch * units * layers if cfg.dropout_rate else 0, dtype)
+              for name, dtype in (("draws", float), ("kept", bool))))}
+
+    def at(self, n: int) -> SimpleNamespace:
+        """The views for a pass of n rows; the gradient ones only when n
+        fits a training step."""
+        w = self._views.get(n)
+        if w is None:
+            w = self._views[n] = self._make_views(n)
+        return w
+
+    def _make_views(self, n: int) -> SimpleNamespace:
+        cfg, lead = self._cfg, self._lead
+
+        def view(name, *tail, shape=None):
+            shape = shape or (*lead, n, *tail)
+            return self._flat[name][:math.prod(shape)].reshape(shape)
+
+        units, layers = cfg.hidden_units, cfg.hidden_layers
+        w = SimpleNamespace(a=view("a", units), s=view("s", units),
+                            mask=view("mask", units), out=view("out", 2),
+                            hmask=view("hmask"), post=[view("post0", units)],
+                            var=view("var"), t=view("t"))
+        w.mu, w.raw = w.out[..., 0], w.out[..., 1]
+        if self._batch_rows:
+            w.u, w.sq, w.v2 = view("u"), view("sq"), view("v2")
+        if n <= self._batch_rows:
+            w.x, w.y, w.sig = view("x", cfg.input_dim), view("y"), view("sig")
+            w.post += [view(f"post{l}", units) for l in range(1, layers)]
+            w.dacts = [view(f"dact{l}", units) for l in range(layers)]
+            w.delta, w.dout = view("delta", units), view("dout", 2)
+            shape = (layers, *(lead or (1,)), n, units)
+            w.masks = ((view("draws", shape=shape), view("kept", shape=shape))
+                       if cfg.dropout_rate else None)
+        return w
+
+
+def _make_masks(cfg: MLPConfig, n: int, rngs: list[np.random.Generator],
+                out: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray | None:
     """Inverted dropout masks for a stack of networks, one generator each,
     as a (hidden_layers, len(rngs), n, units) array already divided by the
-    keep probability. Each network draws its layers' masks in layer order
-    from its own generator."""
+    keep probability. `out`, when given, is a float and a bool array of
+    that shape, and the masks are written into the float one. Each network
+    draws its layers' masks in layer order from its own generator."""
     if cfg.dropout_rate == 0.0:
         return None
     keep = 1.0 - cfg.dropout_rate
-    draws = np.empty((cfg.hidden_layers, len(rngs), n, cfg.hidden_units))
+    shape = (cfg.hidden_layers, len(rngs), n, cfg.hidden_units)
+    draws, kept = out if out is not None else (np.empty(shape), np.empty(shape, bool))
     for r, rng in enumerate(rngs):
         for layer in draws[:, r]:
             rng.random(out=layer)
-    return np.divide(draws < keep, keep, out=draws)
+    # (draws < keep) / keep
+    np.less(draws, keep, out=kept)
+    np.copyto(draws, kept)
+    draws /= keep
+    return draws
 
 
-def _activate(a: np.ndarray, runs, grad: bool):
-    """Each run's activation on its rows of `a`: (values, derivatives),
-    the derivatives None unless `grad`."""
-    def one(kind, x):
-        return _ACTIVATION_GRADS[kind](x) if grad else (_ACTIVATIONS[kind][0](x), None)
-
+def _activate(a, h, d, s, mask, runs) -> None:
+    """Each run's activation kernel on its rows of `a`, into h (and d)."""
     if len(runs) == 1:
-        return one(runs[0][0], a)
-    parts = [one(kind, a[rows]) for kind, rows in runs]
-    return (np.concatenate([h for h, _ in parts]),
-            np.concatenate([d for _, d in parts]) if grad else None)
+        # the whole array: a stack of one has no row axis to slice
+        _ACTIVATIONS[runs[0][0]](a, h, d, s, mask)
+        return
+    for kind, rows in runs:
+        _ACTIVATIONS[kind](a[rows], h[rows], None if d is None else d[rows],
+                           s[rows], mask[rows])
 
 
 def _forward_batch(p: Parameters, cfg: MLPConfig, x: np.ndarray,
-                   masks: np.ndarray | None, runs=None, grad: bool = False):
-    """Returns (mu, var, sig, dacts, post).
+                   masks: np.ndarray | None, runs=None, grad: bool = False,
+                   ws: _Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Returns (mu, var): views into the workspace `ws` (a new one when
+    None), valid until its next pass.
 
     x has shape (n, input_dim), and masks[l] is hidden layer l's (n, units)
     dropout mask. For a stack of M networks, p holds (M, ...) views, x may
     also be (M, n, input_dim), and masks and outputs gain the leading M
     axis. `runs` lists (activation, row slice) pairs covering the stack in
     order; by default cfg.activation applies to every row. With `grad`,
-    the post list holds one (n, units) array per hidden layer after
-    dropout, index 0 being x itself, dacts each hidden layer's activation
-    derivative and sig the sigmoid of the raw variance head, which is all
-    _backward_batch needs; otherwise all three are None and only the
-    current layer is kept.
+    the workspace keeps each hidden layer's output after dropout, its
+    activation derivative and the sigmoid of the raw variance head, which
+    is all _backward_batch needs; otherwise every layer reuses one buffer.
     """
+    n = x.shape[-2]
+    if ws is None:
+        ws = _Workspace(cfg, p.flat.shape[:-1], n, n if grad else 0)
+    w = ws.at(n)
     runs = runs or ((cfg.activation, slice(None)),)
-    dacts = [] if grad else None
-    post = [x] if grad else None
     h = x
     for l in range(cfg.hidden_layers):
-        a = h @ p.hidden_w[l].swapaxes(-1, -2) + p.hidden_b[l][..., None, :]
-        h, d = _activate(a, runs, grad)
+        np.matmul(h, p.hidden_w[l].swapaxes(-1, -2), out=w.a)
+        w.a += p.hidden_b[l][..., None, :]
+        h = w.post[l if grad else 0]
+        _activate(w.a, h, w.dacts[l] if grad else None, w.s, w.mask, runs)
         if masks is not None:
-            h = h * masks[l]
-        if grad:
-            dacts.append(d)
-            post.append(h)
-    out = h @ p.head_w.swapaxes(-1, -2) + p.head_b[..., None, :]
-    mu = out[..., 0]
-    raw = out[..., 1]
-    if grad:
-        e = np.exp(-np.abs(raw))
-        return mu, _softplus(raw, e) + VAR_FLOOR, _sigmoid(raw, e), dacts, post
-    return mu, _softplus(raw) + VAR_FLOOR, None, None, None
+            h *= masks[l]
+    np.matmul(h, p.head_w.swapaxes(-1, -2), out=w.out)
+    w.out += p.head_b[..., None, :]
+    _softplus(w.raw, w.var, w.sig if grad else None, w.t, w.hmask)
+    w.var += VAR_FLOOR
+    return w.mu, w.var
 
 
-def _nll_arrays(mu: np.ndarray, var: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Mean NLL over the last axis: one value per network of a stack."""
-    return np.mean((y - mu) ** 2 / (2.0 * var) + 0.5 * np.log(var), axis=-1)
+def _nll_arrays(mu: np.ndarray, var: np.ndarray, y: np.ndarray,
+                w: SimpleNamespace | None = None) -> np.ndarray:
+    """Mean NLL over the last axis: one value per network of a stack.
+    Given workspace views `w`, the terms are written into them, and
+    (y - mu)**2 and 2 var stay in w.sq and w.v2 for _backward_batch."""
+    if w is None:
+        shape = np.broadcast_shapes(mu.shape, var.shape, y.shape)
+        w = SimpleNamespace(**{k: np.empty(shape) for k in ("sq", "v2", "t", "u")})
+    # (y - mu)**2 / (2 var) + 0.5 log(var)
+    np.subtract(y, mu, out=w.sq)
+    np.square(w.sq, out=w.sq)
+    np.multiply(var, 2.0, out=w.v2)
+    np.divide(w.sq, w.v2, out=w.t)
+    np.log(var, out=w.u)
+    w.u *= 0.5
+    w.t += w.u
+    # np.mean's own sum and division, without its Python wrapper
+    return np.add.reduce(w.t, axis=-1) / w.t.shape[-1]
 
 
-def _backward_batch(p: Parameters, cfg: MLPConfig, y: np.ndarray,
-                    masks: np.ndarray | None, cache: tuple,
+def _backward_batch(p: Parameters, cfg: MLPConfig, x: np.ndarray, y: np.ndarray,
+                    masks: np.ndarray | None, ws: _Workspace,
                     grads: Parameters) -> None:
-    """Writes the NLL gradient into `grads`, given the `cache` that
-    _forward_batch returned with `grad` for this batch and these masks.
-    Stacked networks get one gradient row each."""
-    mu, var, sig, dacts, post = cache
+    """Writes the NLL gradient into `grads`, from the workspace that
+    _forward_batch filled with `grad` for this batch (x, y) and these masks,
+    and in which _nll_arrays then left its terms. Stacked networks get one
+    gradient row each."""
     n = y.shape[-1]
+    w = ws.at(n)
 
-    # d loss / d mu and d loss / d raw-variance-head output
-    dmu = (mu - y) / var / n
-    dvar = (-((y - mu) ** 2) / (2.0 * var**2) + 1.0 / (2.0 * var)) / n
-    draw = dvar * sig
+    # d loss / d mu = (mu - y) / var / n and d loss / d raw-variance-head
+    # output = (-(y - mu)**2 / (2 var**2) + 1 / (2 var)) / n * sigmoid(raw)
+    dmu, draw = w.dout[..., 0], w.dout[..., 1]
+    np.subtract(w.mu, y, out=dmu)
+    dmu /= w.var
+    dmu /= n
+    np.square(w.var, out=w.t)
+    w.t *= 2.0
+    np.negative(w.sq, out=draw)
+    draw /= w.t
+    np.divide(1.0, w.v2, out=w.t)
+    draw += w.t
+    draw /= n
+    draw *= w.sig
 
-    dout = np.stack([dmu, draw], axis=-1)           # (..., n, 2)
-    np.matmul(dout.swapaxes(-1, -2), post[-1], out=grads.head_w)
-    dout.sum(axis=-2, out=grads.head_b)
-
-    delta = dout @ p.head_w                          # gradient w.r.t. h_L
+    np.matmul(w.dout.swapaxes(-1, -2), w.post[-1], out=grads.head_w)
+    w.dout.sum(axis=-2, out=grads.head_b)
+    np.matmul(w.dout, p.head_w, out=w.delta)         # gradient w.r.t. h_L
+    da = w.a                                         # free once forward is done
     for l in range(cfg.hidden_layers - 1, -1, -1):
         if masks is not None:
-            delta = delta * masks[l]
-        da = delta * dacts[l]
-        np.matmul(da.swapaxes(-1, -2), post[l], out=grads.hidden_w[l])
+            w.delta *= masks[l]
+        np.multiply(w.delta, w.dacts[l], out=da)
+        np.matmul(da.swapaxes(-1, -2), w.post[l - 1] if l else x, out=grads.hidden_w[l])
         da.sum(axis=-2, out=grads.hidden_b[l])
         if l:
-            delta = da @ p.hidden_w[l]
+            np.matmul(da, p.hidden_w[l], out=w.delta)
 
 
 def backward(p: Parameters, cfg: MLPConfig,
@@ -400,8 +537,12 @@ def backward(p: Parameters, cfg: MLPConfig,
         raise DimensionMismatch(f"expected batch of shape (n, {cfg.input_dim})")
     if x.shape[0] == 0:
         raise LengthMismatch("batch must be non-empty")
+    n = x.shape[0]
+    ws = _Workspace(cfg, p.flat.shape[:-1], n, n)
+    mu, var = _forward_batch(p, cfg, x, None, grad=True, ws=ws)
+    _nll_arrays(mu, var, y, ws.at(n))
     grads = Parameters(cfg, np.empty_like(p.flat))
-    _backward_batch(p, cfg, y, None, _forward_batch(p, cfg, x, None, grad=True), grads)
+    _backward_batch(p, cfg, x, y, None, ws, grads)
     return grads
 
 
@@ -478,20 +619,28 @@ def train_stack(splits: SplitDataset, normalizer: Normalizer,
     best_val = np.full(len(rows), np.inf)
     step = 0
 
+    n = x_train.shape[0]
+    batch_rows = min(tc.batch_size, n)
+    n_w = Parameters(cfg, theta[0]).n_weights
+
     def views():
         # rebuilt only when the stack shrinks: the index that selects its
-        # rows, the parameter and gradient views, and the activation runs.
-        # A stack of one drops its row axis, because plain 2-D matmuls
-        # cost less than a stack of one.
+        # rows, the parameter and gradient views, the activation runs, the
+        # workspace of every pass, and the two AdamW temporaries with the
+        # weight-matrix span of each of their rows and theta's, which weight
+        # decay updates row by row (numpy buffers a column slice of a
+        # stack). A stack of one drops its row axis, because plain 2-D
+        # matmuls cost less than a stack of one.
         lead = 0 if len(rows) == 1 else slice(None)
+        t1, t2 = np.empty_like(theta), np.empty_like(theta)
         return (lead, Parameters(cfg, theta[lead]),
                 Parameters(cfg, np.empty_like(theta[lead])),
-                _activation_runs([members[i][0].activation for i in rows]))
+                _activation_runs([members[i][0].activation for i in rows]),
+                _Workspace(cfg, theta[lead].shape[:-1], len(x_val), batch_rows),
+                (t1, t2, list(zip(t1[:, :n_w], t2[:, :n_w], theta[:, :n_w]))))
 
-    lead, params, grads, runs = views()
-    n_w = params.n_weights
+    lead, params, grads, runs, ws, (t1, t2, decay_rows) = views()
 
-    n = x_train.shape[0]
     train_losses: list[list[float]] = [[] for _ in members]
     val_losses: list[list[float]] = [[] for _ in members]
     best_epoch = [0] * len(members)
@@ -505,31 +654,42 @@ def train_stack(splits: SplitDataset, normalizer: Normalizer,
         finite = np.ones(len(rows), dtype=bool)
         for start in range(0, n, tc.batch_size):
             idx = order[lead, start:start + tc.batch_size]
-            xb, yb = x_train[idx], y_train[idx]
-            masks = _make_masks(cfg, idx.shape[-1], rngs)
+            w = ws.at(idx.shape[-1])
+            # mode="clip" gathers straight into out; the indices are valid
+            np.take(x_train, idx, axis=0, out=w.x, mode="clip")
+            np.take(y_train, idx, out=w.y, mode="clip")
+            masks = _make_masks(cfg, idx.shape[-1], rngs, w.masks)
             if masks is not None:
                 masks = masks[:, lead]
-            cache = _forward_batch(params, cfg, xb, masks, runs, grad=True)
-            batch_loss = _nll_arrays(cache[0], cache[1], yb)
+            mu, var = _forward_batch(params, cfg, w.x, masks, runs, grad=True, ws=ws)
+            batch_loss = _nll_arrays(mu, var, w.y, w)
             finite &= np.isfinite(batch_loss)
             epoch_loss += batch_loss * idx.shape[-1]
-            _backward_batch(params, cfg, yb, masks, cache, grads)
+            _backward_batch(params, cfg, w.x, w.y, masks, ws, grads)
 
+            # AdamW, each step of
+            # theta -= lr * ((m / bias1) / (sqrt(v / bias2) + eps) + wd * theta)
+            # in place, on the gradient viewed in theta's shape
             step += 1
             bias1 = 1.0 - ADAM_BETA1**step
             bias2 = 1.0 - ADAM_BETA2**step
-            g = grads.flat                  # broadcasts over a stack of one
+            g = grads.flat.reshape(theta.shape)
             m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
+            m += np.multiply(g, 1.0 - ADAM_BETA1, out=t1)
             v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g**2
-            update = (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+            v += np.multiply(np.square(g, out=t1), 1.0 - ADAM_BETA2, out=t1)
+            np.divide(m, bias1, out=t1)
+            np.sqrt(np.divide(v, bias2, out=t2), out=t2)
+            t2 += ADAM_EPS
+            t1 /= t2
             if tc.weight_decay:
-                update[:, :n_w] += tc.weight_decay * theta[:, :n_w]
-            theta -= tc.learning_rate * update
+                for t1_w, t2_w, theta_w in decay_rows:
+                    t1_w += np.multiply(theta_w, tc.weight_decay, out=t2_w)
+            t1 *= tc.learning_rate
+            theta -= t1
 
-        mu, var, _, _, _ = _forward_batch(params, cfg, x_val, None, runs)
-        val_loss = np.atleast_1d(_nll_arrays(mu, var, y_val))
+        mu, var = _forward_batch(params, cfg, x_val, None, runs, ws=ws)
+        val_loss = np.atleast_1d(_nll_arrays(mu, var, y_val, ws.at(len(x_val))))
         # a network whose batch loss, parameters or validation loss stopped
         # being finite this epoch diverged in it
         diverged = ~(finite & np.isfinite(theta).all(axis=1) & np.isfinite(val_loss))
@@ -567,7 +727,7 @@ def train_stack(splits: SplitDataset, normalizer: Normalizer,
             best_val = best_val[keep]
             rows = [i for i, k in zip(rows, keep) if k]
             rngs = [rng for rng, k in zip(rngs, keep) if k]
-            lead, params, grads, runs = views()
+            lead, params, grads, runs, ws, (t1, t2, decay_rows) = views()
 
     if failed is not None:
         index, exc = failed
@@ -601,9 +761,11 @@ def predict_batch(p: Parameters, cfg: MLPConfig, normalizer: Normalizer,
         raise DimensionMismatch(f"expected inputs of width {cfg.input_dim}")
     n = raw_inputs.shape[0]
     mu_out, var_out = out if out is not None else (np.empty(n), np.empty(n))
-    for start, stop in _row_blocks(n):
+    blocks = _row_blocks(n)
+    ws = _Workspace(cfg, p.flat.shape[:-1], max(stop - start for start, stop in blocks))
+    for start, stop in blocks:
         x = normalizer.transform_features(raw_inputs[start:stop])
-        mu, var, _, _, _ = _forward_batch(p, cfg, x, None)
+        mu, var = _forward_batch(p, cfg, x, None, ws=ws)
         mu_out[start:stop] = normalizer.inverse_target_mean(mu)
         var_out[start:stop] = normalizer.inverse_target_var(var)
     return mu_out, var_out

@@ -333,6 +333,30 @@ def test_trials_command(tmp_path, capsys):
     assert (ws / "trial_002" / "report" / "report.json").is_file()
 
 
+
+@pytest.mark.parametrize("command", ["agent", "direct"])
+def test_recipe_rejected_by_a_task_schema_fails_before_any_file(tmp_path, capsys,
+                                                                command):
+    # --level only reaches the evaluate stage's payload, after training
+    ws = tmp_path / "ws"
+    assert cli.main([command, "--workspace", str(ws), "--synthetic", "100",
+                     "--level", "1.5", "--members", "2", "--epochs", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: evaluate payload invalid: 1.5 ") and err.count("\n") == 1, err
+    assert not ws.exists()
+
+
+def test_trials_checks_its_fault_flags_before_trial_one(tmp_path, capsys):
+    ws = tmp_path / "trials_ws"
+    base = ["trials", "--workspace", str(ws), "--synthetic", "100", "--n", "1"]
+    assert cli.main([*base, "--fault-runs", "3", "--fault-spec", "bogus", *_FAST]) == 1
+    assert capsys.readouterr().err == "error: --fault-runs 3 outside the runs 1..1\n"
+    assert cli.main([*base, "--fault-runs", "1", "--fault-spec", "bogus", *_FAST]) == 1
+    assert capsys.readouterr().err == "error: malformed fault clause 'bogus'\n"
+    assert cli.main([*base, "--fault-runs", "one", *_FAST]) == 1
+    assert "--fault-runs takes comma-separated run numbers" in capsys.readouterr().err
+    assert not ws.exists()
+
 def test_tune_command(tmp_path, capsys, tiny_dataset):
     data = tmp_path / "data.csv"
     write_csv(tiny_dataset, data)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ def _zeroed(cfg):
 
 def _array_row(p, cfg, x, masks=None):
     """(mu, var) of one input row through the array path."""
-    mu, var, _, _, _ = _forward_batch(p, cfg, np.asarray(x)[None, :], masks)
+    mu, var = _forward_batch(p, cfg, np.asarray(x)[None, :], masks)
     return float(mu[0]), float(var[0])
 
 
@@ -40,11 +41,28 @@ def _row_masks(cfg, rng):
     return _make_masks(cfg, 1, [rng])[:, 0]
 
 
+def _kernel(kind, x, grad=False):
+    """(value, derivative) of `kind`'s activation kernel on fresh buffers,
+    the derivative None unless `grad`."""
+    x = np.array(x, dtype=np.float64)
+    h, d, s = (np.empty_like(x) for _ in range(3))
+    _ACTIVATIONS[kind](x.copy(), h, d if grad else None, s, np.empty(x.shape, bool))
+    return h, d if grad else None
+
+
+def _value(kind):
+    return lambda x: _kernel(kind, x)[0]
+
+
+def _deriv(kind):
+    return lambda x: _kernel(kind, x, grad=True)[1]
+
+
 # --- activations ------------------------------------------------------------
 
 def test_activation_reference_values():
     x = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
-    act = {k: _ACTIVATIONS[k][0] for k in ALL_KINDS}
+    act = {k: _value(k) for k in ALL_KINDS}
 
     assert np.array_equal(act[ActivationKind.RELU](x), np.maximum(x, 0))
     assert np.allclose(act[ActivationKind.LEAKY_RELU](x),
@@ -63,7 +81,7 @@ def test_activation_reference_values():
 
 
 def test_softplus_overflow_safe():
-    act = _ACTIVATIONS[ActivationKind.SOFTPLUS][0]
+    act = _value(ActivationKind.SOFTPLUS)
     big = np.array([800.0, -800.0])
     out = act(big)
     assert out[0] == 800.0
@@ -73,7 +91,7 @@ def test_softplus_overflow_safe():
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=[k.value for k in ALL_KINDS])
 def test_activation_derivative_matches_finite_difference(kind):
-    act, dact = _ACTIVATIONS[kind]
+    act, dact = _value(kind), _deriv(kind)
     x = np.linspace(-3.0, 3.0, 61)
     x = x[np.abs(x) > 1e-3]        # stay clear of the relu-family kink
     h = 1e-6
@@ -82,9 +100,60 @@ def test_activation_derivative_matches_finite_difference(kind):
 
 
 def test_softplus_derivative_is_sigmoid():
-    _, dact = _ACTIVATIONS[ActivationKind.SOFTPLUS]
+    dact = _deriv(ActivationKind.SOFTPLUS)
     x = np.linspace(-10, 10, 41)
     assert np.allclose(dact(x), 1.0 / (1.0 + np.exp(-x)), rtol=1e-12)
+
+
+# The plain numpy expressions the kernels replace, operand for operand: a
+# kernel must reproduce their bits, NaN and overflow included.
+_LAM, _ALPHA, _C, _B = 1.0507009873554805, 1.6732632423543772, 0.7978845608028654, 0.044715
+
+
+def _plain_sigmoid(x):
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
+def _plain_gelu_deriv(x):
+    x2 = x * x
+    t = np.tanh(_C * (x + _B * (x2 * x)))
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _C * (1.0 + 3.0 * _B * x2)
+
+
+_PLAIN = {
+    ActivationKind.RELU: (lambda x: np.maximum(x, 0.0),
+                          lambda x: (x > 0).astype(np.float64)),
+    ActivationKind.LEAKY_RELU: (lambda x: np.where(x > 0, x, 0.01 * x),
+                                lambda x: np.where(x > 0, 1.0, 0.01)),
+    ActivationKind.GELU: (
+        lambda x: 0.5 * x * (1.0 + np.tanh(_C * (x + _B * (x * x * x)))),
+        _plain_gelu_deriv),
+    ActivationKind.SELU: (
+        lambda x: _LAM * np.where(x > 0, x, _ALPHA * np.expm1(x)),
+        lambda x: _LAM * np.where(x > 0, 1.0, _ALPHA * np.exp(x))),
+    ActivationKind.ELU: (lambda x: np.where(x > 0, x, np.expm1(x)),
+                         lambda x: np.where(x > 0, 1.0, np.exp(x))),
+    ActivationKind.SOFTPLUS: (
+        lambda x: np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))), _plain_sigmoid),
+}
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=[k.value for k in ALL_KINDS])
+def test_activation_kernels_keep_the_bits_of_the_plain_expressions(kind):
+    rng = np.random.default_rng(3)
+    x = np.concatenate([rng.normal(size=200) * 4.0, rng.normal(size=50) * 1e3,
+                        [0.0, -0.0, 1e-310, -1e-310, 800.0, -800.0,
+                         np.inf, -np.inf, np.nan]]).reshape(-1, 7)
+    plain_value, plain_deriv = _PLAIN[kind]
+    with np.errstate(all="ignore"):
+        value, deriv = _kernel(kind, x, grad=True)
+        value_alone, _ = _kernel(kind, x)
+        expected = plain_value(x), plain_deriv(x)
+    assert value.tobytes() == expected[0].tobytes()
+    assert value_alone.tobytes() == expected[0].tobytes()
+    assert deriv.tobytes() == expected[1].tobytes()
 
 
 # --- configuration ----------------------------------------------------------
@@ -288,7 +357,7 @@ def test_train_best_snapshot_returned():
     params, hist = train(splits, norm, cfg, tc)
     x_val = norm.transform_features(splits.validation.features)
     y_val = norm.transform_targets(splits.validation.targets)
-    mu, var, _, _, _ = _forward_batch(params, cfg, x_val, None)
+    mu, var = _forward_batch(params, cfg, x_val, None)
     assert _nll_arrays(mu, var, y_val) == pytest.approx(
         hist.val_losses[hist.best_epoch], rel=1e-12)
 
@@ -393,6 +462,160 @@ def test_train_golden_and_one_forward_per_step(monkeypatch):
         assert len(calls) == steps + epochs, kind
 
 
+
+# Stacked runs, pinned the same way: a change that moves a member both when
+# it trains stacked and when it trains alone passes the identity tests in
+# test_ensemble.py but not these. The first stack has the pipeline recipe's
+# shape (relu/gelu/softplus/relu/gelu, 2x16, batch 64, no dropout); the
+# second has dropout and a patience of 1, so its members stop at 9, 9, 9, 4,
+# 3 and 6 epochs and the stack shrinks three times. Each entry: sha256 of
+# every member's parameter bytes in member order, then each member's
+# (train_losses, val_losses).
+_STACK_GOLDEN = (
+    "b4050255c8043b73dd37c88cf1342f34acc652da603083c3bf593bf4597d781e",
+    [
+     ([0.4058959396430153, 0.2604554299005748, 0.1491047314877706, 0.05142296793231759],
+      [0.2662737495986345, 0.16036697471190495, 0.06568273512405882,
+       -0.015161115828413254]),
+     ([4.823480649280237, 2.8965803832143333, 1.5355480145952602, 1.121491010716283],
+      [1.9897299660177454, 1.265780318535673, 0.9748639590838852, 0.8051437596112273]),
+     ([4.071352304094074, 1.8126214729805368, 1.033169107745695, 0.7392709169051926],
+      [2.2554303226470296, 1.1460045160443555, 0.745122299003751, 0.5952670980115612]),
+     ([4.6109102920669685, 2.0312590948378415, 1.2631729982692723, 0.9721375155328545],
+      [2.0755813759726465, 1.2340262773489636, 0.91788547997896, 0.7650750812426655]),
+     ([0.8509147212304682, 0.4599716109903369, 0.3562077859248028, 0.2844599804159969],
+      [0.626412990363534, 0.4387759613470985, 0.3344818339414022, 0.2656695144771275]),
+    ])
+_SHRINKING_STACK_GOLDEN = (
+    "b3b4271080fdd3b0c48f84da3e3b061677b8d4073a246c81cec9ec764a41e847",
+    [
+     ([1.740663046499893, 0.3682341331674185, 0.3065656337722939, 0.2949688263252223,
+       0.2109344193627157, 0.22793566264388143, 0.0575961015386718,
+       0.10124757429214104, -0.003067891410550447],
+      [0.2546792952692098, 0.24087264869667477, 0.2168264667934578,
+       0.17574394932915516, 0.10953505620033274, 0.013323568621372645,
+       -0.07265298574769677, -0.1275522603127165, -0.1763228086505374]),
+     ([17.909547976296185, 3.210223746382743, 2.2920401570433295, 1.2511272786970684,
+       1.2135152263277353, 1.175630805833374, 1.2462781714157993, 0.9495898634960623,
+       0.9039381457895092],
+      [1.8322369865523684, 1.4164414973326744, 0.8182702174321685, 0.67159000035815,
+       0.6852458744018884, 0.6600142477863483, 0.6412002824724271, 0.6399880556511379,
+       0.6344078973483429]),
+     ([51.70563074219163, 7.430822265522709, 1.4102928087690394, 1.288703269415215,
+       1.0336635427655896, 0.8699887852316418, 0.8320113262981381, 0.9488405304760585,
+       0.8018023223756865],
+      [0.8662201255437613, 0.7908142370876197, 0.6641963507170473, 0.5621096744608862,
+       0.5245280033523492, 0.5114021190385188, 0.5015336018452746, 0.4879325016997653,
+       0.4769334136474431]),
+     ([14902.415554850466, 20.341521918822167, 1.2606805086306165, 1.1057226209841184],
+      [1.0240098024793862, 0.9170017690246248, 0.9258576945705556, 0.9370668763946127]),
+     ([19.274942742510277, 0.5901890923724311, 0.47506982775028767],
+      [0.43797839915555786, 0.474411730756642, 0.47534137376325325]),
+     ([1.6993253678289246, 0.5513174409268639, 0.4951842385781068, 0.42609953183296245,
+       0.48846070625788784, 0.42138333305559317],
+      [0.5309273869664436, 0.4829534591614121, 0.43086937413076964, 0.3361232250349064,
+       0.38599566407869235, 0.3542097395399488]),
+    ])
+
+
+_PIPELINE_STACK = [ActivationKind.RELU, ActivationKind.GELU, ActivationKind.SOFTPLUS,
+                   ActivationKind.RELU, ActivationKind.GELU]
+_SHRINKING_STACK = [ActivationKind.LEAKY_RELU, ActivationKind.SELU, ActivationKind.ELU,
+                    ActivationKind.SOFTPLUS, ActivationKind.GELU, ActivationKind.RELU]
+
+
+@pytest.mark.parametrize("golden, members", [
+    (_STACK_GOLDEN,
+     [(MLPConfig(5, 2, 16, kind),
+       TrainConfig(3e-3, 1e-5, 64, epochs=4, seed=100 + i, patience=10))
+      for i, kind in enumerate(_PIPELINE_STACK)]),
+    (_SHRINKING_STACK_GOLDEN,
+     [(MLPConfig(5, 3, 10, kind, dropout_rate=0.2),
+       TrainConfig(3e-2, 1e-3, 50, epochs=9, seed=700 + i, patience=1))
+      for i, kind in enumerate(_SHRINKING_STACK)]),
+], ids=["pipeline_shape", "shrinking_dropout"])
+def test_train_stack_golden(tiny_splits, tiny_normalizer, golden, members):
+    digest, curves = golden
+    batch_size = members[0][1].batch_size
+    assert len(tiny_splits.train) % batch_size != 0    # a short last batch
+    results = neural_net.train_stack(tiny_splits, tiny_normalizer, members)
+    got = hashlib.sha256(b"".join(p.flat.tobytes() for p, _ in results)).hexdigest()
+    assert [(h.train_losses, h.val_losses) for _, h in results] == [
+        (list(t), list(v)) for t, v in curves]
+    assert got == digest
+
+
+def _training_memory(splits, norm, members, monkeypatch):
+    """Trains `members` as one stack under tracemalloc and returns (the
+    largest rise above its start of any mini-batch step, taken from one
+    step's forward pass to the next within an epoch; the number of numpy
+    data blocks alive at each epoch's validation pass)."""
+    real_forward = neural_net._forward_batch
+    numpy_data = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+    step_rise, alive, step_start = [0], [], [None]
+
+    def traced_forward(*args, **kwargs):
+        if kwargs.get("grad"):
+            if step_start[0] is not None:
+                step_rise[0] = max(step_rise[0],
+                                   tracemalloc.get_traced_memory()[1] - step_start[0])
+            tracemalloc.reset_peak()
+            step_start[0] = tracemalloc.get_traced_memory()[0]
+        else:
+            step_start[0] = None
+            alive.append(len(tracemalloc.take_snapshot().filter_traces(numpy_data).traces))
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(neural_net, "_forward_batch", traced_forward)
+    tracemalloc.start()
+    try:
+        neural_net.train_stack(splits, norm, members)
+    finally:
+        tracemalloc.stop()
+        monkeypatch.undo()
+    return step_rise[0], alive
+
+
+def _training_peak(splits, norm, members):
+    """How far traced memory rises above its start while training."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        neural_net.train_stack(splits, norm, members)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+# numpy's ufunc machinery buffers up to 8,192 elements of a broadcast
+# operand (the bias adds) inside one call, so each case has more elements
+# than that in one (M, batch, units) buffer: a step that allocated any array
+# of that size would show, numpy's capped scratch does not.
+@pytest.mark.parametrize("kinds, dropout, batch_size, units", [
+    ([ActivationKind.GELU], 0.0, 128, 128),
+    (_PIPELINE_STACK, 0.2, 64, 48),
+], ids=["stack_of_one", "stack_of_five"])
+def test_training_steps_allocate_nothing(tiny_splits, tiny_normalizer, monkeypatch,
+                                         kinds, dropout, batch_size, units):
+    def members(epochs):
+        return [(MLPConfig(5, 2, units, kind, dropout_rate=dropout),
+                 TrainConfig(3e-3, 1e-5, batch_size, epochs=epochs, seed=60 + i,
+                             patience=epochs))
+                for i, kind in enumerate(kinds)]
+
+    # every step, dropout masks included, writes into the workspace that
+    # training allocated up front
+    buffer = len(kinds) * batch_size * units * 8
+    assert buffer > 8192 * 8
+    step_rise, alive = _training_memory(tiny_splits, tiny_normalizer, members(8),
+                                        monkeypatch)
+    assert step_rise < buffer
+    # the first epoch leaves its validation results behind; none after it
+    assert len(alive) == 8 and len(set(alive[1:])) == 1
+    short = _training_peak(tiny_splits, tiny_normalizer, members(2))
+    long = _training_peak(tiny_splits, tiny_normalizer, members(8))
+    assert abs(long - short) < buffer
+
 # --- prediction on raw units --------------------------------------------------------
 
 def test_predict_batch_applies_normalizer(tiny_splits, tiny_normalizer):
@@ -441,7 +664,7 @@ def test_predict_batch_blocks_match_one_unblocked_pass(kind):
         for n in sizes:
             raw = raw_all[:n]
             mu, var = predict_batch(p, cfg, norm, raw)
-            ref_mu, ref_var, _, _, _ = neural_net._forward_batch(
+            ref_mu, ref_var = neural_net._forward_batch(
                 p, cfg, norm.transform_features(raw), None)
             assert mu.tobytes() == norm.inverse_target_mean(ref_mu).tobytes(), (cfg, n)
             assert var.tobytes() == norm.inverse_target_var(ref_var).tobytes(), (cfg, n)
