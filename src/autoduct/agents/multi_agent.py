@@ -90,12 +90,17 @@ def _stop_stage_done(state: WorkflowState, stop_after_stage: str | None) -> bool
 
 def _load_or_create_state(ctx: ProjectContext, mode: str,
                           resume: bool) -> WorkflowState:
+    """A resumed run's saved state, refused before any step when it
+    belongs to another run or to the other loop, else a fresh one."""
     state_path = ctx.path("state_file")
     if resume and state_path.exists():
         state = load_state(state_path)
         if state.run_id != ctx.run_id:
             raise ValueError(f"state belongs to run {state.run_id!r}, "
                              f"context is {ctx.run_id!r}")
+        if state.mode != mode:
+            raise ValueError(f"state belongs to a {state.mode!r} run, "
+                             f"this loop is {mode!r}")
         return state
     return WorkflowState(run_id=ctx.run_id, mode=mode)
 

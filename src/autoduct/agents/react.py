@@ -102,8 +102,7 @@ def think(planner: PlannerBase, task: str, state: WorkflowState,
                             action=action, args=args)
 
 
-def act(directive: PlannerDirective, tools: dict,
-        ctx: ProjectContext) -> ExecutionResult:
+def act(directive: PlannerDirective, tools: dict) -> ExecutionResult:
     """Dispatch to the named tool; expected failures come back as error
     results so the observation can carry them."""
     tool = tools[directive.action]
@@ -223,7 +222,7 @@ def run_react(task: str, ctx: ProjectContext, planner: PlannerBase,
 
     for _ in range(max_steps):
         directive = think(planner, task, state, transcript, ctx, tools)
-        result = act(directive, tools, ctx)
+        result = act(directive, tools)
         transcript.append(ReActStep(directive.thought, directive.action,
                                     observe(result)))
         persist_state(state, state_path)

@@ -278,6 +278,16 @@ def cmd_data_split(args) -> int:
 # --- tune -------------------------------------------------------------------
 
 def cmd_tune(args) -> int:
+    # usage errors come before the data is read or the last log is emptied
+    for flag, value, least in (("--runs", args.runs, 1), ("--sobol", args.sobol, 2),
+                               ("--bo", args.bo, 0), ("--epochs", args.epochs, 1),
+                               ("--patience", args.patience, 0)):
+        if value < least:
+            raise ValueError(f"{flag} must be at least {least}, got {value}")
+    trials = args.runs * (args.sobol + args.bo)
+    if not 1 <= args.top_k <= trials:
+        raise ValueError(f"--top-k must lie in 1..{trials} (runs x (sobol + bo)), "
+                         f"got {args.top_k}")
     ds = load_csv(args.data)
     splits = split(ds, args.fracs, args.split_seed)
     normalizer = fit_normalizer(splits.train)

@@ -16,7 +16,7 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TextIO
 
@@ -389,9 +389,6 @@ class SyntheticConfig:
     n: int
     noise_scale: float = 1.0
     seed: int = 0
-    # sampling ranges default to the reference envelope
-    ranges: dict[str, tuple[float, float]] = field(
-        default_factory=lambda: {k: REFERENCE_ENVELOPE[k] for k in FEATURE_NAMES})
 
     def __post_init__(self):
         if self.n < 1:
@@ -401,7 +398,7 @@ class SyntheticConfig:
 
 
 def generate_synthetic(cfg: SyntheticConfig) -> Dataset:
-    """Draw inputs inside the configured ranges (P and G log-uniform, the
+    """Draw inputs inside the reference envelope (P and G log-uniform, the
     rest uniform), evaluate the documented oracle, add heteroscedastic
     Gaussian noise, and clamp the target to the reference envelope.
 
@@ -412,7 +409,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> Dataset:
     rows = np.empty((cfg.n, len(FEATURE_NAMES)))
     log_sampled = {"P", "G"}
     for j, name in enumerate(FEATURE_NAMES):
-        lo, hi = cfg.ranges[name]
+        lo, hi = REFERENCE_ENVELOPE[name]
         for i in range(cfg.n):
             u = gen.random()
             if name in log_sampled:

@@ -11,7 +11,10 @@ uncertainty split:
     total     = aleatory + epistemic           (law of total variance)
 
 Members may have heterogeneous architectures; aggregation only requires
-each member to produce a Gaussian in the same target units.
+each member to produce a Gaussian in the same target units. Training
+them is `neural_net.train_stack`'s: it groups members into stacks and
+raises a divergence as training them in order would. `train_ensemble`
+only checks the member list and wraps the results.
 
 Predictions are columnar: an EnsemblePrediction for N inputs and M
 members holds the four moments as (N,) arrays and the member outputs as
@@ -30,12 +33,7 @@ import numpy as np
 
 from . import neural_net
 from .dataset import Normalizer, SplitDataset
-from .errors import (
-    CorruptArtifact,
-    DivergedLoss,
-    EmptyEnsemble,
-    VersionMismatch,
-)
+from .errors import CorruptArtifact, EmptyEnsemble, VersionMismatch
 from .neural_net import MLPConfig, Parameters, TrainConfig
 from .stats import central_interval_z
 
@@ -91,50 +89,24 @@ class Ensemble:
 
 
 def train_ensemble(splits: SplitDataset, normalizer: Normalizer,
-                   member_configs: list[tuple[MLPConfig, TrainConfig]],
-                   provenance: list[str] | None = None) -> Ensemble:
-    """Train every member independently with its own seed.
+                   member_configs: list[tuple[MLPConfig, TrainConfig]]) -> Ensemble:
+    """Train every member independently with its own seed, through
+    `neural_net.train_stack`, and tag each `seed=N`.
 
     Seeds must be pairwise distinct, otherwise two members would be
-    identical and contribute nothing. Members that share a
-    `neural_net.stack_key` train together as one stack, which leaves each
-    bit-identical to training it alone. A divergence is re-raised as it
-    would be by training the members in order: the lowest-indexed failing
-    member's error, with a `member_index` attribute identifying it.
+    identical and contribute nothing. A divergence propagates as
+    train_stack raises it: the lowest-indexed failing member's
+    DivergedLoss, with its `member_index`.
     """
     if not member_configs:
         raise EmptyEnsemble("need at least one member config")
     seeds = [tc.seed for _, tc in member_configs]
     if len(set(seeds)) != len(seeds):
         raise ValueError(f"member seeds must be pairwise distinct, got {seeds}")
-    if provenance is not None and len(provenance) != len(member_configs):
-        raise ValueError("provenance list must match member count")
-
-    stacks: dict[tuple, list[int]] = {}
-    for i, (mlp_cfg, train_cfg) in enumerate(member_configs):
-        stacks.setdefault(neural_net.stack_key(mlp_cfg, train_cfg), []).append(i)
-    trained: dict[int, Parameters] = {}
-    failed: DivergedLoss | None = None
-    for indices in stacks.values():
-        if failed is not None and indices[0] > failed.member_index:
-            continue            # in order, training would have stopped before these
-        try:
-            results = neural_net.train_stack(splits, normalizer,
-                                             [member_configs[i] for i in indices])
-        except DivergedLoss as exc:
-            exc.member_index = indices[exc.member_index]
-            if failed is None or exc.member_index < failed.member_index:
-                failed = exc
-            continue
-        trained.update((i, params) for i, (params, _) in zip(indices, results))
-    if failed is not None:
-        raise failed
-
-    members = []
-    for i, (mlp_cfg, train_cfg) in enumerate(member_configs):
-        tag = provenance[i] if provenance is not None else f"seed={train_cfg.seed}"
-        members.append(EnsembleMember(trained[i], mlp_cfg, train_cfg.seed, tag))
-    return Ensemble(tuple(members), normalizer)
+    trained = neural_net.train_stack(splits, normalizer, member_configs)
+    members = tuple(EnsembleMember(params, mlp_cfg, train_cfg.seed, f"seed={train_cfg.seed}")
+                    for (params, _), (mlp_cfg, train_cfg) in zip(trained, member_configs))
+    return Ensemble(members, normalizer)
 
 
 def _moments(member_means: np.ndarray, member_vars: np.ndarray) -> EnsemblePrediction:

@@ -25,16 +25,19 @@ network's parameters are views into one flat float64 buffer, all
 weight matrices first and all biases after, so the AdamW update is one
 vector operation and weight decay touches one leading span.
 
-There is one training loop, ``train_stack``. It trains M networks that
-differ only in activation and seed as one stack: their parameters are
-the rows of one (M, P) buffer, each step gathers every network's
-mini-batch into an (M, B, d) array, runs each layer as one stacked
-matmul and each activation on its own rows, and updates all rows with
-one AdamW step. The step's forward pass keeps each layer's activation
-derivative, so the backward pass recomputes none. Every network draws
-its batch order and dropout masks from its own generator and leaves the
-stack when it stops early, so each result is bit-identical to training
-that network alone. ``train`` is the M = 1 case.
+There is one training loop, ``train_stack``, and it takes any list of
+networks. Those that differ only in activation and seed (one
+``stack_key``) train as one stack, and the stacks train in the order of
+their first member. A stack of M networks holds their parameters as the
+rows of one (M, P) buffer; each step gathers every network's mini-batch
+into an (M, B, d) array, runs each layer as one stacked matmul and each
+activation on its own rows, and updates all rows with one AdamW step.
+The step's forward pass keeps each layer's activation derivative, so the
+backward pass recomputes none. Every network draws its batch order and
+dropout masks from its own generator and leaves the stack when it stops
+early, so each result is bit-identical to training that network alone,
+and a divergence is raised as training them one after another would
+raise it. ``train`` is the one-network case.
 
 Training workspace: ``train_stack`` allocates every array a step uses
 once per stack, in a ``_Workspace``: the gathered batch, one
@@ -398,18 +401,17 @@ class _Workspace:
         return w
 
 
-def _make_masks(cfg: MLPConfig, n: int, rngs: list[np.random.Generator],
-                out: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray | None:
+def _make_masks(cfg: MLPConfig, rngs: list[np.random.Generator],
+                out: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray | None:
     """Inverted dropout masks for a stack of networks, one generator each,
-    as a (hidden_layers, len(rngs), n, units) array already divided by the
-    keep probability. `out`, when given, is a float and a bool array of
-    that shape, and the masks are written into the float one. Each network
-    draws its layers' masks in layer order from its own generator."""
+    already divided by the keep probability; None without dropout. `out` is
+    a float and a bool array of shape (hidden_layers, len(rngs), n, units),
+    and the masks are written into the float one, which is returned. Each
+    network draws its layers' masks in layer order from its own generator."""
     if cfg.dropout_rate == 0.0:
         return None
     keep = 1.0 - cfg.dropout_rate
-    shape = (cfg.hidden_layers, len(rngs), n, cfg.hidden_units)
-    draws, kept = out if out is not None else (np.empty(shape), np.empty(shape, bool))
+    draws, kept = out
     for r, rng in enumerate(rngs):
         for layer in draws[:, r]:
             rng.random(out=layer)
@@ -432,10 +434,10 @@ def _activate(a, h, d, s, mask, runs) -> None:
 
 
 def _forward_batch(p: Parameters, cfg: MLPConfig, x: np.ndarray,
-                   masks: np.ndarray | None, runs=None, grad: bool = False,
-                   ws: _Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (mu, var): views into the workspace `ws` (a new one when
-    None), valid until its next pass.
+                   masks: np.ndarray | None, ws: _Workspace, runs=None,
+                   grad: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Returns (mu, var): views into the workspace `ws`, valid until its
+    next pass.
 
     x has shape (n, input_dim), and masks[l] is hidden layer l's (n, units)
     dropout mask. For a stack of M networks, p holds (M, ...) views, x may
@@ -446,10 +448,7 @@ def _forward_batch(p: Parameters, cfg: MLPConfig, x: np.ndarray,
     activation derivative and the sigmoid of the raw variance head, which
     is all _backward_batch needs; otherwise every layer reuses one buffer.
     """
-    n = x.shape[-2]
-    if ws is None:
-        ws = _Workspace(cfg, p.flat.shape[:-1], n, n if grad else 0)
-    w = ws.at(n)
+    w = ws.at(x.shape[-2])
     runs = runs or ((cfg.activation, slice(None)),)
     h = x
     for l in range(cfg.hidden_layers):
@@ -467,13 +466,10 @@ def _forward_batch(p: Parameters, cfg: MLPConfig, x: np.ndarray,
 
 
 def _nll_arrays(mu: np.ndarray, var: np.ndarray, y: np.ndarray,
-                w: SimpleNamespace | None = None) -> np.ndarray:
-    """Mean NLL over the last axis: one value per network of a stack.
-    Given workspace views `w`, the terms are written into them, and
-    (y - mu)**2 and 2 var stay in w.sq and w.v2 for _backward_batch."""
-    if w is None:
-        shape = np.broadcast_shapes(mu.shape, var.shape, y.shape)
-        w = SimpleNamespace(**{k: np.empty(shape) for k in ("sq", "v2", "t", "u")})
+                w: SimpleNamespace) -> np.ndarray:
+    """Mean NLL over the last axis: one value per network of a stack. The
+    terms are written into the workspace views `w`, and (y - mu)**2 and
+    2 var stay in w.sq and w.v2 for _backward_batch."""
     # (y - mu)**2 / (2 var) + 0.5 log(var)
     np.subtract(y, mu, out=w.sq)
     np.square(w.sq, out=w.sq)
@@ -539,7 +535,7 @@ def backward(p: Parameters, cfg: MLPConfig,
         raise LengthMismatch("batch must be non-empty")
     n = x.shape[0]
     ws = _Workspace(cfg, p.flat.shape[:-1], n, n)
-    mu, var = _forward_batch(p, cfg, x, None, grad=True, ws=ws)
+    mu, var = _forward_batch(p, cfg, x, None, ws, grad=True)
     _nll_arrays(mu, var, y, ws.at(n))
     grads = Parameters(cfg, np.empty_like(p.flat))
     _backward_batch(p, cfg, x, y, None, ws, grads)
@@ -575,8 +571,9 @@ def train(splits: SplitDataset, normalizer: Normalizer, mlp: MLPConfig,
 def train_stack(splits: SplitDataset, normalizer: Normalizer,
                 members: list[tuple[MLPConfig, TrainConfig]]
                 ) -> list[tuple[Parameters, TrainHistory]]:
-    """Mini-batch AdamW on the negative log-likelihood, for networks that
-    share a stack_key, all in one loop.
+    """Mini-batch AdamW on the negative log-likelihood for any list of
+    networks. Members that share a stack_key train as one stack, and the
+    stacks train in the order of their first member.
 
     Weight decay is decoupled: applied directly in the update step, not
     through the loss gradient. Each network gets back the snapshot with
@@ -588,26 +585,48 @@ def train_stack(splits: SplitDataset, normalizer: Normalizer,
 
     When members diverge, raises the DivergedLoss of the lowest-indexed
     one, the error that training them one after another raises first;
-    its `member_index` is that member's position in `members`.
+    its `member_index` is that member's position in `members`. Once a
+    member is known to have diverged, no member indexed above it trains
+    further: training in order would never reach it.
     """
     if not members:
         raise ValueError("need at least one network to train")
-    if len({stack_key(mlp, tc) for mlp, tc in members}) != 1:
-        raise ValueError("stacked networks must share their shape and every "
-                         "training setting but the seed")
     if len(splits.train) == 0 or len(splits.validation) == 0:
         raise ValueError("train and validation splits must be non-empty")
-    started = time.perf_counter()
-    cfg, tc = members[0]
+    data = (normalizer.transform_features(splits.train.features),
+            normalizer.transform_targets(splits.train.targets),
+            normalizer.transform_features(splits.validation.features),
+            normalizer.transform_targets(splits.validation.targets))
+    stacks: dict[tuple, list[int]] = {}
+    for i, (mlp, tc) in enumerate(members):
+        stacks.setdefault(stack_key(mlp, tc), []).append(i)
+    results: dict[int, tuple[Parameters, TrainHistory]] = {}
+    failed: DivergedLoss | None = None
+    for indices in stacks.values():
+        # training in order never reaches a member above a known divergence
+        indices = [i for i in indices if failed is None or i < failed.member_index]
+        if indices:
+            failed = _train_one_stack(data, members, indices, results) or failed
+    if failed is not None:
+        raise failed
+    return [results[i] for i in range(len(members))]
 
-    x_train = normalizer.transform_features(splits.train.features)
-    y_train = normalizer.transform_targets(splits.train.targets)
-    x_val = normalizer.transform_features(splits.validation.features)
-    y_val = normalizer.transform_targets(splits.validation.targets)
+
+def _train_one_stack(data: tuple[np.ndarray, ...],
+                     members: list[tuple[MLPConfig, TrainConfig]], indices: list[int],
+                     results: dict[int, tuple[Parameters, TrainHistory]]
+                     ) -> DivergedLoss | None:
+    """Trains members[i], for each i in `indices` (one stack_key), as one
+    stack on the normalized (x_train, y_train, x_val, y_val) and puts each
+    result in `results` under i. Returns the lowest-indexed member's
+    DivergedLoss, or None when no member diverged."""
+    started = time.perf_counter()
+    cfg, tc = members[indices[0]]
+    x_train, y_train, x_val, y_val = data
 
     # row r of the stack is member rows[r]; rows are grouped by activation
     # so each activation runs on one slice
-    rows = sorted(range(len(members)), key=lambda i: members[i][0].activation.value)
+    rows = sorted(indices, key=lambda i: members[i][0].activation.value)
     theta = np.stack([init_params(members[i][0], members[i][1].seed).flat for i in rows])
     # distinct stream from init_params' so batching noise is not tied to
     # the initial weights
@@ -641,12 +660,11 @@ def train_stack(splits: SplitDataset, normalizer: Normalizer,
 
     lead, params, grads, runs, ws, (t1, t2, decay_rows) = views()
 
-    train_losses: list[list[float]] = [[] for _ in members]
-    val_losses: list[list[float]] = [[] for _ in members]
-    best_epoch = [0] * len(members)
-    stale = [0] * len(members)
-    results: dict[int, tuple[Parameters, TrainHistory]] = {}
-    failed: tuple[int, DivergedLoss] | None = None
+    train_losses: dict[int, list[float]] = {i: [] for i in rows}
+    val_losses: dict[int, list[float]] = {i: [] for i in rows}
+    best_epoch = dict.fromkeys(rows, 0)
+    stale = dict.fromkeys(rows, 0)
+    failed: DivergedLoss | None = None
 
     for epoch in range(tc.epochs):
         order = np.stack([rng.permutation(n) for rng in rngs])
@@ -658,10 +676,10 @@ def train_stack(splits: SplitDataset, normalizer: Normalizer,
             # mode="clip" gathers straight into out; the indices are valid
             np.take(x_train, idx, axis=0, out=w.x, mode="clip")
             np.take(y_train, idx, out=w.y, mode="clip")
-            masks = _make_masks(cfg, idx.shape[-1], rngs, w.masks)
+            masks = _make_masks(cfg, rngs, w.masks)
             if masks is not None:
                 masks = masks[:, lead]
-            mu, var = _forward_batch(params, cfg, w.x, masks, runs, grad=True, ws=ws)
+            mu, var = _forward_batch(params, cfg, w.x, masks, ws, runs, grad=True)
             batch_loss = _nll_arrays(mu, var, w.y, w)
             finite &= np.isfinite(batch_loss)
             epoch_loss += batch_loss * idx.shape[-1]
@@ -688,7 +706,7 @@ def train_stack(splits: SplitDataset, normalizer: Normalizer,
             t1 *= tc.learning_rate
             theta -= t1
 
-        mu, var = _forward_batch(params, cfg, x_val, None, runs, ws=ws)
+        mu, var = _forward_batch(params, cfg, x_val, None, ws, runs)
         val_loss = np.atleast_1d(_nll_arrays(mu, var, y_val, ws.at(len(x_val))))
         # a network whose batch loss, parameters or validation loss stopped
         # being finite this epoch diverged in it
@@ -696,8 +714,9 @@ def train_stack(splits: SplitDataset, normalizer: Normalizer,
         done = np.zeros(len(rows), dtype=bool)
         for r, i in enumerate(rows):
             if diverged[r]:
-                if failed is None or i < failed[0]:
-                    failed = (i, DivergedLoss(epoch))
+                if failed is None or i < failed.member_index:
+                    failed = DivergedLoss(epoch)
+                    failed.member_index = i
                 continue
             train_losses[i].append(float(epoch_loss[r] / n))
             val_losses[i].append(float(val_loss[r]))
@@ -719,7 +738,7 @@ def train_stack(splits: SplitDataset, normalizer: Normalizer,
         # order would never reach it
         keep = ~(diverged | done)
         if failed is not None:
-            keep &= np.array(rows) < failed[0]
+            keep &= np.array(rows) < failed.member_index
         if not keep.any():
             break
         if not keep.all():
@@ -729,11 +748,7 @@ def train_stack(splits: SplitDataset, normalizer: Normalizer,
             rngs = [rng for rng, k in zip(rngs, keep) if k]
             lead, params, grads, runs, ws, (t1, t2, decay_rows) = views()
 
-    if failed is not None:
-        index, exc = failed
-        exc.member_index = index
-        raise exc
-    return [results[i] for i in range(len(members))]
+    return failed
 
 
 def _row_blocks(n: int) -> list[tuple[int, int]]:
@@ -765,7 +780,7 @@ def predict_batch(p: Parameters, cfg: MLPConfig, normalizer: Normalizer,
     ws = _Workspace(cfg, p.flat.shape[:-1], max(stop - start for start, stop in blocks))
     for start, stop in blocks:
         x = normalizer.transform_features(raw_inputs[start:stop])
-        mu, var = _forward_batch(p, cfg, x, None, ws=ws)
+        mu, var = _forward_batch(p, cfg, x, None, ws)
         mu_out[start:stop] = normalizer.inverse_target_mean(mu)
         var_out[start:stop] = normalizer.inverse_target_var(var)
     return mu_out, var_out

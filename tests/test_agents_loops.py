@@ -413,6 +413,29 @@ def test_resumed_run_whose_stop_stage_is_done_ends_before_any_step(
     assert ctx.path("state_file").read_bytes() == saved
 
 
+@pytest.mark.parametrize("run, loop, modes", [
+    (_multi, run_react, ("multi", "react")),
+    (_react, run_multi_agent, ("react", "multi")),
+], ids=["multi_resumed_as_react", "react_resumed_as_multi"])
+def test_resume_in_the_other_loop_is_refused_before_any_step(agent_workspace,
+                                                             drill_recipe, run, loop,
+                                                             modes):
+    ctx = agent_workspace()
+    run(ctx, drill_recipe, stop_after_stage="training_execution")
+    saved = ctx.path("state_file").read_bytes()
+
+    from autoduct.agents.context import ProjectContext
+    resumed_ctx = ProjectContext.create(ctx.workspace, run_id="run-t")
+    planner = ScriptedPlanner(drill_recipe)
+    executor = TaskExecutor(resumed_ctx)
+    with pytest.raises(ValueError, match="state belongs to a '{}' run, this loop is '{}'"
+                       .format(*modes)):
+        loop("t", resumed_ctx, planner, executor, resume=True)
+    assert planner.calls == [] and executor.history == []
+    assert ctx.path("state_file").read_bytes() == saved
+    assert not (ctx.path("report_dir") / "report.json").exists()
+
+
 @pytest.mark.parametrize("run", [_multi, _react], ids=["multi", "react"])
 def test_unknown_stop_stage_is_rejected_before_any_state(agent_workspace,
                                                          drill_recipe, run):
@@ -447,14 +470,13 @@ def test_observe_format_and_truncation():
     assert len(observe(long)) == OBSERVATION_LIMIT
 
 
-def test_act_converts_expected_failures(agent_workspace):
+def test_act_converts_expected_failures():
     from autoduct.agents.react import PlannerDirective
 
     def angry_tool(args):
         raise ValueError("no such thing")
 
-    result = act(PlannerDirective("t", "angry", {}), {"angry": angry_tool},
-                 agent_workspace())
+    result = act(PlannerDirective("t", "angry", {}), {"angry": angry_tool})
     assert not result.ok
     assert result.log == "ValueError: no such thing"
 

@@ -251,6 +251,21 @@ def test_agent_stop_then_resume(tmp_path, capsys):
     assert "status: completed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("first, second", [("multi", "react"), ("react", "multi")])
+def test_agent_resume_in_the_other_mode_is_an_error(tmp_path, capsys, first, second):
+    ws = tmp_path / "agent_ws"
+    base = ["agent", "--workspace", str(ws), "--synthetic", "120", "--seed", "5", *_FAST]
+    assert cli.main(base + ["--mode", first, "--stop-after-stage",
+                            "training_execution"]) == 0
+    capsys.readouterr()
+    saved = (ws / "state.json").read_bytes()
+    assert cli.main(base + ["--mode", second, "--resume"]) == 1
+    assert capsys.readouterr().err == (f"error: state belongs to a '{first}' run, "
+                                       f"this loop is '{second}'\n")
+    assert (ws / "state.json").read_bytes() == saved
+    assert not (ws / "report").exists()
+
+
 def test_agent_unknown_stop_stage_is_an_error(tmp_path, capsys):
     for mode in ("multi", "react"):
         ws = tmp_path / mode
@@ -400,6 +415,42 @@ def test_tune_twice_into_one_directory(tmp_path, tiny_dataset):
     top = json.loads((out_dir / "topk.json").read_text())["configs"]
     by_id = {(r["run_id"], r["trial_id"]): r["config"] for r in map(json.loads, second)}
     assert all(by_id[(c["run_id"], c["trial_id"])] == c for c in top)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--runs", "0"], "--runs must be at least 1, got 0"),
+    (["--sobol", "1"], "--sobol must be at least 2, got 1"),
+    (["--bo", "-1"], "--bo must be at least 0, got -1"),
+    (["--epochs", "0"], "--epochs must be at least 1, got 0"),
+    (["--patience", "-1"], "--patience must be at least 0, got -1"),
+    (["--top-k", "0"], "--top-k must lie in 1..6 (runs x (sobol + bo)), got 0"),
+    (["--top-k", "7"], "--top-k must lie in 1..6 (runs x (sobol + bo)), got 7"),
+], ids=["runs", "sobol", "bo", "epochs", "patience", "top_k_0", "top_k_above_trials"])
+def test_tune_usage_error_keeps_the_last_log(tmp_path, capsys, monkeypatch, tiny_dataset,
+                                             flags, message):
+    # the ranges are checked before the data is read or the log is emptied,
+    # so a usage error evaluates no trial and leaves the last run's files
+    data = tmp_path / "data.csv"
+    write_csv(tiny_dataset, data)
+    out_dir = tmp_path / "tune"
+    argv = ["tune", "--data", str(data), *_TINY_TUNE, "--out-dir", str(out_dir)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    log, top = (out_dir / "trials.jsonl").read_bytes(), (out_dir / "topk.json").read_bytes()
+    assert log
+    evaluated = []
+    real_factory = cli.make_trial_evaluator
+
+    def counting_factory(*args, **kwargs):
+        evaluate = real_factory(*args, **kwargs)
+        return lambda tc: evaluated.append(tc) or evaluate(tc)
+
+    monkeypatch.setattr(cli, "make_trial_evaluator", counting_factory)
+    assert cli.main(argv + flags) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert evaluated == []
+    assert (out_dir / "trials.jsonl").read_bytes() == log
+    assert (out_dir / "topk.json").read_bytes() == top
 
 
 def test_tune_is_identical_across_processes(tmp_path, tiny_dataset):

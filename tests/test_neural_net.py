@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,15 +31,29 @@ def _zeroed(cfg):
     return p
 
 
+def _forward(p, cfg, x, masks=None):
+    """_forward_batch without gradients, on a workspace built for x's rows."""
+    ws = neural_net._Workspace(cfg, p.flat.shape[:-1], x.shape[-2])
+    return _forward_batch(p, cfg, x, masks, ws)
+
+
+def _nll(mu, var, y):
+    """_nll_arrays with its terms in new arrays of the broadcast shape."""
+    shape = np.broadcast_shapes(mu.shape, var.shape, y.shape)
+    return _nll_arrays(mu, var, y,
+                       SimpleNamespace(**{k: np.empty(shape) for k in ("sq", "v2", "t", "u")}))
+
+
 def _array_row(p, cfg, x, masks=None):
     """(mu, var) of one input row through the array path."""
-    mu, var = _forward_batch(p, cfg, np.asarray(x)[None, :], masks)
+    mu, var = _forward(p, cfg, np.asarray(x)[None, :], masks)
     return float(mu[0]), float(var[0])
 
 
 def _row_masks(cfg, rng):
     """Dropout masks for one row, drawn from `rng`."""
-    return _make_masks(cfg, 1, [rng])[:, 0]
+    shape = (cfg.hidden_layers, 1, 1, cfg.hidden_units)
+    return _make_masks(cfg, [rng], (np.empty(shape), np.empty(shape, bool)))[:, 0]
 
 
 def _kernel(kind, x, grad=False):
@@ -249,7 +264,7 @@ def test_forward_dropout_modes():
     assert t1 == t1_again
     # without dropout there is nothing to draw
     plain = MLPConfig(3, 1, 8, ActivationKind.RELU)
-    assert _make_masks(plain, 1, [np.random.default_rng(0)]) is None
+    assert _make_masks(plain, [np.random.default_rng(0)], None) is None
 
 
 def test_dropout_inverted_scaling_preserves_mean():
@@ -267,14 +282,14 @@ def test_dropout_inverted_scaling_preserves_mean():
 
 def test_nll_loss_hand_computed():
     expected = 0.25 + 0.5 * math.log(2.0)
-    assert _nll_arrays(np.array([1.0]), np.array([2.0]), np.array([0.0])) == \
+    assert _nll(np.array([1.0]), np.array([2.0]), np.array([0.0])) == \
         pytest.approx(expected, rel=1e-15)
     expected2 = 0.5 * (expected + 0.5 * 4.0)      # second term: (2-0)^2/2, log 1 = 0
-    assert _nll_arrays(np.array([1.0, 0.0]), np.array([2.0, 1.0]),
-                       np.array([0.0, 2.0])) == pytest.approx(expected2, rel=1e-15)
+    assert _nll(np.array([1.0, 0.0]), np.array([2.0, 1.0]),
+                np.array([0.0, 2.0])) == pytest.approx(expected2, rel=1e-15)
     # a stack of networks gets one loss each
-    stacked = _nll_arrays(np.array([[1.0, 0.0], [1.0, 0.0]]),
-                          np.array([[2.0, 1.0], [2.0, 1.0]]), np.array([0.0, 2.0]))
+    stacked = _nll(np.array([[1.0, 0.0], [1.0, 0.0]]),
+                   np.array([[2.0, 1.0], [2.0, 1.0]]), np.array([0.0, 2.0]))
     assert stacked.shape == (2,)
     assert stacked[0] == stacked[1] == pytest.approx(expected2, rel=1e-15)
 
@@ -357,8 +372,8 @@ def test_train_best_snapshot_returned():
     params, hist = train(splits, norm, cfg, tc)
     x_val = norm.transform_features(splits.validation.features)
     y_val = norm.transform_targets(splits.validation.targets)
-    mu, var = _forward_batch(params, cfg, x_val, None)
-    assert _nll_arrays(mu, var, y_val) == pytest.approx(
+    mu, var = _forward(params, cfg, x_val)
+    assert _nll(mu, var, y_val) == pytest.approx(
         hist.val_losses[hist.best_epoch], rel=1e-12)
 
 
@@ -664,8 +679,7 @@ def test_predict_batch_blocks_match_one_unblocked_pass(kind):
         for n in sizes:
             raw = raw_all[:n]
             mu, var = predict_batch(p, cfg, norm, raw)
-            ref_mu, ref_var = neural_net._forward_batch(
-                p, cfg, norm.transform_features(raw), None)
+            ref_mu, ref_var = _forward(p, cfg, norm.transform_features(raw))
             assert mu.tobytes() == norm.inverse_target_mean(ref_mu).tobytes(), (cfg, n)
             assert var.tobytes() == norm.inverse_target_var(ref_var).tobytes(), (cfg, n)
 
