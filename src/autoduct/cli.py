@@ -38,7 +38,6 @@ from .errors import AutoductError
 from .evaluation import (TWO_SIGMA_LEVEL, aggregate_trials, evaluate_model,
                          evaluate_slices, format_trial_table)
 from .hpo import default_space, make_trial_evaluator, run_parallel_bo, select_top_k
-from .neural_net import PARAMS_FORMAT_VERSION
 from .report_export import export_report
 from .rng import STREAM_VERSION
 
@@ -88,9 +87,8 @@ def main(argv: list[str] | None = None) -> int:
 
 def _print_versions() -> None:
     print(f"autoduct {__version__}")
-    print(f"formats: params {PARAMS_FORMAT_VERSION}, ensemble {ENSEMBLE_FORMAT_VERSION}, "
-          f"task {TASK_FORMAT_VERSION}, state {STATE_FORMAT_VERSION}, "
-          f"rng-stream {STREAM_VERSION}")
+    print(f"formats: ensemble {ENSEMBLE_FORMAT_VERSION}, task {TASK_FORMAT_VERSION}, "
+          f"state {STATE_FORMAT_VERSION}, rng-stream {STREAM_VERSION}")
 
 
 def _config_defaults(command: argparse.ArgumentParser, path: str) -> dict:
@@ -328,7 +326,12 @@ def _slice_specs(args) -> list:
 def _recipe(args) -> PipelineRecipe:
     """The run's recipe, every stage's payload checked against its task
     schema, so that a value no stage accepts fails before any file is
-    written."""
+    written. The agent loops' own limits are checked here for the same
+    reason."""
+    for flag in ("max_retries", "max_steps"):
+        if getattr(args, flag, 1) < 1:
+            raise ValueError(f"--{flag.replace('_', '-')} must be at least 1, "
+                             f"got {getattr(args, flag)}")
     fields = {name: getattr(args, flag) for flag, (name, _) in _RECIPE_FLAGS.items()}
     recipe = PipelineRecipe(**fields, fractions=args.fracs,
                             slices=tuple(spec.to_dict() for spec in _slice_specs(args)))

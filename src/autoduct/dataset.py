@@ -108,8 +108,6 @@ class SplitDataset:
     train: Dataset
     validation: Dataset
     test: Dataset
-    fractions: tuple[float, float, float]
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -292,8 +290,6 @@ def split(ds: Dataset, fractions: tuple[float, float, float],
         train=ds.subset(order[:n_train], f"{tag}#train"),
         validation=ds.subset(order[n_train:n_train + n_val], f"{tag}#validation"),
         test=ds.subset(order[n_train + n_val:], f"{tag}#test"),
-        fractions=(f_train, f_val, f_test),
-        seed=seed,
     )
 
 
@@ -333,12 +329,21 @@ class Normalizer:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Normalizer":
-        return cls(
-            feature_shift=np.array(doc["feature_shift"], dtype=np.float64),
-            feature_scale=np.array(doc["feature_scale"], dtype=np.float64),
-            target_shift=float(doc["target_shift"]),
-            target_scale=float(doc["target_scale"]),
-        )
+        """Inverse of to_dict. Raises ValueError unless the document holds
+        a finite shift and a finite positive scale for each of the
+        len(FEATURE_NAMES) feature columns and for the target."""
+        shift, scale = doc["feature_shift"], doc["feature_scale"]
+        t_shift, t_scale = doc["target_shift"], doc["target_scale"]
+        values = [*shift, *scale, t_shift, t_scale]
+        if not all(type(v) in (int, float) for v in values):
+            raise ValueError("normalizer entries must be numbers")
+        if len(shift) != len(FEATURE_NAMES) or len(scale) != len(FEATURE_NAMES):
+            raise ValueError(f"normalizer needs {len(FEATURE_NAMES)} feature shifts and scales")
+        if not (np.all(np.isfinite(values)) and min(*scale, t_scale) > 0):
+            raise ValueError("normalizer shifts must be finite and its scales "
+                             "finite and positive")
+        return cls(np.array(shift, dtype=np.float64), np.array(scale, dtype=np.float64),
+                   float(t_shift), float(t_scale))
 
 
 def fit_normalizer(train: Dataset) -> Normalizer:

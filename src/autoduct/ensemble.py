@@ -21,6 +21,14 @@ members holds the four moments as (N,) arrays and the member outputs as
 C-contiguous (N, M) arrays, one row per input. Each moment is a
 reduction over axis 1, so every row is summed in member order with the
 same pairwise summation as a one-dimensional array of the M values.
+
+On disk an ensemble is one document, <dir>/manifest.json: the format
+version, the normalizer once, and for each member its seed, provenance,
+config and parameters, the network's flat float64 buffer as base64 of
+its little-endian bytes (``neural_net.params_to_doc``). The layout comes
+from the config, so a load is bit-exact and checks only the element
+count and finiteness. Any other document, an older format version
+included, is refused with an error that names the manifest.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from .errors import CorruptArtifact, EmptyEnsemble, VersionMismatch
 from .neural_net import MLPConfig, Parameters, TrainConfig
 from .stats import central_interval_z
 
-ENSEMBLE_FORMAT_VERSION = 1
+ENSEMBLE_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -71,6 +79,9 @@ class Ensemble:
         dims = {m.config.input_dim for m in self.members}
         if len(dims) != 1:
             raise ValueError(f"members disagree on input dimension: {sorted(dims)}")
+        width = self.normalizer.feature_shift.size
+        if dims != {width}:
+            raise ValueError(f"members take {min(dims)} inputs, the normalizer {width}")
 
     @property
     def size(self) -> int:
@@ -139,73 +150,57 @@ def interval(ep: EnsemblePrediction, level: float) -> tuple[np.ndarray, np.ndarr
 
 # --- persistence ----------------------------------------------------------
 
+_MEMBER_KEYS = {"config", "parameters", "provenance", "seed"}
+
+
 def save_ensemble(ens: Ensemble, path: str | Path) -> None:
-    """Write a directory artifact: manifest.json plus one parameter
-    document per member."""
+    """Write the ensemble as one document, <path>/manifest.json: the
+    format version, the normalizer once, and per member its seed,
+    provenance, config and parameters (``neural_net.params_to_doc``)."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     manifest = {
         "format_version": ENSEMBLE_FORMAT_VERSION,
         "normalizer": ens.normalizer.to_dict(),
-        "members": [],
+        "members": [{**neural_net.params_to_doc(m.params, m.config),
+                     "seed": m.seed, "provenance": m.provenance} for m in ens.members],
     }
-    for i, member in enumerate(ens.members):
-        name = f"member_{i:03d}.json"
-        doc = neural_net.params_to_doc(member.params, member.config, ens.normalizer)
-        with (path / name).open("w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True)
-            fh.write("\n")
-        manifest["members"].append({"file": name, "seed": member.seed,
-                                    "provenance": member.provenance})
     with (path / "manifest.json").open("w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def load_ensemble(path: str | Path) -> Ensemble:
-    """Read a directory artifact written by save_ensemble. Each manifest
-    entry must name its member file by a plain file name that resolves,
-    symlinks followed, inside the directory, so a manifest cannot load a
-    member from outside it."""
-    path = Path(path)
-    manifest_path = path / "manifest.json"
+    """Read the manifest that save_ensemble wrote. Any other document
+    raises VersionMismatch (another format version) or CorruptArtifact,
+    and either names the manifest."""
+    manifest_path = Path(path) / "manifest.json"
     if not manifest_path.is_file():
         raise CorruptArtifact(f"missing manifest: {manifest_path}")
-    root = path.resolve()
     try:
         with manifest_path.open(encoding="utf-8") as fh:
             manifest = json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CorruptArtifact(f"unreadable manifest: {exc}") from exc
+        raise CorruptArtifact(f"unreadable manifest {manifest_path}: {exc}") from exc
 
-    version = manifest.get("format_version")
+    version = manifest.get("format_version") if isinstance(manifest, dict) else None
     if version != ENSEMBLE_FORMAT_VERSION:
-        raise VersionMismatch(f"unsupported ensemble format {version!r}")
-
+        raise VersionMismatch(f"unsupported ensemble format {version!r} in {manifest_path}")
     try:
-        normalizer = Normalizer.from_dict(manifest["normalizer"])
+        if set(manifest) != {"format_version", "normalizer", "members"}:
+            raise ValueError(f"top-level keys {sorted(manifest)}")
         entries = manifest["members"]
         if not isinstance(entries, list) or not entries:
-            raise CorruptArtifact("manifest lists no members")
+            raise ValueError("no members listed")
         members = []
         for entry in entries:
-            name = entry["file"]
-            if not isinstance(name, str) or name in ("", "..") or Path(name).name != name:
-                raise CorruptArtifact(f"member file {name!r} in {manifest_path} "
-                                      "is not a plain file name")
-            member_path = path / name
-            try:
-                if root not in member_path.resolve().parents:
-                    raise CorruptArtifact(f"member file {member_path} resolves outside "
-                                          f"the ensemble directory {root}")
-                with member_path.open(encoding="utf-8") as fh:
-                    doc = json.load(fh)
-            # resolve() raises RuntimeError on a symlink loop before Python 3.13
-            except (OSError, RuntimeError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-                raise CorruptArtifact(f"unreadable member file {member_path}: {exc}") from exc
-            params, cfg, _ = neural_net.params_from_doc(doc)
-            members.append(EnsembleMember(params, cfg, int(entry["seed"]),
-                                          str(entry["provenance"])))
-    except (KeyError, TypeError) as exc:
-        raise CorruptArtifact(f"malformed manifest: {exc}") from exc
-    return Ensemble(tuple(members), normalizer)
+            if set(entry) != _MEMBER_KEYS:
+                raise ValueError(f"member keys {sorted(entry)}, expected {sorted(_MEMBER_KEYS)}")
+            if type(entry["seed"]) is not int or type(entry["provenance"]) is not str:
+                raise ValueError("a member's seed must be an integer and its "
+                                 "provenance a string")
+            params, cfg = neural_net.params_from_doc(entry)
+            members.append(EnsembleMember(params, cfg, entry["seed"], entry["provenance"]))
+        return Ensemble(tuple(members), Normalizer.from_dict(manifest["normalizer"]))
+    except (CorruptArtifact, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise CorruptArtifact(f"malformed manifest {manifest_path}: {exc}") from exc

@@ -69,6 +69,7 @@ The ReLU derivative at exactly 0 is taken as 0.
 
 from __future__ import annotations
 
+import base64
 import itertools
 import math
 import time
@@ -84,14 +85,12 @@ from .errors import (
     DimensionMismatch,
     DivergedLoss,
     LengthMismatch,
-    VersionMismatch,
 )
 
 VAR_FLOOR = 1e-6        # on the normalized target scale
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-PARAMS_FORMAT_VERSION = 1
 
 _LEAKY_SLOPE = 0.01
 _SELU_LAMBDA = 1.0507009873554805
@@ -788,42 +787,33 @@ def predict_batch(p: Parameters, cfg: MLPConfig, normalizer: Normalizer,
 
 # --- serialization --------------------------------------------------------
 
-def params_to_doc(p: Parameters, cfg: MLPConfig, normalizer: Normalizer) -> dict:
-    """Versioned JSON-ready document. Floats keep full precision (shortest
-    round-trip decimal form), so load(dump(p)) is bit-exact."""
-    def pack(a: np.ndarray) -> dict:
-        return {"shape": list(a.shape), "data": [float(x) for x in a.ravel()]}
-
-    return {
-        "format_version": PARAMS_FORMAT_VERSION,
-        "config": cfg.to_dict(),
-        "normalizer": normalizer.to_dict(),
-        "parameters": {
-            "hidden_w": [pack(w) for w in p.hidden_w],
-            "hidden_b": [pack(b) for b in p.hidden_b],
-            "head_w": pack(p.head_w),
-            "head_b": pack(p.head_b),
-        },
-    }
+def params_to_doc(p: Parameters, cfg: MLPConfig) -> dict:
+    """JSON-ready document of one network: its config, and its flat buffer
+    as base64 of the little-endian float64 bytes, so that
+    params_from_doc(params_to_doc(p, cfg)) is bit-exact, -0.0 and
+    subnormals included."""
+    raw = p.flat.astype("<f8", copy=False).tobytes()
+    return {"config": cfg.to_dict(), "parameters": base64.b64encode(raw).decode("ascii")}
 
 
-def params_from_doc(doc: dict) -> tuple[Parameters, MLPConfig, Normalizer]:
-    version = doc.get("format_version")
-    if version != PARAMS_FORMAT_VERSION:
-        raise VersionMismatch(f"unsupported parameter format {version!r}")
+def params_from_doc(doc: dict) -> tuple[Parameters, MLPConfig]:
+    """Rebuild a network from params_to_doc's document: the layout comes
+    from the config, and the buffer must hold exactly its parameter count
+    of finite values."""
     try:
         cfg = MLPConfig.from_dict(doc["config"])
-        normalizer = Normalizer.from_dict(doc["normalizer"])
-        block = doc["parameters"]
-        params = Parameters(cfg)
-        entries = [*block["hidden_w"], *block["hidden_b"], block["head_w"], block["head_b"]]
-        shapes = [tuple(e["shape"]) for e in entries]
-        if shapes != [a.shape for a in params.arrays()]:
-            raise CorruptArtifact(f"parameter shapes {shapes} do not match the config")
-        for entry, a in zip(entries, params.arrays()):
-            a[...] = np.array(entry["data"], dtype=np.float64).reshape(a.shape)
-    except (KeyError, TypeError, ValueError) as exc:
+        raw = base64.b64decode(doc["parameters"], validate=True)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CorruptArtifact(f"malformed parameter document: {exc}") from exc
+    # the closed form of sum(prod(shape) for shape in _param_shapes(cfg)),
+    # checked before a config that no buffer matches allocates anything
+    units = cfg.hidden_units
+    count = units * (cfg.input_dim + (cfg.hidden_layers - 1) * units
+                     + cfg.hidden_layers + 2) + 2
+    if len(raw) != 8 * count:
+        raise CorruptArtifact(f"malformed parameter document: {len(raw)} bytes "
+                              f"where the config needs {count} float64 values")
+    params = Parameters(cfg, np.frombuffer(raw, dtype="<f8").astype(np.float64))
     if not np.all(np.isfinite(params.flat)):
         raise CorruptArtifact("malformed parameter document: non-finite parameter entry")
-    return params, cfg, normalizer
+    return params, cfg

@@ -159,22 +159,6 @@ def test_evaluate_with_blind_slices(tmp_path, capsys, tiny_dataset):
     assert (report_dir / "slice_8.svg").is_file()
 
 
-def test_evaluate_refuses_a_member_symlinked_outside_the_ensemble(tmp_path, capsys):
-    ws = tmp_path / "ws"
-    assert cli.main(["direct", "--workspace", str(ws), "--synthetic", "120",
-                     "--seed", "5", *_FAST]) == 0
-    capsys.readouterr()
-    member = ws / "ensemble" / "member_000.json"
-    (tmp_path / "outside.json").write_bytes(member.read_bytes())
-    member.unlink()
-    member.symlink_to(Path("..") / ".." / "outside.json")
-    assert cli.main(["evaluate", "--ensemble", str(ws / "ensemble"),
-                     "--data", str(ws / "data.csv"),
-                     "--out-dir", str(tmp_path / "eval")]) == 1
-    assert "resolves outside the ensemble directory" in capsys.readouterr().err
-    assert not (tmp_path / "eval").exists()
-
-
 _MALFORMED_SLICE_FILES = ({"slices": [{"slice_id": "a", "varying": "G"}]},
                           {"slices": 3}, {"other": []}, ["not a spec"],
                           {"slices": [{"slice_id": "a", "varying": "G", "lo": 0,
@@ -371,6 +355,21 @@ def test_trials_checks_its_fault_flags_before_trial_one(tmp_path, capsys):
     assert cli.main([*base, "--fault-runs", "one", *_FAST]) == 1
     assert "--fault-runs takes comma-separated run numbers" in capsys.readouterr().err
     assert not ws.exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("trials", ["--n", "2", "--max-retries", "0"]),
+    ("agent", ["--mode", "react", "--max-steps", "0"]),
+    ("agent", ["--max-retries", "-1"]),
+])
+def test_agent_loop_limits_are_checked_before_any_file(tmp_path, capsys, command, flags):
+    ws = tmp_path / "ws"
+    assert cli.main([command, "--workspace", str(ws), "--synthetic", "100",
+                     *flags, *_FAST]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flags[-2]} must be at least 1, got {flags[-1]}")
+    assert err.count("\n") == 1
+    assert not ws.exists() and list(tmp_path.iterdir()) == []
 
 def test_tune_command(tmp_path, capsys, tiny_dataset):
     data = tmp_path / "data.csv"
