@@ -150,7 +150,8 @@ def run_multi_agent(task: str, ctx: ProjectContext, planner: PlannerBase,
                 if attempts >= max_retries:
                     state.mark_failed(stage)
                     persist_state(state, state_path)
-                    raise StageExhausted(stage, state.error_count(stage))
+                    raise StageExhausted(stage, state.error_count(stage),
+                                         result.first_line())
                 doc = tune_task(planner, doc, result.log)
                 _save_stage_document(doc, ctx, stage)
         except StageExhausted:

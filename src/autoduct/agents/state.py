@@ -11,12 +11,11 @@ old or the new state, never a torn one.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
+from ..atomic import write_json
 from ..errors import CorruptState, VersionMismatch
 
 STATE_FORMAT_VERSION = 1
@@ -130,19 +129,7 @@ class WorkflowState:
 
 
 def persist_state(state: WorkflowState, path: str | Path) -> None:
-    path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=".state-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(state.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    write_json(path, state.to_dict())
 
 
 def load_state(path: str | Path) -> WorkflowState:

@@ -28,7 +28,9 @@ config and parameters, the network's flat float64 buffer as base64 of
 its little-endian bytes (``neural_net.params_to_doc``). The layout comes
 from the config, so a load is bit-exact and checks only the element
 count and finiteness. Any other document, an older format version
-included, is refused with an error that names the manifest.
+included, is refused with an error that names the manifest. A save
+replaces the manifest atomically, so a failed save leaves the previous
+one whole.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from . import neural_net
+from .atomic import write_json
 from .dataset import Normalizer, SplitDataset
 from .errors import CorruptArtifact, EmptyEnsemble, VersionMismatch
 from .neural_net import MLPConfig, Parameters, TrainConfig
@@ -156,7 +159,8 @@ _MEMBER_KEYS = {"config", "parameters", "provenance", "seed"}
 def save_ensemble(ens: Ensemble, path: str | Path) -> None:
     """Write the ensemble as one document, <path>/manifest.json: the
     format version, the normalizer once, and per member its seed,
-    provenance, config and parameters (``neural_net.params_to_doc``)."""
+    provenance, config and parameters (``neural_net.params_to_doc``),
+    replacing any previous manifest atomically (``atomic.write_json``)."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -165,9 +169,7 @@ def save_ensemble(ens: Ensemble, path: str | Path) -> None:
         "members": [{**neural_net.params_to_doc(m.params, m.config),
                      "seed": m.seed, "provenance": m.provenance} for m in ens.members],
     }
-    with (path / "manifest.json").open("w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path / "manifest.json", manifest)
 
 
 def load_ensemble(path: str | Path) -> Ensemble:

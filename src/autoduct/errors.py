@@ -118,8 +118,12 @@ class UnknownTool(AutoductError):
 
 
 class StageExhausted(AutoductError):
-    def __init__(self, stage: str, error_count: int):
-        super().__init__(f"stage {stage!r} failed {error_count} times, retry budget exhausted")
+    """A stage failed on every attempt; the message ends with the first
+    line of the last attempt's error."""
+
+    def __init__(self, stage: str, error_count: int, last_error: str):
+        super().__init__(f"stage {stage!r} failed {error_count} times, retry budget "
+                         f"exhausted; last error: {last_error}")
         self.stage = stage
         self.error_count = error_count
 

@@ -5,11 +5,17 @@ formatted at 17 significant digits in CSVs and 6 in SVG coordinates, no
 timestamps or environment details are embedded, and element order is
 fixed. Two exports of the same report are byte-identical.
 
-CSV rows and the parity plot's error bars and points are rendered a
-block of rows at a time through one `%` row template
-(`dataset._write_rows`) and written straight to the open file. The bytes
-are those of formatting each value on its own with `f"{v:.17g}"` or
-`f"{v:.6g}"`.
+`predictions.csv` holds no column that the scored table already holds:
+each row names its 0-based row in that table (`row`), then the measured
+CHF, the predicted mean and the three variances. `parity.svg` draws its
+N error bars as one `<path class="err">` of `M x y V y'` subpaths and
+its N points as one `<path class="pt">` of zero-length, round-capped
+`M x y h0` segments, so each path's opacity applies to it as a whole.
+
+CSV rows and the parity plot's path text are rendered a block of rows
+at a time through one `%` row template (`dataset._write_rows`) and
+written straight to the open file. The bytes are those of formatting
+each value on its own with `f"{v:.17g}"` or `f"{v:.6g}"`.
 
 The SVGs are static and self-contained (inline styling only). Histogram
 bin edges are fixed so figures from different runs are comparable:
@@ -32,7 +38,7 @@ from .errors import IoFailure
 from .evaluation import ModelEvaluation, SliceReport
 
 METRICS_HEADER = "split,n,rmse_kw_m2,mape_pct,rmspe_pct,ratio_mean,ratio_std,ratio_inside_frac"
-POINTS_HEADER = "D,L,P,G,X,y_true,y_pred,aleatory_var,epistemic_var,total_var"
+POINTS_HEADER = "row,y_true,y_pred,aleatory_var,epistemic_var,total_var"
 SLICE_HEADER = "slice_id,varying_feature,varying_value,y_pred,total_std,band_lo,band_hi"
 
 ERROR_BIN_EDGES = np.linspace(-50.0, 50.0, 21)
@@ -76,11 +82,13 @@ def export_report(me: ModelEvaluation, slices: SliceReport | None,
 
     path = directory / "predictions.csv"
     preds = me.predictions
-    table = np.column_stack([me.dataset.features, me.dataset.targets, preds.mean,
-                             preds.aleatory_var, preds.epistemic_var, preds.total_var])
+    # `row` rides in the float table; `%d` renders it exactly below 2**53
+    table = np.column_stack([np.arange(len(preds.mean), dtype=np.float64),
+                             me.dataset.targets, preds.mean, preds.aleatory_var,
+                             preds.epistemic_var, preds.total_var])
     with _open(path) as fh:
         fh.write(POINTS_HEADER + "\n")
-        _write_rows(fh, _row_template("", table.shape[1]), table)
+        _write_rows(fh, "%d," + _row_template("", table.shape[1] - 1), table)
     written.append(path)
 
     path = directory / "parity.svg"
@@ -124,15 +132,22 @@ def export_report(me: ModelEvaluation, slices: SliceReport | None,
 
 # --- SVG rendering --------------------------------------------------------
 
+_CIRCLE_PT = ".pt{fill:#1f5fa8;fill-opacity:0.55;stroke:none}"
 _STYLE = ("text{font-family:sans-serif;font-size:11px;fill:#333}"
           ".axis{stroke:#333;stroke-width:1;fill:none}"
           ".grid{stroke:#ddd;stroke-width:0.5}"
           ".ref{stroke:#888;stroke-width:1;stroke-dasharray:4 3;fill:none}"
           ".mean{stroke:#1f5fa8;stroke-width:1.5;fill:none}"
           ".band{fill:#1f5fa8;fill-opacity:0.18;stroke:none}"
-          ".pt{fill:#1f5fa8;fill-opacity:0.55;stroke:none}"
+          + _CIRCLE_PT +
           ".bar{fill:#1f5fa8;fill-opacity:0.7;stroke:#fff;stroke-width:0.5}"
           ".err{stroke:#1f5fa8;stroke-width:0.6;stroke-opacity:0.35}")
+# parity.svg's points are zero-length segments whose round caps, 5 px
+# wide, draw the old 2.5 px circles; the histograms and slice plots keep
+# the stylesheet above byte for byte
+_PARITY_STYLE = _STYLE.replace(
+    _CIRCLE_PT, ".pt{fill:none;stroke:#1f5fa8;stroke-width:5;stroke-linecap:round;"
+                "stroke-opacity:0.55}")
 
 
 def _c(v: float) -> str:
@@ -162,10 +177,10 @@ class _Canvas:
         frac = (v - self.y_lo) / (self.y_hi - self.y_lo)
         return self.height - self.margin_b - frac * (self.height - self.margin_t - self.margin_b)
 
-    def open_tag(self) -> list[str]:
+    def open_tag(self, style: str = _STYLE) -> list[str]:
         return [f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
                 f'height="{self.height}" viewBox="0 0 {self.width} {self.height}">',
-                f"<style>{_STYLE}</style>",
+                f"<style>{style}</style>",
                 f'<rect class="axis" x="{self.margin_l}" y="{self.margin_t}" '
                 f'width="{self.width - self.margin_l - self.margin_r}" '
                 f'height="{self.height - self.margin_t - self.margin_b}"/>']
@@ -203,17 +218,18 @@ def _write_parity_svg(fh: TextIO, me: ModelEvaluation) -> None:
     hi = float(max(y.max(), band_hi.max()))
     pad = 0.05 * (hi - lo) if hi > lo else 1.0
     canvas = _Canvas(480, 480, (lo - pad, hi + pad), (lo - pad, hi + pad))
-    parts = canvas.open_tag()
+    parts = canvas.open_tag(_PARITY_STYLE)
     parts.append(f'<line class="ref" x1="{_c(canvas.x(lo - pad))}" '
                  f'y1="{_c(canvas.y(lo - pad))}" x2="{_c(canvas.x(hi + pad))}" '
                  f'y2="{_c(canvas.y(hi + pad))}"/>')
-    fh.write("\n".join(parts) + "\n")
+    fh.write("\n".join(parts) + '\n<path class="err" d="')
     # _Canvas.x/y applied to arrays give the same doubles as per point
     px = canvas.x(y)
-    _write_rows(fh, '<line class="err" x1="%.6g" y1="%.6g" x2="%.6g" y2="%.6g"/>\n',
-                np.column_stack([px, canvas.y(band_lo), px, canvas.y(band_hi)]))
-    _write_rows(fh, '<circle class="pt" cx="%.6g" cy="%.6g" r="2.5"/>\n',
-                np.column_stack([px, canvas.y(yhat)]))
+    _write_rows(fh, "M%.6g %.6gV%.6g",
+                np.column_stack([px, canvas.y(band_lo), canvas.y(band_hi)]))
+    fh.write('"/>\n<path class="pt" d="')
+    _write_rows(fh, "M%.6g %.6gh0", np.column_stack([px, canvas.y(yhat)]))
+    fh.write('"/>\n')
     parts = canvas.ticks("measured [kW/m²]", "predicted [kW/m²]")
     parts.append("</svg>")
     fh.write("\n".join(parts) + "\n")

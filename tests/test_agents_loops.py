@@ -122,6 +122,9 @@ def test_multi_agent_exhausts_persistent_fault(agent_workspace, drill_recipe):
         run_multi_agent("t", ctx, planner, executor, max_retries=3)
     assert err.value.stage == "evaluation_execution"
     assert err.value.error_count == 3
+    # the message names the cause: the injected fault of the last attempt
+    assert str(err.value).endswith(
+        "last error: RuntimeError: injected fault armed for evaluate attempt 3")
 
     saved = load_state(ctx.path("state_file"))
     assert saved.status("evaluation_execution") == "failed"

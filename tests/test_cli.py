@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from autoduct import cli
@@ -140,6 +141,42 @@ def test_direct_then_evaluate(tmp_path, capsys):
     for name in names:
         assert (tmp_path / "eval_cfg" / name).read_bytes() == \
             (report_dir / name).read_bytes(), name
+
+
+def _prediction_rows(report_dir):
+    """predictions.csv's `row` column and its y_true column, as read."""
+    lines = (report_dir / "predictions.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0].split(",")[:2] == ["row", "y_true"]
+    cells = [line.split(",") for line in lines[1:]]
+    return [int(c[0]) for c in cells], np.array([float(c[1]) for c in cells])
+
+
+def test_prediction_rows_join_back_to_the_scored_table(tmp_path, capsys):
+    ws = tmp_path / "ws"
+    assert cli.main(["direct", "--workspace", str(ws), "--synthetic", "150",
+                     "--seed", "5", *_FAST]) == 0
+    data = ws / "data.csv"
+
+    # with --fracs the scored table is the test split that `data split`
+    # writes for the same fractions and seed
+    assert cli.main(["evaluate", "--ensemble", str(ws / "ensemble"), "--data", str(data),
+                     "--fracs", "0.72,0.18,0.10", "--split-seed", "1",
+                     "--out-dir", str(tmp_path / "eval")]) == 0
+    assert cli.main(["data", "split", "--data", str(data), "--fracs", "0.72,0.18,0.10",
+                     "--seed", "1", "--out-dir", str(tmp_path / "parts")]) == 0
+    capsys.readouterr()
+    rows, y_true = _prediction_rows(tmp_path / "eval")
+    test_chf = load_csv(tmp_path / "parts" / "test.csv").targets
+    assert rows == list(range(len(test_chf)))
+    assert np.array_equal(y_true.view(np.uint64), test_chf[rows].view(np.uint64))
+
+    # without --fracs it is the --data file itself
+    assert cli.main(["evaluate", "--ensemble", str(ws / "ensemble"), "--data", str(data),
+                     "--out-dir", str(tmp_path / "eval_all")]) == 0
+    rows, y_true = _prediction_rows(tmp_path / "eval_all")
+    all_chf = load_csv(data).targets
+    assert rows == list(range(len(all_chf)))
+    assert np.array_equal(y_true.view(np.uint64), all_chf.view(np.uint64))
 
 
 def test_evaluate_with_blind_slices(tmp_path, capsys, tiny_dataset):

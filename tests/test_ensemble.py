@@ -422,6 +422,29 @@ def test_save_load_round_trip(tmp_path, tiny_ensemble):
             assert np.array_equal(a, b)
 
 
+def test_a_failed_save_leaves_the_previous_manifest_whole(tmp_path, tiny_ensemble,
+                                                           monkeypatch):
+    out = tmp_path / "ens"
+    save_ensemble(tiny_ensemble, out)
+    before = (out / "manifest.json").read_bytes()
+    (tmp_path / "plain").write_text("x")        # the mode a plain open() gives
+
+    def cut_short(doc, fh, **kwargs):
+        fh.write('{\n  "format_version": ')
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(json, "dump", cut_short)
+    with pytest.raises(OSError, match="no space left"):
+        save_ensemble(tiny_ensemble, out)
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+    assert (out / "manifest.json").read_bytes() == before
+    monkeypatch.undo()
+
+    save_ensemble(tiny_ensemble, out)
+    assert (out / "manifest.json").read_bytes() == before
+    assert (out / "manifest.json").stat().st_mode == (tmp_path / "plain").stat().st_mode
+
+
 def test_load_rejects_wrong_version(tmp_path, tiny_ensemble):
     out = tmp_path / "ens"
     save_ensemble(tiny_ensemble, out)

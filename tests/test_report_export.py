@@ -1,4 +1,5 @@
 import math
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -11,7 +12,8 @@ from autoduct.evaluation import (MetricsReport, ModelEvaluation, SliceReport,
                                  SliceResult, evaluate_model, evaluate_slices)
 from autoduct.report_export import (ERROR_BIN_EDGES, METRICS_HEADER,
                                     POINTS_HEADER, RATIO_BIN_EDGES,
-                                    SLICE_HEADER, _c, _Canvas, export_report)
+                                    SLICE_HEADER, _STYLE, _c, _Canvas,
+                                    export_report)
 
 _SPEC = SliceSpec(slice_id="g_sweep", varying="G", lo=100.0, hi=4000.0,
                   count=25, constants={"D": 0.008, "L": 6.0, "P": 10000.0,
@@ -75,19 +77,20 @@ def test_predictions_csv_round_trips(evaluation, tmp_path):
     export_report(evaluation, None, tmp_path)
     header, rows = _rows(tmp_path / "predictions.csv")
     assert header == POINTS_HEADER
-    assert header == "D,L,P,G,X,y_true,y_pred,aleatory_var,epistemic_var,total_var"
+    assert header == "row,y_true,y_pred,aleatory_var,epistemic_var,total_var"
     assert len(rows) == len(evaluation.dataset)
-    for i in (0, len(rows) // 2, len(rows) - 1):
-        values = [float(v) for v in rows[i]]
-        assert values[:5] == list(evaluation.dataset.features[i])
-        pred = evaluation.predictions
-        assert values[5] == evaluation.dataset.targets[i]
-        assert values[6] == pred.mean[i]
-        assert values[7] == pred.aleatory_var[i]
-        assert values[8] == pred.epistemic_var[i]
-        assert values[9] == pred.total_var[i]
+    # `row` is the 0-based row of the scored table, written as an integer
+    assert [r[0] for r in rows] == [str(i) for i in range(len(rows))]
+    pred = evaluation.predictions
+    for i, row in enumerate(rows):
+        values = [float(v) for v in row[1:]]
+        assert values[0] == evaluation.dataset.targets[i]
+        assert values[1] == pred.mean[i]
+        assert values[2] == pred.aleatory_var[i]
+        assert values[3] == pred.epistemic_var[i]
+        assert values[4] == pred.total_var[i]
         # exact round trip preserves the moment identity exactly
-        assert values[9] == values[7] + values[8]
+        assert values[4] == values[2] + values[3]
 
 
 def test_double_export_is_byte_identical(evaluation, slice_report, tmp_path):
@@ -98,16 +101,40 @@ def test_double_export_is_byte_identical(evaluation, slice_report, tmp_path):
         assert p1.read_bytes() == p2.read_bytes(), f"{p1.name} not reproducible"
 
 
+def _parity_canvas(me):
+    """The parity plot's canvas, rebuilt from the evaluation."""
+    y = me.dataset.targets
+    band_lo, band_hi = interval(me.predictions, me.level)
+    lo = float(min(y.min(), band_lo.min()))
+    hi = float(max(y.max(), band_hi.max()))
+    pad = 0.05 * (hi - lo) if hi > lo else 1.0
+    return _Canvas(480, 480, (lo - pad, hi + pad), (lo - pad, hi + pad)), lo - pad, hi + pad
+
+
 def test_parity_svg_structure(evaluation, tmp_path):
     export_report(evaluation, None, tmp_path)
     path = tmp_path / "parity.svg"
     n = len(evaluation.dataset)
-    circles = _elements(path, "circle")
-    assert len(circles) == n
-    assert all(c.get("class") == "pt" for c in circles)
-    error_bars = [el for el in _elements(path, "line")
-                  if el.get("class") == "err"]
-    assert len(error_bars) == n
+    assert _elements(path, "circle") == []
+    paths = {el.get("class"): el.get("d") for el in _elements(path, "path")}
+    assert sorted(paths) == ["err", "pt"]
+    bars = re.findall(r"M([^ ]+) ([^V]+)V([^M]+)", paths["err"])
+    points = re.findall(r"M([^ ]+) ([^h]+)h0", paths["pt"])
+    # the subpaths found spell out the whole path text, nothing else
+    assert "".join(f"M{x} {lo}V{hi}" for x, lo, hi in bars) == paths["err"]
+    assert "".join(f"M{x} {yh}h0" for x, yh in points) == paths["pt"]
+    assert len(bars) == len(points) == n
+
+    # each coordinate is the pixel of its value at 6 significant digits
+    canvas, _, _ = _parity_canvas(evaluation)
+    y = evaluation.dataset.targets
+    band_lo, band_hi = interval(evaluation.predictions, evaluation.level)
+    yhat = evaluation.predictions.mean
+    for i in range(n):
+        px = _c(canvas.x(float(y[i])))
+        assert bars[i] == (px, _c(canvas.y(float(band_lo[i]))),
+                           _c(canvas.y(float(band_hi[i]))))
+        assert points[i] == (px, _c(canvas.y(float(yhat[i]))))
     refs = [el for el in _elements(path, "line") if el.get("class") == "ref"]
     assert len(refs) == 1             # the diagonal
 
@@ -185,7 +212,7 @@ def test_export_raises_io_failure_on_unwritable_target(evaluation, tmp_path):
 
 # --- byte oracles -------------------------------------------------------------
 # The exporters render rows a block at a time through one `%` template. These
-# are the former per-value renderers; the exported bytes must equal theirs.
+# render each value on its own; the exported bytes must equal theirs.
 
 _AWKWARD = (-0.0, 5e-324, 1.7976931348623157e308, 0.1, 2.0, 1e16, -5e-324)
 
@@ -236,22 +263,20 @@ def _parity_oracle(me):
     y = me.dataset.targets
     yhat = me.predictions.mean
     band_lo, band_hi = interval(me.predictions, me.level)
-    lo = float(min(y.min(), band_lo.min()))
-    hi = float(max(y.max(), band_hi.max()))
-    pad = 0.05 * (hi - lo) if hi > lo else 1.0
-    canvas = _Canvas(480, 480, (lo - pad, hi + pad), (lo - pad, hi + pad))
-    parts = canvas.open_tag()
-    parts.append(f'<line class="ref" x1="{_c(canvas.x(lo - pad))}" '
-                 f'y1="{_c(canvas.y(lo - pad))}" x2="{_c(canvas.x(hi + pad))}" '
-                 f'y2="{_c(canvas.y(hi + pad))}"/>')
-    for i in range(y.size):
-        px = canvas.x(float(y[i]))
-        parts.append(f'<line class="err" x1="{_c(px)}" '
-                     f'y1="{_c(canvas.y(float(band_lo[i])))}" x2="{_c(px)}" '
-                     f'y2="{_c(canvas.y(float(band_hi[i])))}"/>')
-    for i in range(y.size):
-        parts.append(f'<circle class="pt" cx="{_c(canvas.x(float(y[i])))}" '
-                     f'cy="{_c(canvas.y(float(yhat[i])))}" r="2.5"/>')
+    canvas, lo, hi = _parity_canvas(me)
+    parts = canvas.open_tag(_STYLE.replace(
+        ".pt{fill:#1f5fa8;fill-opacity:0.55;stroke:none}",
+        ".pt{fill:none;stroke:#1f5fa8;stroke-width:5;stroke-linecap:round;"
+        "stroke-opacity:0.55}"))
+    parts.append(f'<line class="ref" x1="{_c(canvas.x(lo))}" '
+                 f'y1="{_c(canvas.y(lo))}" x2="{_c(canvas.x(hi))}" '
+                 f'y2="{_c(canvas.y(hi))}"/>')
+    bars = "".join(f"M{_c(canvas.x(float(y[i])))} {_c(canvas.y(float(band_lo[i])))}"
+                   f"V{_c(canvas.y(float(band_hi[i])))}" for i in range(y.size))
+    parts.append(f'<path class="err" d="{bars}"/>')
+    points = "".join(f"M{_c(canvas.x(float(y[i])))} {_c(canvas.y(float(yhat[i])))}h0"
+                     for i in range(y.size))
+    parts.append(f'<path class="pt" d="{points}"/>')
     parts += canvas.ticks("measured [kW/m²]", "predicted [kW/m²]")
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode("utf-8")
@@ -268,10 +293,13 @@ def test_export_matches_per_value_oracles(awkward, tmp_path):
         f"{METRICS_HEADER}\n{metrics}\n".encode("utf-8")
 
     preds = me.predictions
-    table = np.column_stack([me.dataset.features, me.dataset.targets, preds.mean,
-                             preds.aleatory_var, preds.epistemic_var, preds.total_var])
+    lines = [POINTS_HEADER] + [
+        f"{i}," + ",".join(f"{v:.17g}" for v in row) for i, row in enumerate(
+            zip(me.dataset.targets.tolist(), preds.mean.tolist(),
+                preds.aleatory_var.tolist(), preds.epistemic_var.tolist(),
+                preds.total_var.tolist()))]
     assert (tmp_path / "predictions.csv").read_bytes() == \
-        _csv_oracle(POINTS_HEADER, "", table)
+        ("\n".join(lines) + "\n").encode("utf-8")
 
     assert (tmp_path / "parity.svg").read_bytes() == _parity_oracle(me)
 
