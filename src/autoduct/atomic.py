@@ -1,10 +1,10 @@
-"""Crash-consistent JSON documents.
+"""Crash-consistent files.
 
-`write_json` writes the whole document to a temp file in the target's
-own directory and then renames it over the target with `os.replace`,
-which is atomic on one filesystem. A reader therefore sees either the
-previous document or the new one, never a cut one, and a failed write
-leaves no temp file behind.
+`write_atomic` lets a writer fill a temp file in the target's own
+directory and then renames it over the target with `os.replace`, which
+is atomic on one filesystem. A reader therefore sees either the previous
+file or the new one, never a cut one, and a failed write leaves no temp
+file behind. `write_json` writes a JSON document that way.
 """
 
 from __future__ import annotations
@@ -12,19 +12,22 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
+from typing import IO, Callable
 
 
-def write_json(path: str | Path, doc: object) -> None:
-    """Replace `path` with `doc` as indented, key-sorted JSON and a
-    trailing newline."""
+def write_atomic(path: str | Path, write: Callable[[IO], None],
+                 binary: bool = False) -> None:
+    """Replace `path` with what `write` writes to the file object it is
+    given: bytes if `binary`, else UTF-8 text with no newline
+    translation."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     # mode 0o666 under the umask, as a plain open() would create the file
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        with (os.fdopen(fd, "wb") if binary
+              else os.fdopen(fd, "w", encoding="utf-8", newline="")) as fh:
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -32,3 +35,13 @@ def write_json(path: str | Path, doc: object) -> None:
         except OSError:
             pass
         raise
+
+
+def write_json(path: str | Path, doc: object) -> None:
+    """Replace `path` with `doc` as indented, key-sorted JSON and a
+    trailing newline."""
+    def write(fh: IO) -> None:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+    write_atomic(path, write)

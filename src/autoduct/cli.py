@@ -30,6 +30,7 @@ from .agents import (FaultInjector, HttpPlanner, PipelineRecipe,
                      parse_fault_spec, render_report, run_multi_agent, run_react)
 from .agents.state import STAGE_TASKS, STATE_FORMAT_VERSION
 from .agents.tasks import TASK_FORMAT_VERSION, TaskDocument, validate_document
+from .atomic import write_atomic
 from .dataset import (BLIND_SLICES, SyntheticConfig, fit_normalizer,
                       generate_synthetic, load_csv, load_slice_specs, split,
                       validate_ranges, write_csv)
@@ -342,12 +343,14 @@ def _recipe(args) -> PipelineRecipe:
 
 
 def _stage_dataset(args, workspace: Path, resume: bool = False) -> None:
-    """Put the run's dataset at <workspace>/data.csv."""
+    """Put the run's dataset at <workspace>/data.csv, replacing any
+    previous one atomically."""
     target = workspace / "data.csv"
     if resume and target.exists():
         return
     if args.data:
-        shutil.copyfile(args.data, target)
+        with open(args.data, "rb") as src:
+            write_atomic(target, lambda dst: shutil.copyfileobj(src, dst), binary=True)
     elif args.synthetic:
         write_csv(generate_synthetic(SyntheticConfig(n=args.synthetic, seed=args.seed)),
                   target)

@@ -16,12 +16,14 @@ import itertools
 import json
 import math
 import operator
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TextIO
 
 import numpy as np
 
+from .atomic import write_atomic
 from .errors import (
     CorruptArtifact,
     DegenerateFeature,
@@ -139,13 +141,22 @@ def load_csv(path: str | Path, require_target: bool = True) -> Dataset:
 
     Rows are kept in file order. Extra columns are ignored. A missing CHF
     column is accepted only when require_target is False (input-only
-    grids). A leading UTF-8 byte-order mark is skipped.
+    grids). A header that names one of these columns twice is malformed.
+    A leading UTF-8 byte-order mark is skipped.
 
-    Rows are parsed a block at a time with `float()`. A block that holds
-    a bad cell is scanned again cell by cell, so `NonFiniteValue` names
-    the first bad cell's data row (blank rows count) and column. A line
-    the csv module cannot parse raises `MalformedCsv` with its line
-    number, unless a row before it holds a bad cell.
+    The rows of a seekable file are first read by numpy's C reader
+    (`np.loadtxt`), fed as a line generator. The generator refuses the
+    read at a line that numpy could read differently from the csv module
+    plus `float()`: one holding a `"` (a comma split ignores quoting), a
+    NUL, or one of \\x1c-\\x1f (numpy strips these as whitespace, `float()`
+    does not), or one longer than `csv.field_size_limit()`. It checks a
+    batch of lines at a time, so it may refuse a few lines early. The
+    read is kept only when it has at least one row and every value is
+    finite. In every other case (a refused line, a cell numpy cannot
+    parse, a non-finite value, no rows, or a file that cannot seek) the
+    rows are parsed again from the first data row by `_parse_rows`, the
+    csv module plus `float()`. That parser is the reference for what the
+    fast read may accept, and it raises every row error.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig") as fh:
@@ -159,45 +170,107 @@ def load_csv(path: str | Path, require_target: bool = True) -> Dataset:
         header = [h.strip() for h in header]
         for name in FEATURE_NAMES:
             if name not in header:
-                raise MissingColumn(name)
+                raise MissingColumn(path, name)
         has_target = TARGET_NAME in header
         if require_target and not has_target:
-            raise MissingColumn(TARGET_NAME)
+            raise MissingColumn(path, TARGET_NAME)
+        for name in FEATURE_NAMES + (TARGET_NAME,):
+            if header.count(name) > 1:
+                raise MalformedCsv(f"{path}: column {name!r} appears more than "
+                                   f"once in the header")
         names = FEATURE_NAMES + ((TARGET_NAME,) if has_target else ())
         cols = [header.index(name) for name in names]
 
-        blocks = []
-        rows_read = 0
-        while True:
-            rows = []
-            try:
-                # extend keeps the rows read before a malformed line, so
-                # a bad cell among them is reported first
-                rows.extend(itertools.islice(reader, _BLOCK_ROWS))
-            except csv.Error as exc:
-                _parse_block(rows, rows_read + 1, cols, names)
-                raise _malformed(path, reader, exc) from None
-            if not rows:
-                break
-            block = _parse_block(rows, rows_read + 1, cols, names)
-            if len(block):
-                blocks.append(block)
-            rows_read += len(rows)
+        table = None
+        if fh.seekable():
+            table = _parse_plain_rows(fh, cols)
+            if table is None:
+                fh.seek(0)
+                reader = csv.reader(fh)
+                next(reader)
+        if table is None:
+            table = _parse_rows(reader, path, cols, names)
 
-    if not blocks:
-        raise EmptyFile(f"{path} has no data rows")
-    table = np.concatenate(blocks)
     if not has_target:
         return Dataset(table, None, provenance=str(path))
     return Dataset(np.ascontiguousarray(table[:, :-1]), table[:, -1].copy(),
                    provenance=str(path))
 
 
+# A quote, which a comma split ignores; a NUL, which the csv module
+# refuses before Python 3.11; and \x1c-\x1f, which numpy strips from a
+# cell as whitespace and `float()` does not.
+_NOT_PLAIN = '"\0\x1c\x1d\x1e\x1f'
+# Characters per batch of lines that `_plain_lines` checks at once.
+_BATCH_CHARS = 1 << 16
+
+
+def _plain_lines(fh: TextIO, limit: int):
+    """Yield the lines left in `fh`, and raise ValueError first if a batch
+    of them holds a `_NOT_PLAIN` character or a line longer than `limit`,
+    so no field can exceed csv's field size limit."""
+    while lines := fh.readlines(_BATCH_CHARS):
+        batch = "".join(lines)
+        if max(map(len, lines)) > limit or any(c in batch for c in _NOT_PLAIN):
+            raise ValueError("a line numpy could read differently from csv")
+        yield from lines
+
+
+def _parse_plain_rows(fh: TextIO, cols: list[int]) -> np.ndarray | None:
+    """The columns `cols` of the rest of `fh` as numpy's C reader parses
+    them, or None where only `_parse_rows` can decide."""
+    try:
+        with warnings.catch_warnings():
+            # no rows is a case for _parse_rows, not a warning to the user
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(_plain_lines(fh, csv.field_size_limit()), delimiter=",",
+                               comments=None, quotechar=None, usecols=cols, ndmin=2,
+                               dtype=np.float64)
+    except ValueError:  # a refused line, a cell numpy cannot parse, a decode error
+        return None
+    if len(table) and np.isfinite(table).all():
+        return table
+    return None
+
+
+def _parse_rows(reader, path: Path, cols: list[int],
+                names: tuple[str, ...]) -> np.ndarray:
+    """Parse the rows left in `reader` into an (n, len(cols)) array.
+
+    Rows are parsed a block at a time with `float()`. A block that holds
+    a bad cell is scanned again cell by cell, so `NonFiniteValue` names
+    the first bad cell's data row (blank rows count) and column. A line
+    the csv module cannot parse raises `MalformedCsv` with its line
+    number, unless a row before it holds a bad cell. No non-blank row
+    raises `EmptyFile`.
+    """
+    blocks = []
+    rows_read = 0
+    while True:
+        rows = []
+        try:
+            # extend keeps the rows read before a malformed line, so
+            # a bad cell among them is reported first
+            rows.extend(itertools.islice(reader, _BLOCK_ROWS))
+        except csv.Error as exc:
+            _parse_block(rows, path, rows_read + 1, cols, names)
+            raise _malformed(path, reader, exc) from None
+        if not rows:
+            break
+        block = _parse_block(rows, path, rows_read + 1, cols, names)
+        if len(block):
+            blocks.append(block)
+        rows_read += len(rows)
+    if not blocks:
+        raise EmptyFile(f"{path} has no data rows")
+    return np.concatenate(blocks)
+
+
 def _malformed(path: Path, reader, exc: csv.Error) -> MalformedCsv:
     return MalformedCsv(f"{path}: malformed CSV at line {reader.line_num}: {exc}")
 
 
-def _parse_block(rows: list[list[str]], first_row: int, cols: list[int],
+def _parse_block(rows: list[list[str]], path: Path, first_row: int, cols: list[int],
                  names: tuple[str, ...]) -> np.ndarray:
     """Parse the non-blank rows of one block into a (k, len(cols)) array."""
     kept = [row for row in rows if any(map(str.strip, row))]
@@ -211,32 +284,37 @@ def _parse_block(rows: list[list[str]], first_row: int, cols: list[int],
     for row_number, row in enumerate(rows, start=first_row):
         if any(map(str.strip, row)):
             for col, name in zip(cols, names):
-                _parse_value(row, row_number, col, name)
+                _parse_value(row, path, row_number, col, name)
     raise AssertionError("a rejected block has no bad cell")
 
 
-def _parse_value(row: list[str], row_number: int, col: int, name: str) -> float:
+def _parse_value(row: list[str], path: Path, row_number: int, col: int,
+                 name: str) -> float:
     try:
         value = float(row[col])
     except (ValueError, IndexError):
-        raise NonFiniteValue(row_number, name) from None
+        raise NonFiniteValue(path, row_number, name) from None
     if not math.isfinite(value):
-        raise NonFiniteValue(row_number, name)
+        raise NonFiniteValue(path, row_number, name)
     return value
 
 
 def write_csv(ds: Dataset, path: str | Path) -> None:
     """Write a dataset back out in the canonical column order, full
-    float64 precision, with the CRLF row ends that `csv.writer` writes."""
-    path = Path(path)
+    float64 precision, with the CRLF row ends that `csv.writer` writes.
+    The file is replaced atomically (`atomic.write_atomic`): a failed
+    write leaves the previous file as it was."""
     if ds.has_targets:
         names = FEATURE_NAMES + (TARGET_NAME,)
         table = np.column_stack([ds.features, ds.targets])
     else:
         names, table = FEATURE_NAMES, ds.features
-    with path.open("w", newline="", encoding="utf-8") as fh:
+
+    def write(fh: TextIO) -> None:
         fh.write(",".join(names) + "\r\n")
         _write_rows(fh, ",".join(["%.17g"] * len(names)) + "\r\n", table)
+
+    write_atomic(path, write)
 
 
 def _write_rows(fh: TextIO, template: str, table: np.ndarray) -> None:

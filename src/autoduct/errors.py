@@ -12,14 +12,16 @@ class AutoductError(Exception):
 # --- data ingestion / preparation ---
 
 class MissingColumn(AutoductError):
-    def __init__(self, column: str):
-        super().__init__(f"missing required column {column!r}")
+    def __init__(self, path, column: str):
+        super().__init__(f"{path}: missing required column {column!r}")
+        self.path = path
         self.column = column
 
 
 class NonFiniteValue(AutoductError):
-    def __init__(self, row: int, column: str):
-        super().__init__(f"non-finite value at data row {row}, column {column!r}")
+    def __init__(self, path, row: int, column: str):
+        super().__init__(f"{path}: non-finite value at data row {row}, column {column!r}")
+        self.path = path
         self.row = row
         self.column = column
 

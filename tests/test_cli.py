@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -579,6 +581,43 @@ def test_data_validate_oversized_field_is_an_error(tmp_path, capsys):
     assert cli.main(["data", "validate", "--data", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err and "line 2" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("D,L,P,G,CHF\n0.008,1.0,10000,2000,1500\n", "missing required column 'X'"),
+    ("D,L,P,G,X,CHF\n0.008,nan,10000,2000,0.1,1500\n",
+     "non-finite value at data row 1, column 'L'"),
+    ("D,L,P,G,X,CHF,CHF\n0.01,1,10000,2000,0.1,1500,9\n",
+     "column 'CHF' appears more than once in the header"),
+])
+def test_csv_errors_name_the_file(tmp_path, capsys, text, message):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    assert cli.main(["data", "validate", "--data", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def test_failed_staging_copy_keeps_the_previous_table(tmp_path, monkeypatch):
+    workspace = tmp_path / "ws"
+    workspace.mkdir()
+    (workspace / "data.csv").write_bytes(b"previous")
+    table = tmp_path / "t.csv"
+    table.write_bytes(b"D,L,P,G,X,CHF\r\n" + b"0.008,1,10000,2000,0.1,1500\r\n" * 500)
+    args = argparse.Namespace(data=str(table), synthetic=None, seed=0)
+
+    def cut(src, dst):
+        dst.write(src.read(100))
+        raise OSError("disk full")
+
+    monkeypatch.setattr(shutil, "copyfileobj", cut)
+    with pytest.raises(OSError):
+        cli._stage_dataset(args, workspace)
+    assert (workspace / "data.csv").read_bytes() == b"previous"
+    assert [p.name for p in workspace.iterdir()] == ["data.csv"]
+    monkeypatch.undo()
+    cli._stage_dataset(args, workspace)
+    assert (workspace / "data.csv").read_bytes() == table.read_bytes()
+    assert [p.name for p in workspace.iterdir()] == ["data.csv"]
 
 
 _IMPORT_PROBE = """

@@ -2,20 +2,24 @@ import csv
 import io
 import json
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from autoduct import dataset
 from autoduct.dataset import (BLIND_SLICES, FEATURE_NAMES, REFERENCE_ENVELOPE,
                               Dataset, Normalizer, SliceSpec, SyntheticConfig,
                               build_slice_grid, fit_normalizer,
                               generate_synthetic, load_csv, load_slice_specs,
                               split, synthetic_noise_std, synthetic_oracle,
                               validate_ranges, write_csv)
-from autoduct.errors import (CorruptArtifact, DegenerateFeature, EmptyFile,
-                             FractionSumInvalid, MalformedCsv, MissingColumn,
-                             NonFiniteValue)
+from autoduct.dataset import _parse_rows
+from autoduct.errors import (AutoductError, CorruptArtifact, DegenerateFeature,
+                             EmptyFile, FractionSumInvalid, MalformedCsv,
+                             MissingColumn, NonFiniteValue)
 
 
 def _write(path, text):
@@ -205,6 +209,210 @@ def test_write_load_round_trip_is_bit_exact(tmp_path, targets):
         assert again.targets.tobytes() == ds.targets.tobytes()
     else:
         assert not again.has_targets
+
+
+# --- the C-reader fast path against its reference, _parse_rows -------------
+
+def _table_bytes(ds: Dataset) -> bytes:
+    return np.column_stack([ds.features, ds.targets]).tobytes()
+
+
+def _outcome(read):
+    """The bytes `read` returns, or the type and message of its error."""
+    try:
+        return read()
+    except AutoductError as exc:
+        return type(exc), str(exc)
+
+
+def _reference_outcome(path):
+    """`_parse_rows` alone on a file whose header `load_csv` accepts."""
+    def read():
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = [h.strip() for h in next(reader)]
+            cols = [header.index(name) for name in _REQUIRED]
+            return _parse_rows(reader, path, cols, tuple(_REQUIRED)).tobytes()
+    return _outcome(read)
+
+
+def _load_outcome(path):
+    return _outcome(lambda: _table_bytes(load_csv(path)))
+
+
+_REQUIRED = list(FEATURE_NAMES) + ["CHF"]
+_OVER_LIMIT = "1" * 140_000        # over csv's default field limit (131,072)
+
+_PLAIN_CELLS = st.tuples(
+    st.text(alphabet=[" ", "\t", "\xa0", "\x0b", "\x0c", "　"], max_size=2),
+    st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(lambda v: "%.17g" % v),
+              st.integers(-10**6, 10**6).map(str)),
+    st.sampled_from(["", " ", "\xa0"])).map("".join)
+_ODD_CELLS = st.sampled_from([
+    "+", "+1.5", "1_000", "١٢", "nan", "-inf", "inf", "1e400", "1e-400", "", " ", ".5",
+    "5.", "\x1c1.5", "2\x1c", '"2.5"', '"1,5"', 'ab"c', "1#", "#", "\0", "1\x002",
+    _OVER_LIMIT])
+
+
+@st.composite
+def _csv_files(draw):
+    """Text of a CSV file with the required columns, in any order, among
+    extra ones. A third of the files hold only padded numbers and empty
+    lines, a third one odd cell among them, and the rest odd cells, lines
+    and row widths anywhere."""
+    odd = draw(st.sampled_from(["none", "one", "any"]))
+    header = draw(st.permutations(_REQUIRED + draw(st.sampled_from(
+        [[], ["note"], ["note", "e2"]]))))
+    lead = draw(st.sampled_from([[], ["n"]] + ([['"a,b"'], ['"x\ny"']] if odd == "any"
+                                               else [])))
+    if lead:
+        header = ["name"] + header
+    cells = st.one_of(_PLAIN_CELLS, _ODD_CELLS) if odd == "any" else _PLAIN_CELLS
+    kinds = ["row", "row", "row", "blank"] + (["space", "commas"] if odd == "any" else [])
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "row":
+            width = len(header) - len(lead) + draw(st.integers(-(odd == "any"), 2))
+            row = draw(st.lists(cells, min_size=width, max_size=width))
+            if odd == "one":
+                row[draw(st.integers(0, width - 1))] = draw(_ODD_CELLS)
+                odd = "none"
+            lines.append(",".join(lead + row))
+        else:
+            lines.append({"blank": "", "space": " \t", "commas": ",,,"}[kind])
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
+                         max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+@given(_csv_files())
+@settings(max_examples=150, deadline=None)
+def test_load_csv_matches_its_reference_parser(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "differential.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
+    assert _load_outcome(path) == _reference_outcome(path)
+
+
+_HEADER = "D,L,P,G,X,CHF"
+
+
+@pytest.mark.parametrize("text", [
+    # a NUL in an unused column, which csv accepts or refuses by version
+    f"{_HEADER},note\n{_GOOD_ROW},a\0b\n",
+    # an over-limit field, in an unused column and as a zero-padded number
+    f"{_HEADER},note\n{_GOOD_ROW}\n{_GOOD_ROW},{_OVER_LIMIT}\n",
+    f"{_HEADER}\n0.008,1.0,10000,2000,0.1,{'0' * 140_000}1500\n",
+    # padding that numpy strips and float() does not
+    f"{_HEADER}\n{_GOOD_ROW}\x1c\n",
+], ids=["nul-unused", "over-limit-unused", "over-limit-number",
+        "x1c-padding"])
+def test_load_csv_matches_its_reference_on_lines_numpy_could_misread(tmp_path, text):
+    path = tmp_path / "d.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
+    assert _load_outcome(path) == _reference_outcome(path)
+
+
+def test_load_csv_reads_a_quoted_comma_as_csv_does(tmp_path):
+    # a comma split would shift every column by one
+    path = _write(tmp_path / "d.csv",
+                  'n1,n2,D,L,P,G,X,CHF\n"x,y",7,0.01,1,10000,2000,0.1,1500\n')
+    ds = load_csv(path)
+    assert ds.features.tolist() == [[0.01, 1.0, 10000.0, 2000.0, 0.1]]
+    assert ds.targets.tolist() == [1500.0]
+
+
+def _count_reference_calls(monkeypatch) -> list:
+    """Patch `_parse_rows` to record the path of each call; returns the record."""
+    calls = []
+
+    def spy(reader, path, cols, names):
+        calls.append(path)
+        return _parse_rows(reader, path, cols, names)
+
+    monkeypatch.setattr(dataset, "_parse_rows", spy)
+    return calls
+
+
+@pytest.mark.parametrize("line", [
+    '"0.008",1.0,10000,2000,0.1,1500',
+    f"{_GOOD_ROW},a\0b",
+    f"{_GOOD_ROW},{_OVER_LIMIT}",
+    f"{_GOOD_ROW},\x1f",
+], ids=["quote", "nul", "over-limit", "x1f"])
+def test_lines_numpy_could_misread_go_to_the_reference(tmp_path, monkeypatch, line):
+    # each line guard on its own, on any Python version
+    path = _write(tmp_path / "d.csv", f"{_HEADER},note\n{_GOOD_ROW},n\n{line}\n")
+    calls = _count_reference_calls(monkeypatch)
+    _outcome(lambda: load_csv(path))
+    assert calls == [path]
+
+
+def test_load_csv_takes_the_fast_path_on_a_written_table(tmp_path, monkeypatch):
+    ds = _awkward_dataset(targets=True)
+    path = tmp_path / "w.csv"
+    write_csv(ds, path)
+
+    def refuse(*args):
+        raise AssertionError("the reference parser ran")
+
+    monkeypatch.setattr(dataset, "_parse_rows", refuse)
+    assert _table_bytes(load_csv(path)) == _table_bytes(ds)
+
+
+def test_load_csv_reads_a_fifo_through_the_reference(tmp_path, monkeypatch):
+    text = f"{_HEADER}\n{_GOOD_ROW}\n0.01,2.0,5000,1000,0.5,800\n"
+    plain = _write(tmp_path / "plain.csv", text)
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+    calls = _count_reference_calls(monkeypatch)
+
+    def feed():
+        with open(fifo, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        got = _load_outcome(fifo)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert got == _load_outcome(plain)
+    assert calls == [fifo]          # the plain file took the fast path
+
+
+@pytest.mark.parametrize("header, column", [
+    ("D,L,P,G,X,CHF,CHF", "CHF"),
+    ("D,L,P,G,X,CHF, D ", "D"),
+    ("D,L,P,G,X,X", "X"),
+])
+def test_load_csv_refuses_a_duplicated_required_column(tmp_path, header, column):
+    path = _write(tmp_path / "d.csv", f"{header}\n0.01,1,10000,2000,0.1,1500,9\n")
+    with pytest.raises(MalformedCsv) as err:
+        load_csv(path, require_target=False)
+    assert str(err.value) == f"{path}: column {column!r} appears more than once in the header"
+
+
+def test_write_csv_failure_keeps_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "w.csv"
+    write_csv(_awkward_dataset(targets=True), path)
+    before = path.read_bytes()
+
+    def cut(fh, template, table):
+        fh.write((template * 2) % tuple(table[:2].ravel().tolist()))
+        raise OSError("disk full")
+
+    monkeypatch.setattr(dataset, "_write_rows", cut)
+    with pytest.raises(OSError):
+        write_csv(_awkward_dataset(targets=False), path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["w.csv"]
 
 
 # --- splitting ---------------------------------------------------------------
