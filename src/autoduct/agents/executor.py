@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .. import ensemble as ensemble_mod
+from ..atomic import write_json
 from ..dataset import SliceSpec, fit_normalizer, load_csv, split
 from ..evaluation import evaluate_model, evaluate_slices
 from ..neural_net import ActivationKind, MLPConfig, TrainConfig
@@ -197,8 +198,7 @@ class TaskExecutor:
         spec = {"version": MODEL_SPEC_VERSION, "input_dim": p["input_dim"],
                 "members": p["members"]}
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(spec, indent=2, sort_keys=True) + "\n",
-                       encoding="utf-8")
+        write_json(out, spec)
         log = f"wrote model spec with {len(p['members'])} members to {out.name}"
         return log, {p["output_role"]: str(out)}
 
@@ -258,8 +258,7 @@ class TaskExecutor:
         metrics = {k: v for k, v in me.report.to_dict().items() if k in keep}
         payload = {"metrics": metrics, "level": p["level"],
                    "files": [w.name for w in written]}
-        (report_dir / "metrics.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        write_json(report_dir / "metrics.json", payload)
         log = (f"evaluated {metrics['n']} test rows; "
                + "; ".join(f"{k}={metrics[k]:.3f}" for k in sorted(metrics)
                            if isinstance(metrics[k], float))

@@ -10,8 +10,8 @@ why they live in timings.json next door instead of inside the report.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
+from ..atomic import write_json
 from .context import ProjectContext
 from .planner import PlannerBase
 from .state import STAGE_ORDER, WorkflowState
@@ -58,12 +58,12 @@ def synthesize_report(ctx: ProjectContext, state: WorkflowState,
     if steps is not None:
         report["steps"] = steps
 
-    _write_json(report_dir / "report.json", report)
+    write_json(report_dir / "report.json", report)
     (report_dir / "report.txt").write_text(render_report(report), encoding="utf-8")
 
     times = dict(stage_times or {})
-    _write_json(report_dir / "timings.json",
-                {"stages": times, "total_s": sum(times.values())})
+    write_json(report_dir / "timings.json",
+               {"stages": times, "total_s": sum(times.values())})
     return report
 
 
@@ -90,8 +90,3 @@ def render_report(report: dict) -> str:
     lines.append(f"tokens: {tokens['calls']} calls, {tokens['total']} total "
                  f"({tokens['prompt']} prompt + {tokens['completion']} completion)")
     return "\n".join(lines) + "\n"
-
-
-def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")

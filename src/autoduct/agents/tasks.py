@@ -10,10 +10,10 @@ never runs planner-supplied code.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from ..atomic import write_json
 from ..errors import SchemaInvalid
 from ..neural_net import ActivationKind
 
@@ -163,6 +163,4 @@ def validate_document(doc: TaskDocument) -> TaskDocument:
 
 
 def save_document(doc: TaskDocument, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        json.dump(doc.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc.to_dict())

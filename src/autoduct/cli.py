@@ -30,7 +30,7 @@ from .agents import (FaultInjector, HttpPlanner, PipelineRecipe,
                      parse_fault_spec, render_report, run_multi_agent, run_react)
 from .agents.state import STAGE_TASKS, STATE_FORMAT_VERSION
 from .agents.tasks import TASK_FORMAT_VERSION, TaskDocument, validate_document
-from .atomic import write_atomic
+from .atomic import write_atomic, write_json
 from .dataset import (BLIND_SLICES, SyntheticConfig, fit_normalizer,
                       generate_synthetic, load_csv, load_slice_specs, split,
                       validate_ranges, write_csv)
@@ -305,8 +305,7 @@ def cmd_tune(args) -> int:
                             log_path=log_path)
     top = select_top_k(board, args.top_k)
     manifest = {"configs": [c.to_dict() for c in top]}
-    (out_dir / "topk.json").write_text(json.dumps(manifest, indent=2, sort_keys=True)
-                                       + "\n", encoding="utf-8")
+    write_json(out_dir / "topk.json", manifest)
     best = board.best()
     print(f"{len(board.results)} trials ({len(board.ok_results())} ok); "
           f"best validation RMSE {best.rmse:.3f} "
@@ -438,8 +437,7 @@ def cmd_trials(args) -> int:
 
     stats = aggregate_trials(reports)
     doc = {"stats": stats.to_dict(), "runs": reports}
-    (workspace / "trials.json").write_text(json.dumps(doc, indent=2, sort_keys=True)
-                                           + "\n", encoding="utf-8")
+    write_json(workspace / "trials.json", doc)
     table = format_trial_table(stats, f"{args.mode} agent, {args.planner} planner")
     (workspace / "trials.txt").write_text(table, encoding="utf-8")
     print(table, end="")

@@ -13,9 +13,11 @@ first-order scheme (adaptive moment steps on the log parameters; start
 grid: length scale {0.5, 1.5, 3.0} x noise variance {1e-4, 1e-2}).
 Cholesky factorizations climb a jitter ladder 1e-10 .. 1e-4 before
 giving up. All starts ascend as one stack; the gradient is GPML eq. 5.9
-(Rasmussen & Williams 2006) as one einsum of alpha alpha^T - L^-T L^-1
-against a (d, n, n) tensor of squared coordinate differences, built once
-per fit.
+(Rasmussen & Williams 2006). A (d, n, n) tensor of squared coordinate
+differences is built once per fit, and viewed as a (d, n * n) matrix it
+turns both the scaled distances of every start and every length-scale
+gradient, (alpha alpha^T - L^-T L^-1) against it, into one matrix
+product each.
 
 Acquisition is the plug-in form of noisy expected improvement for
 minimization: the incumbent is the minimum posterior mean over the
@@ -101,7 +103,10 @@ def _nlml_and_grad(diff2: np.ndarray, z: np.ndarray, theta: np.ndarray,
     ls = np.exp(theta[:, :d])
     sf2 = np.exp(theta[:, d])[:, None, None]
     sn2 = np.exp(theta[:, d + 1])
-    r = np.sqrt(np.einsum("ijk,si->sjk", diff2, ls**-2))
+    # squared distances and length-scale gradients as BLAS matmuls over
+    # the (d, n * n) view of diff2
+    flat2 = diff2.reshape(d, n * n)
+    r = np.sqrt((ls**-2 @ flat2).reshape(-1, n, n))
     e = np.exp(-_SQRT5 * r)
     k_signal = sf2 * _matern52(r, e)
     k = k_signal + sn2[:, None, None] * np.eye(n)
@@ -126,7 +131,7 @@ def _nlml_and_grad(diff2: np.ndarray, z: np.ndarray, theta: np.ndarray,
     gradient = np.empty_like(theta)
     # dK/d(log ell_i) = sf2 * (5/3)(1 + sqrt5 r) exp(-sqrt5 r) * d_ij^2 / ell_i^2
     common = sf2 * (5.0 / 3.0) * (1.0 + _SQRT5 * r) * e
-    gradient[:, :d] = -0.5 * np.einsum("ijk,sjk->si", diff2, inner * common) / ls**2
+    gradient[:, :d] = -0.5 * ((inner * common).reshape(-1, n * n) @ flat2.T) / ls**2
     gradient[:, d] = -0.5 * (inner * k_signal).sum(axis=(1, 2))
     gradient[:, d + 1] = -0.5 * sn2 * np.trace(inner, axis1=1, axis2=2)
     return nlml, np.where(ok[:, None], gradient, 0.0)

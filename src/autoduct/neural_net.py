@@ -48,9 +48,11 @@ rebuilds them only when the stack shrinks. The batches, the short last
 batch and the per-epoch validation pass take views of the row count they
 need from the same buffers, and every step writes into them with ``out=``
 and in-place ufuncs. Each activation is a kernel that writes its value,
-and its derivative when asked, into given buffers, keeping the operands
-and order of the plain numpy expression it replaces, so the bits are the
-same as allocating each result would give.
+and its derivative when asked, into given buffers, with the bits of the
+plain numpy expression it replaces. The piecewise units (leaky ReLU,
+ELU, SELU, softplus's derivative) select without masks, by arithmetic
+forms that are exact on each side of the kink; the forms and why each is
+exact are given at the kernels.
 
 Inference (``predict_batch``) runs one network at a time, in near-equal
 row blocks of at most ``dataset._BLOCK_ROWS`` rows, and keeps only the
@@ -110,12 +112,19 @@ class ActivationKind(Enum):
 
 # Activation kernels: kernel(x, h, d, s, mask) writes act(x) into h and,
 # when d is not None, act'(x) into d. s (float) and mask (bool) are scratch
-# of x's shape; with d, a kernel may also overwrite x. Each keeps the
-# operands and order of the plain numpy expression in its comment, so its
-# bits equal that expression's.
+# of x's shape; only ReLU uses mask, and it may be None for the others.
+# With d, a kernel may also overwrite x. Each kernel's bits equal those of
+# the plain numpy expression in its comment, -0.0, subnormals, overflow
+# and NaN included. A masked select (np.where, or np.copyto with where=)
+# costs more than a transcendental once the mask is random, so the
+# piecewise units select by arithmetic that is exact on each side of the
+# kink: comparisons give 0.0 / 1.0, and max / min / copysign pick an
+# operand without rounding.
 
 def _relu(x, h, d, s, mask):
-    # max(x, 0); (x > 0) as 0.0 / 1.0
+    # max(x, 0); (x > 0) as 0.0 / 1.0. The comparison goes through a bool
+    # array: written straight into the float d it is cast in a buffered
+    # loop, about 5% slower at every shape the search space draws
     np.maximum(x, 0.0, out=h)
     if d is not None:
         np.greater(x, 0.0, out=mask)
@@ -123,31 +132,53 @@ def _relu(x, h, d, s, mask):
 
 
 def _leaky_relu(x, h, d, s, mask):
-    # where(x > 0, x, slope * x); where(x > 0, 1, slope)
-    np.greater(x, 0.0, out=mask)
+    # where(x > 0, x, slope * x) as max(x, slope * x): with 0 < slope < 1,
+    # slope * x is below x for x > 0 and at or above it otherwise, and at
+    # x = +-0 both operands are the same signed zero.
+    # where(x > 0, 1, slope) as max(float(x > 0), slope)
     np.multiply(x, _LEAKY_SLOPE, out=h)
-    np.copyto(h, x, where=mask)
+    np.maximum(x, h, out=h)
     if d is not None:
-        d.fill(_LEAKY_SLOPE)
-        np.copyto(d, 1.0, where=mask)
+        np.greater(x, 0.0, out=d)
+        np.maximum(d, _LEAKY_SLOPE, out=d)
 
 
-def _exponential_linear(x, h, d, mask, alpha=None, scale=None):
+def _exponential_linear(x, h, d, s, mask, alpha=None, scale=None):
     # ELU, or SELU given alpha and scale:
-    # scale * where(x > 0, x, alpha * expm1(x)); scale * where(x > 0, 1, alpha * exp(x))
-    np.greater(x, 0.0, out=mask)
-    for out, f, positive in ((h, np.expm1, x), (d, np.exp, 1.0)):
-        if out is None:
-            continue
-        f(x, out=out)
-        if alpha is not None:
-            out *= alpha
-        np.copyto(out, positive, where=mask)
-        if scale is not None:
-            out *= scale
+    # scale * where(x > 0, x, alpha * expm1(x)) as
+    #   scale * copysign(max(x, 0) + min(alpha * expm1(x), 0), x):
+    # one of the two terms is 0 on each side of the kink, so the sum adds
+    # nothing to the other; only at x = -0.0 can the sum lose the sign
+    # (SIMD max / min may return +0 for (-0, 0)), and copysign restores it.
+    # scale * where(x > 0, 1, alpha * exp(x)) as
+    #   scale * ((alpha + (1 - alpha) * float(x > 0)) * exp(min(x, 0))):
+    # 1 - alpha is exact (Sterbenz), so alpha + (1 - alpha) is exactly 1,
+    # and exp(min(x, 0)) is exp(0) = 1 for x > 0. ELU's factor is 1.
+    np.expm1(x, out=s)
+    if alpha is not None:
+        s *= alpha
+    np.minimum(s, 0.0, out=s)
+    np.maximum(x, 0.0, out=h)
+    h += s
+    np.copysign(h, x, out=h)
+    if scale is not None:
+        h *= scale
+    if d is None:
+        return
+    np.minimum(x, 0.0, out=s)
+    if alpha is None:
+        np.exp(s, out=d)
+    else:
+        np.greater(x, 0.0, out=d)
+        d *= 1.0 - alpha
+        d += alpha
+        d *= np.exp(s, out=s)
+    if scale is not None:
+        d *= scale
 
 
 def _gelu(x, h, d, s, mask):
+    # no select: the plain expression's operands in its order
     # (0.5 * x) * (1 + t) with t = tanh(c * (x + b * ((x * x) * x)));
     # 0.5 * (1 + t) + (0.5 * x) * (1 - t * t) * c * (1 + (3 * b) * (x * x))
     np.multiply(x, 0.5, out=h)
@@ -176,7 +207,9 @@ def _gelu(x, h, d, s, mask):
 def _softplus(x, h, d, s, mask):
     # overflow-safe: max(x, 0) + log1p(e) with e = exp(-|x|); the
     # derivative, the sigmoid, divides by 1 + e, which never overflows:
-    # where(x >= 0, 1 / (1 + e), e / (1 + e))
+    # where(x >= 0, 1 / (1 + e), e / (1 + e)) as max(float(x >= 0), e) / (1 + e):
+    # 0 <= e <= 1, so the max picks 1 for x >= 0 and e otherwise; a NaN
+    # compares false and its e is NaN, which max propagates
     np.abs(x, out=s)
     np.negative(s, out=s)
     np.exp(s, out=s)
@@ -186,13 +219,10 @@ def _softplus(x, h, d, s, mask):
         return
     np.log1p(s, out=d)
     h += d
-    np.add(s, 1.0, out=d)
-    np.divide(s, d, out=s)
-    np.divide(1.0, d, out=d)
-    # a NaN takes e / (1 + e), as where(x >= 0, ...) gives it
-    np.greater_equal(x, 0.0, out=mask)
-    np.logical_not(mask, out=mask)
-    np.copyto(d, s, where=mask)
+    np.greater_equal(x, 0.0, out=d)
+    np.maximum(d, s, out=d)
+    s += 1.0
+    d /= s
 
 
 _ACTIVATIONS = {
@@ -200,8 +230,8 @@ _ACTIVATIONS = {
     ActivationKind.LEAKY_RELU: _leaky_relu,
     ActivationKind.GELU: _gelu,
     ActivationKind.SELU: lambda x, h, d, s, mask: _exponential_linear(
-        x, h, d, mask, _SELU_ALPHA, _SELU_LAMBDA),
-    ActivationKind.ELU: lambda x, h, d, s, mask: _exponential_linear(x, h, d, mask),
+        x, h, d, s, mask, _SELU_ALPHA, _SELU_LAMBDA),
+    ActivationKind.ELU: _exponential_linear,
     ActivationKind.SOFTPLUS: _softplus,
 }
 
@@ -356,15 +386,14 @@ class _Workspace:
         self._flat = {name: np.empty(size, dtype) for name, size, dtype in (
             ("a", width * units, float), ("s", width * units, float),
             ("mask", width * units, bool), ("post0", width * units, float),
-            ("out", width * 2, float), ("hmask", width, bool),
+            ("out", width * 2, float),
             ("var", width, float), ("t", width, float),
             *((name, loss, float) for name in ("u", "sq", "v2")),
             ("x", batch * cfg.input_dim, float), ("y", batch, float), ("sig", batch, float),
             *((f"post{l}", batch * units, float) for l in range(1, layers)),
             *((f"dact{l}", batch * units, float) for l in range(layers)),
             ("delta", batch * units, float), ("dout", batch * 2, float),
-            *((name, batch * units * layers if cfg.dropout_rate else 0, dtype)
-              for name, dtype in (("draws", float), ("kept", bool))))}
+            ("draws", batch * units * layers if cfg.dropout_rate else 0, float))}
 
     def at(self, n: int) -> SimpleNamespace:
         """The views for a pass of n rows; the gradient ones only when n
@@ -384,8 +413,7 @@ class _Workspace:
         units, layers = cfg.hidden_units, cfg.hidden_layers
         w = SimpleNamespace(a=view("a", units), s=view("s", units),
                             mask=view("mask", units), out=view("out", 2),
-                            hmask=view("hmask"), post=[view("post0", units)],
-                            var=view("var"), t=view("t"))
+                            post=[view("post0", units)], var=view("var"), t=view("t"))
         w.mu, w.raw = w.out[..., 0], w.out[..., 1]
         if self._batch_rows:
             w.u, w.sq, w.v2 = view("u"), view("sq"), view("v2")
@@ -395,30 +423,27 @@ class _Workspace:
             w.dacts = [view(f"dact{l}", units) for l in range(layers)]
             w.delta, w.dout = view("delta", units), view("dout", 2)
             shape = (layers, *(lead or (1,)), n, units)
-            w.masks = ((view("draws", shape=shape), view("kept", shape=shape))
-                       if cfg.dropout_rate else None)
+            w.masks = view("draws", shape=shape) if cfg.dropout_rate else None
         return w
 
 
 def _make_masks(cfg: MLPConfig, rngs: list[np.random.Generator],
-                out: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray | None:
+                out: np.ndarray | None) -> np.ndarray | None:
     """Inverted dropout masks for a stack of networks, one generator each,
     already divided by the keep probability; None without dropout. `out` is
-    a float and a bool array of shape (hidden_layers, len(rngs), n, units),
-    and the masks are written into the float one, which is returned. Each
-    network draws its layers' masks in layer order from its own generator."""
+    a float array of shape (hidden_layers, len(rngs), n, units) that
+    receives the masks and is returned. Each network draws its layers'
+    masks in layer order from its own generator."""
     if cfg.dropout_rate == 0.0:
         return None
     keep = 1.0 - cfg.dropout_rate
-    draws, kept = out
     for r, rng in enumerate(rngs):
-        for layer in draws[:, r]:
+        for layer in out[:, r]:
             rng.random(out=layer)
-    # (draws < keep) / keep
-    np.less(draws, keep, out=kept)
-    np.copyto(draws, kept)
-    draws /= keep
-    return draws
+    # (draws < keep) / keep, the comparison's 0.0 / 1.0 over the draws
+    np.less(out, keep, out=out)
+    out /= keep
+    return out
 
 
 def _activate(a, h, d, s, mask, runs) -> None:
@@ -459,7 +484,7 @@ def _forward_batch(p: Parameters, cfg: MLPConfig, x: np.ndarray,
             h *= masks[l]
     np.matmul(h, p.head_w.swapaxes(-1, -2), out=w.out)
     w.out += p.head_b[..., None, :]
-    _softplus(w.raw, w.var, w.sig if grad else None, w.t, w.hmask)
+    _softplus(w.raw, w.var, w.sig if grad else None, w.t, None)
     w.var += VAR_FLOOR
     return w.mu, w.var
 

@@ -176,6 +176,24 @@ def test_document_dict_round_trip(tmp_path):
     assert TaskDocument.from_dict(json.loads(path.read_text())) == doc
 
 
+
+def test_a_failed_save_leaves_the_previous_task_document(tmp_path, monkeypatch):
+    path = tmp_path / "task.json"
+    first = _doc("model", _model_payload())
+    save_document(first, path)
+    before = path.read_bytes()
+    assert before == (json.dumps(first.to_dict(), indent=2, sort_keys=True) + "\n").encode()
+
+    def cut_short(doc, fh, **kwargs):
+        fh.write('{\n  "format_version": ')
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(json, "dump", cut_short)
+    with pytest.raises(OSError, match="no space left"):
+        save_document(first.patched(_model_payload(), {"patch": "retry"}), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["task.json"]
+
 def test_patched_increments_count_and_merges_provenance():
     doc = TaskDocument(kind="model", payload=_model_payload(),
                        provenance={"planner": "scripted"})

@@ -491,6 +491,27 @@ def test_tune_usage_error_keeps_the_last_log(tmp_path, capsys, monkeypatch, tiny
     assert (out_dir / "topk.json").read_bytes() == top
 
 
+
+def test_a_failed_topk_write_leaves_the_previous_file(tmp_path, capsys, monkeypatch,
+                                                      tiny_dataset):
+    data = tmp_path / "data.csv"
+    write_csv(tiny_dataset, data)
+    out_dir = tmp_path / "tune"
+    argv = ["tune", "--data", str(data), *_TINY_TUNE, "--out-dir", str(out_dir)]
+    assert cli.main(argv) == 0
+    top = (out_dir / "topk.json").read_bytes()
+    names = sorted(p.name for p in out_dir.iterdir())
+
+    def cut_short(doc, fh, **kwargs):
+        fh.write('{\n  "configs": ')
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(json, "dump", cut_short)
+    assert cli.main(argv) == 1
+    assert "no space left on device" in capsys.readouterr().err
+    assert (out_dir / "topk.json").read_bytes() == top
+    assert sorted(p.name for p in out_dir.iterdir()) == names
+
 def test_tune_is_identical_across_processes(tmp_path, tiny_dataset):
     # BLAS thread count and hash seed must not reach the surrogate's results
     data = tmp_path / "data.csv"

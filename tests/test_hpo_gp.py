@@ -12,6 +12,8 @@ from autoduct.neural_net import ActivationKind
 from autoduct.rng import derive_seed
 from autoduct.stats import normal_cdf, normal_pdf
 
+import reference_gp
+
 SPACE = default_space()
 
 
@@ -156,6 +158,32 @@ def test_nlml_marks_unfactorizable_rows():
     assert nlml[0] == np.inf
     assert np.all(grad[0] == 0.0)
     assert nlml[1] == pytest.approx(_nlml(x, z, good), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_nlml_matmul_form_matches_the_einsum_reference(n):
+    # the two forms contract diff2 in different orders, so they agree to
+    # rounding; thetas span the fit's bounds, and the first row's covariance
+    # (two equal inputs, the longest length scales, signal variance e^60)
+    # factorizes at no jitter level
+    rng = np.random.default_rng(40 + n)
+    d = SPACE.encoded_dim
+    x = canonicalize(sobol_points(d, n, shift_seed=n), SPACE)
+    x[3] = x[1]
+    z = rng.normal(size=n)
+    thetas = np.column_stack([rng.uniform(math.log(0.05), math.log(20.0), size=(7, d)),
+                              rng.uniform(-3.0, 3.0, size=7),
+                              rng.uniform(math.log(1e-8), math.log(10.0), size=7)])
+    thetas[0] = [math.log(20.0)] * d + [60.0, -60.0]
+    nlml, grad = _nlml_and_grad(_diff2(x), z, thetas)
+    ref_nlml, ref_grad = reference_gp.nlml_and_grad(_diff2(x), z, thetas)
+    assert nlml[0] == ref_nlml[0] == np.inf
+    assert np.all(grad[0] == 0.0) and np.all(ref_grad[0] == 0.0)
+    np.testing.assert_allclose(nlml[1:], ref_nlml[1:], rtol=1e-12, atol=0.0)
+    # relative to each row's largest component: a component near zero is a
+    # cancellation whose own relative error the summation order sets
+    scale = np.abs(ref_grad[1:]).max(axis=1, keepdims=True)
+    assert np.all(np.abs(grad[1:] - ref_grad[1:]) <= 1e-12 * scale)
 
 
 # --- fitting and posterior -------------------------------------------------------

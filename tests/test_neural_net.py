@@ -54,7 +54,7 @@ def _array_row(p, cfg, x, masks=None):
 def _row_masks(cfg, rng):
     """Dropout masks for one row, drawn from `rng`."""
     shape = (cfg.hidden_layers, 1, 1, cfg.hidden_units)
-    return _make_masks(cfg, [rng], (np.empty(shape), np.empty(shape, bool)))[:, 0]
+    return _make_masks(cfg, [rng], np.empty(shape))[:, 0]
 
 
 def _kernel(kind, x, grad=False):
@@ -171,6 +171,68 @@ def test_activation_kernels_keep_the_bits_of_the_plain_expressions(kind):
     assert value_alone.tobytes() == expected[0].tobytes()
     assert deriv.tobytes() == expected[1].tobytes()
 
+
+def _wide_inputs():
+    """About 22k normal draws at several scales, plus subnormals, +-0, the
+    values where exp and expm1 overflow (+-709, +-710), +-inf and NaN."""
+    rng = np.random.default_rng(17)
+    return np.concatenate([
+        [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
+         709.0, -709.0, 709.78, 710.0, -710.0, 745.2, -745.2,
+         np.inf, -np.inf, np.nan],
+        rng.normal(size=20000) * 3.0, rng.normal(size=1500) * 300.0,
+        rng.normal(size=500) * 1e-300])
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=[k.value for k in ALL_KINDS])
+def test_activation_kernels_keep_the_bits_on_wide_inputs(kind):
+    # the value alone and the value with its derivative; the kernel is also
+    # free to overwrite its input when it writes a derivative
+    x = _wide_inputs().reshape(-1, 3)
+    plain_value, plain_deriv = _PLAIN[kind]
+    with np.errstate(all="ignore"):
+        value, deriv = _kernel(kind, x, grad=True)
+        value_alone, _ = _kernel(kind, x)
+        expected = plain_value(x), plain_deriv(x)
+    assert value.tobytes() == expected[0].tobytes()
+    assert value_alone.tobytes() == expected[0].tobytes()
+    assert deriv.tobytes() == expected[1].tobytes()
+
+
+def test_each_kernel_keeps_its_bits_on_the_rows_of_a_mixed_stack():
+    # one stack row per activation, each run on its row slice through
+    # _activate, with and without the derivative
+    kinds = ALL_KINDS
+    x = np.stack([_wide_inputs()[:6000].reshape(-1, 3)] * len(kinds))
+    runs = neural_net._activation_runs(kinds)
+    assert len(runs) == len(kinds)
+    with np.errstate(all="ignore"):
+        h, d, s = (np.empty_like(x) for _ in range(3))
+        neural_net._activate(x.copy(), h, d, s, np.empty(x.shape, bool), runs)
+        h_alone = np.empty_like(x)
+        neural_net._activate(x.copy(), h_alone, None, s, np.empty(x.shape, bool), runs)
+        for kind, rows in runs:
+            plain_value, plain_deriv = _PLAIN[kind]
+            assert h[rows].tobytes() == plain_value(x[rows]).tobytes(), kind
+            assert h_alone[rows].tobytes() == plain_value(x[rows]).tobytes(), kind
+            assert d[rows].tobytes() == plain_deriv(x[rows]).tobytes(), kind
+
+
+@pytest.mark.parametrize("rate", [0.05, 0.2, 0.3])
+def test_dropout_masks_are_the_plain_expression(rate):
+    # each generator draws its network's layers in order; the masks are
+    # (draws < keep) / keep of exactly those draws
+    cfg = MLPConfig(5, 3, 24, ActivationKind.RELU, dropout_rate=rate)
+    keep = 1.0 - rate
+    shape = (cfg.hidden_layers, 4, 37, cfg.hidden_units)
+    masks = _make_masks(cfg, [np.random.default_rng(seed) for seed in range(4)],
+                        np.empty(shape))
+    draws = np.empty(shape)
+    for r in range(4):
+        rng = np.random.default_rng(r)
+        for layer in range(cfg.hidden_layers):
+            draws[layer, r] = rng.random(size=shape[2:])
+    assert masks.tobytes() == ((draws < keep) / keep).tobytes()
 
 # --- configuration ----------------------------------------------------------
 
