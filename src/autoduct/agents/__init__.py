@@ -2,7 +2,10 @@
 
 Two control loops over a shared executor and planner abstraction: a
 supervisor-centric multi-stage workflow with retry, and a single-agent
-think/act/observe loop with a bounded transcript window.
+think/act/observe loop with a bounded transcript window. Both are
+policies over one `StageRun`, the one owner of a run's persisted stage
+transitions; a loop that gives up marks its pending stage failed, so no
+stage is left in progress.
 """
 
 from .context import ProjectContext, STANDARD_ROLES
@@ -20,7 +23,8 @@ from .planner import (
     TokenUsage,
     account_tokens,
 )
-from .multi_agent import AgentOutcome, generate_task, run_multi_agent, tune_task
+from .multi_agent import (AgentOutcome, StageRun, generate_task, run_multi_agent,
+                          tune_task)
 from .react import (PlannerDirective, Transcript, act, build_tools, observe,
                     run_react, think)
 from .report import render_report, synthesize_report
@@ -32,7 +36,7 @@ __all__ = [
     "FaultInjector", "TaskExecutor", "parse_fault_spec", "HttpPlanner",
     "PlannerCall", "PlannerReply", "PlanRequest", "ScriptedPlanner",
     "PipelineRecipe", "TokenUsage", "account_tokens",
-    "AgentOutcome", "generate_task", "run_multi_agent",
+    "AgentOutcome", "StageRun", "generate_task", "run_multi_agent",
     "tune_task", "PlannerDirective", "Transcript", "act", "build_tools",
     "observe", "run_react", "think", "render_report", "synthesize_report",
 ]

@@ -4,22 +4,31 @@ One supervisor routes everything. For each pipeline stage it asks the
 planner to generate a task document, hands the document to the executor,
 and on failure asks the planner to tune the document from the captured
 log, retrying up to the configured bound. Subordinate roles never talk
-to each other; results and error logs all pass through this loop. State
-is persisted after every transition so a killed run resumes where it
-stopped.
+to each other; results and error logs all pass through this loop.
+
+`StageRun` is the one owner of a run's persisted transitions, for this
+loop and for ReAct alike: it loads or creates the state, puts a stage in
+progress, records its errors, marks it done, and synthesizes the report,
+persisting the state after every transition so a killed run resumes
+where it stopped. The two loops are policies over it and differ only in
+who picks the next step. A loop that gives up (raises any AutoductError)
+calls `give_up()` first, which marks the pending stage failed with its
+error count kept, so no stage is left in progress.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..errors import AutoductError, StageExhausted
 from .context import ProjectContext
-from .executor import TaskExecutor
+from .executor import ExecutionResult, TaskExecutor
 from .planner import (PlanRequest, PlannerBase, build_patch_prompt,
                       build_task_prompt, prompt_digest)
 from .report import synthesize_report
+# the loops' persisted transitions go through these module globals, which
+# is where bench/tracing.py hooks them
 from .state import (STAGE_ORDER, STAGE_TASKS, WorkflowState, load_state,
                     persist_state)
 from .tasks import TaskDocument, save_document, validate_document
@@ -65,44 +74,123 @@ def tune_task(planner: PlannerBase, doc: TaskDocument,
     return validate_document(patched)
 
 
-def _save_stage_document(doc: TaskDocument, ctx: ProjectContext,
-                         stage: str) -> None:
-    """Save a stage's latest task document to its workspace file for audit."""
-    save_document(doc, ctx.workspace / STAGE_TASKS[stage].doc_file)
+class StageRun:
+    """A run's state and every persisted transition both loops make.
 
+    The constructor checks the loop arguments before any state is read
+    (an executor bound to another context, or a `stop_after_stage`
+    outside STAGE_ORDER, raises ValueError) and loads the saved state of
+    a resumed run, refusing one that belongs to another run or to the
+    other loop, else starts a fresh one. `generate`, `execute` and
+    `patch` act on the pending stage and return the ExecutionResult that
+    ReAct observes; `give_up` and `finish` end the run.
+    """
 
-def _check_loop_args(ctx: ProjectContext, executor: TaskExecutor,
-                     stop_after_stage: str | None) -> None:
-    """Argument checks both loops make before any state is read or written."""
-    if executor.ctx is not ctx:
-        raise ValueError("executor is bound to a different context")
-    if stop_after_stage is not None and stop_after_stage not in STAGE_ORDER:
-        raise ValueError(f"unknown stage {stop_after_stage!r}; "
-                         f"expected one of {', '.join(STAGE_ORDER)}")
+    def __init__(self, mode: str, task: str, ctx: ProjectContext,
+                 planner: PlannerBase, executor: TaskExecutor,
+                 resume: bool = False, stop_after_stage: str | None = None):
+        if executor.ctx is not ctx:
+            raise ValueError("executor is bound to a different context")
+        if stop_after_stage is not None and stop_after_stage not in STAGE_ORDER:
+            raise ValueError(f"unknown stage {stop_after_stage!r}; "
+                             f"expected one of {', '.join(STAGE_ORDER)}")
+        self.task, self.ctx = task, ctx
+        self.planner, self.executor = planner, executor
+        self.stop_after_stage = stop_after_stage
+        self.state_path = ctx.path("state_file")
+        if resume and self.state_path.exists():
+            state = load_state(self.state_path)
+            if state.run_id != ctx.run_id:
+                raise ValueError(f"state belongs to run {state.run_id!r}, "
+                                 f"context is {ctx.run_id!r}")
+            if state.mode != mode:
+                raise ValueError(f"state belongs to a {state.mode!r} run, "
+                                 f"this loop is {mode!r}")
+        else:
+            state = WorkflowState(run_id=ctx.run_id, mode=mode)
+        self.state = state
+        self.pending_doc: TaskDocument | None = None
+        self.pending_stage: str | None = None
+        self.last_failure: ExecutionResult | None = None
+        self.stage_times: dict[str, float] = {}
 
+    def stopped(self) -> bool:
+        """Whether the stop stage is done: the run ends there with no
+        report, before any step if a resumed run had already done it."""
+        return (self.stop_after_stage is not None
+                and self.state.is_done(self.stop_after_stage))
 
-def _stop_stage_done(state: WorkflowState, stop_after_stage: str | None) -> bool:
-    """The rule both loops share for a resumed run whose stop stage is
-    already done: there is nothing left to stop after, so the run ends
-    before any step, with no report and no stage put in progress."""
-    return stop_after_stage is not None and state.is_done(stop_after_stage)
+    def _persist(self) -> None:
+        persist_state(self.state, self.state_path)
 
+    def generate(self, stage: str) -> ExecutionResult:
+        """Plan the stage's task document, save it, and put the stage in
+        progress; a done stage is refused before the planner runs or its
+        files change."""
+        name = STAGE_TASKS[stage].tool
+        if self.state.is_done(stage):
+            return ExecutionResult(status="error", action=name,
+                                   log=f"{stage} is already done")
+        doc = generate_task(self.planner, stage, self.ctx, self.task)
+        save_document(doc, self.ctx.workspace / STAGE_TASKS[stage].doc_file)
+        self.pending_doc, self.pending_stage = doc, stage
+        self.state.mark_in_progress(stage)
+        self._persist()
+        return ExecutionResult(status="ok", action=name,
+                               log=f"task document ready for {stage}")
 
-def _load_or_create_state(ctx: ProjectContext, mode: str,
-                          resume: bool) -> WorkflowState:
-    """A resumed run's saved state, refused before any step when it
-    belongs to another run or to the other loop, else a fresh one."""
-    state_path = ctx.path("state_file")
-    if resume and state_path.exists():
-        state = load_state(state_path)
-        if state.run_id != ctx.run_id:
-            raise ValueError(f"state belongs to run {state.run_id!r}, "
-                             f"context is {ctx.run_id!r}")
-        if state.mode != mode:
-            raise ValueError(f"state belongs to a {state.mode!r} run, "
-                             f"this loop is {mode!r}")
-        return state
-    return WorkflowState(run_id=ctx.run_id, mode=mode)
+    def execute(self) -> ExecutionResult:
+        """Run the pending document: done on success, one more error on
+        the stage's count on failure."""
+        if self.pending_doc is None:
+            return ExecutionResult(status="error", action="execute_task",
+                                   log="no task document pending; generate one first")
+        result = replace(self.executor.execute(self.pending_doc), action="execute_task")
+        stage = self.pending_stage
+        if result.ok:
+            self.stage_times[stage] = self.stage_times.get(stage, 0.0) + result.wall_time_s
+            self.state.mark_done(stage)
+            self.pending_doc = self.pending_stage = self.last_failure = None
+        else:
+            self.state.record_error(stage)
+            self.last_failure = result
+        self._persist()
+        return result
+
+    def patch(self) -> ExecutionResult:
+        """Replace the pending document with the planner's correction
+        from the last failure's log."""
+        if self.pending_doc is None or self.last_failure is None:
+            return ExecutionResult(status="error", action="patch_task",
+                                   log="nothing to patch: no failed task on record")
+        doc = tune_task(self.planner, self.pending_doc, self.last_failure.log)
+        save_document(doc, self.ctx.workspace / STAGE_TASKS[self.pending_stage].doc_file)
+        self.pending_doc = doc
+        return ExecutionResult(status="ok", action="patch_task",
+                               log="task patched from the error log")
+
+    def give_up(self) -> None:
+        """Mark the pending stage failed, keeping its error count, so a
+        loop that raises leaves no stage in progress; `--resume` starts
+        that stage over."""
+        if self.pending_stage is not None:
+            self.state.mark_failed(self.pending_stage)
+            self._persist()
+
+    def finish(self, steps: int | None = None) -> dict:
+        """The report stage: reload the report of a run that already
+        finished it, else synthesize it between two persisted
+        transitions (in progress, then done)."""
+        if self.state.is_done("report_synthesis"):
+            report_path = self.ctx.path("report_dir") / "report.json"
+            return json.loads(report_path.read_text(encoding="utf-8"))
+        self.state.mark_in_progress("report_synthesis")
+        self._persist()
+        report = synthesize_report(self.ctx, self.state, self.planner,
+                                   stage_times=self.stage_times, steps=steps)
+        self.state.mark_done("report_synthesis")
+        self._persist()
+        return report
 
 
 def run_multi_agent(task: str, ctx: ProjectContext, planner: PlannerBase,
@@ -112,77 +200,36 @@ def run_multi_agent(task: str, ctx: ProjectContext, planner: PlannerBase,
     """Algorithm: for each stage, generate the task, execute it, and on
     error tune and re-execute up to max_retries attempts total.
 
-    Raises StageExhausted when a stage keeps failing; the state file is
-    left failed-but-resumable. `stop_after_stage` ends the run cleanly
-    after the named stage (a controlled substitute for kill -9 in resume
-    drills), and ends a resumed run at once if that stage is already done.
-    A name outside STAGE_ORDER, or an executor bound to another context,
-    raises ValueError before any state is read.
+    Raises StageExhausted when a stage keeps failing; like any
+    AutoductError the loop raises, it leaves the stage failed-but-resumable.
+    `stop_after_stage` ends the run cleanly after the named stage (a
+    controlled substitute for kill -9 in resume drills), and ends a
+    resumed run at once if that stage is already done. A name outside
+    STAGE_ORDER, or an executor bound to another context, raises
+    ValueError before any state is read.
     """
     if max_retries < 1:
         raise ValueError("max_retries must be at least 1")
-    _check_loop_args(ctx, executor, stop_after_stage)
-    state = _load_or_create_state(ctx, "multi", resume)
-    if _stop_stage_done(state, stop_after_stage):
-        return AgentOutcome(report=None, state=state)
-    state_path = ctx.path("state_file")
-    timings: dict[str, float] = {}
-
-    for stage in STAGE_TASKS:
-        if state.is_done(stage):
-            continue
-        # as in ReAct's generate tool, a stage goes in progress only once
-        # the planner has produced its task; until then it stays pending
-        doc = generate_task(planner, stage, ctx, task)
-        _save_stage_document(doc, ctx, stage)
-        state.mark_in_progress(stage)
-        persist_state(state, state_path)
-        try:
-            attempts = 0
-            while True:
-                attempts += 1
-                result = executor.execute(doc)
+    run = StageRun("multi", task, ctx, planner, executor, resume, stop_after_stage)
+    if run.stopped():
+        return AgentOutcome(report=None, state=run.state)
+    try:
+        for stage in STAGE_TASKS:
+            if run.state.is_done(stage):
+                continue
+            run.generate(stage)
+            for attempt in range(1, max_retries + 1):
+                result = run.execute()
                 if result.ok:
-                    timings[stage] = timings.get(stage, 0.0) + result.wall_time_s
                     break
-                state.record_error(stage)
-                persist_state(state, state_path)
-                if attempts >= max_retries:
-                    state.mark_failed(stage)
-                    persist_state(state, state_path)
-                    raise StageExhausted(stage, state.error_count(stage),
+                if attempt == max_retries:
+                    raise StageExhausted(stage, run.state.error_count(stage),
                                          result.first_line())
-                doc = tune_task(planner, doc, result.log)
-                _save_stage_document(doc, ctx, stage)
-        except StageExhausted:
-            raise
-        except AutoductError:
-            state.mark_failed(stage)
-            persist_state(state, state_path)
-            raise
-        state.mark_done(stage)
-        persist_state(state, state_path)
-        if stage == stop_after_stage:
-            return AgentOutcome(report=None, state=state)
-
-    report = _finish_report(ctx, state, planner, timings)
-    return AgentOutcome(report=report, state=state)
-
-
-def _finish_report(ctx: ProjectContext, state: WorkflowState,
-                   planner: PlannerBase, stage_times: dict,
-                   steps: int | None = None) -> dict:
-    """The report stage both loops end with: reload the report of a run
-    that already finished it, else synthesize it between two persisted
-    transitions (in progress, then done)."""
-    if state.is_done("report_synthesis"):
-        report_path = ctx.path("report_dir") / "report.json"
-        return json.loads(report_path.read_text(encoding="utf-8"))
-    state_path = ctx.path("state_file")
-    state.mark_in_progress("report_synthesis")
-    persist_state(state, state_path)
-    report = synthesize_report(ctx, state, planner, stage_times=stage_times,
-                               steps=steps)
-    state.mark_done("report_synthesis")
-    persist_state(state, state_path)
-    return report
+                run.patch()
+            if run.stopped():
+                return AgentOutcome(report=None, state=run.state)
+        report = run.finish()
+    except AutoductError:
+        run.give_up()
+        raise
+    return AgentOutcome(report=report, state=run.state)

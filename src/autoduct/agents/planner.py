@@ -43,7 +43,7 @@ class PlanRequest:
     stage: str | None = None
     doc: TaskDocument | None = None
     error_log: str | None = None
-    state_summary: str | None = None
+    statuses: dict[str, str] | None = None     # stage -> status
     last_observation: str | None = None
     tools: tuple[str, ...] = ()
 
@@ -248,7 +248,7 @@ class ScriptedPlanner(PlannerBase):
 
     def _directive(self, request: PlanRequest) -> dict:
         last = request.last_observation or ""
-        state = _parse_state_summary(request.state_summary or "")
+        statuses = request.statuses or {}
         if last.startswith("error:"):
             return {"thought": "the last execution failed; patch the task from "
                                "the error log", "action": "patch_task", "args": {}}
@@ -259,20 +259,11 @@ class ScriptedPlanner(PlannerBase):
             return {"thought": "a task document is ready; execute it",
                     "action": "execute_task", "args": {}}
         for stage, stage_task in STAGE_TASKS.items():
-            if state.get(stage) != "done":
+            if statuses.get(stage) != "done":
                 return {"thought": f"{stage} is not done; generate its task",
                         "action": stage_task.tool, "args": {}}
         return {"thought": "all stages complete; finish",
                 "action": "finish_task", "args": {}}
-
-
-def _parse_state_summary(summary: str) -> dict[str, str]:
-    state = {}
-    for token in summary.split():
-        name, _, status = token.partition("=")
-        if status:
-            state[name] = status
-    return state
 
 
 # --- HTTP chat-completions backend ------------------------------------------

@@ -7,21 +7,25 @@ triple to the transcript. The prompt only ever carries the bounded
 recent window of the transcript; the full history is kept for the
 report. Error observations feed the next thought, which is what lets a
 scripted or LLM planner route through patch_task and recover.
+
+The tools are thin wrappers over the run's `StageRun`, the one owner of
+persisted transitions it shares with the supervisor loop, so the two
+loops differ only in who picks the next step. As in the supervisor, a
+run that gives up (an AutoductError from `think`, or the step budget
+running out) calls `give_up()` first: the pending stage is left failed,
+never in progress.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import partial
+from dataclasses import dataclass
 
 from ..errors import AutoductError, SchemaInvalid, StepBudgetExhausted, UnknownTool
 from .context import ProjectContext
 from .executor import ExecutionResult, TaskExecutor
-from .multi_agent import (AgentOutcome, _check_loop_args, _finish_report,
-                          _load_or_create_state, _save_stage_document,
-                          _stop_stage_done, generate_task, tune_task)
+from .multi_agent import AgentOutcome, StageRun
 from .planner import PlanRequest, PlannerBase, build_directive_prompt
-from .state import STAGE_TASKS, WorkflowState, persist_state
+from .state import STAGE_TASKS, WorkflowState
 
 OBSERVATION_LIMIT = 512
 DEFAULT_WINDOW = 8
@@ -73,20 +77,17 @@ class Transcript:
         return len(self.history)
 
 
-def _state_summary(state: WorkflowState) -> str:
-    return " ".join(f"{name}={stage.status}" for name, stage in state.stages.items())
-
-
 def think(planner: PlannerBase, task: str, state: WorkflowState,
           transcript: Transcript, ctx: ProjectContext,
           tools: dict) -> PlannerDirective:
     """One planning step: prompt from task + state + tools + paths +
     recent window, parsed into a validated directive."""
-    summary = _state_summary(state)
+    statuses = {name: stage.status for name, stage in state.stages.items()}
+    summary = " ".join(f"{name}={status}" for name, status in statuses.items())
     prompt = build_directive_prompt(task, summary, transcript.render_window(),
                                     tuple(tools), ctx)
     reply = planner.plan(PlanRequest(kind="directive", prompt=prompt,
-                                     state_summary=summary,
+                                     statuses=statuses,
                                      last_observation=transcript.last_observation(),
                                      tools=tuple(tools)))
     payload = reply.payload
@@ -119,77 +120,23 @@ def observe(result: ExecutionResult) -> str:
     return f"{result.status}: {result.action} → {detail}"[:OBSERVATION_LIMIT]
 
 
-@dataclass
-class _RunState:
-    """Mutable bits the tools close over."""
-
-    task: str
-    pending_doc: object = None
-    pending_stage: str | None = None
-    last_failure: ExecutionResult | None = None
-    finished: bool = False
-    stage_times: dict = field(default_factory=dict)
-
-
-def build_tools(ctx: ProjectContext, planner: PlannerBase,
-                executor: TaskExecutor, state: WorkflowState,
-                run: _RunState) -> dict:
-    """The registered tool set; every tool returns an ExecutionResult."""
-    state_path = ctx.path("state_file")
-
-    def generate(stage: str, args: dict) -> ExecutionResult:
-        name = STAGE_TASKS[stage].tool
-        if state.is_done(stage):
-            # refuse before the planner runs or the stage's files change
-            return ExecutionResult(status="error", action=name,
-                                   log=f"{stage} is already done")
-        doc = generate_task(planner, stage, ctx, run.task)
-        _save_stage_document(doc, ctx, stage)
-        run.pending_doc, run.pending_stage = doc, stage
-        state.mark_in_progress(stage)
-        persist_state(state, state_path)
-        return ExecutionResult(status="ok", action=name,
-                               log=f"task document ready for {stage}")
-
-    def execute_task(args: dict) -> ExecutionResult:
-        if run.pending_doc is None:
-            return ExecutionResult(status="error", action="execute_task",
-                                   log="no task document pending; generate one first")
-        result = replace(executor.execute(run.pending_doc), action="execute_task")
-        stage = run.pending_stage
-        if result.ok:
-            run.stage_times[stage] = run.stage_times.get(stage, 0.0) + result.wall_time_s
-            state.mark_done(stage)
-            run.pending_doc, run.pending_stage, run.last_failure = None, None, None
-        else:
-            state.record_error(stage)
-            run.last_failure = result
-        persist_state(state, state_path)
-        return result
-
-    def patch_task(args: dict) -> ExecutionResult:
-        if run.pending_doc is None or run.last_failure is None:
-            return ExecutionResult(status="error", action="patch_task",
-                                   log="nothing to patch: no failed task on record")
-        patched = tune_task(planner, run.pending_doc, run.last_failure.log)
-        _save_stage_document(patched, ctx, run.pending_stage)
-        run.pending_doc = patched
-        return ExecutionResult(status="ok", action="patch_task",
-                               log="task patched from the error log")
+def build_tools(run: StageRun) -> dict:
+    """The registered tool set over a run; every tool returns an
+    ExecutionResult. `finish_task` only acknowledges: the loop ends on it."""
 
     def read_log(args: dict) -> ExecutionResult:
-        log = run.last_failure.log if run.last_failure else executor.last_log()
+        log = run.last_failure.log if run.last_failure else run.executor.last_log()
         return ExecutionResult(status="ok", action="read_log",
                                log=log or "no log recorded yet")
 
     def finish_task(args: dict) -> ExecutionResult:
-        run.finished = True
         return ExecutionResult(status="ok", action="finish_task",
                                log="run marked finished")
 
-    tools = {task.tool: partial(generate, stage)
+    tools = {task.tool: lambda args, stage=stage: run.generate(stage)
              for stage, task in STAGE_TASKS.items()}
-    tools.update(execute_task=execute_task, patch_task=patch_task,
+    tools.update(execute_task=lambda args: run.execute(),
+                 patch_task=lambda args: run.patch(),
                  read_log=read_log, finish_task=finish_task)
     return tools
 
@@ -201,38 +148,37 @@ def run_react(task: str, ctx: ProjectContext, planner: PlannerBase,
               stop_after_stage: str | None = None) -> AgentOutcome:
     """Think -> act -> observe until finish_task or the step budget.
 
-    Raises StepBudgetExhausted when the budget runs out; state stays
-    resumable. A `stop_after_stage` ends the run once that stage is done,
-    before any step if a resumed run has already done it. A name outside
-    STAGE_ORDER, or an executor bound to another context, raises
-    ValueError before any state is read. Returns the outcome with the full
-    transcript attached.
+    Raises StepBudgetExhausted when the budget runs out; like any
+    AutoductError the loop raises, it leaves the pending stage
+    failed-but-resumable. A `stop_after_stage` ends the run once that
+    stage is done, before any step if a resumed run has already done it.
+    A name outside STAGE_ORDER, or an executor bound to another context,
+    raises ValueError before any state is read. Returns the outcome with
+    the full transcript attached.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
     executor = executor or TaskExecutor(ctx)
-    _check_loop_args(ctx, executor, stop_after_stage)
-    state = _load_or_create_state(ctx, "react", resume)
+    run = StageRun("react", task, ctx, planner, executor, resume, stop_after_stage)
     transcript = Transcript(window_size)
-    if _stop_stage_done(state, stop_after_stage):
-        return AgentOutcome(report=None, state=state, transcript=transcript)
-    state_path = ctx.path("state_file")
-    run = _RunState(task=task)
-    tools = build_tools(ctx, planner, executor, state, run)
-
-    for _ in range(max_steps):
-        directive = think(planner, task, state, transcript, ctx, tools)
-        result = act(directive, tools)
-        transcript.append(ReActStep(directive.thought, directive.action,
-                                    observe(result)))
-        persist_state(state, state_path)
-        if run.finished:
-            break
-        if _stop_stage_done(state, stop_after_stage):
-            return AgentOutcome(report=None, state=state, transcript=transcript)
-    else:
-        raise StepBudgetExhausted(max_steps)
-
-    report = _finish_report(ctx, state, planner, run.stage_times,
-                            steps=len(transcript))
-    return AgentOutcome(report=report, state=state, transcript=transcript)
+    if run.stopped():
+        return AgentOutcome(report=None, state=run.state, transcript=transcript)
+    tools = build_tools(run)
+    try:
+        for _ in range(max_steps):
+            directive = think(planner, task, run.state, transcript, ctx, tools)
+            result = act(directive, tools)
+            transcript.append(ReActStep(directive.thought, directive.action,
+                                        observe(result)))
+            if directive.action == "finish_task":
+                break
+            if run.stopped():
+                return AgentOutcome(report=None, state=run.state,
+                                    transcript=transcript)
+        else:
+            raise StepBudgetExhausted(max_steps)
+        report = run.finish(steps=len(transcript))
+    except AutoductError:
+        run.give_up()
+        raise
+    return AgentOutcome(report=report, state=run.state, transcript=transcript)

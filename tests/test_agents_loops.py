@@ -1,10 +1,14 @@
+import itertools
 import json
 import os
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from autoduct.agents.context import ProjectContext
 from autoduct.agents.executor import FaultInjector, TaskExecutor
 from autoduct.agents.multi_agent import (AgentOutcome, generate_task,
                                          run_multi_agent, tune_task)
@@ -13,8 +17,8 @@ from autoduct.agents.react import (OBSERVATION_LIMIT, TOOL_NAMES, ReActStep,
                                    Transcript, act, observe, run_react)
 from autoduct.agents.report import render_report
 from autoduct.agents.state import load_state
-from autoduct.errors import (SchemaInvalid, StageExhausted,
-                             StepBudgetExhausted, UnknownTool)
+from autoduct.errors import (AutoductError, PlannerUnavailable, SchemaInvalid,
+                             StageExhausted, StepBudgetExhausted, UnknownTool)
 from autoduct.neural_net import ActivationKind
 
 
@@ -308,6 +312,85 @@ def test_react_stop_and_resume(agent_workspace, drill_recipe):
     clean_ctx = agent_workspace("straight")
     clean, _, _ = _react(clean_ctx, drill_recipe)
     assert resumed.report["metrics"] == clean.report["metrics"]
+
+
+class _GivesUpOnError(ScriptedPlanner):
+    """Scripted, except that the directive after the first error
+    observation fails the way `how` says: the endpoint goes away, or the
+    directive names a tool that is not registered."""
+
+    def __init__(self, recipe, how):
+        super().__init__(recipe)
+        self.how = how
+
+    def _reply(self, request):
+        if request.kind == "directive" and \
+                (request.last_observation or "").startswith("error:"):
+            if self.how == "unavailable":
+                raise PlannerUnavailable("endpoint went away mid-stage")
+            return PlannerReply({"thought": "t", "action": "explode", "args": {}},
+                                0, 0), 1
+        return super()._reply(request)
+
+
+@pytest.mark.parametrize("how, spec, max_steps, error, stage, errors", [
+    ("budget", "stage=train,attempts=1-9", 10, StepBudgetExhausted,
+     "training_execution", 4),
+    ("unavailable", "stage=train,attempt=1", 40, PlannerUnavailable,
+     "training_execution", 1),
+    ("unknown_tool", "stage=evaluate,attempt=1", 40, UnknownTool,
+     "evaluation_execution", 1),
+], ids=["step_budget", "planner_unavailable", "unknown_tool"])
+def test_react_gives_up_leaving_the_pending_stage_failed(
+        agent_workspace, drill_recipe, how, spec, max_steps, error, stage, errors):
+    ctx = agent_workspace("gives_up")
+    planner = (ScriptedPlanner(drill_recipe) if how == "budget"
+               else _GivesUpOnError(drill_recipe, how))
+    with pytest.raises(error):
+        run_react("CHF regression pipeline", ctx, planner,
+                  TaskExecutor(ctx, FaultInjector.from_spec(spec)),
+                  max_steps=max_steps)
+    saved = load_state(ctx.path("state_file"))
+    assert saved.status(stage) == "failed"
+    assert saved.error_count(stage) == errors
+    assert "in_progress" not in [s.status for s in saved.stages.values()]
+
+    resumed_ctx = ProjectContext.create(ctx.workspace, run_id="run-t")
+    resumed, _, _ = _react(resumed_ctx, drill_recipe, resume=True)
+    clean, _, _ = _react(agent_workspace("clean"), drill_recipe)
+    assert resumed.report["metrics"] == clean.report["metrics"]
+    assert resumed.report["errors"]["per_stage"][stage] == errors
+
+
+_workspaces = itertools.count()
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(plan=st.dictionaries(st.sampled_from(["model", "train", "evaluate"]),
+                            st.frozensets(st.integers(1, 3), min_size=1)),
+       max_retries=st.integers(1, 3), max_steps=st.integers(7, 25))
+def test_loops_agree_under_any_fault_plan(agent_workspace, drill_recipe, plan,
+                                          max_retries, max_steps):
+    # the supervisor and ReAct differ in control policy alone: when both
+    # finish, their reports differ only where the policy shows; when one
+    # gives up (retry or step bound, 7 steps being a fault-free run's), it
+    # leaves no stage in progress
+    reports = {}
+    for mode, run, kwargs in (("multi", _multi, {"max_retries": max_retries}),
+                              ("react", _react, {"max_steps": max_steps})):
+        ctx = agent_workspace(f"{mode}-{next(_workspaces)}")
+        try:
+            run(ctx, drill_recipe, FaultInjector(plan), **kwargs)
+        except AutoductError:
+            saved = load_state(ctx.path("state_file"))
+            assert "in_progress" not in [s.status for s in saved.stages.values()]
+            continue
+        report = json.loads((ctx.path("report_dir") / "report.json").read_text())
+        reports[mode] = {k: v for k, v in report.items()
+                         if k not in ("mode", "steps", "tokens")}
+    if len(reports) == 2:
+        assert reports["multi"] == reports["react"]
 
 
 def test_react_and_multi_agree_on_metrics(agent_workspace, drill_recipe):

@@ -27,8 +27,10 @@ def _patch_request(doc, log):
 
 
 def _directive_request(state_summary, last_observation=None):
-    return PlanRequest(kind="directive", prompt="p",
-                       state_summary=state_summary,
+    # the "stage=status ..." summary the directive prompt shows, as the
+    # stage -> status mapping the request carries
+    statuses = dict(token.split("=") for token in state_summary.split())
+    return PlanRequest(kind="directive", prompt="p", statuses=statuses,
                        last_observation=last_observation,
                        tools=("generate_model", "execute_task", "finish_task"))
 
