@@ -10,10 +10,12 @@ to each other; results and error logs all pass through this loop.
 loop and for ReAct alike: it loads or creates the state, puts a stage in
 progress, records its errors, marks it done, and synthesizes the report,
 persisting the state after every transition so a killed run resumes
-where it stopped. The two loops are policies over it and differ only in
-who picks the next step. A loop that gives up (raises any AutoductError)
-calls `give_up()` first, which marks the pending stage failed with its
-error count kept, so no stage is left in progress.
+where it stopped. It puts a stage in progress only when every earlier
+stage is done, so a planner that skips ahead gets an error result. The
+two loops are policies over it and differ only in who picks the next
+step. A loop that gives up (raises any AutoductError) calls `give_up()`
+first, which marks the pending stage failed with its error count kept,
+so no stage is left in progress.
 """
 
 from __future__ import annotations
@@ -125,12 +127,16 @@ class StageRun:
 
     def generate(self, stage: str) -> ExecutionResult:
         """Plan the stage's task document, save it, and put the stage in
-        progress; a done stage is refused before the planner runs or its
-        files change."""
+        progress. A done stage, or one with an earlier stage not done, is
+        refused before the planner runs or any file changes."""
         name = STAGE_TASKS[stage].tool
         if self.state.is_done(stage):
             return ExecutionResult(status="error", action=name,
                                    log=f"{stage} is already done")
+        for prior in STAGE_ORDER[:STAGE_ORDER.index(stage)]:
+            if not self.state.is_done(prior):
+                return ExecutionResult(status="error", action=name, log=(
+                    f"cannot generate {stage}: {prior} is {self.state.status(prior)}"))
         doc = generate_task(self.planner, stage, self.ctx, self.task)
         save_document(doc, self.ctx.workspace / STAGE_TASKS[stage].doc_file)
         self.pending_doc, self.pending_stage = doc, stage

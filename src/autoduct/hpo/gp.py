@@ -7,6 +7,8 @@ determination) plus Gaussian observation noise:
     k(x, x') = sf2 * (1 + sqrt(5) r + 5 r^2 / 3) exp(-sqrt(5) r),
     r^2 = sum_i (x_i - x'_i)^2 / ell_i^2.
 
+fit_gp takes a run's observations as two arrays: encoded inputs x (n, d)
+and objectives y (n,), diverged trials already penalized by run_bo.
 Kernel hyperparameters are chosen by maximizing the log marginal
 likelihood of the standardized objectives with a small multi-start
 first-order scheme (adaptive moment steps on the log parameters; start
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,7 +41,7 @@ from ..errors import SingularCovariance
 from ..rng import derive_seed
 from ..stats import standard_normal_cdf_pdf
 from .sobol import sobol_points
-from .space import EncodedPoint, SearchSpace, TrialConfig, canonicalize, decode
+from .space import SearchSpace, TrialConfig, canonicalize, decode
 
 _SQRT5 = math.sqrt(5.0)
 _JITTERS = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
@@ -137,14 +139,17 @@ def _nlml_and_grad(diff2: np.ndarray, z: np.ndarray, theta: np.ndarray,
     return nlml, np.where(ok[:, None], gradient, 0.0)
 
 
-def fit_gp(observations: list[tuple[EncodedPoint, float]]) -> GPSurrogate:
-    """Fit kernel hyperparameters by marginal likelihood and factorize
-    the training covariance. Deterministic: the start grid is fixed and
-    each start runs the same number of steps."""
-    if len(observations) < 2:
+def fit_gp(x: np.ndarray, y: np.ndarray) -> GPSurrogate:
+    """Fit kernel hyperparameters by marginal likelihood to encoded
+    inputs x (n, d) and objectives y (n,), and factorize the training
+    covariance. Both are copied. Deterministic: the start grid is fixed
+    and each start runs the same number of steps."""
+    x = np.array(x, dtype=np.float64)
+    y = np.array(y, dtype=np.float64)
+    if x.ndim != 2 or y.shape != (len(x),):
+        raise ValueError(f"need inputs (n, d) and objectives (n,), got {x.shape} and {y.shape}")
+    if len(x) < 2:
         raise ValueError("need at least two observations to fit a surrogate")
-    x = np.array([p.coords for p, _ in observations])
-    y = np.array([obj for _, obj in observations], dtype=np.float64)
     if not np.all(np.isfinite(y)):
         raise ValueError("objectives must be finite")
     n, d = x.shape
@@ -227,5 +232,4 @@ def propose_next(gp: GPSurrogate, space: SearchSpace,
                        shift_seed=derive_seed(seed, "propose-candidates"))
     mu, var = posterior(gp, canonicalize(raw, space))
     ei = _ei_arrays(mu, var, incumbent_value(gp))
-    chosen = decode(raw[int(np.argmax(ei))], space)
-    return TrialConfig(*chosen.assignment(), origin="bo")
+    return replace(decode(raw[int(np.argmax(ei))], space), origin="bo")

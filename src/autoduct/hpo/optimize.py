@@ -1,11 +1,13 @@
 """Search orchestration: quasi-random warmup, surrogate-guided
 proposals, multi-run merging, and top-k selection.
 
-One run evaluates n_sobol quasi-random configurations, then alternates
-fit-surrogate / propose / evaluate for n_bo steps. Trials that diverge
-during training are kept on the board with a penalized objective (twice
-the worst successful RMSE seen so far, recomputed as results arrive) so
-the surrogate learns to avoid the region without handling infinities.
+One run is one loop over trials i: the i-th quasi-random configuration
+while i < n_sobol, else the proposal of a surrogate fitted to trials
+0..i-1. A finished trial is encoded once, into row i of the run's input
+array, beside its RMSE (NaN if diverged). A diverged trial's objective
+is twice the worst successful RMSE so far (1e6 while none has
+succeeded), recomputed at every fit, so the surrogate learns to avoid
+the region without handling infinities.
 
 Several independent runs use distinct scramble seeds and are merged into
 one leaderboard; the best k configurations across all runs seed the
@@ -84,16 +86,13 @@ class Leaderboard:
                 bests[run] = r
         return bests
 
-    def merged_with(self, other: "Leaderboard") -> "Leaderboard":
-        return Leaderboard(self.results + other.results)
 
-
-def _objective_for_gp(results: list[TrialResult]) -> list[float]:
-    """Objectives with the divergence penalty applied at current board
-    state."""
-    ok_rmses = [r.rmse for r in results if r.status == "ok"]
-    penalty = _PENALTY_FACTOR * max(ok_rmses) if ok_rmses else _FALLBACK_PENALTY
-    return [r.rmse if r.status == "ok" else penalty for r in results]
+def _objective_for_gp(rmse: np.ndarray) -> np.ndarray:
+    """Objectives for the surrogate: `rmse` with each NaN (a diverged
+    trial) replaced by the divergence penalty of these trials."""
+    ok = ~np.isnan(rmse)
+    penalty = _PENALTY_FACTOR * rmse[ok].max() if ok.any() else _FALLBACK_PENALTY
+    return np.where(ok, rmse, penalty)
 
 
 def _append_log(log_path: Path | None, result: TrialResult) -> None:
@@ -117,27 +116,22 @@ def run_bo(space: SearchSpace, n_sobol: int, n_bo: int, evaluator: Evaluator,
         raise ValueError("surrogate-stage budget must be non-negative")
     log_path = Path(log_path) if log_path is not None else None
 
-    results: list[TrialResult] = []
     warmup = sample_sobol(space, n_sobol, shift_seed=derive_seed(seed, "sobol-init"))
-    for i, cfg in enumerate(warmup):
+    x = np.empty((n_sobol + n_bo, space.encoded_dim))
+    rmse = np.empty(n_sobol + n_bo)
+    results: list[TrialResult] = []
+    for i in range(n_sobol + n_bo):
+        if i < n_sobol:
+            cfg = warmup[i]
+        else:
+            gp = fit_gp(x[:i], _objective_for_gp(rmse[:i]))
+            cfg = propose_next(gp, space, seed=derive_seed(seed, f"propose:{i - n_sobol}"))
         cfg = replace(cfg, trial_id=i, run_id=run_id)
-        result = evaluator(cfg)
-        result = replace(result, config=cfg)
+        result = replace(evaluator(cfg), config=cfg)
         results.append(result)
         _append_log(log_path, result)
-
-    for step in range(n_bo):
-        objectives = _objective_for_gp(results)
-        observations = [(encode(r.config, space), obj)
-                        for r, obj in zip(results, objectives)]
-        gp = fit_gp(observations)
-        proposal = propose_next(gp, space, seed=derive_seed(seed, f"propose:{step}"))
-        cfg = replace(proposal, trial_id=n_sobol + step, run_id=run_id)
-        result = evaluator(cfg)
-        result = replace(result, config=cfg)
-        results.append(result)
-        _append_log(log_path, result)
-
+        x[i] = encode(cfg, space)
+        rmse[i] = result.rmse if result.status == "ok" else np.nan
     return Leaderboard(tuple(results))
 
 
@@ -156,12 +150,10 @@ def run_parallel_bo(space: SearchSpace, evaluator: Evaluator, run_count: int = 5
     if len(set(seeds)) != len(seeds):
         raise ValueError(f"run seeds must be pairwise distinct, got {seeds}")
 
-    board = Leaderboard(())
-    for run_id, seed in enumerate(seeds):
-        run_board = run_bo(space, n_sobol, n_bo, evaluator, seed=seed,
-                           run_id=run_id, log_path=log_path)
-        board = board.merged_with(run_board)
-    return board
+    return Leaderboard(tuple(
+        result for run_id, seed in enumerate(seeds)
+        for result in run_bo(space, n_sobol, n_bo, evaluator, seed=seed,
+                             run_id=run_id, log_path=log_path).results))
 
 
 def select_top_k(board: Leaderboard, k: int = 15) -> list[TrialConfig]:

@@ -21,6 +21,8 @@ shift seed. Shift 0 means unscrambled, which is bit-reproducible.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from ..errors import DimensionOverflow
@@ -110,8 +112,5 @@ def sample_sobol(space: SearchSpace, n: int, shift_seed: int = 0) -> list[TrialC
     if n < 1:
         raise ValueError("need at least one point")
     points = sobol_points(space.encoded_dim, n, shift_seed)
-    configs = []
-    for i in range(n):
-        cfg = decode(points[i], space)
-        configs.append(TrialConfig(*cfg.assignment(), trial_id=i, origin="sobol"))
-    return configs
+    return [replace(decode(point, space), trial_id=i, origin="sobol")
+            for i, point in enumerate(points)]

@@ -9,16 +9,18 @@ and each categorical dimension becomes a one-hot block, giving
 
     3 + 3 + 2 + 7 + 6 = 21
 
-coordinates for the default space. Decoding accepts any point of the
-cube (one-hot blocks need not be exact) and snaps each block to the
-choice with the largest weight, ties to the lowest index. canonicalize
-applies decode-then-encode to a whole matrix of cube points at once.
+coordinates for the default space. encode returns a configuration's
+(encoded_dim,) row; a search stacks its trials' rows into one matrix.
+Decoding accepts any point of the cube (one-hot blocks need not be
+exact) and snaps each block to the choice with the largest weight, ties
+to the lowest index. canonicalize applies decode-then-encode to a whole
+matrix of cube points at once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,35 +125,16 @@ class TrialConfig:
                    origin=str(doc["origin"]))
 
 
-@dataclass(frozen=True)
-class EncodedPoint:
-    """Canonical cube embedding of a TrialConfig: continuous coords in
-    [0, 1], categorical blocks exactly one-hot."""
-
-    coords: np.ndarray
-    space: SearchSpace = field(default_factory=default_space)
-
-    def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=np.float64)
-        coords.setflags(write=False)
-        object.__setattr__(self, "coords", coords)
-        _check_points(coords[None], self.space, one_hot=True)
-
-
 # (field name, log scale) of the continuous coordinates 0, 1, 2
 _CONTINUOUS = (("learning_rate", True), ("weight_decay", True), ("dropout_rate", False))
 
 
-def _check_points(points: np.ndarray, space: SearchSpace, one_hot: bool) -> None:
-    """Rows of `points` (m, encoded_dim) lie in the unit cube; with one_hot,
-    every categorical block of every row also sums to 1."""
+def _check_points(points: np.ndarray, space: SearchSpace) -> None:
+    """Rows of `points` (m, encoded_dim) lie in the unit cube."""
     if points.ndim != 2 or points.shape[1] != space.encoded_dim:
         raise OutOfDomain(f"expected {space.encoded_dim} coordinates")
     if not np.all((points >= 0.0) & (points <= 1.0)):
         raise OutOfDomain("coordinates must lie in the unit cube")
-    for offset, choices in space._blocks() if one_hot else ():
-        if np.any(np.abs(points[:, offset:offset + len(choices)].sum(axis=1) - 1.0) > 1e-9):
-            raise OutOfDomain("one-hot block does not sum to 1")
 
 
 def _continuous_to_unit(value: float, bounds: tuple[float, float],
@@ -171,8 +154,9 @@ def _unit_to_continuous(u: float, bounds: tuple[float, float], log: bool) -> flo
     return lo + u * (hi - lo)
 
 
-def encode(tc: TrialConfig, space: SearchSpace | None = None) -> EncodedPoint:
-    space = space or default_space()
+def encode(tc: TrialConfig, space: SearchSpace) -> np.ndarray:
+    """The (encoded_dim,) cube row of a configuration: continuous
+    coordinates in [0, 1], each categorical block exactly one-hot."""
     coords = np.zeros(space.encoded_dim)
     for col, (name, log) in enumerate(_CONTINUOUS):
         coords[col] = _continuous_to_unit(getattr(tc, name), getattr(space, name), log, name)
@@ -182,24 +166,15 @@ def encode(tc: TrialConfig, space: SearchSpace | None = None) -> EncodedPoint:
             coords[offset + choices.index(value)] = 1.0
         except ValueError:
             raise OutOfDomain(f"{value!r} is not one of {choices}") from None
-    return EncodedPoint(coords, space)
+    return coords
 
 
-def decode(point: EncodedPoint | np.ndarray,
-           space: SearchSpace | None = None) -> TrialConfig:
-    """Map a cube point back to a configuration.
-
-    Accepts either a canonical EncodedPoint or a raw coordinate array
-    (e.g. a quasi-random sample); categorical blocks are resolved by
-    argmax with ties going to the lowest index.
-    """
-    if isinstance(point, EncodedPoint):
-        coords, space = point.coords, point.space
-    else:
-        space = space or default_space()
-        coords = np.asarray(point, dtype=np.float64)
-        _check_points(coords[None], space, one_hot=False)
-
+def decode(point: np.ndarray, space: SearchSpace) -> TrialConfig:
+    """Map a cube point (an encoded row or any point of the cube, e.g. a
+    quasi-random sample) back to a configuration; categorical blocks are
+    resolved by argmax with ties going to the lowest index."""
+    coords = np.asarray(point, dtype=np.float64)
+    _check_points(coords[None], space)
     choice_values = []
     for offset, choices in space._blocks():
         block = coords[offset:offset + len(choices)]
@@ -212,12 +187,12 @@ def decode(point: EncodedPoint | np.ndarray,
 
 
 def canonicalize(raw: np.ndarray, space: SearchSpace) -> np.ndarray:
-    """Row i equals encode(decode(raw[i], space), space).coords: the
-    continuous columns make the same round trip through physical values
-    and each one-hot block snaps to its argmax, ties to the lowest index.
-    Raises OutOfDomain where decode or EncodedPoint would."""
+    """Row i equals encode(decode(raw[i], space), space): the continuous
+    columns make the same round trip through physical values and each
+    one-hot block snaps to its argmax, ties to the lowest index. Raises
+    OutOfDomain where decode or encode would."""
     raw = np.asarray(raw, dtype=np.float64)
-    _check_points(raw, space, one_hot=False)
+    _check_points(raw, space)
     out = np.zeros_like(raw)
     for col, (name, log) in enumerate(_CONTINUOUS):
         lo, hi = getattr(space, name)
@@ -229,5 +204,4 @@ def canonicalize(raw: np.ndarray, space: SearchSpace) -> np.ndarray:
     rows = np.arange(raw.shape[0])
     for offset, choices in space._blocks():
         out[rows, offset + np.argmax(raw[:, offset:offset + len(choices)], axis=1)] = 1.0
-    _check_points(out, space, one_hot=True)
     return out

@@ -365,17 +365,27 @@ def test_react_gives_up_leaving_the_pending_stage_failed(
 _workspaces = itertools.count()
 
 
+@pytest.fixture
+def clean_metrics(agent_workspace, drill_recipe):
+    """The metrics of a fault-free run; hypothesis computes them once for
+    all the examples of a test."""
+    outcome, _, _ = _multi(agent_workspace("clean"), drill_recipe)
+    return outcome.report["metrics"]
+
+
 @settings(max_examples=20, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(plan=st.dictionaries(st.sampled_from(["model", "train", "evaluate"]),
                             st.frozensets(st.integers(1, 3), min_size=1)),
        max_retries=st.integers(1, 3), max_steps=st.integers(7, 25))
-def test_loops_agree_under_any_fault_plan(agent_workspace, drill_recipe, plan,
-                                          max_retries, max_steps):
+def test_loops_agree_under_any_fault_plan(agent_workspace, drill_recipe,
+                                          clean_metrics, plan, max_retries,
+                                          max_steps):
     # the supervisor and ReAct differ in control policy alone: when both
     # finish, their reports differ only where the policy shows; when one
     # gives up (retry or step bound, 7 steps being a fault-free run's), it
-    # leaves no stage in progress
+    # leaves no stage in progress, and a fault-free --resume of the same
+    # loop from there reaches the clean run's metrics
     reports = {}
     for mode, run, kwargs in (("multi", _multi, {"max_retries": max_retries}),
                               ("react", _react, {"max_steps": max_steps})):
@@ -385,6 +395,9 @@ def test_loops_agree_under_any_fault_plan(agent_workspace, drill_recipe, plan,
         except AutoductError:
             saved = load_state(ctx.path("state_file"))
             assert "in_progress" not in [s.status for s in saved.stages.values()]
+            resumed_ctx = ProjectContext.create(ctx.workspace, run_id="run-t")
+            resumed, _, _ = run(resumed_ctx, drill_recipe, resume=True)
+            assert resumed.report["metrics"] == clean_metrics
             continue
         report = json.loads((ctx.path("report_dir") / "report.json").read_text())
         reports[mode] = {k: v for k, v in report.items()
@@ -436,18 +449,32 @@ def _model_files(ctx):
             for name in ("model_task.json", "model_spec.json")}
 
 
+class _Directs(ScriptedPlanner):
+    """Scripted task documents, and these directives in this order; the
+    observation each directive was asked after is kept."""
+
+    def __init__(self, recipe, script):
+        super().__init__(recipe)
+        self.script = script
+        self.observations = []
+
+    def _reply(self, request):
+        if request.kind != "directive":
+            return super()._reply(request)
+        self.observations.append(request.last_observation)
+        return PlannerReply({"thought": "scripted", "args": {},
+                             "action": self.script[len(self.observations) - 1]}, 0, 0), 1
+
+
 def test_react_refuses_to_regenerate_a_done_stage(agent_workspace, drill_recipe):
-    class AsksTwice(ScriptedPlanner):
+    class AsksTwice(_Directs):
         """Directs generate_model again once the model stage is done. A
         second model task would carry two more members than the first."""
 
-        script = ("generate_model", "execute_task", "generate_model",
-                  "execute_task", "read_log")
-
         def __init__(self, recipe, ctx):
-            super().__init__(recipe)
+            super().__init__(recipe, ("generate_model", "execute_task", "generate_model",
+                                      "execute_task", "read_log"))
             self.ctx = ctx
-            self.observations = []
             self.files_after_model = None
 
         def _reply(self, request):
@@ -456,12 +483,9 @@ def test_react_refuses_to_regenerate_a_done_stage(agent_workspace, drill_recipe)
                 self.recipe = replace(self.recipe,
                                       member_count=self.recipe.member_count + 2)
                 return reply
-            step = len(self.observations)
-            self.observations.append(request.last_observation)
-            if step == 2:
+            if len(self.observations) == 2:
                 self.files_after_model = _model_files(self.ctx)
-            return PlannerReply({"thought": "scripted", "args": {},
-                                 "action": self.script[step]}, 0, 0), 1
+            return super()._reply(request)
 
     ctx = agent_workspace()
     planner = AsksTwice(drill_recipe, ctx)
@@ -479,6 +503,30 @@ def test_react_refuses_to_regenerate_a_done_stage(agent_workspace, drill_recipe)
     saved = load_state(ctx.path("state_file"))
     assert saved.is_done("model_generation")
     assert saved.status("training_execution") == "pending"
+
+
+def test_react_refuses_to_generate_past_an_unfinished_stage(agent_workspace,
+                                                           drill_recipe):
+    # the training task is asked for while the model stage is in progress:
+    # it is refused with no planner call and no file, so the execute that
+    # follows runs the model document and no stage is left in progress
+    ctx = agent_workspace()
+    planner = _Directs(drill_recipe, ("generate_model", "generate_training_task",
+                                      "execute_task", "read_log"))
+    executor = TaskExecutor(ctx)
+    with pytest.raises(StepBudgetExhausted):
+        run_react("t", ctx, planner, executor=executor, max_steps=4)
+
+    assert planner.observations[2] == (
+        "error: generate_training_task → cannot generate training_execution: "
+        "model_generation is in_progress")
+    assert [c.purpose for c in planner.calls if c.purpose != "directive"] == \
+        ["task:model_generation"]
+    assert not (ctx.workspace / "training_task.json").exists()
+    assert [(r.action, r.status) for r in executor.history] == [("model", "ok")]
+    saved = load_state(ctx.path("state_file"))
+    assert [s.status for s in saved.stages.values()] == [
+        "done", "pending", "pending", "pending"]
 
 
 @pytest.mark.parametrize("run", [_multi, _react], ids=["multi", "react"])

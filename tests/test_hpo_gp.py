@@ -6,8 +6,7 @@ import pytest
 from autoduct.hpo.gp import (_JITTERS, _ei_arrays, _kernel, _nlml_and_grad,
                              fit_gp, incumbent_value, posterior, propose_next)
 from autoduct.hpo.sobol import sobol_points
-from autoduct.hpo.space import (EncodedPoint, TrialConfig, canonicalize,
-                                default_space, encode)
+from autoduct.hpo.space import TrialConfig, canonicalize, default_space, encode
 from autoduct.neural_net import ActivationKind
 from autoduct.rng import derive_seed
 from autoduct.stats import normal_cdf, normal_pdf
@@ -18,9 +17,9 @@ SPACE = default_space()
 
 
 def _toy_observations(n=8, seed=0, noise=0.0):
-    """Configs on the continuous sub-manifold with a smooth objective."""
+    """Encoded configs x (n, d) and a smooth objective y (n,) of them."""
     rng = np.random.default_rng(seed)
-    obs = []
+    x, y = [], []
     for _ in range(n):
         tc = TrialConfig(
             learning_rate=float(10 ** rng.uniform(-4, -2)),
@@ -31,11 +30,10 @@ def _toy_observations(n=8, seed=0, noise=0.0):
             hidden_units=int(rng.choice(SPACE.hidden_units)),
             activation=ActivationKind(rng.choice([a.value for a in SPACE.activations])),
         )
-        p = encode(tc)
-        y = float(np.sin(3 * p.coords[0]) + p.coords[2] ** 2
-                  + 0.3 * p.coords[5] + noise * rng.normal())
-        obs.append((p, y))
-    return obs
+        p = encode(tc, SPACE)
+        x.append(p)
+        y.append(float(np.sin(3 * p[0]) + p[2] ** 2 + 0.3 * p[5] + noise * rng.normal()))
+    return np.array(x), np.array(y)
 
 
 # --- marginal likelihood -----------------------------------------------------
@@ -189,10 +187,8 @@ def test_nlml_matmul_form_matches_the_einsum_reference(n):
 # --- fitting and posterior -------------------------------------------------------
 
 def test_fit_gp_interpolates_smooth_data():
-    obs = _toy_observations(n=10)
-    gp = fit_gp(obs)
-    x = np.array([p.coords for p, _ in obs])
-    y = np.array([v for _, v in obs])
+    x, y = _toy_observations(n=10)
+    gp = fit_gp(x, y)
     mu, var = posterior(gp, x)
     spread = y.max() - y.min()
     assert np.max(np.abs(mu - y)) < 0.15 * spread
@@ -200,8 +196,8 @@ def test_fit_gp_interpolates_smooth_data():
 
 
 def test_fit_gp_deterministic():
-    obs = _toy_observations(n=6, seed=4)
-    a, b = fit_gp(obs), fit_gp(obs)
+    x, y = _toy_observations(n=6, seed=4)
+    a, b = fit_gp(x, y), fit_gp(x, y)
     assert np.array_equal(a.log_lengthscales, b.log_lengthscales)
     assert a.log_signal_var == b.log_signal_var
     assert a.log_noise_var == b.log_noise_var
@@ -209,28 +205,38 @@ def test_fit_gp_deterministic():
 
 
 def test_fit_gp_validation():
-    obs = _toy_observations(n=3)
+    x, y = _toy_observations(n=3)
+    with pytest.raises(ValueError, match="at least two"):
+        fit_gp(x[:1], y[:1])
     with pytest.raises(ValueError):
-        fit_gp(obs[:1])
-    bad = [(obs[0][0], float("inf")), obs[1]]
-    with pytest.raises(ValueError):
-        fit_gp(bad)
+        fit_gp(x[:2], np.array([float("inf"), y[1]]))
+    # shapes: x must be (n, d) and y must hold one objective per row of x
+    with pytest.raises(ValueError, match="need inputs"):
+        fit_gp(x[0], y)
+    with pytest.raises(ValueError, match="need inputs"):
+        fit_gp(x[None], y)
+    with pytest.raises(ValueError, match="need inputs"):
+        fit_gp(x, y[:2])
+    with pytest.raises(ValueError, match="need inputs"):
+        fit_gp(x[:2], y)
+    with pytest.raises(ValueError, match="need inputs"):
+        fit_gp(x, y[:, None])
 
 
 def test_posterior_uncertainty_grows_away_from_data():
-    obs = _toy_observations(n=8, seed=2)
-    gp = fit_gp(obs)
-    near = obs[0][0].coords[None, :]
-    far = np.clip(obs[0][0].coords + 0.9, 0, 1)[None, :]
+    x, y = _toy_observations(n=8, seed=2)
+    gp = fit_gp(x, y)
+    near = x[:1]
+    far = np.clip(x[:1] + 0.9, 0, 1)
     _, var_near = posterior(gp, near)
     _, var_far = posterior(gp, far)
     assert var_far[0] > var_near[0]
 
 
 def test_constant_objective_is_handled():
-    obs = [(p, 5.0) for p, _ in _toy_observations(n=5)]
-    gp = fit_gp(obs)
-    mu, _ = posterior(gp, obs[0][0].coords[None, :])
+    x, _ = _toy_observations(n=5)
+    gp = fit_gp(x, np.full(5, 5.0))
+    mu, _ = posterior(gp, x[:1])
     assert mu[0] == pytest.approx(5.0, abs=0.2)
 
 
@@ -271,15 +277,14 @@ def test_ei_nonnegative_and_monotone_in_sigma():
 
 
 def test_expected_improvement_wrapper_and_incumbent():
-    obs = _toy_observations(n=8, seed=6)
-    gp = fit_gp(obs)
+    x, y = _toy_observations(n=8, seed=6)
+    gp = fit_gp(x, y)
     inc = incumbent_value(gp)
     mu, _ = posterior(gp, gp.x)
     assert inc == pytest.approx(mu.min(), rel=1e-12)
     # EI at one point agrees with the same point inside a batch
-    p = obs[0][0]
-    direct = _ei_arrays(*posterior(gp, p.coords[None, :]), inc)[0]
-    batch = _ei_arrays(*posterior(gp, np.array([o[0].coords for o in obs])), inc)
+    direct = _ei_arrays(*posterior(gp, x[:1]), inc)[0]
+    batch = _ei_arrays(*posterior(gp, x), inc)
     assert direct == pytest.approx(batch[0], rel=1e-12)
     assert direct >= 0.0
 
@@ -287,8 +292,7 @@ def test_expected_improvement_wrapper_and_incumbent():
 def test_ei_arrays_match_scalar_formula():
     # the array form against per-element normal_cdf / normal_pdf, over the
     # posterior of real candidates and a z grid reaching far into the tails
-    obs = _toy_observations(n=8, seed=6)
-    gp = fit_gp(obs)
+    gp = fit_gp(*_toy_observations(n=8, seed=6))
     raw = sobol_points(SPACE.encoded_dim, 2048, shift_seed=derive_seed(1, "propose-candidates"))
     mu_c, var_c = posterior(gp, canonicalize(raw, SPACE))
     grid = np.linspace(-12.0, 12.0, 4001)
@@ -311,8 +315,7 @@ def test_ei_arrays_match_scalar_formula():
 # --- proposals -------------------------------------------------------------------------
 
 def test_propose_next_deterministic_and_in_domain():
-    obs = _toy_observations(n=8, seed=9)
-    gp = fit_gp(obs)
+    gp = fit_gp(*_toy_observations(n=8, seed=9))
     a = propose_next(gp, SPACE, candidate_count=128, seed=3)
     b = propose_next(gp, SPACE, candidate_count=128, seed=3)
     assert a == b
@@ -325,8 +328,7 @@ def test_propose_next_deterministic_and_in_domain():
 
 
 def test_propose_next_candidate_validation():
-    obs = _toy_observations(n=4)
-    gp = fit_gp(obs)
+    gp = fit_gp(*_toy_observations(n=4))
     with pytest.raises(ValueError):
         propose_next(gp, SPACE, candidate_count=0)
 
@@ -336,8 +338,7 @@ def test_propose_next_is_argmax_over_canonical_candidates():
     from autoduct.hpo.space import decode
     from autoduct.rng import derive_seed
 
-    obs = _toy_observations(n=8, seed=12)
-    gp = fit_gp(obs)
+    gp = fit_gp(*_toy_observations(n=8, seed=12))
     count, seed = 64, 1
     chosen = propose_next(gp, SPACE, candidate_count=count, seed=seed)
 
@@ -345,7 +346,7 @@ def test_propose_next_is_argmax_over_canonical_candidates():
                        shift_seed=derive_seed(seed, "propose-candidates"))
     configs = [decode(raw[i], SPACE) for i in range(count)]
     inc = incumbent_value(gp)
-    eis = [_ei_arrays(*posterior(gp, encode(c, SPACE).coords[None, :]), inc)[0]
+    eis = [_ei_arrays(*posterior(gp, encode(c, SPACE)[None, :]), inc)[0]
            for c in configs]
     assert chosen.assignment() == configs[int(np.argmax(eis))].assignment()
     assert max(eis) >= 0.0

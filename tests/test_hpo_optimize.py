@@ -6,11 +6,13 @@ import pytest
 
 from autoduct.dataset import fit_normalizer
 from autoduct.errors import InsufficientTrials
+from autoduct.hpo import optimize
+from autoduct.hpo.gp import fit_gp
 from autoduct.hpo.optimize import (Leaderboard, TrialResult, _objective_for_gp,
                                    make_trial_evaluator, run_bo,
                                    run_parallel_bo, select_top_k,
                                    trial_to_configs)
-from autoduct.hpo.space import TrialConfig, default_space
+from autoduct.hpo.space import TrialConfig, default_space, encode
 from autoduct.neural_net import ActivationKind
 
 SPACE = default_space()
@@ -78,11 +80,10 @@ def test_run_bests_picks_per_run_minimum():
 
 
 def test_divergence_penalty_rule():
-    results = [_mk(0, 0, 4.0), _mk(0, 1, None, "diverged"), _mk(0, 2, 10.0)]
-    objectives = _objective_for_gp(results)
-    assert objectives == [4.0, 20.0, 10.0]     # twice the worst success
-    only_bad = [_mk(0, 0, None, "diverged")]
-    assert _objective_for_gp(only_bad) == [1e6]
+    # NaN marks a diverged trial
+    objectives = _objective_for_gp(np.array([4.0, np.nan, 10.0]))
+    assert objectives.tolist() == [4.0, 20.0, 10.0]     # twice the worst success
+    assert _objective_for_gp(np.array([np.nan])).tolist() == [1e6]
 
 
 # --- single run -----------------------------------------------------------------------
@@ -103,6 +104,35 @@ def test_run_bo_structure_and_reproducibility(tmp_path):
     lines = log.read_text().strip().split("\n")
     assert len(lines) == 7
     assert [json.loads(l)["trial_id"] for l in lines] == list(range(7))
+
+
+def test_run_bo_encodes_each_trial_once_into_its_fits(monkeypatch):
+    # every fit sees the earlier trials' encoded rows, in trial order, and
+    # their penalized objectives; each trial is encoded exactly once
+    fits, encoded = [], []
+
+    def spy_fit_gp(x, y):
+        fits.append((x.copy(), y.copy()))
+        return fit_gp(x, y)
+
+    def spy_encode(tc, space):
+        encoded.append(tc)
+        return encode(tc, space)
+
+    monkeypatch.setattr(optimize, "fit_gp", spy_fit_gp)
+    monkeypatch.setattr(optimize, "encode", spy_encode)
+    board = run_bo(SPACE, n_sobol=4, n_bo=3, evaluator=_diverging_evaluator({2}),
+                   seed=11)
+    results = board.results
+    assert [r.status for r in results].count("diverged") == 1
+    assert encoded == [r.config for r in results]
+    assert [len(x) for x, _ in fits] == [4, 5, 6]
+    for x, y in fits:
+        earlier = results[:len(x)]
+        assert np.array_equal(x, np.array([encode(r.config, SPACE) for r in earlier]))
+        ok_rmses = [r.rmse for r in earlier if r.status == "ok"]
+        assert y.tolist() == [r.rmse if r.status == "ok" else 2.0 * max(ok_rmses)
+                              for r in earlier]
 
 
 # (trial id, origin, learning rate, weight decay, dropout, batch size, hidden

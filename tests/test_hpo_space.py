@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from autoduct.errors import OutOfDomain
 from autoduct.hpo.sobol import sobol_points
-from autoduct.hpo.space import (EncodedPoint, SearchSpace, TrialConfig,
-                                canonicalize, decode, default_space, encode)
+from autoduct.hpo.space import (SearchSpace, TrialConfig, canonicalize, decode,
+                                default_space, encode)
 from autoduct.neural_net import ActivationKind
 from autoduct.rng import derive_seed
 
@@ -45,17 +45,18 @@ def test_space_validation():
 def test_encode_midpoint_worked_example():
     # log-scale midpoint of [1e-4, 1e-2] is 1e-3
     tc = TrialConfig(1e-3, 1e-3, 0.15, 128, 6, 8, ActivationKind.RELU)
-    point = encode(tc)
-    assert point.coords[0] == pytest.approx(0.5, abs=1e-12)
-    assert point.coords[1] == pytest.approx(0.5, abs=1e-12)
-    assert point.coords[2] == pytest.approx(0.5, abs=1e-12)
-    back = decode(point)
+    point = encode(tc, SPACE)
+    assert point.shape == (SPACE.encoded_dim,)
+    assert point[0] == pytest.approx(0.5, abs=1e-12)
+    assert point[1] == pytest.approx(0.5, abs=1e-12)
+    assert point[2] == pytest.approx(0.5, abs=1e-12)
+    back = decode(point, SPACE)
     assert back.learning_rate == pytest.approx(1e-3, rel=1e-12)
 
 
 def test_encode_one_hot_blocks():
     tc = TrialConfig(1e-3, 1e-3, 0.0, 256, 7, 24, ActivationKind.GELU)
-    coords = encode(tc).coords
+    coords = encode(tc, SPACE)
     assert coords[3:6].tolist() == [0.0, 1.0, 0.0]        # batch 256
     assert coords[6:8].tolist() == [0.0, 1.0]             # 7 layers
     assert coords[8:15].tolist() == [0, 0, 1, 0, 0, 0, 0]  # 24 units
@@ -66,7 +67,13 @@ def test_encode_one_hot_blocks():
 @given(_configs())
 @settings(max_examples=80, deadline=None)
 def test_encode_decode_round_trip(tc):
-    back = decode(encode(tc))
+    # the row lies in the cube and each categorical block is exactly one-hot
+    row = encode(tc, SPACE)
+    assert np.all((row >= 0.0) & (row <= 1.0))
+    for offset, choices in SPACE._blocks():
+        block = sorted(row[offset:offset + len(choices)])
+        assert block == [0.0] * (len(choices) - 1) + [1.0]
+    back = decode(row, SPACE)
     assert back.batch_size == tc.batch_size
     assert back.hidden_layers == tc.hidden_layers
     assert back.hidden_units == tc.hidden_units
@@ -83,7 +90,7 @@ def test_decode_raw_point_argmax_tie_goes_low():
     coords[6:8] = [0.3, 0.3]
     coords[8:15] = 1.0 / 7
     coords[15:21] = [0.1, 0.9, 0.1, 0.9, 0.1, 0.1]   # tie between 1 and 3
-    tc = decode(coords)
+    tc = decode(coords, SPACE)
     assert tc.batch_size == SPACE.batch_sizes[0]
     assert tc.hidden_layers == SPACE.hidden_layers[0]
     assert tc.hidden_units == SPACE.hidden_units[0]
@@ -94,37 +101,20 @@ def test_encode_out_of_domain():
     good = dict(weight_decay=1e-3, dropout_rate=0.1, batch_size=128,
                 hidden_layers=6, hidden_units=16, activation=ActivationKind.RELU)
     with pytest.raises(OutOfDomain):
-        encode(TrialConfig(learning_rate=2e-2, **good))
+        encode(TrialConfig(learning_rate=2e-2, **good), SPACE)
     with pytest.raises(OutOfDomain):
-        encode(TrialConfig(learning_rate=1e-3, **{**good, "batch_size": 100}))
+        encode(TrialConfig(learning_rate=1e-3, **{**good, "batch_size": 100}), SPACE)
     with pytest.raises(OutOfDomain):
-        encode(TrialConfig(learning_rate=1e-3, **{**good, "hidden_units": 5}))
+        encode(TrialConfig(learning_rate=1e-3, **{**good, "hidden_units": 5}), SPACE)
 
 
 def test_decode_rejects_bad_points():
     with pytest.raises(OutOfDomain):
-        decode(np.zeros(20))
+        decode(np.zeros(20), SPACE)
     bad = np.zeros(21)
     bad[0] = 1.5
     with pytest.raises(OutOfDomain):
-        decode(bad)
-
-
-def test_encoded_point_validation():
-    coords = encode(TrialConfig(1e-3, 1e-3, 0.1, 128, 6, 16,
-                                ActivationKind.RELU)).coords
-    loose = coords.copy()
-    loose[3] = 0.7            # breaks the one-hot sum
-    with pytest.raises(OutOfDomain):
-        EncodedPoint(loose)
-    with pytest.raises(OutOfDomain):
-        EncodedPoint(coords[:-1])
-
-
-def test_encoded_point_coords_frozen():
-    p = encode(TrialConfig(1e-3, 1e-3, 0.1, 128, 6, 16, ActivationKind.RELU))
-    with pytest.raises(ValueError):
-        p.coords[0] = 0.9
+        decode(bad, SPACE)
 
 
 def test_trial_config_origin_gate():
@@ -149,7 +139,7 @@ def test_assignment_drops_bookkeeping():
 
 
 def _row_wise_canonical(raw, space):
-    return np.array([encode(decode(row, space), space).coords for row in raw])
+    return np.array([encode(decode(row, space), space) for row in raw])
 
 
 def test_canonicalize_matches_row_wise_round_trip():
