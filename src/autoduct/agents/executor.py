@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .. import ensemble as ensemble_mod
 from ..atomic import write_json
-from ..dataset import SliceSpec, fit_normalizer, load_csv, split
+from ..dataset import SliceSpec, check_slice_ids, fit_normalizer, load_csv, split
 from ..evaluation import evaluate_model, evaluate_slices
 from ..neural_net import ActivationKind, MLPConfig, TrainConfig
 from ..report_export import export_report
@@ -44,6 +44,7 @@ class ExecutionResult:
     artifacts: dict[str, str] = field(default_factory=dict)
     wall_time_s: float = field(default=0.0, compare=False)
     injected_fault: bool = False
+    terminal: bool = False      # the error's class is one no retry can change
 
     def __post_init__(self):
         if self.status not in ("ok", "error"):
@@ -180,7 +181,8 @@ class TaskExecutor:
     def _error(action: str, exc: Exception, start: float) -> ExecutionResult:
         return ExecutionResult(status="error", action=action,
                                log=f"{type(exc).__name__}: {exc}",
-                               wall_time_s=time.perf_counter() - start)
+                               wall_time_s=time.perf_counter() - start,
+                               terminal=getattr(exc, "terminal", False))
 
     def _resolve(self, doc: TaskDocument, role: str) -> Path:
         overrides = doc.payload.get("paths") or {}
@@ -239,16 +241,14 @@ class TaskExecutor:
         data_path = self._resolve(doc, p["data_role"])
         ens_dir = self._resolve(doc, p["ensemble_role"])
         report_dir = self._resolve(doc, p["output_role"])
+        # bad slice specs fail before any scoring
+        specs = check_slice_ids([SliceSpec.from_dict(entry) for entry in p.get("slices") or ()])
 
         ens = ensemble_mod.load_ensemble(ens_dir)
         ds = load_csv(data_path)
         splits = split(ds, tuple(p["split"]["fractions"]), p["split"]["seed"])
         me = evaluate_model(ens, splits.test, level=p["level"])
-
-        slice_report = None
-        if p.get("slices"):
-            specs = [SliceSpec.from_dict(entry) for entry in p["slices"]]
-            slice_report = evaluate_slices(ens, specs, level=p["level"])
+        slice_report = evaluate_slices(ens, specs, level=p["level"]) if specs else None
 
         report_dir.mkdir(parents=True, exist_ok=True)
         written = export_report(me, slice_report, report_dir)

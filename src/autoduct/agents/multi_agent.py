@@ -15,7 +15,9 @@ stage is done, so a planner that skips ahead gets an error result. The
 two loops are policies over it and differ only in who picks the next
 step. A loop that gives up (raises any AutoductError) calls `give_up()`
 first, which marks the pending stage failed with its error count kept,
-so no stage is left in progress.
+so no stage is left in progress. A terminal error (see errors.py) ends
+the run at once in both loops: `StageRun.execute` raises
+TerminalStageError, so neither loop patches or retries it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 
-from ..errors import AutoductError, StageExhausted
+from ..errors import AutoductError, StageExhausted, TerminalStageError
 from .context import ProjectContext
 from .executor import ExecutionResult, TaskExecutor
 from .planner import (PlanRequest, PlannerBase, build_patch_prompt,
@@ -147,7 +149,8 @@ class StageRun:
 
     def execute(self) -> ExecutionResult:
         """Run the pending document: done on success, one more error on
-        the stage's count on failure."""
+        the stage's count on failure. A terminal failure raises
+        TerminalStageError once its error is persisted."""
         if self.pending_doc is None:
             return ExecutionResult(status="error", action="execute_task",
                                    log="no task document pending; generate one first")
@@ -161,6 +164,8 @@ class StageRun:
             self.state.record_error(stage)
             self.last_failure = result
         self._persist()
+        if result.terminal:
+            raise TerminalStageError(stage, self.state.error_count(stage), result.first_line())
         return result
 
     def patch(self) -> ExecutionResult:
@@ -206,7 +211,8 @@ def run_multi_agent(task: str, ctx: ProjectContext, planner: PlannerBase,
     """Algorithm: for each stage, generate the task, execute it, and on
     error tune and re-execute up to max_retries attempts total.
 
-    Raises StageExhausted when a stage keeps failing; like any
+    Raises StageExhausted when a stage keeps failing, and
+    TerminalStageError on the first terminal failure; like any
     AutoductError the loop raises, it leaves the stage failed-but-resumable.
     `stop_after_stage` ends the run cleanly after the named stage (a
     controlled substitute for kill -9 in resume drills), and ends a

@@ -11,16 +11,17 @@ scripted or LLM planner route through patch_task and recover.
 The tools are thin wrappers over the run's `StageRun`, the one owner of
 persisted transitions it shares with the supervisor loop, so the two
 loops differ only in who picks the next step. As in the supervisor, a
-run that gives up (an AutoductError from `think`, or the step budget
-running out) calls `give_up()` first: the pending stage is left failed,
-never in progress.
+run that gives up (an AutoductError from `think`, a terminal failure
+of `execute_task`, or the step budget running out) calls `give_up()`
+first: the pending stage is left failed, never in progress.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import AutoductError, SchemaInvalid, StepBudgetExhausted, UnknownTool
+from ..errors import (AutoductError, SchemaInvalid, StepBudgetExhausted,
+                      TerminalStageError, UnknownTool)
 from .context import ProjectContext
 from .executor import ExecutionResult, TaskExecutor
 from .multi_agent import AgentOutcome, StageRun
@@ -105,10 +106,13 @@ def think(planner: PlannerBase, task: str, state: WorkflowState,
 
 def act(directive: PlannerDirective, tools: dict) -> ExecutionResult:
     """Dispatch to the named tool; expected failures come back as error
-    results so the observation can carry them."""
+    results so the observation can carry them. A terminal failure ends
+    the run instead."""
     tool = tools[directive.action]
     try:
         return tool(directive.args)
+    except TerminalStageError:
+        raise
     except (AutoductError, ValueError) as exc:
         return ExecutionResult(status="error", action=directive.action,
                                log=f"{type(exc).__name__}: {exc}")
@@ -148,7 +152,8 @@ def run_react(task: str, ctx: ProjectContext, planner: PlannerBase,
               stop_after_stage: str | None = None) -> AgentOutcome:
     """Think -> act -> observe until finish_task or the step budget.
 
-    Raises StepBudgetExhausted when the budget runs out; like any
+    Raises StepBudgetExhausted when the budget runs out, and
+    TerminalStageError on the first terminal failure; like any
     AutoductError the loop raises, it leaves the pending stage
     failed-but-resumable. A `stop_after_stage` ends the run once that
     stage is done, before any step if a resumed run has already done it.

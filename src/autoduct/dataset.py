@@ -524,6 +524,10 @@ class SliceSpec:
     constants: dict[str, float]
 
     def __post_init__(self):
+        # the id names the slice's files, slice_<id>.csv and .svg
+        sid = str(self.slice_id)
+        if sid in ("", ".", "..") or "/" in sid or "\\" in sid:
+            raise ValueError(f"slice id {sid!r} cannot name a file")
         if self.varying not in FEATURE_NAMES:
             raise ValueError(f"unknown feature {self.varying!r}")
         if not self.lo < self.hi:
@@ -580,15 +584,28 @@ BLIND_SLICES = (
 )
 
 
+def check_slice_ids(specs: list[SliceSpec]) -> list[SliceSpec]:
+    """The specs, unless two share an id (compared as text, so 1 and "1"
+    collide): the second's files would silently replace the first's."""
+    seen: set[str] = set()
+    for spec in specs:
+        sid = str(spec.slice_id)
+        if sid in seen:
+            raise ValueError(f"duplicate slice id {sid!r}")
+        seen.add(sid)
+    return specs
+
+
 def load_slice_specs(path: str | Path) -> list[SliceSpec]:
     """Read slice specs from a JSON document: either a list of spec
-    objects or {"slices": [...]}. A document of another shape, or a spec
-    that fails validation, raises CorruptArtifact naming the file."""
+    objects or {"slices": [...]}. A document of another shape, a spec
+    that fails validation, or two specs with one id, raises
+    CorruptArtifact naming the file."""
     with Path(path).open(encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
             if isinstance(doc, dict):
                 doc = doc["slices"]
-            return [SliceSpec.from_dict(entry) for entry in doc]
+            return check_slice_ids([SliceSpec.from_dict(entry) for entry in doc])
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise CorruptArtifact(f"malformed slice-spec file {path}: {exc}") from exc

@@ -1,17 +1,22 @@
 """Exception types shared across the package.
 
 Every error raised by autoduct derives from AutoductError so callers can
-catch the whole family at an API boundary.
+catch the whole family at an API boundary. A class marked `terminal` is
+one that no retry of the same task document can change (a file in an
+unsupported format, a corrupt artifact, a missing column): the agent
+loops stop on it at once instead of patching and retrying.
 """
 
 
 class AutoductError(Exception):
-    pass
+    terminal = False
 
 
 # --- data ingestion / preparation ---
 
 class MissingColumn(AutoductError):
+    terminal = True
+
     def __init__(self, path, column: str):
         super().__init__(f"{path}: missing required column {column!r}")
         self.path = path
@@ -68,11 +73,11 @@ class EmptyEnsemble(AutoductError):
 
 
 class VersionMismatch(AutoductError):
-    pass
+    terminal = True
 
 
 class CorruptArtifact(AutoductError):
-    pass
+    terminal = True
 
 
 # --- hyperparameter search ---
@@ -126,6 +131,17 @@ class StageExhausted(AutoductError):
     def __init__(self, stage: str, error_count: int, last_error: str):
         super().__init__(f"stage {stage!r} failed {error_count} times, retry budget "
                          f"exhausted; last error: {last_error}")
+        self.stage = stage
+        self.error_count = error_count
+
+
+class TerminalStageError(AutoductError):
+    """A stage failed with a terminal error; the message ends with that
+    error's first line."""
+
+    def __init__(self, stage: str, error_count: int, error: str):
+        super().__init__(f"stage {stage!r} stopped on a terminal error, not retried "
+                         f"(error {error_count}): {error}")
         self.stage = stage
         self.error_count = error_count
 

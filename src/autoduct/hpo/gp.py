@@ -21,6 +21,12 @@ turns both the scaled distances of every start and every length-scale
 gradient, (alpha alpha^T - L^-T L^-1) against it, into one matrix
 product each.
 
+Each of the 60 ascent steps computes, for all six starts at once, the
+kernel, its Cholesky factor and inverse, alpha = K^-1 z, the gradient,
+and which starts factorized at some jitter rung; then one Adam update
+in place. The NLML itself (0.5 z^T K^-1 z + sum log diag L + n/2 log 2pi)
+is formed only once, after the last step, to pick the best live start.
+
 Acquisition is the plug-in form of noisy expected improvement for
 minimization: the incumbent is the minimum posterior mean over the
 observed inputs, and EI uses the noise-free posterior at the candidate,
@@ -70,11 +76,8 @@ class GPSurrogate:
     jitter: float
 
 
-def _matern52(r: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
-    # `e` is exp(-sqrt5 r) when the caller already has it
-    if e is None:
-        e = np.exp(-_SQRT5 * r)
-    return (1.0 + _SQRT5 * r + (5.0 / 3.0) * r**2) * e
+def _matern52(r: np.ndarray) -> np.ndarray:
+    return (1.0 + _SQRT5 * r + (5.0 / 3.0) * r**2) * np.exp(-_SQRT5 * r)
 
 
 def _kernel(a: np.ndarray, b: np.ndarray, log_ls: np.ndarray,
@@ -94,49 +97,77 @@ def _chol_with_ladder(k: np.ndarray) -> tuple[np.ndarray, float]:
     raise SingularCovariance("covariance failed to factorize at every jitter level")
 
 
-def _nlml_and_grad(diff2: np.ndarray, z: np.ndarray, theta: np.ndarray,
-                   grad: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-    """Negative log marginal likelihood (s,) and gradient (s, d + 2) for
-    each row of theta (s, d + 2): log length scales, log signal and log
+def _likelihood(diff2: np.ndarray, z: np.ndarray):
+    """The negative log marginal likelihood of one fit's standardized
+    objectives z (n,), as `evaluate(theta, value=True, grad=True)` over a
+    stack of rows theta (s, d + 2): log length scales, log signal and log
     noise variance. diff2[i, j, k] = (x[j, i] - x[k, i])^2 for inputs x
-    (n, d). Rows that no jitter level factorizes get nlml = inf and a zero
-    gradient. Without `grad` the gradient is not computed and is None."""
+    (n, d). What every call shares is built here, once per fit.
+
+    `evaluate` returns (nlml (s,) or None, gradient (s, d + 2) or None,
+    ok): each is formed only when asked for. `ok` flags the rows that
+    factorized at some jitter rung, or is None when all did at the first;
+    the others get nlml = inf and a zero gradient."""
     d, n, _ = diff2.shape
-    ls = np.exp(theta[:, :d])
-    sf2 = np.exp(theta[:, d])[:, None, None]
-    sn2 = np.exp(theta[:, d + 1])
     # squared distances and length-scale gradients as BLAS matmuls over
     # the (d, n * n) view of diff2
     flat2 = diff2.reshape(d, n * n)
-    r = np.sqrt((ls**-2 @ flat2).reshape(-1, n, n))
-    e = np.exp(-_SQRT5 * r)
-    k_signal = sf2 * _matern52(r, e)
-    k = k_signal + sn2[:, None, None] * np.eye(n)
-    try:    # one stacked call when every row factorizes at the first rung
-        chol, ok = np.linalg.cholesky(k + _JITTERS[0] * np.eye(n)), np.ones(len(k), bool)
-    except np.linalg.LinAlgError:
-        chol, ok = np.array([np.eye(n)] * len(k)), np.zeros(len(k), bool)
-        for i, row in enumerate(k):
-            with contextlib.suppress(SingularCovariance):
-                chol[i], ok[i] = _chol_with_ladder(row)[0], True
-    chol_inv = np.linalg.inv(chol)
-    w = chol_inv @ z
-    alpha = (w[:, None, :] @ chol_inv)[:, 0]
-    nlml = np.where(ok, 0.5 * np.einsum("si,si->s", w, w)
-                    + np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-                    + 0.5 * n * math.log(2.0 * math.pi), np.inf)
-    if not grad:
-        return nlml, None
+    flat2_t = flat2.T
+    eye = np.eye(n)
+    first_rung = _JITTERS[0] * eye
+    half_n_log_2pi = 0.5 * n * math.log(2.0 * math.pi)
 
-    # d(LML)/dK = inner / 2
-    inner = alpha[:, :, None] * alpha[:, None, :] - np.swapaxes(chol_inv, 1, 2) @ chol_inv
-    gradient = np.empty_like(theta)
-    # dK/d(log ell_i) = sf2 * (5/3)(1 + sqrt5 r) exp(-sqrt5 r) * d_ij^2 / ell_i^2
-    common = sf2 * (5.0 / 3.0) * (1.0 + _SQRT5 * r) * e
-    gradient[:, :d] = -0.5 * ((inner * common).reshape(-1, n * n) @ flat2.T) / ls**2
-    gradient[:, d] = -0.5 * (inner * k_signal).sum(axis=(1, 2))
-    gradient[:, d + 1] = -0.5 * sn2 * np.trace(inner, axis1=1, axis2=2)
-    return nlml, np.where(ok[:, None], gradient, 0.0)
+    def evaluate(theta: np.ndarray, value: bool = True, grad: bool = True):
+        ls = np.exp(theta[:, :d])
+        sf2 = np.exp(theta[:, d])[:, None, None]
+        sn2 = np.exp(theta[:, d + 1])
+        r = np.sqrt((ls**-2 @ flat2).reshape(-1, n, n))
+        e = np.exp(-_SQRT5 * r)
+        # 1 + sqrt5 r is shared by the kernel (summed left to right, as
+        # _matern52 does) and its length-scale derivative
+        linear = 1.0 + _SQRT5 * r
+        k_signal = sf2 * ((linear + (5.0 / 3.0) * r**2) * e)
+        k = k_signal + sn2[:, None, None] * eye
+        try:    # one stacked call when every row factorizes at the first rung
+            chol, ok = np.linalg.cholesky(k + first_rung), None
+        except np.linalg.LinAlgError:
+            chol, ok = np.array([eye] * len(k)), np.zeros(len(k), bool)
+            for i, row in enumerate(k):
+                with contextlib.suppress(SingularCovariance):
+                    chol[i], ok[i] = _chol_with_ladder(row)[0], True
+        chol_inv = np.linalg.inv(chol)
+        w = chol_inv @ z
+        nlml = gradient = None
+        if value:
+            nlml = (0.5 * np.einsum("si,si->s", w, w)
+                    + np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+                    + half_n_log_2pi)
+            if ok is not None:
+                nlml = np.where(ok, nlml, np.inf)
+        if grad:
+            alpha = (w[:, None, :] @ chol_inv)[:, 0]
+            # d(LML)/dK = inner / 2
+            inner = alpha[:, :, None] * alpha[:, None, :] - np.swapaxes(chol_inv, 1, 2) @ chol_inv
+            gradient = np.empty_like(theta)
+            # dK/d(log ell_i) = sf2 * (5/3)(1 + sqrt5 r) exp(-sqrt5 r) * d_ij^2 / ell_i^2
+            common = sf2 * (5.0 / 3.0) * linear * e
+            gradient[:, :d] = -0.5 * ((inner * common).reshape(-1, n * n) @ flat2_t) / ls**2
+            gradient[:, d] = -0.5 * (inner * k_signal).sum(axis=(1, 2))
+            gradient[:, d + 1] = -0.5 * sn2 * np.trace(inner, axis1=1, axis2=2)
+            if ok is not None:
+                gradient = np.where(ok[:, None], gradient, 0.0)
+        return nlml, gradient, ok
+
+    return evaluate
+
+
+def _nlml_and_grad(diff2: np.ndarray, z: np.ndarray, theta: np.ndarray,
+                   grad: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """Negative log marginal likelihood (s,) and gradient (s, d + 2) of
+    each row of theta, as `_likelihood` defines them; without `grad` the
+    gradient is not computed and is None."""
+    nlml, gradient, _ = _likelihood(diff2, z)(theta, grad=grad)
+    return nlml, gradient
 
 
 def fit_gp(x: np.ndarray, y: np.ndarray) -> GPSurrogate:
@@ -158,24 +189,36 @@ def fit_gp(x: np.ndarray, y: np.ndarray) -> GPSurrogate:
     if y_std < 1e-12:
         y_std = 1.0
     z = (y - y_mean) / y_std
-    diff2 = (x.T[:, :, None] - x.T[:, None, :]) ** 2
+    evaluate = _likelihood((x.T[:, :, None] - x.T[:, None, :]) ** 2, z)
     lo, hi = np.array([_LOG_BOUNDS[0]] * d + list(_LOG_BOUNDS[1:])).T
 
     # one row per start; a start whose covariance ever fails to factorize is dropped
     theta = np.array([[math.log(ls0)] * d + [math.log(1.0), math.log(sn0)]
                       for ls0 in _START_LENGTHSCALES for sn0 in _START_NOISE_VARS])
     alive = np.ones(len(theta), dtype=bool)
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    update, denom = np.empty_like(theta), np.empty_like(theta)
     for step in range(1, _OPT_STEPS + 1):
-        nlml, grad = _nlml_and_grad(diff2, z, theta)
-        alive &= np.isfinite(nlml)
-        m = 0.9 * m + 0.1 * grad
-        v = 0.999 * v + 0.001 * grad**2
-        m_hat = m / (1.0 - 0.9**step)
-        v_hat = v / (1.0 - 0.999**step)
-        theta = np.clip(theta - _OPT_LR * m_hat / (np.sqrt(v_hat) + 1e-8), lo, hi)
-    nlml, _ = _nlml_and_grad(diff2, z, theta, grad=False)
+        _, grad, ok = evaluate(theta, value=False)
+        if ok is not None:
+            alive &= ok
+        # Adam in place: m = 0.9 m + 0.1 g, v = 0.999 v + 0.001 g^2, then
+        # theta -= lr m_hat / (sqrt(v_hat) + 1e-8), bounded to [lo, hi]
+        m *= 0.9
+        m += np.multiply(grad, 0.1, out=update)
+        v *= 0.999
+        np.square(grad, out=update)
+        v += np.multiply(update, 0.001, out=update)
+        np.divide(m, 1.0 - 0.9**step, out=update)
+        update *= _OPT_LR
+        np.divide(v, 1.0 - 0.999**step, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += 1e-8
+        update /= denom
+        theta -= update
+        np.maximum(theta, lo, out=theta)
+        np.minimum(theta, hi, out=theta)
+    nlml, _, _ = evaluate(theta, grad=False)
     nlml = np.where(alive & np.isfinite(nlml), nlml, np.inf)
     if not np.isfinite(nlml).any():
         raise SingularCovariance("covariance failed to factorize at every jitter level")
@@ -204,8 +247,8 @@ def posterior(gp: GPSurrogate, points: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def incumbent_value(gp: GPSurrogate) -> float:
     """Minimum posterior mean over the observed inputs (the noisy-EI
     plug-in incumbent)."""
-    mu, _ = posterior(gp, gp.x)
-    return float(mu.min())
+    mu = _kernel(gp.x, gp.x, gp.log_lengthscales, gp.log_signal_var) @ gp.alpha
+    return float((gp.y_mean + gp.y_std * mu).min())
 
 
 def _ei_arrays(mu: np.ndarray, var: np.ndarray, incumbent: float) -> np.ndarray:

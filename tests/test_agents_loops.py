@@ -18,7 +18,8 @@ from autoduct.agents.react import (OBSERVATION_LIMIT, TOOL_NAMES, ReActStep,
 from autoduct.agents.report import render_report
 from autoduct.agents.state import load_state
 from autoduct.errors import (AutoductError, PlannerUnavailable, SchemaInvalid,
-                             StageExhausted, StepBudgetExhausted, UnknownTool)
+                             StageExhausted, StepBudgetExhausted,
+                             TerminalStageError, UnknownTool)
 from autoduct.neural_net import ActivationKind
 
 
@@ -360,6 +361,34 @@ def test_react_gives_up_leaving_the_pending_stage_failed(
     clean, _, _ = _react(agent_workspace("clean"), drill_recipe)
     assert resumed.report["metrics"] == clean.report["metrics"]
     assert resumed.report["errors"]["per_stage"][stage] == errors
+
+
+@pytest.mark.parametrize("mode", ["multi", "react"])
+def test_terminal_error_ends_the_stage_at_once(agent_workspace, drill_recipe, mode):
+    # an ensemble in a format the loader refuses cannot be mended by a
+    # patch or a retry: the resumed run gives up on its first error, with
+    # that error's message, and leaves the stage failed
+    run = {"multi": _multi, "react": _react}[mode]
+    ctx = agent_workspace(f"terminal-{mode}")
+    run(ctx, drill_recipe, stop_after_stage="training_execution")
+    manifest = ctx.path("ensemble_dir") / "manifest.json"
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "format_version": 1}))
+
+    resumed_ctx = ProjectContext.create(ctx.workspace, run_id="run-t")
+    planner = ScriptedPlanner(drill_recipe)
+    loop = {"multi": run_multi_agent, "react": run_react}[mode]
+    with pytest.raises(TerminalStageError) as err:
+        loop("CHF regression pipeline", resumed_ctx, planner, TaskExecutor(resumed_ctx),
+             resume=True)
+    assert err.value.stage == "evaluation_execution"
+    assert err.value.error_count == 1
+    assert str(err.value) == (
+        "stage 'evaluation_execution' stopped on a terminal error, not retried "
+        f"(error 1): VersionMismatch: unsupported ensemble format 1 in {manifest}")
+    assert not [c for c in planner.calls if c.purpose == "patch"]
+    saved = load_state(ctx.path("state_file"))
+    assert saved.status("evaluation_execution") == "failed"
+    assert saved.error_count("evaluation_execution") == 1
 
 
 _workspaces = itertools.count()

@@ -308,6 +308,38 @@ def test_evaluate_with_slices(agent_workspace):
     assert (report_dir / "slice_s1.svg").is_file()
 
 
+def test_evaluate_refuses_duplicate_slice_ids_before_scoring(agent_workspace):
+    # the second slice's files would replace the first's; the document is
+    # refused before the ensemble is scored or any report file is written
+    ctx = agent_workspace()
+    executor = TaskExecutor(ctx)
+    executor.execute(_doc("model", _model_payload()))
+    executor.execute(_doc("train", _train_payload()))
+    spec = {"slice_id": 1, "varying": "L", "lo": 0.1, "hi": 10.0, "count": 5,
+            "constants": {"D": 0.008, "P": 10000.0, "G": 1000.0, "X": 0.2}}
+    result = executor.execute(_doc("evaluate", _evaluate_payload(
+        slices=[spec, {**spec, "slice_id": "1", "varying": "L"}])))
+    assert not result.ok and not result.terminal
+    assert result.log == "ValueError: duplicate slice id '1'"
+    assert not ctx.path("report_dir").exists()
+
+
+def test_terminal_error_classes_are_marked_in_the_result(agent_workspace):
+    # a version the loader refuses cannot change on retry; the error result
+    # says so, and an error a patch can mend does not
+    ctx = agent_workspace()
+    executor = TaskExecutor(ctx)
+    executor.execute(_doc("model", _model_payload()))
+    executor.execute(_doc("train", _train_payload()))
+    manifest = ctx.path("ensemble_dir") / "manifest.json"
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "format_version": 1}))
+    result = executor.execute(_doc("evaluate", _evaluate_payload()))
+    assert result.terminal and result.log.startswith("VersionMismatch: ")
+    mendable = executor.execute(_doc("evaluate", _evaluate_payload(
+        paths={"report_dir": "../outside"})))
+    assert not mendable.ok and not mendable.terminal
+
+
 def test_invalid_document_becomes_error_result(agent_workspace):
     executor = TaskExecutor(agent_workspace())
     result = executor.execute(_doc("model", _model_payload(members=[])))

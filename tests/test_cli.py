@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from autoduct import cli
-from autoduct.dataset import load_csv, write_csv
+from autoduct.dataset import BLIND_SLICES, load_csv, write_csv
 
 # keep every trained network tiny; these suffixes go on most commands
 _FAST = ["--members", "2", "--layers", "1", "--units", "8", "--epochs", "4",
@@ -226,6 +226,36 @@ def test_malformed_slice_file_is_an_error(tmp_path, capsys):
         assert not (tmp_path / "eval").exists()
 
 
+@pytest.mark.parametrize("ids", [["a", "a"], [1, "1"], ["../evil"], ["a/b"], ["a\\b"],
+                                 ["."], [".."], [""]])
+def test_slice_ids_that_collide_or_name_no_file_fail_before_scoring(tmp_path, capsys,
+                                                                    monkeypatch, ids):
+    # a repeated id would let a slice's files replace another's, and a
+    # path-like one writes outside the report or fails only after the
+    # metrics are exported; both are refused with the file named, before
+    # any scoring or training
+    ws = tmp_path / "ws"
+    assert cli.main(["direct", "--workspace", str(ws), "--synthetic", "120",
+                     "--seed", "5", *_FAST]) == 0
+    capsys.readouterr()
+    scored = []
+    monkeypatch.setattr(cli, "evaluate_model", lambda *a, **k: scored.append(a))
+    spec_file = tmp_path / "slices.json"
+    spec_file.write_text(json.dumps([{**BLIND_SLICES[i].to_dict(), "slice_id": sid}
+                                     for i, sid in enumerate(ids)]), encoding="utf-8")
+    assert cli.main(["evaluate", "--ensemble", str(ws / "ensemble"),
+                     "--data", str(ws / "data.csv"), "--slices", str(spec_file),
+                     "--out-dir", str(tmp_path / "eval")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed slice-spec file {spec_file}: "), err
+    assert scored == [] and not (tmp_path / "eval").exists()
+    agent_ws = tmp_path / "agent"
+    assert cli.main(["agent", "--workspace", str(agent_ws), "--synthetic", "120",
+                     "--slices", str(spec_file), *_FAST]) == 1
+    assert capsys.readouterr().err.startswith(f"error: malformed slice-spec file {spec_file}: ")
+    assert not agent_ws.exists()
+
+
 def test_agent_llm_planner_needs_credentials_and_endpoint(tmp_path, capsys,
                                                          monkeypatch):
     from autoduct.agents import planner as planner_mod
@@ -272,6 +302,25 @@ def test_agent_stop_then_resume(tmp_path, capsys):
     assert "resume with --resume" in capsys.readouterr().out
     assert cli.main(base + ["--resume"]) == 0
     assert "status: completed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mode", ["multi", "react"])
+def test_agent_resume_gives_up_on_a_terminal_error_at_once(tmp_path, capsys, mode):
+    # a version-1 ensemble cannot be mended by a retry: one error, not the
+    # whole retry budget or step budget, and the message names the cause
+    ws = tmp_path / "agent_ws"
+    base = ["agent", "--workspace", str(ws), "--synthetic", "120", "--seed", "5",
+            "--mode", mode, *_FAST]
+    assert cli.main(base + ["--stop-after-stage", "training_execution"]) == 0
+    manifest = ws / "ensemble" / "manifest.json"
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "format_version": 1}))
+    capsys.readouterr()
+    assert cli.main(base + ["--resume"]) == 1
+    assert capsys.readouterr().err == (
+        "error: stage 'evaluation_execution' stopped on a terminal error, not retried "
+        f"(error 1): VersionMismatch: unsupported ensemble format 1 in {manifest}\n")
+    stage = json.loads((ws / "state.json").read_text())["stages"]["evaluation_execution"]
+    assert (stage["status"], stage["error_count"]) == ("failed", 1)
 
 
 @pytest.mark.parametrize("first, second", [("multi", "react"), ("react", "multi")])

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from autoduct import dataset
 from autoduct.dataset import (BLIND_SLICES, FEATURE_NAMES, REFERENCE_ENVELOPE,
                               Dataset, Normalizer, SliceSpec, SyntheticConfig,
-                              build_slice_grid, fit_normalizer,
+                              build_slice_grid, check_slice_ids, fit_normalizer,
                               generate_synthetic, load_csv, load_slice_specs,
                               split, synthetic_noise_std, synthetic_oracle,
                               validate_ranges, write_csv)
@@ -609,6 +609,27 @@ def test_slice_spec_validation():
         SliceSpec(**{**base, "constants": {"D": 0.008, "P": 1e4, "G": 1e3}})
     with pytest.raises(ValueError):
         SliceSpec(**{**base, "constants": {**base["constants"], "L": 5.0}})
+
+
+@pytest.mark.parametrize("slice_id", ["", ".", "..", "../evil", "a/b", "a\\b"])
+def test_slice_id_that_cannot_name_a_file_is_refused(slice_id):
+    with pytest.raises(ValueError, match="cannot name a file"):
+        SliceSpec.from_dict({**BLIND_SLICES[0].to_dict(), "slice_id": slice_id})
+
+
+def test_duplicate_slice_ids_are_refused(tmp_path):
+    # ids are compared as text, so 1 and "1" collide
+    first = BLIND_SLICES[0].to_dict()
+    for ids, named in ((["a", "a"], "a"), ([1, "1"], "1")):
+        p = tmp_path / "slices.json"
+        p.write_text(json.dumps([{**first, "slice_id": ids[0]},
+                                 {**BLIND_SLICES[1].to_dict(), "slice_id": ids[1]}]),
+                     encoding="utf-8")
+        with pytest.raises(CorruptArtifact) as err:
+            load_slice_specs(p)
+        assert str(err.value) == (f"malformed slice-spec file {p}: "
+                                  f"duplicate slice id {named!r}")
+    assert check_slice_ids(list(BLIND_SLICES)) == list(BLIND_SLICES)
 
 
 def test_slice_specs_file_round_trip(tmp_path):

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from autoduct.hpo.gp import (_JITTERS, _ei_arrays, _kernel, _nlml_and_grad,
+from autoduct.hpo import optimize
+from autoduct.hpo.gp import (_JITTERS, _ei_arrays, _kernel, _likelihood, _nlml_and_grad,
                              fit_gp, incumbent_value, posterior, propose_next)
+from autoduct.hpo.optimize import TrialResult, run_bo
 from autoduct.hpo.sobol import sobol_points
 from autoduct.hpo.space import TrialConfig, canonicalize, default_space, encode
 from autoduct.neural_net import ActivationKind
@@ -182,6 +184,99 @@ def test_nlml_matmul_form_matches_the_einsum_reference(n):
     # cancellation whose own relative error the summation order sets
     scale = np.abs(ref_grad[1:]).max(axis=1, keepdims=True)
     assert np.all(np.abs(grad[1:] - ref_grad[1:]) <= 1e-12 * scale)
+
+
+def _ladder_thetas(x, d):
+    """Thetas for inputs x with x[3] == x[1]: random rows inside the fit's
+    bounds, one row that factorizes only at a later jitter rung and one
+    that factorizes at none (signal variance e^16 and e^60, noise e^-60)."""
+    rng = np.random.default_rng(len(x))
+    thetas = np.column_stack([rng.uniform(math.log(0.05), math.log(20.0), size=(5, d)),
+                              rng.uniform(-3.0, 3.0, size=5),
+                              rng.uniform(math.log(1e-8), math.log(10.0), size=5)])
+    ladder = [2.0] * d + [16.0, -60.0]
+    dead = [2.0] * d + [60.0, -60.0]
+    return thetas, np.vstack([thetas[:2], ladder, thetas[2:], dead])
+
+
+@pytest.mark.parametrize("n", [6, 24])
+def test_likelihood_matches_the_matmul_reference_bit_for_bit(n):
+    # the per-fit likelihood forms each float as one matmul-form call does:
+    # all rows at the first rung (no `ok` array), and with a ladder row and
+    # an unfactorizable row in the stack
+    d = SPACE.encoded_dim
+    x = canonicalize(sobol_points(d, n, shift_seed=n), SPACE)
+    x[3] = x[1]
+    z = np.random.default_rng(n).normal(size=n)
+    for thetas in _ladder_thetas(x, d):
+        nlml, grad = _nlml_and_grad(_diff2(x), z, thetas)
+        ref_nlml, ref_grad = reference_gp.nlml_and_grad(_diff2(x), z, thetas, matmul=True)
+        assert nlml.tobytes() == ref_nlml.tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
+        value_only, none = _nlml_and_grad(_diff2(x), z, thetas, grad=False)
+        assert none is None and value_only.tobytes() == nlml.tobytes()
+
+
+@pytest.mark.parametrize("n", [6, 24])
+def test_gradient_only_evaluation_matches_the_full_call(n):
+    # what an ascent step reads: the same gradient bits, and rows flagged
+    # exactly where the full call's NLML is not finite; no flags at all when
+    # every row factorizes at the first rung
+    d = SPACE.encoded_dim
+    x = canonicalize(sobol_points(d, n, shift_seed=n), SPACE)
+    x[3] = x[1]
+    z = np.random.default_rng(n).normal(size=n)
+    evaluate = _likelihood(_diff2(x), z)
+    for thetas in _ladder_thetas(x, d):
+        nlml, full_grad, _ = evaluate(thetas)
+        none, grad, ok = evaluate(thetas, value=False)
+        assert none is None
+        assert grad.tobytes() == full_grad.tobytes()
+        if ok is None:
+            assert np.all(np.isfinite(nlml))
+        else:
+            assert np.array_equal(~ok, ~np.isfinite(nlml))
+    assert ok is not None and ok.tolist() == [True] * 6 + [False]
+
+
+def _recorded_observation_sets():
+    """The (x, y) of every fit of one run_bo, 16 Sobol + 9 BO trials on a
+    formula objective with trial 3 diverged (n = 16 .. 24, one penalized
+    row each), and a 24-row set with two equal inputs."""
+    sets = []
+
+    def record(x, y):
+        sets.append((x.copy(), y.copy()))
+        return fit_gp(x, y)
+
+    def objective(tc):
+        if tc.trial_id == 3:
+            return TrialResult(tc, None, "diverged")
+        return TrialResult(tc, abs(math.log10(tc.learning_rate) + 3.0)
+                           + 0.01 * tc.hidden_units + 0.5 * tc.dropout_rate, "ok")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimize, "fit_gp", record)
+        run_bo(SPACE, n_sobol=16, n_bo=9, evaluator=objective, seed=3)
+    x, y = sets[-1]
+    x = x.copy()
+    x[3] = x[1]
+    return sets + [(x, y)]
+
+
+def test_fit_gp_matches_the_reference_ascent_bit_for_bit():
+    # the gradient-only ascent with its in-place Adam update and per-fit
+    # constants gives every field of the reference ascent (the full
+    # likelihood at every step, an allocating Adam update), bit for bit
+    sets = _recorded_observation_sets()
+    assert [len(x) for x, _ in sets] == list(range(16, 25)) + [24]
+    assert all(np.count_nonzero(y == y.max()) == 1 and y.max() > 1.9 * np.sort(y)[-2]
+               for _, y in sets)
+    for x, y in sets:
+        got, want = fit_gp(x, y), reference_gp.fit_gp(x, y)
+        for field in want.__dataclass_fields__:
+            assert np.asarray(getattr(got, field)).tobytes() == \
+                np.asarray(getattr(want, field)).tobytes(), field
 
 
 # --- fitting and posterior -------------------------------------------------------
