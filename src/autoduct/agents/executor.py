@@ -19,7 +19,7 @@ from pathlib import Path
 from .. import ensemble as ensemble_mod
 from ..atomic import write_json
 from ..dataset import SliceSpec, check_slice_ids, fit_normalizer, load_csv, split
-from ..evaluation import evaluate_model, evaluate_slices
+from ..evaluation import METRIC_COLUMNS, POINT_METRICS, evaluate_model, evaluate_slices
 from ..neural_net import ActivationKind, MLPConfig, TrainConfig
 from ..report_export import export_report
 from .context import ProjectContext
@@ -252,10 +252,8 @@ class TaskExecutor:
 
         report_dir.mkdir(parents=True, exist_ok=True)
         written = export_report(me, slice_report, report_dir)
-        columns = {"rmse": "rmse_kw_m2", "mape": "mape_pct", "rmspe": "rmspe_pct"}
-        keep = {"split", "n", "ratio_mean", "ratio_std", "ratio_inside_frac"}
-        keep.update(columns[name] for name in p["metrics"])
-        metrics = {k: v for k, v in me.report.to_dict().items() if k in keep}
+        dropped = {METRIC_COLUMNS[name] for name in POINT_METRICS if name not in p["metrics"]}
+        metrics = {k: v for k, v in me.report.to_dict().items() if k not in dropped}
         payload = {"metrics": metrics, "level": p["level"],
                    "files": [w.name for w in written]}
         write_json(report_dir / "metrics.json", payload)

@@ -22,9 +22,8 @@ import time
 from dataclasses import dataclass
 
 from ..errors import AuthFailure, PlannerUnavailable, SchemaInvalid
-from ..evaluation import TWO_SIGMA_LEVEL
+from ..evaluation import POINT_METRICS, TWO_SIGMA_LEVEL
 from .context import ProjectContext
-from .executor import FAULT_MARKER
 from .state import STAGE_TASKS
 from .tasks import TaskDocument
 
@@ -176,7 +175,7 @@ class PipelineRecipe:
     patience: int = 10
     base_seed: int = 100
     level: float = TWO_SIGMA_LEVEL
-    metrics: tuple[str, ...] = ("rmse", "mape", "rmspe")
+    metrics: tuple[str, ...] = POINT_METRICS
     slices: tuple[dict, ...] = ()
 
     def members(self) -> list[dict]:
@@ -238,12 +237,10 @@ class ScriptedPlanner(PlannerBase):
             raise ValueError("patch requests need the failed document and log")
         payload = dict(request.doc.payload)
         log = request.error_log
-        if FAULT_MARKER in log:
-            # external fault: the document was fine, retry it unchanged
-            return payload
+        # a bad path override is dropped; any other document, an injected
+        # fault's among them, is retried unchanged
         if "escapes the workspace" in log or "is not bound" in log:
             payload.pop("paths", None)
-            return payload
         return payload
 
     def _directive(self, request: PlanRequest) -> dict:
@@ -355,17 +352,29 @@ class HttpPlanner(PlannerBase):
 
     @staticmethod
     def _parse(doc: dict) -> PlannerReply:
+        """The reply's JSON-object payload and its token counts (a missing
+        count is 0); any other shape raises SchemaInvalid."""
         try:
             content = doc["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise SchemaInvalid(f"planner response missing choices/message: {exc}") from exc
+        if not isinstance(content, str):
+            raise SchemaInvalid(f"planner reply content must be a string, "
+                                f"got {type(content).__name__}")
         try:
             payload = json.loads(content)
         except json.JSONDecodeError as exc:
             raise SchemaInvalid(f"planner reply is not valid JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise SchemaInvalid("planner reply must be a JSON object")
-        usage = doc.get("usage") or {}
-        return PlannerReply(payload=payload,
-                            prompt_tokens=int(usage.get("prompt_tokens", 0)),
-                            completion_tokens=int(usage.get("completion_tokens", 0)))
+        usage = {} if doc.get("usage") is None else doc["usage"]
+        if not isinstance(usage, dict):
+            raise SchemaInvalid(f"planner usage must be an object, got {usage!r}")
+        counts = []
+        for key in ("prompt_tokens", "completion_tokens"):
+            count = usage.get(key, 0)
+            if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+                raise SchemaInvalid(f"planner usage.{key} must be a non-negative "
+                                    f"integer, got {count!r}")
+            counts.append(count)
+        return PlannerReply(payload, *counts)

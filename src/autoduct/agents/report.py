@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from ..atomic import write_json
+from ..atomic import write_atomic, write_json
 from .context import ProjectContext
 from .planner import PlannerBase
 from .state import STAGE_ORDER, WorkflowState
@@ -59,7 +59,7 @@ def synthesize_report(ctx: ProjectContext, state: WorkflowState,
         report["steps"] = steps
 
     write_json(report_dir / "report.json", report)
-    (report_dir / "report.txt").write_text(render_report(report), encoding="utf-8")
+    write_atomic(report_dir / "report.txt", lambda fh: fh.write(render_report(report)))
 
     times = dict(stage_times or {})
     write_json(report_dir / "timings.json",

@@ -15,6 +15,7 @@ from pathlib import Path
 
 from ..atomic import write_json
 from ..errors import SchemaInvalid
+from ..evaluation import POINT_METRICS
 from ..neural_net import ActivationKind
 
 TASK_FORMAT_VERSION = 1
@@ -101,7 +102,7 @@ _EVALUATE_SCHEMA = {
         "metrics": {
             "type": "array",
             "minItems": 1,
-            "items": {"enum": ["rmse", "mape", "rmspe"]},
+            "items": {"enum": list(POINT_METRICS)},
             "uniqueItems": True,
         },
         "slices": {"type": "array", "items": {"type": "object"}},

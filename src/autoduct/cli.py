@@ -295,7 +295,7 @@ def cmd_tune(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     # the log holds this invocation's trials only; its runs append to it
     log_path = out_dir / "trials.jsonl"
-    log_path.write_text("", encoding="utf-8")
+    write_atomic(log_path, lambda fh: None)
 
     evaluator = make_trial_evaluator(splits, normalizer, epochs=args.epochs,
                                      patience=args.patience, base_seed=args.seed)
@@ -439,7 +439,7 @@ def cmd_trials(args) -> int:
     doc = {"stats": stats.to_dict(), "runs": reports}
     write_json(workspace / "trials.json", doc)
     table = format_trial_table(stats, f"{args.mode} agent, {args.planner} planner")
-    (workspace / "trials.txt").write_text(table, encoding="utf-8")
+    write_atomic(workspace / "trials.txt", lambda fh: fh.write(table))
     print(table, end="")
     return EXIT_OK
 

@@ -28,6 +28,15 @@ TWO_SIGMA_LEVEL = 0.9544997361036416
 
 RATIO_INSIDE_BOUNDS = (0.5, 2.0)
 
+# The one table of metric columns, in the order metrics.csv and
+# metrics.json hold them: MetricsReport field -> column name. A task
+# document selects among POINT_METRICS by field name; the ratio columns
+# are always reported.
+METRIC_COLUMNS = {"rmse": "rmse_kw_m2", "mape": "mape_pct", "rmspe": "rmspe_pct",
+                  "ratio_mean": "ratio_mean", "ratio_std": "ratio_std",
+                  "ratio_inside_frac": "ratio_inside_frac"}
+POINT_METRICS = ("rmse", "mape", "rmspe")
+
 
 @dataclass(frozen=True)
 class MetricsReport:
@@ -41,10 +50,8 @@ class MetricsReport:
     ratio_inside_frac: float
 
     def to_dict(self) -> dict:
-        return {"split": self.split_label, "n": self.n, "rmse_kw_m2": self.rmse,
-                "mape_pct": self.mape, "rmspe_pct": self.rmspe,
-                "ratio_mean": self.ratio_mean, "ratio_std": self.ratio_std,
-                "ratio_inside_frac": self.ratio_inside_frac}
+        return {"split": self.split_label, "n": self.n,
+                **{column: getattr(self, field) for field, column in METRIC_COLUMNS.items()}}
 
 
 def _paired(y, yhat) -> tuple[np.ndarray, np.ndarray]:
@@ -200,8 +207,8 @@ def aggregate_trials(run_reports: list[dict]) -> TrialStats:
         errors = int(report.get("errors", {}).get("total", 0))
         buckets[min(errors, 2)] += 1
         metrics = report.get("metrics") or {}
-        if "rmse_kw_m2" in metrics:
-            rmses.append(float(metrics["rmse_kw_m2"]))
+        if METRIC_COLUMNS["rmse"] in metrics:
+            rmses.append(float(metrics[METRIC_COLUMNS["rmse"]]))
     return TrialStats(
         n_runs=len(run_reports),
         avg_rmse=float(np.mean(rmses)) if rmses else None,

@@ -161,15 +161,6 @@ def _likelihood(diff2: np.ndarray, z: np.ndarray):
     return evaluate
 
 
-def _nlml_and_grad(diff2: np.ndarray, z: np.ndarray, theta: np.ndarray,
-                   grad: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-    """Negative log marginal likelihood (s,) and gradient (s, d + 2) of
-    each row of theta, as `_likelihood` defines them; without `grad` the
-    gradient is not computed and is None."""
-    nlml, gradient, _ = _likelihood(diff2, z)(theta, grad=grad)
-    return nlml, gradient
-
-
 def fit_gp(x: np.ndarray, y: np.ndarray) -> GPSurrogate:
     """Fit kernel hyperparameters by marginal likelihood to encoded
     inputs x (n, d) and objectives y (n,), and factorize the training

@@ -27,15 +27,6 @@ import numpy as np
 from ..errors import OutOfDomain
 from ..neural_net import ActivationKind
 
-_ACTIVATION_ORDER = (
-    ActivationKind.RELU,
-    ActivationKind.LEAKY_RELU,
-    ActivationKind.GELU,
-    ActivationKind.SELU,
-    ActivationKind.ELU,
-    ActivationKind.SOFTPLUS,
-)
-
 
 @dataclass(frozen=True)
 class SearchSpace:
@@ -45,7 +36,7 @@ class SearchSpace:
     batch_sizes: tuple[int, ...] = (128, 256, 512)
     hidden_layers: tuple[int, ...] = (6, 7)
     hidden_units: tuple[int, ...] = (8, 16, 24, 32, 48, 64, 96)
-    activations: tuple[ActivationKind, ...] = _ACTIVATION_ORDER
+    activations: tuple[ActivationKind, ...] = tuple(ActivationKind)
 
     def __post_init__(self):
         for name in ("learning_rate", "weight_decay", "dropout_rate"):

@@ -1,5 +1,11 @@
 """Deterministic CSV and SVG rendering of evaluation results.
 
+`export_report` builds one fixed-order list of (file name, writer) and
+writes it in one loop, each file through `atomic.write_atomic`: a reader
+sees the previous file or the new one, never a cut one, and a failed
+write leaves no temp file behind. Each writer builds its own table when
+it runs, so one file's table at a time is alive.
+
 Every file is a pure function of the report content: numbers are
 formatted at 17 significant digits in CSVs and 6 in SVG coordinates, no
 timestamps or environment details are embedded, and element order is
@@ -12,46 +18,43 @@ N error bars as one `<path class="err">` of `M x y V y'` subpaths and
 its N points as one `<path class="pt">` of zero-length, round-capped
 `M x y h0` segments, so each path's opacity applies to it as a whole.
 
-CSV rows and the parity plot's path text are rendered a block of rows
-at a time through one `%` row template (`dataset._write_rows`) and
-written straight to the open file. The bytes are those of formatting
-each value on its own with `f"{v:.17g}"` or `f"{v:.6g}"`.
+CSV rows and every SVG coordinate list (the parity paths, the slice
+band and mean, the histogram bars) are rendered a block of rows at a
+time through one `%` row template (`dataset._write_rows`) and written
+straight to the open file. The bytes are those of formatting each value
+on its own with `f"{v:.17g}"` or `f"{v:.6g}"`.
 
-The SVGs are static and self-contained (inline styling only). Histogram
-bin edges are fixed so figures from different runs are comparable:
-percent error uses 20 bins over [-50, 50], ratio uses 25 bins over
-[0, 2.5]; values outside are counted into the edge bins.
+The SVGs are static and self-contained (inline styling only) and share
+one skeleton (`_svg`): the canvas open tag, the lines the body writes,
+then the axis ticks and `</svg>`. Histogram bin edges are fixed so
+figures from different runs are comparable: percent error uses 20 bins
+over [-50, 50], ratio uses 25 bins over [0, 2.5]; values outside are
+counted into the edge bins.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 from typing import TextIO
 
 import numpy as np
 
+from .atomic import write_atomic
 from .dataset import _write_rows
 from .ensemble import interval
 from .errors import IoFailure
-from .evaluation import ModelEvaluation, SliceReport
+from .evaluation import (METRIC_COLUMNS, MetricsReport, ModelEvaluation, SliceReport,
+                         SliceResult)
 
-METRICS_HEADER = "split,n,rmse_kw_m2,mape_pct,rmspe_pct,ratio_mean,ratio_std,ratio_inside_frac"
+METRICS_HEADER = ",".join(["split", "n", *METRIC_COLUMNS.values()])
 POINTS_HEADER = "row,y_true,y_pred,aleatory_var,epistemic_var,total_var"
 SLICE_HEADER = "slice_id,varying_feature,varying_value,y_pred,total_std,band_lo,band_hi"
 
 ERROR_BIN_EDGES = np.linspace(-50.0, 50.0, 21)
 RATIO_BIN_EDGES = np.linspace(0.0, 2.5, 26)
-
-
-@contextmanager
-def _open(path: Path) -> Iterator[TextIO]:
-    try:
-        with path.open("w", encoding="utf-8") as fh:
-            yield fh
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
 def _row_template(prefix: str, columns: int) -> str:
@@ -69,65 +72,56 @@ def export_report(me: ModelEvaluation, slices: SliceReport | None,
     except OSError as exc:
         raise IoFailure(f"cannot create {directory}: {exc}") from exc
 
+    y, yhat = me.dataset.targets, me.predictions.mean
+    files = [
+        ("metrics.csv", lambda fh: _write_metrics_csv(fh, me.report)),
+        ("predictions.csv", lambda fh: _write_predictions_csv(fh, me)),
+        ("parity.svg", lambda fh: _write_parity_svg(fh, me)),
+        ("error_hist.svg", lambda fh: _write_histogram_svg(
+            fh, 100.0 * (yhat - y) / y, ERROR_BIN_EDGES, "prediction error [%]")),
+        ("ratio_hist.svg", lambda fh: _write_histogram_svg(
+            fh, yhat / y, RATIO_BIN_EDGES, "predicted / measured")),
+    ]
+    for result in slices.results if slices is not None else ():
+        sid = result.spec.slice_id
+        files += [(f"slice_{sid}.csv", partial(_write_slice_csv, result=result)),
+                  (f"slice_{sid}.svg", partial(_write_slice_svg, result=result))]
+
     written: list[Path] = []
+    for name, write in files:
+        path = directory / name
+        try:
+            write_atomic(path, write)
+        except OSError as exc:
+            raise IoFailure(f"cannot write {path}: {exc}") from exc
+        written.append(path)
+    return written
 
-    path = directory / "metrics.csv"
-    r = me.report
-    with _open(path) as fh:
-        fh.write(METRICS_HEADER + "\n")
-        _write_rows(fh, _row_template(f"{r.split_label},{r.n},", 6),
-                    np.array([[r.rmse, r.mape, r.rmspe, r.ratio_mean, r.ratio_std,
-                               r.ratio_inside_frac]], dtype=np.float64))
-    written.append(path)
 
-    path = directory / "predictions.csv"
+def _write_metrics_csv(fh: TextIO, r: MetricsReport) -> None:
+    fh.write(METRICS_HEADER + "\n")
+    _write_rows(fh, _row_template(f"{r.split_label},{r.n},", len(METRIC_COLUMNS)),
+                np.array([[getattr(r, field) for field in METRIC_COLUMNS]],
+                         dtype=np.float64))
+
+
+def _write_predictions_csv(fh: TextIO, me: ModelEvaluation) -> None:
     preds = me.predictions
     # `row` rides in the float table; `%d` renders it exactly below 2**53
     table = np.column_stack([np.arange(len(preds.mean), dtype=np.float64),
                              me.dataset.targets, preds.mean, preds.aleatory_var,
                              preds.epistemic_var, preds.total_var])
-    with _open(path) as fh:
-        fh.write(POINTS_HEADER + "\n")
-        _write_rows(fh, "%d," + _row_template("", table.shape[1] - 1), table)
-    written.append(path)
+    fh.write(POINTS_HEADER + "\n")
+    _write_rows(fh, "%d," + _row_template("", table.shape[1] - 1), table)
 
-    path = directory / "parity.svg"
-    with _open(path) as fh:
-        _write_parity_svg(fh, me)
-    written.append(path)
 
-    path = directory / "error_hist.svg"
-    y = me.dataset.targets
-    yhat = preds.mean
-    errors_pct = 100.0 * (yhat - y) / y
-    with _open(path) as fh:
-        fh.write(_histogram_svg(errors_pct, ERROR_BIN_EDGES, "prediction error [%]"))
-    written.append(path)
-
-    path = directory / "ratio_hist.svg"
-    with _open(path) as fh:
-        fh.write(_histogram_svg(yhat / y, RATIO_BIN_EDGES, "predicted / measured"))
-    written.append(path)
-
-    if slices is not None:
-        for result in slices.results:
-            sid = result.spec.slice_id
-            path = directory / f"slice_{sid}.csv"
-            columns = [result.grid.column(result.spec.varying), result.predictions.mean,
-                       np.sqrt(result.predictions.total_var), result.band_lo,
-                       result.band_hi]
-            with _open(path) as fh:
-                fh.write(SLICE_HEADER + "\n")
-                _write_rows(fh, _row_template(f"{sid},{result.spec.varying},", len(columns)),
-                            np.column_stack(columns))
-            written.append(path)
-
-            path = directory / f"slice_{sid}.svg"
-            with _open(path) as fh:
-                fh.write(_slice_svg(result))
-            written.append(path)
-
-    return written
+def _write_slice_csv(fh: TextIO, result: SliceResult) -> None:
+    columns = [result.grid.column(result.spec.varying), result.predictions.mean,
+               np.sqrt(result.predictions.total_var), result.band_lo, result.band_hi]
+    fh.write(SLICE_HEADER + "\n")
+    _write_rows(fh, _row_template(f"{result.spec.slice_id},{result.spec.varying},",
+                                  len(columns)),
+                np.column_stack(columns))
 
 
 # --- SVG rendering --------------------------------------------------------
@@ -155,7 +149,8 @@ def _c(v: float) -> str:
 
 
 class _Canvas:
-    """Linear data-to-pixel mapping with a fixed margin box."""
+    """Linear data-to-pixel mapping with a fixed margin box. `x` and `y`
+    apply to arrays elementwise, giving the same doubles as per value."""
 
     def __init__(self, width: int, height: int, x_range: tuple[float, float],
                  y_range: tuple[float, float]):
@@ -169,11 +164,11 @@ class _Canvas:
         if self.y_hi == self.y_lo:
             self.y_hi = self.y_lo + 1.0
 
-    def x(self, v: float) -> float:
+    def x(self, v):
         frac = (v - self.x_lo) / (self.x_hi - self.x_lo)
         return self.margin_l + frac * (self.width - self.margin_l - self.margin_r)
 
-    def y(self, v: float) -> float:
+    def y(self, v):
         frac = (v - self.y_lo) / (self.y_hi - self.y_lo)
         return self.height - self.margin_b - frac * (self.height - self.margin_t - self.margin_b)
 
@@ -210,6 +205,23 @@ class _Canvas:
         return parts
 
 
+@contextmanager
+def _svg(fh: TextIO, canvas: _Canvas, x_label: str, y_label: str,
+         style: str = _STYLE) -> Iterator[None]:
+    """Every SVG's skeleton: the canvas open tag, then the lines the body
+    writes inside the `with`, then the axis ticks and `</svg>`."""
+    fh.write("\n".join(canvas.open_tag(style)) + "\n")
+    yield
+    fh.write("\n".join(canvas.ticks(x_label, y_label) + ["</svg>"]) + "\n")
+
+
+def _write_points(fh: TextIO, x: np.ndarray, y: np.ndarray) -> None:
+    """An SVG `points` list: `x,y` pairs joined by single spaces."""
+    xy = np.column_stack([x, y])
+    _write_rows(fh, "%.6g,%.6g ", xy[:-1])
+    _write_rows(fh, "%.6g,%.6g", xy[-1:])
+
+
 def _write_parity_svg(fh: TextIO, me: ModelEvaluation) -> None:
     y = me.dataset.targets
     yhat = me.predictions.mean
@@ -218,61 +230,45 @@ def _write_parity_svg(fh: TextIO, me: ModelEvaluation) -> None:
     hi = float(max(y.max(), band_hi.max()))
     pad = 0.05 * (hi - lo) if hi > lo else 1.0
     canvas = _Canvas(480, 480, (lo - pad, hi + pad), (lo - pad, hi + pad))
-    parts = canvas.open_tag(_PARITY_STYLE)
-    parts.append(f'<line class="ref" x1="{_c(canvas.x(lo - pad))}" '
+    with _svg(fh, canvas, "measured [kW/m²]", "predicted [kW/m²]", _PARITY_STYLE):
+        fh.write(f'<line class="ref" x1="{_c(canvas.x(lo - pad))}" '
                  f'y1="{_c(canvas.y(lo - pad))}" x2="{_c(canvas.x(hi + pad))}" '
-                 f'y2="{_c(canvas.y(hi + pad))}"/>')
-    fh.write("\n".join(parts) + '\n<path class="err" d="')
-    # _Canvas.x/y applied to arrays give the same doubles as per point
-    px = canvas.x(y)
-    _write_rows(fh, "M%.6g %.6gV%.6g",
-                np.column_stack([px, canvas.y(band_lo), canvas.y(band_hi)]))
-    fh.write('"/>\n<path class="pt" d="')
-    _write_rows(fh, "M%.6g %.6gh0", np.column_stack([px, canvas.y(yhat)]))
-    fh.write('"/>\n')
-    parts = canvas.ticks("measured [kW/m²]", "predicted [kW/m²]")
-    parts.append("</svg>")
-    fh.write("\n".join(parts) + "\n")
+                 f'y2="{_c(canvas.y(hi + pad))}"/>\n<path class="err" d="')
+        px = canvas.x(y)
+        _write_rows(fh, "M%.6g %.6gV%.6g",
+                    np.column_stack([px, canvas.y(band_lo), canvas.y(band_hi)]))
+        fh.write('"/>\n<path class="pt" d="')
+        _write_rows(fh, "M%.6g %.6gh0", np.column_stack([px, canvas.y(yhat)]))
+        fh.write('"/>\n')
 
 
-def _slice_svg(result) -> str:
+def _write_slice_svg(fh: TextIO, result: SliceResult) -> None:
     varying = result.grid.column(result.spec.varying)
-    mean = result.predictions.mean
     y_lo = float(result.band_lo.min())
     y_hi = float(result.band_hi.max())
     pad = 0.05 * (y_hi - y_lo) if y_hi > y_lo else 1.0
     canvas = _Canvas(560, 360, (float(varying[0]), float(varying[-1])),
                      (y_lo - pad, y_hi + pad))
-    parts = canvas.open_tag()
-    band = " ".join(f"{_c(canvas.x(float(v)))},{_c(canvas.y(float(b)))}"
-                    for v, b in zip(varying, result.band_hi))
-    band += " " + " ".join(f"{_c(canvas.x(float(v)))},{_c(canvas.y(float(b)))}"
-                           for v, b in zip(varying[::-1], result.band_lo[::-1]))
-    parts.append(f'<polygon class="band" points="{band}"/>')
-    line = " ".join(f"{_c(canvas.x(float(v)))},{_c(canvas.y(float(m)))}"
-                    for v, m in zip(varying, mean))
-    parts.append(f'<polyline class="mean" points="{line}"/>')
-    parts += canvas.ticks(f"slice {result.spec.slice_id}: {result.spec.varying}",
-                          "CHF [kW/m²]")
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    px = canvas.x(varying)
+    with _svg(fh, canvas, f"slice {result.spec.slice_id}: {result.spec.varying}",
+              "CHF [kW/m²]"):
+        # the band runs out along its upper edge and back along its lower
+        fh.write('<polygon class="band" points="')
+        _write_points(fh, np.concatenate([px, px[::-1]]),
+                      canvas.y(np.concatenate([result.band_hi, result.band_lo[::-1]])))
+        fh.write('"/>\n<polyline class="mean" points="')
+        _write_points(fh, px, canvas.y(result.predictions.mean))
+        fh.write('"/>\n')
 
 
-def _histogram_svg(values: np.ndarray, edges: np.ndarray, label: str) -> str:
-    clipped = np.clip(values, edges[0], edges[-1])
-    counts, _ = np.histogram(clipped, bins=edges)
+def _write_histogram_svg(fh: TextIO, values: np.ndarray, edges: np.ndarray,
+                         label: str) -> None:
+    counts, _ = np.histogram(np.clip(values, edges[0], edges[-1]), bins=edges)
     canvas = _Canvas(480, 320, (float(edges[0]), float(edges[-1])),
                      (0.0, float(max(counts.max(), 1))))
-    parts = canvas.open_tag()
-    for i, count in enumerate(counts):
-        if count == 0:
-            continue
-        x0 = canvas.x(float(edges[i]))
-        x1 = canvas.x(float(edges[i + 1]))
-        y1 = canvas.y(float(count))
-        y0 = canvas.y(0.0)
-        parts.append(f'<rect class="bar" x="{_c(x0)}" y="{_c(y1)}" '
-                     f'width="{_c(x1 - x0)}" height="{_c(y0 - y1)}"/>')
-    parts += canvas.ticks(label, "count")
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    bar = counts != 0
+    x0, x1 = canvas.x(edges[:-1][bar]), canvas.x(edges[1:][bar])
+    top = canvas.y(counts[bar])
+    with _svg(fh, canvas, label, "count"):
+        _write_rows(fh, '<rect class="bar" x="%.6g" y="%.6g" width="%.6g" height="%.6g"/>\n',
+                    np.column_stack([x0, top, x1 - x0, canvas.y(0.0) - top]))

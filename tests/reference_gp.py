@@ -1,9 +1,10 @@
 """Reference forms of the GP marginal likelihood and its ascent.
 
-`nlml_and_grad` is `autoduct.hpo.gp._nlml_and_grad` as it was before the
-squared distances and the length-scale gradients became matrix products:
-the same stacked Cholesky, jitter ladder and GPML eq. 5.9 gradient, with
-both contractions over the (d, n, n) tensor written as einsums. The two
+`nlml_and_grad` is the NLML and gradient of
+`autoduct.hpo.gp._likelihood(diff2, z)(theta, grad=...)` as they were
+before the squared distances and the length-scale gradients became
+matrix products: the same stacked Cholesky, jitter ladder and GPML eq.
+5.9 gradient, with both contractions over the (d, n, n) tensor written as einsums. The two
 forms sum in different orders, so they agree to rounding, not bit for bit.
 With `matmul=True` it is the matrix-product form itself, as one call that
 rebuilds every per-fit constant and always forms the NLML.

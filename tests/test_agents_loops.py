@@ -12,7 +12,7 @@ from autoduct.agents.context import ProjectContext
 from autoduct.agents.executor import FaultInjector, TaskExecutor
 from autoduct.agents.multi_agent import (AgentOutcome, generate_task,
                                          run_multi_agent, tune_task)
-from autoduct.agents.planner import PlannerReply, ScriptedPlanner
+from autoduct.agents.planner import HttpPlanner, PlannerReply, ScriptedPlanner
 from autoduct.agents.react import (OBSERVATION_LIMIT, TOOL_NAMES, ReActStep,
                                    Transcript, act, observe, run_react)
 from autoduct.agents.report import render_report
@@ -137,6 +137,31 @@ def test_multi_agent_exhausts_persistent_fault(agent_workspace, drill_recipe):
     # two tunes: attempts 1 and 2 get patched, attempt 3 exhausts
     patch_calls = [c for c in planner.calls if c.purpose == "patch"]
     assert len(patch_calls) == 2
+
+
+def test_multi_agent_gives_up_on_a_malformed_planner_reply(agent_workspace, drill_recipe,
+                                                           monkeypatch):
+    # an HTTP planner's patch reply whose usage is not an object is a
+    # SchemaInvalid: the loop gives up and leaves the faulted stage failed,
+    # not in progress
+    monkeypatch.setenv("AUTODUCT_API_KEY", "sk-test")
+    payloads = [drill_recipe.payload_for("model"), drill_recipe.payload_for("train")]
+    replies = [(200, {"choices": [{"message": {"content": json.dumps(p)}}]})
+               for p in payloads]
+    replies.append((200, {"choices": [{"message": {"content": json.dumps(payloads[1])}}],
+                          "usage": "n/a"}))
+    planner = HttpPlanner("https://api.example.test/v1/", "planner-model",
+                          transport=lambda *request: replies.pop(0), sleep=lambda s: None)
+    ctx = agent_workspace()
+    executor = TaskExecutor(ctx, FaultInjector.from_spec("stage=train,attempt=1"))
+    with pytest.raises(SchemaInvalid, match="usage"):
+        run_multi_agent("t", ctx, planner, executor)
+    assert replies == []
+
+    saved = load_state(ctx.path("state_file"))
+    assert saved.status("training_execution") == "failed"
+    assert saved.error_count("training_execution") == 1
+    assert "in_progress" not in [s.status for s in saved.stages.values()]
 
 
 def test_multi_agent_validates_retry_budget(agent_workspace, drill_recipe):

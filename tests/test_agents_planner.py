@@ -337,12 +337,50 @@ def test_http_rejects_malformed_replies(monkeypatch):
             planner.plan(_task_request())
 
 
+def _reply(content='{"a": 1}', usage=None):
+    doc = {"choices": [{"message": {"content": content}}]}
+    if usage is not None:
+        doc["usage"] = usage
+    return (200, doc)
+
+
+@pytest.mark.parametrize("response", [
+    _reply(usage="n/a"),
+    _reply(usage=[1]),
+    _reply(usage={"prompt_tokens": "x"}),
+    _reply(usage={"prompt_tokens": None}),
+    _reply(usage={"prompt_tokens": -5}),
+    _reply(usage={"completion_tokens": True}),
+    _reply(usage={"completion_tokens": 2.0}),
+    _reply(content=None),
+    _reply(content={"a": 1}),
+    _reply(content=["{}"]),
+    _reply(content=7),
+], ids=["usage_string", "usage_list", "tokens_string", "tokens_null", "tokens_negative",
+        "tokens_bool", "tokens_float", "content_null", "content_object", "content_list",
+        "content_number"])
+def test_http_rejects_malformed_usage_and_content(monkeypatch, response):
+    # every malformed reply field is a SchemaInvalid, never a bare Python
+    # error that would escape the agent loops' error handling
+    monkeypatch.setenv(KEY_ENV, "sk-test")
+    planner, _ = _planner(_FakeTransport([response]))
+    with pytest.raises(SchemaInvalid):
+        planner.plan(_task_request())
+
+
 def test_http_missing_usage_defaults_to_zero(monkeypatch):
     monkeypatch.setenv(KEY_ENV, "sk-test")
     response = (200, {"choices": [{"message": {"content": "{}"}}]})
     planner, _ = _planner(_FakeTransport([response]))
     reply = planner.plan(_task_request())
     assert (reply.prompt_tokens, reply.completion_tokens) == (0, 0)
+
+    # a present count is taken as is, and a missing one still counts 0
+    planner, _ = _planner(_FakeTransport([_reply(usage={"prompt_tokens": 0}),
+                                          _reply(usage={"completion_tokens": 9})]))
+    assert planner.plan(_task_request()).prompt_tokens == 0
+    reply = planner.plan(_task_request())
+    assert (reply.prompt_tokens, reply.completion_tokens) == (0, 9)
 
 
 def test_http_constructor_validation():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from autoduct.hpo import optimize
-from autoduct.hpo.gp import (_JITTERS, _ei_arrays, _kernel, _likelihood, _nlml_and_grad,
-                             fit_gp, incumbent_value, posterior, propose_next)
+from autoduct.hpo.gp import (_JITTERS, _ei_arrays, _kernel, _likelihood, fit_gp,
+                             incumbent_value, posterior, propose_next)
 from autoduct.hpo.optimize import TrialResult, run_bo
 from autoduct.hpo.sobol import sobol_points
 from autoduct.hpo.space import TrialConfig, canonicalize, default_space, encode
@@ -47,7 +47,7 @@ def _diff2(x):
 
 
 def _nlml(x, z, theta):
-    return _nlml_and_grad(_diff2(x), z, theta[None])[0][0]
+    return _likelihood(_diff2(x), z)(theta[None])[0][0]
 
 
 def _scalar_nlml_and_grad(x, z, theta):
@@ -96,7 +96,7 @@ def test_nlml_gradient_matches_finite_difference():
     x = rng.uniform(size=(6, 2))
     z = rng.normal(size=6)
     theta = np.array([0.1, -0.3, 0.2, -1.5])
-    _, grad = _nlml_and_grad(_diff2(x), z, theta[None])
+    _, grad = _likelihood(_diff2(x), z)(theta[None])[:2]
     h = 1e-6
     for i in range(len(theta)):
         up, down = theta.copy(), theta.copy()
@@ -114,7 +114,7 @@ def test_nlml_gradient_matches_finite_difference_full_space():
     x = rng.uniform(size=(n, d))
     z = rng.normal(size=n)
     theta = np.concatenate([rng.uniform(-0.5, 1.0, size=d), [0.2, -2.0]])
-    _, grad = _nlml_and_grad(_diff2(x), z, theta[None])
+    _, grad = _likelihood(_diff2(x), z)(theta[None])[:2]
     h = 1e-6
     for i in range(d + 2):
         up, down = theta.copy(), theta.copy()
@@ -134,12 +134,12 @@ def test_stacked_nlml_matches_scalar_reference():
     thetas = np.array([[math.log(ls0)] * d + [0.0, math.log(sn0)]
                        for ls0 in (0.5, 1.5, 3.0) for sn0 in (1e-4, 1e-2)])
     thetas[:, :d] += rng.normal(0.0, 0.3, size=(len(thetas), d))
-    nlml, grad = _nlml_and_grad(_diff2(x), z, thetas)
+    nlml, grad = _likelihood(_diff2(x), z)(thetas)[:2]
     for row, theta in enumerate(thetas):
         ref_nlml, ref_grad = _scalar_nlml_and_grad(x, z, theta)
         assert nlml[row] == pytest.approx(ref_nlml, rel=1e-10)
         np.testing.assert_allclose(grad[row], ref_grad, rtol=1e-7, atol=1e-9)
-        one_nlml, one_grad = _nlml_and_grad(_diff2(x), z, theta[None])
+        one_nlml, one_grad = _likelihood(_diff2(x), z)(theta[None])[:2]
         assert one_nlml[0] == pytest.approx(nlml[row], rel=1e-12)
         np.testing.assert_allclose(one_grad[0], grad[row], rtol=1e-10, atol=1e-12)
 
@@ -154,7 +154,7 @@ def test_nlml_marks_unfactorizable_rows():
     z = rng.normal(size=6)
     good = np.array([0.1, -0.3, 0.2, -1.5])
     bad = np.array([0.1, -0.3, 60.0, -60.0])
-    nlml, grad = _nlml_and_grad(_diff2(x), z, np.stack([bad, good]))
+    nlml, grad = _likelihood(_diff2(x), z)(np.stack([bad, good]))[:2]
     assert nlml[0] == np.inf
     assert np.all(grad[0] == 0.0)
     assert nlml[1] == pytest.approx(_nlml(x, z, good), rel=1e-12)
@@ -175,7 +175,7 @@ def test_nlml_matmul_form_matches_the_einsum_reference(n):
                               rng.uniform(-3.0, 3.0, size=7),
                               rng.uniform(math.log(1e-8), math.log(10.0), size=7)])
     thetas[0] = [math.log(20.0)] * d + [60.0, -60.0]
-    nlml, grad = _nlml_and_grad(_diff2(x), z, thetas)
+    nlml, grad = _likelihood(_diff2(x), z)(thetas)[:2]
     ref_nlml, ref_grad = reference_gp.nlml_and_grad(_diff2(x), z, thetas)
     assert nlml[0] == ref_nlml[0] == np.inf
     assert np.all(grad[0] == 0.0) and np.all(ref_grad[0] == 0.0)
@@ -209,11 +209,11 @@ def test_likelihood_matches_the_matmul_reference_bit_for_bit(n):
     x[3] = x[1]
     z = np.random.default_rng(n).normal(size=n)
     for thetas in _ladder_thetas(x, d):
-        nlml, grad = _nlml_and_grad(_diff2(x), z, thetas)
+        nlml, grad = _likelihood(_diff2(x), z)(thetas)[:2]
         ref_nlml, ref_grad = reference_gp.nlml_and_grad(_diff2(x), z, thetas, matmul=True)
         assert nlml.tobytes() == ref_nlml.tobytes()
         assert grad.tobytes() == ref_grad.tobytes()
-        value_only, none = _nlml_and_grad(_diff2(x), z, thetas, grad=False)
+        value_only, none = _likelihood(_diff2(x), z)(thetas, grad=False)[:2]
         assert none is None and value_only.tobytes() == nlml.tobytes()
 
 

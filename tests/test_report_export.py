@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import xml.etree.ElementTree as ET
@@ -5,7 +6,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from autoduct.dataset import Dataset, SliceSpec, build_slice_grid
+from autoduct import report_export
+from autoduct.dataset import Dataset, SliceSpec, _write_rows, build_slice_grid
 from autoduct.ensemble import EnsemblePrediction, interval
 from autoduct.errors import IoFailure
 from autoduct.evaluation import (MetricsReport, ModelEvaluation, SliceReport,
@@ -282,6 +284,47 @@ def _parity_oracle(me):
     return ("\n".join(parts) + "\n").encode("utf-8")
 
 
+def _slice_oracle(result):
+    varying = result.grid.column(result.spec.varying)
+    y_lo = float(result.band_lo.min())
+    y_hi = float(result.band_hi.max())
+    pad = 0.05 * (y_hi - y_lo) if y_hi > y_lo else 1.0
+    canvas = _Canvas(560, 360, (float(varying[0]), float(varying[-1])),
+                     (y_lo - pad, y_hi + pad))
+    parts = canvas.open_tag()
+    band = " ".join(f"{_c(canvas.x(float(v)))},{_c(canvas.y(float(b)))}"
+                    for v, b in zip(varying, result.band_hi))
+    band += " " + " ".join(f"{_c(canvas.x(float(v)))},{_c(canvas.y(float(b)))}"
+                           for v, b in zip(varying[::-1], result.band_lo[::-1]))
+    parts.append(f'<polygon class="band" points="{band}"/>')
+    line = " ".join(f"{_c(canvas.x(float(v)))},{_c(canvas.y(float(m)))}"
+                    for v, m in zip(varying, result.predictions.mean))
+    parts.append(f'<polyline class="mean" points="{line}"/>')
+    parts += canvas.ticks(f"slice {result.spec.slice_id}: {result.spec.varying}",
+                          "CHF [kW/m²]")
+    parts.append("</svg>")
+    return ("\n".join(parts) + "\n").encode("utf-8")
+
+
+def _histogram_oracle(values, edges, label):
+    counts, _ = np.histogram(np.clip(values, edges[0], edges[-1]), bins=edges)
+    canvas = _Canvas(480, 320, (float(edges[0]), float(edges[-1])),
+                     (0.0, float(max(counts.max(), 1))))
+    parts = canvas.open_tag()
+    for i, count in enumerate(counts):
+        if count == 0:
+            continue
+        x0 = canvas.x(float(edges[i]))
+        x1 = canvas.x(float(edges[i + 1]))
+        y1 = canvas.y(float(count))
+        y0 = canvas.y(0.0)
+        parts.append(f'<rect class="bar" x="{_c(x0)}" y="{_c(y1)}" '
+                     f'width="{_c(x1 - x0)}" height="{_c(y0 - y1)}"/>')
+    parts += canvas.ticks(label, "count")
+    parts.append("</svg>")
+    return ("\n".join(parts) + "\n").encode("utf-8")
+
+
 def test_export_matches_per_value_oracles(awkward, tmp_path):
     me, slices = awkward
     export_report(me, slices, tmp_path)
@@ -309,4 +352,56 @@ def test_export_matches_per_value_oracles(awkward, tmp_path):
                                result.band_hi])
     assert (tmp_path / "slice_50%d,x.csv").read_bytes() == _csv_oracle(
         SLICE_HEADER, "50%d,x,G,", columns)
+    # 4,500 grid points: each points list spans two 4096-row blocks
+    assert (tmp_path / "slice_50%d,x.svg").read_bytes() == _slice_oracle(result)
 
+    y, yhat = me.dataset.targets, preds.mean
+    assert (tmp_path / "error_hist.svg").read_bytes() == _histogram_oracle(
+        100.0 * (yhat - y) / y, ERROR_BIN_EDGES, "prediction error [%]")
+    assert (tmp_path / "ratio_hist.svg").read_bytes() == _histogram_oracle(
+        yhat / y, RATIO_BIN_EDGES, "predicted / measured")
+
+
+# --- one atomic writer ----------------------------------------------------------
+
+class _Cut(BaseException):
+    """A write cut short, as by a kill or a full disk."""
+
+
+def test_a_cut_export_leaves_every_file_as_it_was(evaluation, slice_report, tmp_path,
+                                                   monkeypatch):
+    out = tmp_path / "out"
+    before = {p.name: p.read_bytes() for p in export_report(evaluation, slice_report, out)}
+    templates = []
+
+    def count_rows(fh, template, table):
+        templates.append(template)
+        _write_rows(fh, template, table)
+
+    monkeypatch.setattr(report_export, "_write_rows", count_rows)
+    export_report(evaluation, slice_report, tmp_path / "count")
+
+    for cut_at in range(len(templates)):
+        calls = itertools.count()
+
+        def cut_rows(fh, template, table):
+            # the cut_at-th table write stops halfway through its rows
+            if next(calls) == cut_at:
+                _write_rows(fh, template, table[:len(table) // 2])
+                raise _Cut
+            _write_rows(fh, template, table)
+
+        monkeypatch.setattr(report_export, "_write_rows", cut_rows)
+        with pytest.raises(_Cut):
+            export_report(evaluation, slice_report, out)
+        # no temp file is left, and each file has the first export's bytes
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before, cut_at
+    # each of the 7 files makes at least one table write, so each was cut
+    assert len(templates) == 11
+
+
+def test_export_raises_io_failure_when_a_file_cannot_be_written(evaluation, tmp_path):
+    (tmp_path / "parity.svg").mkdir()
+    with pytest.raises(IoFailure, match="cannot write .*parity.svg"):
+        export_report(evaluation, None, tmp_path)
+    assert list(tmp_path.glob(".*.tmp")) == []
