@@ -11,14 +11,14 @@ attempt numbers to drill the recovery paths deterministically.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .. import ensemble as ensemble_mod
-from ..atomic import write_json
+from ..atomic import read_json, write_json
 from ..dataset import SliceSpec, check_slice_ids, fit_normalizer, load_csv, split
+from ..errors import VersionMismatch
 from ..evaluation import METRIC_COLUMNS, POINT_METRICS, evaluate_model, evaluate_slices
 from ..neural_net import ActivationKind, MLPConfig, TrainConfig
 from ..report_export import export_report
@@ -213,7 +213,14 @@ class TaskExecutor:
         ds = load_csv(data_path)
         splits = split(ds, tuple(p["split"]["fractions"]), p["split"]["seed"])
         normalizer = fit_normalizer(splits.train)
-        spec = json.loads(model_path.read_text(encoding="utf-8"))
+        # not terminal while the file is not a spec: a patched document
+        # may name the right one
+        spec = read_json(model_path, ValueError)
+        if not isinstance(spec, dict):
+            raise ValueError(f"model spec {model_path} must hold a JSON object")
+        if spec.get("version") != MODEL_SPEC_VERSION:
+            raise VersionMismatch(f"unsupported model spec version "
+                                  f"{spec.get('version')!r} in {model_path}")
         opt = p["optimizer"]
         member_configs = []
         for i, m in enumerate(spec["members"]):

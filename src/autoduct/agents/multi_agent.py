@@ -22,10 +22,10 @@ TerminalStageError, so neither loop patches or retries it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
-from ..errors import AutoductError, StageExhausted, TerminalStageError
+from ..atomic import read_json
+from ..errors import AutoductError, CorruptArtifact, StageExhausted, TerminalStageError
 from .context import ProjectContext
 from .executor import ExecutionResult, TaskExecutor
 from .planner import (PlanRequest, PlannerBase, build_patch_prompt,
@@ -191,10 +191,11 @@ class StageRun:
     def finish(self, steps: int | None = None) -> dict:
         """The report stage: reload the report of a run that already
         finished it, else synthesize it between two persisted
-        transitions (in progress, then done)."""
+        transitions (in progress, then done). The stage is pending while
+        it runs, so a loop that gives up on a raise leaves it failed."""
         if self.state.is_done("report_synthesis"):
-            report_path = self.ctx.path("report_dir") / "report.json"
-            return json.loads(report_path.read_text(encoding="utf-8"))
+            return read_json(self.ctx.path("report_dir") / "report.json", CorruptArtifact)
+        self.pending_stage = "report_synthesis"
         self.state.mark_in_progress("report_synthesis")
         self._persist()
         report = synthesize_report(self.ctx, self.state, self.planner,

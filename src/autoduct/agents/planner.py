@@ -44,7 +44,6 @@ class PlanRequest:
     error_log: str | None = None
     statuses: dict[str, str] | None = None     # stage -> status
     last_observation: str | None = None
-    tools: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.kind not in ("task", "patch", "directive"):

@@ -32,11 +32,6 @@ OBSERVATION_LIMIT = 512
 DEFAULT_WINDOW = 8
 DEFAULT_MAX_STEPS = 40
 
-# one generate tool per executed stage, in stage order, then the rest;
-# every directive prompt lists the tools in this order
-TOOL_NAMES = tuple(t.tool for t in STAGE_TASKS.values()) + (
-    "execute_task", "patch_task", "read_log", "finish_task")
-
 
 @dataclass(frozen=True)
 class ReActStep:
@@ -89,8 +84,7 @@ def think(planner: PlannerBase, task: str, state: WorkflowState,
                                     tuple(tools), ctx)
     reply = planner.plan(PlanRequest(kind="directive", prompt=prompt,
                                      statuses=statuses,
-                                     last_observation=transcript.last_observation(),
-                                     tools=tuple(tools)))
+                                     last_observation=transcript.last_observation()))
     payload = reply.payload
     action = payload.get("action")
     if not isinstance(action, str) or not action:
@@ -126,7 +120,9 @@ def observe(result: ExecutionResult) -> str:
 
 def build_tools(run: StageRun) -> dict:
     """The registered tool set over a run; every tool returns an
-    ExecutionResult. `finish_task` only acknowledges: the loop ends on it."""
+    ExecutionResult. `finish_task` only acknowledges: the loop ends on it.
+    One generate tool per executed stage, in stage order, then the rest;
+    every directive prompt lists the tools in this order."""
 
     def read_log(args: dict) -> ExecutionResult:
         log = run.last_failure.log if run.last_failure else run.executor.last_log()

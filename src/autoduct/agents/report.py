@@ -9,9 +9,8 @@ why they live in timings.json next door instead of inside the report.
 
 from __future__ import annotations
 
-import json
-
-from ..atomic import write_atomic, write_json
+from ..atomic import read_json, write_atomic, write_json
+from ..errors import CorruptArtifact
 from .context import ProjectContext
 from .planner import PlannerBase
 from .state import STAGE_ORDER, WorkflowState
@@ -22,17 +21,16 @@ REPORT_FORMAT_VERSION = 1
 def synthesize_report(ctx: ProjectContext, state: WorkflowState,
                       planner: PlannerBase, stage_times: dict | None = None,
                       steps: int | None = None) -> dict:
-    """Assemble and write the final report; returns the report dict."""
+    """Assemble and write the final report; returns the report dict. The
+    evaluation's metrics.json must be there: a missing or unreadable one
+    raises CorruptArtifact naming it."""
     report_dir = ctx.path("report_dir")
-    report_dir.mkdir(parents=True, exist_ok=True)
-
-    metrics: dict = {}
-    level = None
     metrics_path = report_dir / "metrics.json"
-    if metrics_path.exists():
-        doc = json.loads(metrics_path.read_text(encoding="utf-8"))
-        metrics = doc.get("metrics", {})
-        level = doc.get("level")
+    doc = read_json(metrics_path, CorruptArtifact)
+    if not isinstance(doc, dict):
+        raise CorruptArtifact(f"{metrics_path} must hold a JSON object")
+    metrics = doc.get("metrics", {})
+    level = doc.get("level")
 
     stages = {name: s.status for name, s in state.stages.items()}
     # the report itself is the synthesis stage's artifact

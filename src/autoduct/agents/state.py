@@ -10,12 +10,11 @@ old or the new state, never a torn one.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-from ..atomic import write_json
+from ..atomic import read_json, write_json
 from ..errors import CorruptState, VersionMismatch
 
 STATE_FORMAT_VERSION = 1
@@ -133,15 +132,9 @@ def persist_state(state: WorkflowState, path: str | Path) -> None:
 
 
 def load_state(path: str | Path) -> WorkflowState:
-    path = Path(path)
-    try:
-        with path.open(encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CorruptState(f"unreadable state file {path}: {exc}") from exc
-
+    doc = read_json(path, CorruptState)
     if not isinstance(doc, dict):
-        raise CorruptState("state document must be an object")
+        raise CorruptState(f"state document {path} must be an object")
     version = doc.get("version")
     if version != STATE_FORMAT_VERSION:
         raise VersionMismatch(f"unsupported state format {version!r}")

@@ -127,12 +127,6 @@ class TaskDocument:
         return {"version": self.version, "kind": self.kind,
                 "payload": self.payload, "provenance": self.provenance}
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TaskDocument":
-        return cls(kind=doc["kind"], payload=doc["payload"],
-                   provenance=doc.get("provenance", {}),
-                   version=int(doc.get("version", TASK_FORMAT_VERSION)))
-
     def patched(self, payload: dict, extra_provenance: dict) -> "TaskDocument":
         provenance = dict(self.provenance)
         provenance["patch_count"] = int(provenance.get("patch_count", 0)) + 1

@@ -1,10 +1,15 @@
-"""Crash-consistent files.
+"""Crash-consistent files: the one writer and the one reader.
 
 `write_atomic` lets a writer fill a temp file in the target's own
 directory and then renames it over the target with `os.replace`, which
 is atomic on one filesystem. A reader therefore sees either the previous
 file or the new one, never a cut one, and a failed write leaves no temp
 file behind. `write_json` writes a JSON document that way.
+
+`read_json` reads back every JSON document the program reads: a file
+that is missing, not UTF-8, not JSON or nested too deep for the parser
+becomes one error, of the caller's class, that names the file. What the
+document must hold is the caller's check.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import IO, Callable
+from typing import IO, Any, Callable
 
 
 def write_atomic(path: str | Path, write: Callable[[IO], None],
@@ -45,3 +50,14 @@ def write_json(path: str | Path, doc: object) -> None:
         fh.write("\n")
 
     write_atomic(path, write)
+
+
+def read_json(path: str | Path, error: Callable[[str], Exception]) -> Any:
+    """The JSON document at `path`. Raises `error("unreadable <path>:
+    <reason>")` if the file cannot be opened, is not UTF-8 or not JSON,
+    or nests too deep to parse."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise error(f"unreadable {path}: {exc}") from exc

@@ -30,7 +30,7 @@ from .agents import (FaultInjector, HttpPlanner, PipelineRecipe,
                      parse_fault_spec, render_report, run_multi_agent, run_react)
 from .agents.state import STAGE_TASKS, STATE_FORMAT_VERSION
 from .agents.tasks import TASK_FORMAT_VERSION, TaskDocument, validate_document
-from .atomic import write_atomic, write_json
+from .atomic import read_json, write_atomic, write_json
 from .dataset import (BLIND_SLICES, SyntheticConfig, fit_normalizer,
                       generate_synthetic, load_csv, load_slice_specs, split,
                       validate_ranges, write_csv)
@@ -95,10 +95,9 @@ def _print_versions() -> None:
 def _config_defaults(command: argparse.ArgumentParser, path: str) -> dict:
     """The config file's values, each keyed by an option of the command
     and checked as that flag's own argument would be."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path, ValueError)
     if not isinstance(doc, dict):
-        raise ValueError("config file must hold a JSON object")
+        raise ValueError(f"config file {path} must hold a JSON object")
     options = {action.dest: action for action in command._actions
                if action.option_strings and action.dest not in ("help", "config")}
     checked = {}
@@ -459,8 +458,7 @@ def cmd_direct(args) -> int:
             print(f"error: {kind}: {result.log}", file=sys.stderr)
             return EXIT_ERROR
         print(f"{kind}: {result.first_line()}")
-    metrics = json.loads((ctx.path("report_dir") / "metrics.json")
-                         .read_text(encoding="utf-8"))["metrics"]
+    metrics = read_json(ctx.path("report_dir") / "metrics.json", ValueError)["metrics"]
     for key in sorted(metrics):
         print(f"  {key}: {metrics[key]}")
     return EXIT_OK

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
 import math
 import operator
 import warnings
@@ -23,7 +22,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .atomic import write_atomic
+from .atomic import read_json, write_atomic
 from .errors import (
     CorruptArtifact,
     DegenerateFeature,
@@ -601,11 +600,10 @@ def load_slice_specs(path: str | Path) -> list[SliceSpec]:
     objects or {"slices": [...]}. A document of another shape, a spec
     that fails validation, or two specs with one id, raises
     CorruptArtifact naming the file."""
-    with Path(path).open(encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-            if isinstance(doc, dict):
-                doc = doc["slices"]
-            return check_slice_ids([SliceSpec.from_dict(entry) for entry in doc])
-        except (KeyError, TypeError, AttributeError, ValueError) as exc:
-            raise CorruptArtifact(f"malformed slice-spec file {path}: {exc}") from exc
+    doc = read_json(path, CorruptArtifact)
+    try:
+        if isinstance(doc, dict):
+            doc = doc["slices"]
+        return check_slice_ids([SliceSpec.from_dict(entry) for entry in doc])
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise CorruptArtifact(f"malformed slice-spec file {path}: {exc}") from exc

@@ -35,14 +35,13 @@ one whole.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import neural_net
-from .atomic import write_json
+from .atomic import read_json, write_json
 from .dataset import Normalizer, SplitDataset
 from .errors import CorruptArtifact, EmptyEnsemble, VersionMismatch
 from .neural_net import MLPConfig, Parameters, TrainConfig
@@ -177,14 +176,7 @@ def load_ensemble(path: str | Path) -> Ensemble:
     raises VersionMismatch (another format version) or CorruptArtifact,
     and either names the manifest."""
     manifest_path = Path(path) / "manifest.json"
-    if not manifest_path.is_file():
-        raise CorruptArtifact(f"missing manifest: {manifest_path}")
-    try:
-        with manifest_path.open(encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CorruptArtifact(f"unreadable manifest {manifest_path}: {exc}") from exc
-
+    manifest = read_json(manifest_path, CorruptArtifact)
     version = manifest.get("format_version") if isinstance(manifest, dict) else None
     if version != ENSEMBLE_FORMAT_VERSION:
         raise VersionMismatch(f"unsupported ensemble format {version!r} in {manifest_path}")

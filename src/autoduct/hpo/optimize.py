@@ -78,14 +78,6 @@ class Leaderboard:
             raise InsufficientTrials("no successful trials on the board")
         return min(ok, key=TrialResult.sort_key)
 
-    def run_bests(self) -> dict[int, TrialResult]:
-        bests: dict[int, TrialResult] = {}
-        for r in self.ok_results():
-            run = r.config.run_id
-            if run not in bests or r.sort_key() < bests[run].sort_key():
-                bests[run] = r
-        return bests
-
 
 def _objective_for_gp(rmse: np.ndarray) -> np.ndarray:
     """Objectives for the surrogate: `rmse` with each NaN (a diverged

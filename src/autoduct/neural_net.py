@@ -290,18 +290,6 @@ class TrainConfig:
         if self.patience < 0:
             raise ValueError("patience must be non-negative")
 
-    def to_dict(self) -> dict:
-        return {"learning_rate": self.learning_rate, "weight_decay": self.weight_decay,
-                "batch_size": self.batch_size, "epochs": self.epochs,
-                "seed": self.seed, "patience": self.patience}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TrainConfig":
-        return cls(learning_rate=float(doc["learning_rate"]),
-                   weight_decay=float(doc["weight_decay"]),
-                   batch_size=int(doc["batch_size"]), epochs=int(doc["epochs"]),
-                   seed=int(doc["seed"]), patience=int(doc["patience"]))
-
 
 def _param_shapes(cfg: MLPConfig) -> list[tuple[int, ...]]:
     """The parameter layout, in buffer order: W_1..W_L, head_w, then

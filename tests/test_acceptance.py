@@ -32,6 +32,7 @@ from autoduct.neural_net import (ActivationKind, MLPConfig, TrainConfig,
                                  backward, init_params)
 
 from reference_mlp import fd_gradient
+from test_hpo_optimize import run_bests
 
 MC_DRAWS = 1_000_000
 
@@ -137,8 +138,8 @@ def test_ac04_bo_matches_or_beats_sobol(tiny_splits, tiny_normalizer):
     assert len(bo.results) == 240
     assert len(sobol_only.results) == 240
 
-    bo_median = statistics.median(r.rmse for r in bo.run_bests().values())
-    sobol_median = statistics.median(r.rmse for r in sobol_only.run_bests().values())
+    bo_median = statistics.median(r.rmse for r in run_bests(bo).values())
+    sobol_median = statistics.median(r.rmse for r in run_bests(sobol_only).values())
     assert bo_median <= sobol_median, \
         f"BO median {bo_median:.2f} worse than Sobol {sobol_median:.2f}"
 

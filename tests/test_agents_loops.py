@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,12 +14,12 @@ from autoduct.agents.executor import FaultInjector, TaskExecutor
 from autoduct.agents.multi_agent import (AgentOutcome, generate_task,
                                          run_multi_agent, tune_task)
 from autoduct.agents.planner import HttpPlanner, PlannerReply, ScriptedPlanner
-from autoduct.agents.react import (OBSERVATION_LIMIT, TOOL_NAMES, ReActStep,
-                                   Transcript, act, observe, run_react)
+from autoduct.agents.react import (OBSERVATION_LIMIT, ReActStep, Transcript,
+                                   act, observe, run_react)
 from autoduct.agents.report import render_report
 from autoduct.agents.state import load_state
-from autoduct.errors import (AutoductError, PlannerUnavailable, SchemaInvalid,
-                             StageExhausted, StepBudgetExhausted,
+from autoduct.errors import (AutoductError, CorruptArtifact, PlannerUnavailable,
+                             SchemaInvalid, StageExhausted, StepBudgetExhausted,
                              TerminalStageError, UnknownTool)
 from autoduct.neural_net import ActivationKind
 
@@ -416,6 +417,32 @@ def test_terminal_error_ends_the_stage_at_once(agent_workspace, drill_recipe, mo
     assert saved.error_count("evaluation_execution") == 1
 
 
+@pytest.mark.parametrize("mode", ["multi", "react"])
+def test_a_report_stage_that_raises_is_left_failed(agent_workspace, drill_recipe, mode):
+    # the report stage reads the evaluation's metrics.json: an unreadable
+    # one ends the run naming the file, with the stage failed rather than
+    # in progress, and a resume once the file is mended redoes the stage
+    run = {"multi": _multi, "react": _react}[mode]
+    ctx = agent_workspace(f"report-{mode}")
+    run(ctx, drill_recipe, stop_after_stage="evaluation_execution")
+    metrics = ctx.path("report_dir") / "metrics.json"
+    good = metrics.read_bytes()
+    metrics.write_text("{bad", encoding="utf-8")
+
+    with pytest.raises(CorruptArtifact, match=f"^unreadable {re.escape(str(metrics))}: "):
+        run(ProjectContext.create(ctx.workspace, run_id="run-t"), drill_recipe, resume=True)
+    saved = load_state(ctx.path("state_file"))
+    assert [s.status for s in saved.stages.values()] == ["done", "done", "done", "failed"]
+    assert saved.total_errors() == 0
+    assert not (ctx.path("report_dir") / "report.json").exists()
+
+    metrics.write_bytes(good)
+    outcome, _, _ = run(ProjectContext.create(ctx.workspace, run_id="run-t"), drill_recipe,
+                        resume=True)
+    assert outcome.report["stages"]["report_synthesis"] == "done"
+    assert outcome.report["metrics"] == json.loads(good)["metrics"]
+
+
 _workspaces = itertools.count()
 
 
@@ -490,7 +517,6 @@ def test_tool_names_order(agent_workspace, drill_recipe):
     expected = ("generate_model", "generate_training_task",
                 "generate_evaluation_task", "execute_task", "patch_task",
                 "read_log", "finish_task")
-    assert TOOL_NAMES == expected
     ctx = agent_workspace()
     planner = ScriptedPlanner(drill_recipe, verbose=True)
     with pytest.raises(StepBudgetExhausted):

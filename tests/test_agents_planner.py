@@ -31,8 +31,7 @@ def _directive_request(state_summary, last_observation=None):
     # stage -> status mapping the request carries
     statuses = dict(token.split("=") for token in state_summary.split())
     return PlanRequest(kind="directive", prompt="p", statuses=statuses,
-                       last_observation=last_observation,
-                       tools=("generate_model", "execute_task", "finish_task"))
+                       last_observation=last_observation)
 
 
 # --- token accounting ------------------------------------------------------------

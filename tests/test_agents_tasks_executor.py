@@ -103,7 +103,7 @@ def test_validate_rejects_bad_payloads():
 
 @pytest.mark.parametrize("kind", [["model"], {"a": 1}])
 def test_validate_rejects_non_string_kind(kind):
-    doc = TaskDocument.from_dict({"kind": kind, "payload": {}})
+    doc = TaskDocument(kind=kind, payload={}, provenance={})
     with pytest.raises(SchemaInvalid, match="unknown task kind"):
         validate_document(doc)
 
@@ -165,15 +165,6 @@ def test_schema_errors_match_jsonschema_validate(kind):
         else:
             assert validate_document(doc) is doc, label
     assert checked >= 10
-
-
-def test_document_dict_round_trip(tmp_path):
-    doc = _doc("model", _model_payload())
-    again = TaskDocument.from_dict(doc.to_dict())
-    assert again == doc
-    path = tmp_path / "task.json"
-    save_document(doc, path)
-    assert TaskDocument.from_dict(json.loads(path.read_text())) == doc
 
 
 

@@ -107,6 +107,49 @@ def test_broken_config_file_is_an_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_unreadable_inputs_are_one_error_naming_the_file(tmp_path, capsys):
+    # a missing, non-UTF-8, non-JSON or too deeply nested document: exit 1
+    # with one line that names it, before any output is written
+    files = {"bad": b"{bad", "latin1": b'{"n": "\xe9"}', "deep": b"[" * 100_000}
+    for name, content in files.items():
+        (tmp_path / f"{name}.json").write_bytes(content)
+    empty = tmp_path / "no_ensemble"
+    empty.mkdir()
+    out = tmp_path / "out"
+    cases = [(["data", "gen", "--config", str(tmp_path / f"{name}.json"), "--out", str(out)],
+              tmp_path / f"{name}.json") for name in (*files, "gone")]
+    cases += [(["evaluate", "--ensemble", str(empty), "--data", str(tmp_path / "d.csv"),
+                "--slices", str(tmp_path / "deep.json"), "--out-dir", str(out)],
+               tmp_path / "deep.json"),
+              (["evaluate", "--ensemble", str(empty), "--data", str(tmp_path / "d.csv"),
+                "--out-dir", str(out)], empty / "manifest.json")]
+    for argv, path in cases:
+        assert cli.main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: unreadable {path}: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["multi", "react"])
+def test_agent_resume_without_metrics_is_one_error_naming_the_file(tmp_path, capsys, mode):
+    # the report stage needs the evaluation's metrics.json: a resume that
+    # finds it gone fails, leaving the stage failed and no report
+    ws = tmp_path / "agent_ws"
+    base = ["agent", "--workspace", str(ws), "--synthetic", "120", "--seed", "5",
+            "--mode", mode, *_FAST]
+    assert cli.main(base + ["--stop-after-stage", "evaluation_execution"]) == 0
+    metrics = ws / "report" / "metrics.json"
+    metrics.unlink()
+    capsys.readouterr()
+    assert cli.main(base + ["--resume"]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: unreadable {metrics}: ") and err.count("\n") == 1, err
+    assert "status: completed" not in out
+    stage = json.loads((ws / "state.json").read_text())["stages"]["report_synthesis"]
+    assert (stage["status"], stage["error_count"]) == ("failed", 0)
+    assert not (ws / "report" / "report.json").exists()
+
+
 def test_bad_fractions_are_an_error(tmp_path, capsys):
     path = tmp_path / "d.csv"
     cli.main(["data", "gen", "--n", "30", "--seed", "1", "--out", str(path)])

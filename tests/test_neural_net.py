@@ -251,8 +251,6 @@ def test_mlp_config_validation():
 def test_config_dict_round_trip():
     cfg = MLPConfig(5, 3, 24, ActivationKind.SELU, 0.15)
     assert MLPConfig.from_dict(cfg.to_dict()) == cfg
-    tc = TrainConfig(3e-3, 1e-5, 64, epochs=50, seed=7, patience=12)
-    assert TrainConfig.from_dict(tc.to_dict()) == tc
 
 
 def test_train_config_validation():
