@@ -2,8 +2,8 @@
 
 The executor is the only component that touches the numerical engine on
 behalf of an agent loop. It interprets validated documents, resolves
-every artifact through the project context (honoring per-document path
-overrides that must stay inside the workspace), and reports every
+every artifact through the project context (honoring per-document paths
+for unbound roles that stay inside the workspace), and reports every
 failure, engine errors included, inside the returned result instead of
 raising. A fault injector can force synthetic failures on chosen
 attempt numbers to drill the recovery paths deterministically.
@@ -128,10 +128,10 @@ class FaultInjector:
 class TaskExecutor:
     """Dispatches model / train / evaluate documents to the engine.
 
-    All reads and writes stay under the workspace root; a document may
-    override role paths but an override escaping the workspace turns
-    into an error result whose log names the offending path. Engine
-    exceptions are captured, never propagated.
+    All reads and writes stay under the workspace root; a path override
+    that escapes the workspace or moves a bound role becomes an error
+    result whose log names the paths. Engine exceptions are captured,
+    never propagated.
     """
 
     def __init__(self, ctx: ProjectContext, injector: FaultInjector | None = None):
@@ -156,6 +156,8 @@ class TaskExecutor:
         try:
             runner = {"model": self._run_model, "train": self._run_train,
                       "evaluate": self._run_evaluate}[doc.kind]
+            for role in doc.payload.get("paths") or {}:
+                self._resolve(doc, role)    # every override is checked before any file
             log, artifacts = runner(doc)
             for role, path in artifacts.items():
                 if not self.ctx.is_bound(role):
@@ -185,14 +187,16 @@ class TaskExecutor:
                                terminal=getattr(exc, "terminal", False))
 
     def _resolve(self, doc: TaskDocument, role: str) -> Path:
-        overrides = doc.payload.get("paths") or {}
-        if role in overrides:
-            raw = Path(overrides[role])
-            resolved = (raw if raw.is_absolute() else self.ctx.workspace / raw).resolve()
-            if not self.ctx.contains(resolved):
-                raise ValueError(f"path for role {role!r} escapes the workspace: {resolved}")
-            return resolved
-        return self.ctx.path(role)
+        raw = (doc.payload.get("paths") or {}).get(role)
+        if raw is None:
+            return self.ctx.path(role)
+        resolved = (self.ctx.workspace / raw).resolve()     # an absolute raw replaces the root
+        if not self.ctx.contains(resolved):
+            raise ValueError(f"path for role {role!r} escapes the workspace: {resolved}")
+        if self.ctx.is_bound(role) and resolved != self.ctx.path(role):
+            raise ValueError(f"path for role {role!r} overrides its binding: "
+                             f"{resolved} is not {self.ctx.path(role)}")
+        return resolved
 
     def _run_model(self, doc: TaskDocument) -> tuple[str, dict[str, str]]:
         p = doc.payload
@@ -257,7 +261,6 @@ class TaskExecutor:
         me = evaluate_model(ens, splits.test, level=p["level"])
         slice_report = evaluate_slices(ens, specs, level=p["level"]) if specs else None
 
-        report_dir.mkdir(parents=True, exist_ok=True)
         written = export_report(me, slice_report, report_dir)
         dropped = {METRIC_COLUMNS[name] for name in POINT_METRICS if name not in p["metrics"]}
         metrics = {k: v for k, v in me.report.to_dict().items() if k not in dropped}

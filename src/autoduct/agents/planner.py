@@ -238,7 +238,8 @@ class ScriptedPlanner(PlannerBase):
         log = request.error_log
         # a bad path override is dropped; any other document, an injected
         # fault's among them, is retried unchanged
-        if "escapes the workspace" in log or "is not bound" in log:
+        if any(m in log for m in ("escapes the workspace", "overrides its binding",
+                                  "is not bound")):
             payload.pop("paths", None)
         return payload
 

@@ -347,21 +347,19 @@ def split(ds: Dataset, fractions: tuple[float, float, float],
           seed: int) -> SplitDataset:
     """Shuffle-and-cut split.
 
-    Fisher-Yates shuffle driven by SplitMix64 (see rng module) so the
-    same (dataset, fractions, seed) always yields the same member lists on
-    any platform. Sizes are floor(n*f_train) and floor(n*f_val); the
-    remainder goes to test.
+    The order is a SplitMix64 Fisher-Yates permutation (see rng module),
+    so the same (dataset, fractions, seed) always yields the same member
+    lists on any platform. Sizes are floor(n*f_train) and floor(n*f_val);
+    the remainder goes to test.
     """
     f_train, f_val, f_test = fractions
     if min(fractions) < 0 or abs(f_train + f_val + f_test - 1.0) > 1e-9:
         raise FractionSumInvalid(f"fractions {fractions} must be non-negative and sum to 1")
     n = len(ds)
-    indices = list(range(n))
-    SplitMix64(seed).shuffle(indices)
+    order = SplitMix64(seed).permutation(n)
     # 1e-9 slack absorbs float representation error in n*f (e.g. 1000*0.72)
     n_train = int(math.floor(n * f_train + 1e-9))
     n_val = int(math.floor(n * f_val + 1e-9))
-    order = np.array(indices, dtype=np.intp)
     tag = ds.provenance
     return SplitDataset(
         train=ds.subset(order[:n_train], f"{tag}#train"),
@@ -484,25 +482,21 @@ def generate_synthetic(cfg: SyntheticConfig) -> Dataset:
     rest uniform), evaluate the documented oracle, add heteroscedastic
     Gaussian noise, and clamp the target to the reference envelope.
 
-    Fully determined by cfg; the provenance string records the oracle and
-    noise law so tests can recompute both.
+    One SplitMix64 stream: n uniforms per column, then n normals; powers
+    of P and G on libm, per element (see rng). Fully determined by cfg;
+    the provenance records the oracle and noise law for tests to recompute.
     """
     gen = SplitMix64(cfg.seed)
     rows = np.empty((cfg.n, len(FEATURE_NAMES)))
-    log_sampled = {"P", "G"}
     for j, name in enumerate(FEATURE_NAMES):
         lo, hi = REFERENCE_ENVELOPE[name]
-        for i in range(cfg.n):
-            u = gen.random()
-            if name in log_sampled:
-                rows[i, j] = lo * (hi / lo) ** u
-            else:
-                rows[i, j] = lo + u * (hi - lo)
+        u = gen.uniforms(cfg.n)
+        rows[:, j] = (np.fromiter((lo * (hi / lo) ** v for v in memoryview(u)), np.float64, cfg.n)
+                      if name in ("P", "G") else lo + u * (hi - lo))
     oracle = synthetic_oracle(rows)
-    sigma = synthetic_noise_std(rows, cfg.noise_scale)
-    noise = np.array([gen.normal() for _ in range(cfg.n)])
+    noise = gen.normals(cfg.n) * (cfg.noise_scale * (0.05 * oracle + 10.0))   # NOISE_FORMULA
     lo, hi = REFERENCE_ENVELOPE[TARGET_NAME]
-    targets = np.clip(oracle + sigma * noise, lo, hi)
+    targets = np.clip(oracle + noise, lo, hi)
     provenance = (f"synthetic:seed={cfg.seed},n={cfg.n},"
                   f"noise_scale={cfg.noise_scale!r},{ORACLE_FORMULA},{NOISE_FORMULA}")
     return Dataset(rows, targets, provenance)

@@ -92,9 +92,8 @@ def sobol_points(dim: int, n: int, shift_seed: int = 0) -> np.ndarray:
     if n < 0 or n > _MAX_POINTS:
         raise DimensionOverflow(f"point count must be in [0, {_MAX_POINTS}], got {n}")
 
-    gen = SplitMix64(shift_seed)
-    shifts = np.array([gen.next_u64() >> (64 - _BITS) if shift_seed != 0 else 0
-                       for _ in range(dim)], dtype=np.uint64)
+    shifts = (SplitMix64(shift_seed).block(dim) >> np.uint64(64 - _BITS) if shift_seed != 0
+              else np.zeros(dim, np.uint64))
 
     # ctz(i) for i = 1..n: frexp gives the exact exponent of the lowest set bit
     index = np.arange(1, n + 1, dtype=np.int64)

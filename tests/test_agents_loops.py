@@ -443,6 +443,38 @@ def test_a_report_stage_that_raises_is_left_failed(agent_workspace, drill_recipe
     assert outcome.report["metrics"] == json.loads(good)["metrics"]
 
 
+class _MovesTheReport(ScriptedPlanner):
+    """Scripted, except that the evaluation task asks to write its report
+    somewhere other than the bound `report_dir`."""
+
+    def _reply(self, request):
+        reply, calls = super()._reply(request)
+        if request.kind == "task" and request.stage == "evaluation_execution":
+            reply = replace(reply, payload={**reply.payload,
+                                            "paths": {"report_dir": "elsewhere"}})
+        return reply, calls
+
+
+@pytest.mark.parametrize("mode", ["multi", "react"])
+def test_an_override_of_a_bound_role_is_patched_in_one_retry(agent_workspace, drill_recipe,
+                                                              mode):
+    # the report stage reads report/metrics.json, so an evaluation that
+    # wrote elsewhere would leave a run that no resume can finish; the
+    # executor refuses the override and the patch drops it
+    ctx = agent_workspace(f"moved-{mode}")
+    executor = TaskExecutor(ctx)
+    loop = {"multi": run_multi_agent, "react": run_react}[mode]
+    outcome = loop("CHF regression pipeline", ctx, _MovesTheReport(drill_recipe), executor)
+    assert outcome.report["status"] == "completed"
+    assert outcome.report["errors"]["per_stage"]["evaluation_execution"] == 1
+    assert outcome.report["recoveries"] == 1
+    assert [r.status for r in executor.history] == ["ok", "ok", "error", "ok"]
+    assert "overrides its binding" in executor.history[2].log
+    assert not (ctx.workspace / "elsewhere").exists()
+    clean, _, _ = _multi(agent_workspace(f"unmoved-{mode}"), drill_recipe)
+    assert outcome.report["metrics"] == clean.report["metrics"]
+
+
 _workspaces = itertools.count()
 
 

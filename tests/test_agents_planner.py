@@ -163,6 +163,10 @@ def test_scripted_patch_drops_bad_path_overrides():
         doc, "ValueError: path for role 'a' escapes the workspace: /x"))
     assert reply.payload == {"keep": 2}
 
+    moved = planner.plan(_patch_request(
+        doc, "ValueError: path for role 'report_dir' overrides its binding: /w/x is not /w/report"))
+    assert moved.payload == {"keep": 2}
+
     doc2 = TaskDocument(kind="model", payload={"paths": {"z": "w"}},
                         provenance={})
     reply2 = planner.plan(_patch_request(

@@ -342,9 +342,9 @@ def test_engine_exception_becomes_error_result(agent_workspace):
     ctx = agent_workspace()
     executor = TaskExecutor(ctx)
     executor.execute(_doc("model", _model_payload()))
-    # training without the dataset staged at the override path
+    # training from a role whose path holds no dataset
     result = executor.execute(_doc("train", _train_payload(
-        paths={"dataset_file": "nope.csv"})))
+        data_role="other_data", paths={"other_data": "nope.csv"})))
     assert not result.ok
     assert "FileNotFoundError" in result.log
     assert executor.last_log() == result.log
@@ -363,6 +363,28 @@ def test_path_override_escape_is_refused(agent_workspace):
         paths={"model_spec": "/etc/model.json"})))
     assert not absolute.ok
     assert "escapes the workspace" in absolute.log
+
+
+@pytest.mark.parametrize("kind, payload", [
+    ("evaluate", _evaluate_payload(paths={"report_dir": "elsewhere"})),
+    # a role the task does not use is checked too
+    ("model", _model_payload(paths={"ensemble_dir": "elsewhere"})),
+])
+def test_path_override_of_a_bound_role_is_refused(agent_workspace, kind, payload):
+    # the role stays bound where later stages read it, so an override that
+    # moves it would write where nothing reads
+    ctx = agent_workspace()
+    executor = TaskExecutor(ctx)
+    role = next(iter(payload["paths"]))
+    result = executor.execute(_doc(kind, payload))
+    assert not result.ok and not result.terminal
+    assert result.log == (f"ValueError: path for role {role!r} overrides its binding: "
+                          f"{ctx.workspace / 'elsewhere'} is not {ctx.path(role)}")
+    assert sorted(p.name for p in ctx.workspace.iterdir()) == ["data.csv"]
+
+    # naming the bound path itself changes nothing
+    same = executor.execute(_doc("model", _model_payload(paths={"model_spec": "model_spec.json"})))
+    assert same.ok, same.log
 
 
 def test_path_override_inside_workspace_binds_new_role(agent_workspace):

@@ -17,6 +17,7 @@ from autoduct.dataset import (BLIND_SLICES, FEATURE_NAMES, REFERENCE_ENVELOPE,
                               split, synthetic_noise_std, synthetic_oracle,
                               validate_ranges, write_csv)
 from autoduct.dataset import _parse_rows
+import reference_rng
 from autoduct.errors import (AutoductError, CorruptArtifact, DegenerateFeature,
                              EmptyFile, FractionSumInvalid, MalformedCsv,
                              MissingColumn, NonFiniteValue)
@@ -459,6 +460,16 @@ def test_split_counts_floor_rule(n, seed):
     assert len(sp.train) + len(sp.validation) + len(sp.test) == n
 
 
+@pytest.mark.parametrize("n, seed", [(10, 0), (11, 2**64 - 1), (157, 3), (2500, 11),
+                                     (25000, 7)])
+def test_split_order_equals_the_scalar_shuffle(n, seed):
+    # the split's row order is today's scalar Fisher-Yates, bit for bit
+    ds = Dataset(np.arange(5.0 * n).reshape(n, 5), np.arange(float(n)), "rows")
+    sp = split(ds, (0.72, 0.18, 0.10), seed=seed)
+    order = np.concatenate([s.features[:, 0] for s in (sp.train, sp.validation, sp.test)])
+    assert order.tobytes() == (5.0 * reference_rng.split_order(n, seed)).tobytes()
+
+
 # --- normalization -------------------------------------------------------------
 
 def test_normalizer_round_trip(tiny_splits):
@@ -536,6 +547,17 @@ def test_generate_synthetic_deterministic():
     assert np.array_equal(a.targets, b.targets)
     c = generate_synthetic(SyntheticConfig(n=50, seed=5))
     assert not np.array_equal(a.targets, c.targets)
+
+
+@pytest.mark.parametrize("n, noise_scale, seed", [
+    (1, 1.0, 0), (2, 0.0, 2**64 - 1), (400, 1.0, 11), (401, 2.5, 5), (2500, 0.0, 5),
+    (2500, 1.0, 12345)])
+def test_generate_synthetic_equals_the_scalar_draws(n, noise_scale, seed):
+    # the array draws give the table the scalar draws gave, byte for byte
+    ds = generate_synthetic(SyntheticConfig(n=n, noise_scale=noise_scale, seed=seed))
+    ref = reference_rng.generate_synthetic(n, noise_scale, seed)
+    assert ds.features.tobytes() == ref.features.tobytes()
+    assert ds.targets.tobytes() == ref.targets.tobytes()
 
 
 def test_generate_synthetic_within_envelope(tiny_dataset):

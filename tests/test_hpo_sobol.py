@@ -6,7 +6,8 @@ from autoduct.errors import DimensionOverflow
 from autoduct.hpo.sobol import (MAX_DIM, _direction_integers, sample_sobol,
                                 sobol_points)
 from autoduct.hpo.space import default_space
-from autoduct.rng import SplitMix64, derive_seed
+from autoduct.rng import derive_seed
+from reference_rng import ScalarSplitMix64
 
 
 def _natural_order_point(directions, index):
@@ -50,7 +51,7 @@ def _scalar_sobol(dim, n, shift_seed):
     v = [_direction_integers(j) for j in range(dim)]
     shifts = [0] * dim
     if shift_seed != 0:
-        gen = SplitMix64(shift_seed)
+        gen = ScalarSplitMix64(shift_seed)
         shifts = [gen.next_u64() >> 32 for _ in range(dim)]
     out = np.empty((n, dim))
     state = [0] * dim
