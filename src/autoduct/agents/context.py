@@ -1,9 +1,11 @@
 """Single source of truth for artifact locations within one run.
 
-Every pipeline artifact is addressed by a role name, never by a loose
-path, and every bound path must live under the workspace root. This is
-what lets the loops exchange only role names while the executor enforces
-confinement.
+Every pipeline artifact is addressed by a role name, never by a path.
+The roles are a fixed layout under the workspace root, bound once when
+the context is created; no task document can move or add one. `create`
+is where each role path is resolved and checked to stay inside the
+workspace, so the loops exchange only role names and every artifact the
+executor reads or writes is confined.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ from ..errors import UnboundRole
 _DEFAULT_LAYOUT = {
     "dataset_file": "data.csv",
     "model_spec": "model_spec.json",
-    "training_spec": "training_task.json",
-    "evaluation_spec": "evaluation_task.json",
     "ensemble_dir": "ensemble",
     "report_dir": "report",
     "state_file": "state.json",
@@ -62,9 +62,6 @@ class ProjectContext:
             return self._bindings[role]
         except KeyError:
             raise UnboundRole(role) from None
-
-    def is_bound(self, role: str) -> bool:
-        return role in self._bindings
 
     def roles(self) -> dict[str, str]:
         """Role -> path, sorted by role, each path relative to the workspace

@@ -1,19 +1,18 @@
 """Workspace-confined execution of task documents.
 
 The executor is the only component that touches the numerical engine on
-behalf of an agent loop. It interprets validated documents, resolves
-every artifact through the project context (honoring per-document paths
-for unbound roles that stay inside the workspace), and reports every
-failure, engine errors included, inside the returned result instead of
-raising. A fault injector can force synthetic failures on chosen
-attempt numbers to drill the recovery paths deterministically.
+behalf of an agent loop. It interprets validated documents, reads and
+writes every artifact at its role's path in the project context's fixed
+layout, and reports every failure, engine errors included, inside the
+returned result instead of raising. A fault injector can force synthetic
+failures on chosen attempt numbers to drill the recovery paths
+deterministically.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .. import ensemble as ensemble_mod
 from ..atomic import read_json, write_json
@@ -26,9 +25,9 @@ from .context import ProjectContext
 from .state import STAGE_TASKS
 from .tasks import TaskDocument, validate_document
 
-# Recognizable first-line marker for synthetic failures. The scripted
-# planner keys on it: an injected fault is external to the document, so
-# the right "patch" is to retry unchanged.
+# Recognizable first-line marker for synthetic failures: an injected
+# fault is external to the document, so the right "patch" is to retry
+# unchanged.
 FAULT_MARKER = "injected fault"
 
 MODEL_SPEC_VERSION = 1
@@ -41,7 +40,6 @@ class ExecutionResult:
     status: str
     action: str
     log: str
-    artifacts: dict[str, str] = field(default_factory=dict)
     wall_time_s: float = field(default=0.0, compare=False)
     injected_fault: bool = False
     terminal: bool = False      # the error's class is one no retry can change
@@ -128,9 +126,9 @@ class FaultInjector:
 class TaskExecutor:
     """Dispatches model / train / evaluate documents to the engine.
 
-    All reads and writes stay under the workspace root; a path override
-    that escapes the workspace or moves a bound role becomes an error
-    result whose log names the paths. Engine exceptions are captured,
+    Every read and write is at a role's path in the context, so all of
+    them stay under the workspace root; a role the context does not bind
+    becomes an `UnboundRole` error result. Engine exceptions are captured,
     never propagated.
     """
 
@@ -156,14 +154,7 @@ class TaskExecutor:
         try:
             runner = {"model": self._run_model, "train": self._run_train,
                       "evaluate": self._run_evaluate}[doc.kind]
-            for role in doc.payload.get("paths") or {}:
-                self._resolve(doc, role)    # every override is checked before any file
-            log, artifacts = runner(doc)
-            for role, path in artifacts.items():
-                if not self.ctx.is_bound(role):
-                    self.ctx.bind(role, path)
-            result = ExecutionResult(status="ok", action=doc.kind, log=log,
-                                     artifacts=artifacts,
+            result = ExecutionResult(status="ok", action=doc.kind, log=runner(doc),
                                      wall_time_s=time.perf_counter() - start)
         except Exception as exc:
             result = self._error(doc.kind, exc, start)
@@ -186,33 +177,20 @@ class TaskExecutor:
                                wall_time_s=time.perf_counter() - start,
                                terminal=getattr(exc, "terminal", False))
 
-    def _resolve(self, doc: TaskDocument, role: str) -> Path:
-        raw = (doc.payload.get("paths") or {}).get(role)
-        if raw is None:
-            return self.ctx.path(role)
-        resolved = (self.ctx.workspace / raw).resolve()     # an absolute raw replaces the root
-        if not self.ctx.contains(resolved):
-            raise ValueError(f"path for role {role!r} escapes the workspace: {resolved}")
-        if self.ctx.is_bound(role) and resolved != self.ctx.path(role):
-            raise ValueError(f"path for role {role!r} overrides its binding: "
-                             f"{resolved} is not {self.ctx.path(role)}")
-        return resolved
-
-    def _run_model(self, doc: TaskDocument) -> tuple[str, dict[str, str]]:
+    def _run_model(self, doc: TaskDocument) -> str:
         p = doc.payload
-        out = self._resolve(doc, p["output_role"])
+        out = self.ctx.path(p["output_role"])
         spec = {"version": MODEL_SPEC_VERSION, "input_dim": p["input_dim"],
                 "members": p["members"]}
         out.parent.mkdir(parents=True, exist_ok=True)
         write_json(out, spec)
-        log = f"wrote model spec with {len(p['members'])} members to {out.name}"
-        return log, {p["output_role"]: str(out)}
+        return f"wrote model spec with {len(p['members'])} members to {out.name}"
 
-    def _run_train(self, doc: TaskDocument) -> tuple[str, dict[str, str]]:
+    def _run_train(self, doc: TaskDocument) -> str:
         p = doc.payload
-        data_path = self._resolve(doc, p["data_role"])
-        model_path = self._resolve(doc, p["model_role"])
-        out_dir = self._resolve(doc, p["output_role"])
+        data_path = self.ctx.path(p["data_role"])
+        model_path = self.ctx.path(p["model_role"])
+        out_dir = self.ctx.path(p["output_role"])
 
         ds = load_csv(data_path)
         splits = split(ds, tuple(p["split"]["fractions"]), p["split"]["seed"])
@@ -242,16 +220,15 @@ class TaskExecutor:
             member_configs.append((mlp_cfg, train_cfg))
         ens = ensemble_mod.train_ensemble(splits, normalizer, member_configs)
         ensemble_mod.save_ensemble(ens, out_dir)
-        log = (f"trained {ens.size} members on {len(splits.train)} rows "
-               f"(val {len(splits.validation)}, test {len(splits.test)}); "
-               f"saved to {out_dir.name}")
-        return log, {p["output_role"]: str(out_dir)}
+        return (f"trained {ens.size} members on {len(splits.train)} rows "
+                f"(val {len(splits.validation)}, test {len(splits.test)}); "
+                f"saved to {out_dir.name}")
 
-    def _run_evaluate(self, doc: TaskDocument) -> tuple[str, dict[str, str]]:
+    def _run_evaluate(self, doc: TaskDocument) -> str:
         p = doc.payload
-        data_path = self._resolve(doc, p["data_role"])
-        ens_dir = self._resolve(doc, p["ensemble_role"])
-        report_dir = self._resolve(doc, p["output_role"])
+        data_path = self.ctx.path(p["data_role"])
+        ens_dir = self.ctx.path(p["ensemble_role"])
+        report_dir = self.ctx.path(p["output_role"])
         # bad slice specs fail before any scoring
         specs = check_slice_ids([SliceSpec.from_dict(entry) for entry in p.get("slices") or ()])
 
@@ -267,8 +244,7 @@ class TaskExecutor:
         payload = {"metrics": metrics, "level": p["level"],
                    "files": [w.name for w in written]}
         write_json(report_dir / "metrics.json", payload)
-        log = (f"evaluated {metrics['n']} test rows; "
-               + "; ".join(f"{k}={metrics[k]:.3f}" for k in sorted(metrics)
-                           if isinstance(metrics[k], float))
-               + f"; wrote {len(written) + 1} files to {report_dir.name}")
-        return log, {p["output_role"]: str(report_dir)}
+        return (f"evaluated {metrics['n']} test rows; "
+                + "; ".join(f"{k}={metrics[k]:.3f}" for k in sorted(metrics)
+                            if isinstance(metrics[k], float))
+                + f"; wrote {len(written) + 1} files to {report_dir.name}")

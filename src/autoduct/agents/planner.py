@@ -234,14 +234,9 @@ class ScriptedPlanner(PlannerBase):
     def _patch(self, request: PlanRequest) -> dict:
         if request.doc is None or request.error_log is None:
             raise ValueError("patch requests need the failed document and log")
-        payload = dict(request.doc.payload)
-        log = request.error_log
-        # a bad path override is dropped; any other document, an injected
-        # fault's among them, is retried unchanged
-        if any(m in log for m in ("escapes the workspace", "overrides its binding",
-                                  "is not bound")):
-            payload.pop("paths", None)
-        return payload
+        # every failed document, an injected fault's among them, is retried
+        # unchanged
+        return dict(request.doc.payload)
 
     def _directive(self, request: PlanRequest) -> dict:
         last = request.last_observation or ""

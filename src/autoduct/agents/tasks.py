@@ -5,7 +5,9 @@ A task document fully describes one stage (model / train / evaluate) as
 JSON and is validated against its kind's schema before anything
 executes. This keeps the generate -> execute -> tune loop intact while
 making execution sandbox-friendly: the engine interprets documents, it
-never runs planner-supplied code.
+never runs planner-supplied code. A document names its artifacts by
+role only; the roles are the fixed layout of the project context, and a
+payload that carries anything else, a path among them, is refused.
 """
 
 from __future__ import annotations
@@ -33,10 +35,6 @@ _SPLIT_SCHEMA = {
     "additionalProperties": False,
 }
 
-# optional per-document override of role paths; the executor checks every
-# entry against the workspace root
-_PATHS_SCHEMA = {"type": "object", "additionalProperties": {"type": "string"}}
-
 _MODEL_SCHEMA = {
     "type": "object",
     "properties": {
@@ -58,7 +56,6 @@ _MODEL_SCHEMA = {
             },
         },
         "output_role": {"type": "string"},
-        "paths": _PATHS_SCHEMA,
     },
     "required": ["input_dim", "members", "output_role"],
     "additionalProperties": False,
@@ -85,7 +82,6 @@ _TRAIN_SCHEMA = {
                          "patience", "base_seed"],
             "additionalProperties": False,
         },
-        "paths": _PATHS_SCHEMA,
     },
     "required": ["data_role", "model_role", "output_role", "split", "optimizer"],
     "additionalProperties": False,
@@ -106,7 +102,6 @@ _EVALUATE_SCHEMA = {
             "uniqueItems": True,
         },
         "slices": {"type": "array", "items": {"type": "object"}},
-        "paths": _PATHS_SCHEMA,
     },
     "required": ["data_role", "ensemble_role", "output_role", "split", "level",
                  "metrics"],

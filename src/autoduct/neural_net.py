@@ -657,20 +657,17 @@ def _train_one_stack(data: tuple[np.ndarray, ...],
     def views():
         # rebuilt only when the stack shrinks: the index that selects its
         # rows, the parameter and gradient views, the activation runs, the
-        # workspace of every pass, and the two AdamW temporaries with the
-        # weight-matrix span of each of their rows and theta's, which weight
-        # decay updates row by row (numpy buffers a column slice of a
-        # stack). A stack of one drops its row axis, because plain 2-D
-        # matmuls cost less than a stack of one.
+        # workspace of every pass and the two AdamW temporaries. A stack of
+        # one drops its row axis, because plain 2-D matmuls cost less than a
+        # stack of one.
         lead = 0 if len(rows) == 1 else slice(None)
-        t1, t2 = np.empty_like(theta), np.empty_like(theta)
         return (lead, Parameters(cfg, theta[lead]),
                 Parameters(cfg, np.empty_like(theta[lead])),
                 _activation_runs([members[i][0].activation for i in rows]),
                 _Workspace(cfg, theta[lead].shape[:-1], len(x_val), batch_rows),
-                (t1, t2, list(zip(t1[:, :n_w], t2[:, :n_w], theta[:, :n_w]))))
+                np.empty_like(theta), np.empty_like(theta))
 
-    lead, params, grads, runs, ws, (t1, t2, decay_rows) = views()
+    lead, params, grads, runs, ws, t1, t2 = views()
 
     train_losses: dict[int, list[float]] = {i: [] for i in rows}
     val_losses: dict[int, list[float]] = {i: [] for i in rows}
@@ -713,8 +710,12 @@ def _train_one_stack(data: tuple[np.ndarray, ...],
             t2 += ADAM_EPS
             t1 /= t2
             if tc.weight_decay:
-                for t1_w, t2_w, theta_w in decay_rows:
-                    t1_w += np.multiply(theta_w, tc.weight_decay, out=t2_w)
+                # the weights decay and the biases do not: a bias adds +0,
+                # which moves none of its bits, as a bias starts at +0 and
+                # only -0 - (+0) gives -0
+                np.multiply(theta, tc.weight_decay, out=t2)
+                t2[:, n_w:] = 0.0
+                t1 += t2
             t1 *= tc.learning_rate
             theta -= t1
 
@@ -758,7 +759,7 @@ def _train_one_stack(data: tuple[np.ndarray, ...],
             best_val = best_val[keep]
             rows = [i for i, k in zip(rows, keep) if k]
             rngs = [rng for rng, k in zip(rngs, keep) if k]
-            lead, params, grads, runs, ws, (t1, t2, decay_rows) = views()
+            lead, params, grads, runs, ws, t1, t2 = views()
 
     return failed
 

@@ -13,6 +13,8 @@ from autoduct.errors import CorruptState, UnboundRole, VersionMismatch
 
 def test_create_binds_standard_layout(tmp_path):
     ctx = ProjectContext.create(tmp_path, run_id="r1")
+    assert STANDARD_ROLES == ("dataset_file", "model_spec", "ensemble_dir",
+                              "report_dir", "state_file")
     assert set(ctx.roles()) == set(STANDARD_ROLES)
     for role, rel in _DEFAULT_LAYOUT.items():
         assert ctx.path(role) == tmp_path.resolve() / rel
@@ -42,6 +44,16 @@ def test_bind_rejects_escaping_paths(tmp_path):
         ctx.bind("model_spec", "/etc/passwd")
 
 
+def test_create_refuses_a_role_symlinked_out_of_the_workspace(tmp_path):
+    # create resolves every role path once, links included
+    ws, outside = tmp_path / "ws", tmp_path / "outside"
+    ws.mkdir()
+    outside.mkdir()
+    (ws / "report").symlink_to(outside, target_is_directory=True)
+    with pytest.raises(ValueError, match=f"^{outside} is outside the workspace {ws}$"):
+        ProjectContext.create(ws, run_id="r")
+
+
 def test_contains_resolves_traversals(tmp_path):
     ws = tmp_path / "ws"
     ws.mkdir()
@@ -58,7 +70,6 @@ def test_unbound_role_error(tmp_path):
     ctx = ProjectContext(tmp_path, run_id="x")
     with pytest.raises(UnboundRole):
         ctx.path("dataset_file")
-    assert not ctx.is_bound("dataset_file")
 
 
 def test_roles_snapshot_sorted(tmp_path):

@@ -17,7 +17,7 @@ from autoduct.agents.planner import HttpPlanner, PlannerReply, ScriptedPlanner
 from autoduct.agents.react import (OBSERVATION_LIMIT, ReActStep, Transcript,
                                    act, observe, run_react)
 from autoduct.agents.report import render_report
-from autoduct.agents.state import load_state
+from autoduct.agents.state import STAGE_TASKS, load_state
 from autoduct.errors import (AutoductError, CorruptArtifact, PlannerUnavailable,
                              SchemaInvalid, StageExhausted, StepBudgetExhausted,
                              TerminalStageError, UnknownTool)
@@ -443,36 +443,51 @@ def test_a_report_stage_that_raises_is_left_failed(agent_workspace, drill_recipe
     assert outcome.report["metrics"] == json.loads(good)["metrics"]
 
 
-class _MovesTheReport(ScriptedPlanner):
-    """Scripted, except that the evaluation task asks to write its report
-    somewhere other than the bound `report_dir`."""
+class _AddsAKey(ScriptedPlanner):
+    """Scripted, except that the evaluation task reply carries one more
+    key; every directive's last observation is kept."""
+
+    def __init__(self, recipe, extra):
+        super().__init__(recipe)
+        self.extra = extra
+        self.observations = []
 
     def _reply(self, request):
         reply, calls = super()._reply(request)
         if request.kind == "task" and request.stage == "evaluation_execution":
-            reply = replace(reply, payload={**reply.payload,
-                                            "paths": {"report_dir": "elsewhere"}})
+            reply = replace(reply, payload={**reply.payload, **self.extra})
+        if request.kind == "directive":
+            self.observations.append(request.last_observation)
         return reply, calls
 
 
 @pytest.mark.parametrize("mode", ["multi", "react"])
-def test_an_override_of_a_bound_role_is_patched_in_one_retry(agent_workspace, drill_recipe,
-                                                              mode):
-    # the report stage reads report/metrics.json, so an evaluation that
-    # wrote elsewhere would leave a run that no resume can finish; the
-    # executor refuses the override and the patch drops it
-    ctx = agent_workspace(f"moved-{mode}")
-    executor = TaskExecutor(ctx)
-    loop = {"multi": run_multi_agent, "react": run_react}[mode]
-    outcome = loop("CHF regression pipeline", ctx, _MovesTheReport(drill_recipe), executor)
-    assert outcome.report["status"] == "completed"
-    assert outcome.report["errors"]["per_stage"]["evaluation_execution"] == 1
-    assert outcome.report["recoveries"] == 1
-    assert [r.status for r in executor.history] == ["ok", "ok", "error", "ok"]
-    assert "overrides its binding" in executor.history[2].log
-    assert not (ctx.workspace / "elsewhere").exists()
-    clean, _, _ = _multi(agent_workspace(f"unmoved-{mode}"), drill_recipe)
-    assert outcome.report["metrics"] == clean.report["metrics"]
+def test_a_task_reply_with_paths_is_schema_invalid(agent_workspace, drill_recipe, mode):
+    # a document names roles, never paths: an evaluation task that carries
+    # `paths` meets the fate of one with any other unknown key (the
+    # supervisor gives up on the SchemaInvalid; ReAct observes it and runs
+    # out of steps), and nothing is written for the stage
+    fates = []
+    for key, extra in (("paths", {"paths": {"report_dir": "elsewhere"}}),
+                       ("surprise", {"surprise": 1})):
+        ctx = agent_workspace(f"{key}-{mode}")
+        planner = _AddsAKey(drill_recipe, extra)
+        executor = TaskExecutor(ctx)
+        loop = {"multi": run_multi_agent, "react": run_react}[mode]
+        with pytest.raises(AutoductError) as err:
+            loop("CHF regression pipeline", ctx, planner, executor)
+        refusal = (f"SchemaInvalid: evaluate payload invalid: Additional properties "
+                   f"are not allowed ('{key}' was unexpected)")
+        assert refusal in [f"SchemaInvalid: {err.value}",
+                           *(o.partition(" → ")[2] for o in planner.observations if o)]
+        saved = load_state(ctx.path("state_file"))
+        fates.append((type(err.value), [s.status for s in saved.stages.values()],
+                      saved.total_errors(), [r.status for r in executor.history],
+                      sorted(p.name for p in ctx.workspace.iterdir())))
+    assert fates[0] == fates[1]
+    assert fates[0][1:] == (["done", "done", "pending", "pending"], 0, ["ok", "ok"],
+                            ["data.csv", "ensemble", "model_spec.json", "model_task.json",
+                             "state.json", "training_task.json"])
 
 
 _workspaces = itertools.count()
@@ -535,10 +550,8 @@ def test_loops_save_the_same_task_documents(agent_workspace, drill_recipe):
     for name, run in (("multi", _multi), ("react", _react)):
         ctx = agent_workspace(name)
         run(ctx, drill_recipe)
-        docs = {"model_generation": ctx.workspace / "model_task.json",
-                "training_execution": ctx.path("training_spec"),
-                "evaluation_execution": ctx.path("evaluation_spec")}
-        for stage, path in docs.items():
+        for stage in kinds:
+            path = ctx.workspace / STAGE_TASKS[stage].doc_file
             doc = json.loads(path.read_text(encoding="utf-8"))
             assert (doc["kind"], doc["provenance"]["stage"]) == (kinds[stage], stage)
         listings.append(sorted(p.name for p in ctx.workspace.iterdir()))

@@ -83,11 +83,11 @@ def test_task_prompt_digests_are_pinned(tmp_path):
                for stage in STAGE_TASKS}
     assert digests == {
         "model_generation":
-            "c789253b0faa2fe060bfb5841372a4dbdba43ab6d3d8ea4d255642a112ac7924",
+            "eba5908c05b058f1072bf449a51923136de10c1e1c897714891b8221316e3875",
         "training_execution":
-            "dc63d2701925b270bd150d84797800fb849b3ee9fadb0cdbca546d2da70e53ed",
+            "9d3c8956223609132b3e5f7bd0b69794182181d0f7c58c55169c2ccd158a0908",
         "evaluation_execution":
-            "3cc78196458cd9cbe3ca9a2503c016788402d2b990d867544dd4279b95572439",
+            "95def6bacb5591b60efaebe88ee6548de7e5481ddf70981a6a61e95b6a993849",
     }
 
 
@@ -153,25 +153,29 @@ def test_scripted_patch_retries_injected_fault_unchanged():
                        provenance={})
     reply = planner.plan(_patch_request(doc, f"RuntimeError: {FAULT_MARKER} armed"))
     assert reply.payload == doc.payload
+    assert reply.payload is not doc.payload
 
 
 def test_scripted_patch_drops_bad_path_overrides():
+    # the scripted tuner has no rule for a path log any more: it retries the
+    # document as it was, and the bad override is dropped by the schema,
+    # which refuses the retried document before the executor sees it
     planner = ScriptedPlanner()
-    doc = TaskDocument(kind="train", payload={"paths": {"a": "../b"}, "keep": 2},
+    train = planner.plan(_task_request("training_execution")).payload
+    doc = TaskDocument(kind="train", payload={**train, "paths": {"a": "../b"}},
                        provenance={})
-    reply = planner.plan(_patch_request(
-        doc, "ValueError: path for role 'a' escapes the workspace: /x"))
-    assert reply.payload == {"keep": 2}
-
-    moved = planner.plan(_patch_request(
-        doc, "ValueError: path for role 'report_dir' overrides its binding: /w/x is not /w/report"))
-    assert moved.payload == {"keep": 2}
-
-    doc2 = TaskDocument(kind="model", payload={"paths": {"z": "w"}},
-                        provenance={})
-    reply2 = planner.plan(_patch_request(
-        doc2, "UnboundRole: artifact role 'q' is not bound"))
-    assert reply2.payload == {}
+    for log in ("ValueError: path for role 'a' escapes the workspace: /x",
+                "ValueError: path for role 'report_dir' overrides its binding: "
+                "/w/x is not /w/report",
+                "UnboundRole: artifact role 'q' is not bound",
+                "SchemaInvalid: train payload invalid: Additional properties are "
+                "not allowed ('paths' was unexpected)"):
+        reply = planner.plan(_patch_request(doc, log))
+        assert reply.payload == doc.payload
+        with pytest.raises(SchemaInvalid, match="'paths'"):
+            validate_document(TaskDocument(kind="train", payload=reply.payload,
+                                           provenance={}))
+    validate_document(TaskDocument(kind="train", payload=train, provenance={}))
 
 
 def test_scripted_patch_requires_inputs():

@@ -53,6 +53,10 @@ def _evaluate_payload(**over):
     return payload
 
 
+_PAYLOADS = {"model": _model_payload, "train": _train_payload,
+             "evaluate": _evaluate_payload}
+
+
 def _doc(kind, payload):
     return TaskDocument(kind=kind, payload=payload, provenance={})
 
@@ -119,10 +123,9 @@ def test_schemas_are_valid_2020_12_schemas(kind):
 
 def _full_payloads():
     """A valid payload per kind, with every optional key present."""
-    paths = {"paths": {"extra": "extra.json"}}
-    return {"model": _model_payload(**paths),
-            "train": _train_payload(**paths),
-            "evaluate": _evaluate_payload(slices=[{"varying": "G"}], **paths)}
+    return {"model": _model_payload(),
+            "train": _train_payload(),
+            "evaluate": _evaluate_payload(slices=[{"varying": "G"}])}
 
 
 def _mutants(payload):
@@ -261,7 +264,6 @@ def test_model_task_writes_spec(agent_workspace):
     assert spec["version"] == 1
     assert spec["input_dim"] == 5
     assert len(spec["members"]) == 2
-    assert result.artifacts == {"model_spec": str(ctx.path("model_spec"))}
     assert executor.history == [result]
 
 
@@ -342,61 +344,65 @@ def test_engine_exception_becomes_error_result(agent_workspace):
     ctx = agent_workspace()
     executor = TaskExecutor(ctx)
     executor.execute(_doc("model", _model_payload()))
-    # training from a role whose path holds no dataset
-    result = executor.execute(_doc("train", _train_payload(
-        data_role="other_data", paths={"other_data": "nope.csv"})))
+    # training from a dataset file that holds no table
+    data = ctx.path("dataset_file")
+    data.write_text("not a table\n", encoding="utf-8")
+    result = executor.execute(_doc("train", _train_payload()))
     assert not result.ok
-    assert "FileNotFoundError" in result.log
+    assert result.log == f"MissingColumn: {data}: missing required column 'D'"
     assert executor.last_log() == result.log
+
+
+def _assert_paths_refused(ctx, kind, paths):
+    """A payload of `kind` that carries `paths` is schema-invalid like any
+    other unknown key: validate_document names the key, and executing it
+    is an error result that writes no file, in the workspace or beside it."""
+    doc = _doc(kind, _PAYLOADS[kind](paths=paths))
+    message = (f"{kind} payload invalid: Additional properties are not allowed "
+               f"('paths' was unexpected)")
+    with pytest.raises(SchemaInvalid) as err:
+        validate_document(doc)
+    assert str(err.value) == message
+    before = sorted(ctx.workspace.parent.rglob("*"))
+    result = TaskExecutor(ctx).execute(doc)
+    assert not result.ok and not result.terminal
+    assert result.log == f"SchemaInvalid: {message}"
+    assert sorted(ctx.workspace.parent.rglob("*")) == before
 
 
 def test_path_override_escape_is_refused(agent_workspace):
     ctx = agent_workspace()
-    executor = TaskExecutor(ctx)
-    result = executor.execute(_doc("model", _model_payload(
-        paths={"model_spec": "../stolen.json"})))
-    assert not result.ok
-    assert "escapes the workspace" in result.log
-    assert not (ctx.workspace.parent / "stolen.json").exists()
-
-    absolute = executor.execute(_doc("model", _model_payload(
-        paths={"model_spec": "/etc/model.json"})))
-    assert not absolute.ok
-    assert "escapes the workspace" in absolute.log
+    outside = ctx.workspace.parent / "stolen.json"
+    for kind in _PAYLOADS:
+        _assert_paths_refused(ctx, kind, {"model_spec": "../stolen.json"})
+        _assert_paths_refused(ctx, kind, {"model_spec": str(outside)})
+    assert not outside.exists()
 
 
 @pytest.mark.parametrize("kind, payload", [
     ("evaluate", _evaluate_payload(paths={"report_dir": "elsewhere"})),
-    # a role the task does not use is checked too
+    # a role the task does not use
     ("model", _model_payload(paths={"ensemble_dir": "elsewhere"})),
 ])
 def test_path_override_of_a_bound_role_is_refused(agent_workspace, kind, payload):
-    # the role stays bound where later stages read it, so an override that
-    # moves it would write where nothing reads
+    # every role is bound where later stages read it, so no document may
+    # move one, nor name the bound path itself
     ctx = agent_workspace()
-    executor = TaskExecutor(ctx)
-    role = next(iter(payload["paths"]))
-    result = executor.execute(_doc(kind, payload))
-    assert not result.ok and not result.terminal
-    assert result.log == (f"ValueError: path for role {role!r} overrides its binding: "
-                          f"{ctx.workspace / 'elsewhere'} is not {ctx.path(role)}")
+    _assert_paths_refused(ctx, kind, payload["paths"])
+    for each in _PAYLOADS:
+        _assert_paths_refused(ctx, each, {"model_spec": "model_spec.json"})
     assert sorted(p.name for p in ctx.workspace.iterdir()) == ["data.csv"]
 
-    # naming the bound path itself changes nothing
-    same = executor.execute(_doc("model", _model_payload(paths={"model_spec": "model_spec.json"})))
-    assert same.ok, same.log
 
-
-def test_path_override_inside_workspace_binds_new_role(agent_workspace):
+def test_path_override_inside_workspace_is_refused(agent_workspace):
+    # a document cannot add a role: the layout is fixed when the context
+    # is created, and a name outside it stays unbound
     ctx = agent_workspace()
-    executor = TaskExecutor(ctx)
-    payload = _model_payload(output_role="scratch_spec",
-                             paths={"scratch_spec": "scratch/spec.json"})
-    result = executor.execute(_doc("model", payload))
-    assert result.ok, result.log
-    assert ctx.is_bound("scratch_spec")
-    assert ctx.path("scratch_spec") == ctx.workspace / "scratch" / "spec.json"
-    assert ctx.path("scratch_spec").is_file()
+    for kind in _PAYLOADS:
+        _assert_paths_refused(ctx, kind, {"scratch_spec": "scratch/spec.json"})
+    result = TaskExecutor(ctx).execute(_doc("model", _model_payload(output_role="scratch_spec")))
+    assert result.log == "UnboundRole: artifact role 'scratch_spec' is not bound"
+    assert sorted(p.name for p in ctx.workspace.iterdir()) == ["data.csv"]
 
 
 def test_unbound_role_is_reported(agent_workspace):

@@ -150,6 +150,21 @@ def test_agent_resume_without_metrics_is_one_error_naming_the_file(tmp_path, cap
     assert not (ws / "report" / "report.json").exists()
 
 
+def test_agent_refuses_a_role_symlinked_out_of_the_workspace(tmp_path, capsys):
+    # every role path is resolved when the run's context is created: a
+    # report directory linked out of the workspace ends the run there, with
+    # one error line and nothing written outside
+    ws, outside = tmp_path / "ws", tmp_path / "outside"
+    ws.mkdir()
+    outside.mkdir()
+    (ws / "report").symlink_to(outside, target_is_directory=True)
+    assert cli.main(["agent", "--workspace", str(ws), "--synthetic", "120", *_FAST]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {outside} is outside the workspace {ws}\n"
+    assert list(outside.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["outside", "ws"]
+
+
 def test_bad_fractions_are_an_error(tmp_path, capsys):
     path = tmp_path / "d.csv"
     cli.main(["data", "gen", "--n", "30", "--seed", "1", "--out", str(path)])
