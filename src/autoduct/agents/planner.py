@@ -211,7 +211,8 @@ class PipelineRecipe:
 class ScriptedPlanner(PlannerBase):
     """Deterministic rule table. Task and patch requests are lookups;
     directives follow the stage order, reacting to the last observation
-    (error -> patch, patched -> re-execute, generated -> execute)."""
+    (failed execution -> patch, patched -> re-execute, generated -> execute,
+    anything else -> generate the first stage not done)."""
 
     name = "scripted"
 
@@ -241,7 +242,10 @@ class ScriptedPlanner(PlannerBase):
     def _directive(self, request: PlanRequest) -> dict:
         last = request.last_observation or ""
         statuses = request.statuses or {}
-        if last.startswith("error:"):
+        # only a failed execution leaves a document to patch; after any
+        # other error (a refused generate among them) the first stage not
+        # done is generated again, below
+        if last.startswith("error: execute_task"):
             return {"thought": "the last execution failed; patch the task from "
                                "the error log", "action": "patch_task", "args": {}}
         if last.startswith("ok: patch_task"):

@@ -19,6 +19,7 @@ are read from the AUTODUCT_API_KEY environment variable, never flags.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import shutil
 import sys
@@ -33,7 +34,7 @@ from .agents.tasks import TASK_FORMAT_VERSION, TaskDocument, validate_document
 from .atomic import read_json, write_atomic, write_json
 from .dataset import (BLIND_SLICES, SyntheticConfig, fit_normalizer,
                       generate_synthetic, load_csv, load_slice_specs, split,
-                      validate_ranges, write_csv)
+                      validate_ranges, write_csv, write_csv_text)
 from .ensemble import ENSEMBLE_FORMAT_VERSION, load_ensemble
 from .errors import AutoductError
 from .evaluation import (TWO_SIGMA_LEVEL, aggregate_trials, evaluate_model,
@@ -342,9 +343,24 @@ def _recipe(args) -> PipelineRecipe:
 
 def _stage_dataset(args, workspace: Path, resume: bool = False) -> None:
     """Put the run's dataset at <workspace>/data.csv, replacing any
-    previous one atomically."""
+    previous one atomically. A resume keeps the staged table, and refuses,
+    before it writes anything, a --data or --synthetic table whose bytes
+    differ from it: the finished stages were run on the staged one."""
     target = workspace / "data.csv"
     if resume and target.exists():
+        if args.data:
+            flag, table = "--data", Path(args.data).read_bytes()
+        elif args.synthetic:
+            text = io.StringIO(newline="")
+            write_csv_text(generate_synthetic(SyntheticConfig(n=args.synthetic,
+                                                              seed=args.seed)), text)
+            flag, table = "--synthetic", text.getvalue().encode("utf-8")
+        else:
+            return
+        if target.read_bytes() != table:
+            raise ValueError(f"{target} is not the table {flag} gives; a resume "
+                             f"continues on the staged table, so drop {flag} or "
+                             f"start the run again without --resume")
         return
     if args.data:
         with open(args.data, "rb") as src:

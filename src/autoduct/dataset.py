@@ -303,17 +303,19 @@ def write_csv(ds: Dataset, path: str | Path) -> None:
     float64 precision, with the CRLF row ends that `csv.writer` writes.
     The file is replaced atomically (`atomic.write_atomic`): a failed
     write leaves the previous file as it was."""
+    write_atomic(path, lambda fh: write_csv_text(ds, fh))
+
+
+def write_csv_text(ds: Dataset, fh: TextIO) -> None:
+    """Write the text of write_csv's file to the text file `fh`, which
+    must not translate newlines."""
     if ds.has_targets:
         names = FEATURE_NAMES + (TARGET_NAME,)
         table = np.column_stack([ds.features, ds.targets])
     else:
         names, table = FEATURE_NAMES, ds.features
-
-    def write(fh: TextIO) -> None:
-        fh.write(",".join(names) + "\r\n")
-        _write_rows(fh, ",".join(["%.17g"] * len(names)) + "\r\n", table)
-
-    write_atomic(path, write)
+    fh.write(",".join(names) + "\r\n")
+    _write_rows(fh, ",".join(["%.17g"] * len(names)) + "\r\n", table)
 
 
 def _write_rows(fh: TextIO, template: str, table: np.ndarray) -> None:

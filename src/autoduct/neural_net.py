@@ -77,6 +77,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -323,6 +324,10 @@ class Parameters:
         self.hidden_b = views[layers + 1:-1]
         self.head_b = views[-1]
         self.n_weights = int(ends[layers])
+        # the biases as broadcast operands of a pass over (..., n, ...)
+        # rows, made once: a view costs about as much as a small add
+        self.hidden_b_rows = [b[..., None, :] for b in self.hidden_b]
+        self.head_b_cols = (self.head_b[..., 0, None], self.head_b[..., 1, None])
 
     def arrays(self) -> list[np.ndarray]:
         return [*self.hidden_w, *self.hidden_b, self.head_w, self.head_b]
@@ -360,12 +365,17 @@ class _Workspace:
     run's batches, its short last batch and its validation pass thereby
     share one arena. The layers share one pre-activation buffer `a`; a pass
     without gradients also writes every layer's output into one buffer,
-    post[0]. Only a workspace for training steps holds the loss terms. The
-    views for each row count are made once and kept."""
+    post[0]. The head's mean and raw variance columns are contiguous arrays,
+    apart from its (n, 2) matmul result. Only a workspace for training
+    steps holds the loss terms. `runs` lists (activation, row slice) pairs
+    covering the stack in order; by default cfg.activation applies to every
+    row. The views for each row count, and each layer's activation kernels
+    bound to their rows of those views, are made once and kept."""
 
     def __init__(self, cfg: MLPConfig, lead: tuple[int, ...], rows: int,
-                 batch_rows: int = 0):
+                 batch_rows: int = 0, runs=None):
         self._cfg, self._lead, self._batch_rows = cfg, tuple(lead), batch_rows
+        self._runs = runs or ((cfg.activation, slice(None)),)
         self._views: dict[int, SimpleNamespace] = {}
         width = math.prod(self._lead) * max(rows, batch_rows)
         batch = math.prod(self._lead) * batch_rows
@@ -398,18 +408,38 @@ class _Workspace:
             shape = shape or (*lead, n, *tail)
             return self._flat[name][:math.prod(shape)].reshape(shape)
 
+        def bind(h, d):
+            # each run's kernel on its rows of a, h (and d), s and mask; a
+            # single run takes the whole arrays, as a stack of one has no
+            # row axis to slice
+            arrays = (w.a, h, d, w.s, w.mask)
+            if len(self._runs) == 1:
+                return [partial(_ACTIVATIONS[self._runs[0][0]], *arrays)]
+            return [partial(_ACTIVATIONS[kind], *(None if v is None else v[rows]
+                                                  for v in arrays))
+                    for kind, rows in self._runs]
+
         units, layers = cfg.hidden_units, cfg.hidden_layers
+        # the head's contiguous mean and raw variance take the first rows of
+        # s and a, which a pass is done with once its last hidden layer is:
+        # neither the loss nor the backward pass writes s, and raw is spent
+        # once softplus has read it
         w = SimpleNamespace(a=view("a", units), s=view("s", units),
                             mask=view("mask", units), out=view("out", 2),
-                            post=[view("post0", units)], var=view("var"), t=view("t"))
-        w.mu, w.raw = w.out[..., 0], w.out[..., 1]
+                            post=[view("post0", units)], mu=view("s"), raw=view("a"),
+                            var=view("var"), t=view("t"))
+        w.out_mu, w.out_raw = w.out[..., 0], w.out[..., 1]
+        w.acts = bind(w.post[0], None)
         if self._batch_rows:
             w.u, w.sq, w.v2 = view("u"), view("sq"), view("v2")
         if n <= self._batch_rows:
             w.x, w.y, w.sig = view("x", cfg.input_dim), view("y"), view("sig")
             w.post += [view(f"post{l}", units) for l in range(1, layers)]
             w.dacts = [view(f"dact{l}", units) for l in range(layers)]
+            w.grad_acts = [bind(h, d) for h, d in zip(w.post, w.dacts)]
             w.delta, w.dout = view("delta", units), view("dout", 2)
+            w.dout_t = w.dout.swapaxes(-1, -2)
+            w.dout_mu, w.dout_raw = w.dout[..., 0], w.dout[..., 1]
             shape = (layers, *(lead or (1,)), n, units)
             w.masks = view("draws", shape=shape) if cfg.dropout_rate else None
         return w
@@ -434,19 +464,8 @@ def _make_masks(cfg: MLPConfig, rngs: list[np.random.Generator],
     return out
 
 
-def _activate(a, h, d, s, mask, runs) -> None:
-    """Each run's activation kernel on its rows of `a`, into h (and d)."""
-    if len(runs) == 1:
-        # the whole array: a stack of one has no row axis to slice
-        _ACTIVATIONS[runs[0][0]](a, h, d, s, mask)
-        return
-    for kind, rows in runs:
-        _ACTIVATIONS[kind](a[rows], h[rows], None if d is None else d[rows],
-                           s[rows], mask[rows])
-
-
 def _forward_batch(p: Parameters, cfg: MLPConfig, x: np.ndarray,
-                   masks: np.ndarray | None, ws: _Workspace, runs=None,
+                   masks: np.ndarray | None, ws: _Workspace,
                    grad: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Returns (mu, var): views into the workspace `ws`, valid until its
     next pass.
@@ -454,24 +473,26 @@ def _forward_batch(p: Parameters, cfg: MLPConfig, x: np.ndarray,
     x has shape (n, input_dim), and masks[l] is hidden layer l's (n, units)
     dropout mask. For a stack of M networks, p holds (M, ...) views, x may
     also be (M, n, input_dim), and masks and outputs gain the leading M
-    axis. `runs` lists (activation, row slice) pairs covering the stack in
-    order; by default cfg.activation applies to every row. With `grad`,
+    axis; each row takes the activation of its run in `ws`. With `grad`,
     the workspace keeps each hidden layer's output after dropout, its
     activation derivative and the sigmoid of the raw variance head, which
     is all _backward_batch needs; otherwise every layer reuses one buffer.
     """
     w = ws.at(x.shape[-2])
-    runs = runs or ((cfg.activation, slice(None)),)
     h = x
     for l in range(cfg.hidden_layers):
         np.matmul(h, p.hidden_w[l].swapaxes(-1, -2), out=w.a)
-        w.a += p.hidden_b[l][..., None, :]
+        w.a += p.hidden_b_rows[l]
         h = w.post[l if grad else 0]
-        _activate(w.a, h, w.dacts[l] if grad else None, w.s, w.mask, runs)
+        for act in w.grad_acts[l] if grad else w.acts:
+            act()
         if masks is not None:
             h *= masks[l]
     np.matmul(h, p.head_w.swapaxes(-1, -2), out=w.out)
-    w.out += p.head_b[..., None, :]
+    # each head column leaves the (n, 2) result as a contiguous array with
+    # its bias added, so everything after runs on contiguous operands
+    np.add(w.out_mu, p.head_b_cols[0], out=w.mu)
+    np.add(w.out_raw, p.head_b_cols[1], out=w.raw)
     _softplus(w.raw, w.var, w.sig if grad else None, w.t, None)
     w.var += VAR_FLOOR
     return w.mu, w.var
@@ -494,6 +515,17 @@ def _nll_arrays(mu: np.ndarray, var: np.ndarray, y: np.ndarray,
     return np.add.reduce(w.t, axis=-1) / w.t.shape[-1]
 
 
+def _sum_rows(a: np.ndarray, out: np.ndarray) -> None:
+    """a.sum(axis=-2, out=out), bit for bit. With two or more columns that
+    sum runs down each column in row order, as einsum does at less cost;
+    a single column it sums as one contiguous, pairwise sum, which einsum
+    does not."""
+    if a.shape[-1] > 1:
+        np.einsum("...bu->...u", a, out=out)
+    else:
+        a.sum(axis=-2, out=out)
+
+
 def _backward_batch(p: Parameters, cfg: MLPConfig, x: np.ndarray, y: np.ndarray,
                     masks: np.ndarray | None, ws: _Workspace,
                     grads: Parameters) -> None:
@@ -505,8 +537,11 @@ def _backward_batch(p: Parameters, cfg: MLPConfig, x: np.ndarray, y: np.ndarray,
     w = ws.at(n)
 
     # d loss / d mu = (mu - y) / var / n and d loss / d raw-variance-head
-    # output = (-(y - mu)**2 / (2 var**2) + 1 / (2 var)) / n * sigmoid(raw)
-    dmu, draw = w.dout[..., 0], w.dout[..., 1]
+    # output = (-(y - mu)**2 / (2 var**2) + 1 / (2 var)) / n * sigmoid(raw),
+    # as contiguous columns, then copied into dout for the head's gradients.
+    # They take the loss terms' buffers u and (y - mu)**2's sq, which are
+    # spent once the loss is summed; draw overwrites sq in place
+    dmu, draw = w.u, w.sq
     np.subtract(w.mu, y, out=dmu)
     dmu /= w.var
     dmu /= n
@@ -518,9 +553,11 @@ def _backward_batch(p: Parameters, cfg: MLPConfig, x: np.ndarray, y: np.ndarray,
     draw += w.t
     draw /= n
     draw *= w.sig
+    np.copyto(w.dout_mu, dmu)
+    np.copyto(w.dout_raw, draw)
 
-    np.matmul(w.dout.swapaxes(-1, -2), w.post[-1], out=grads.head_w)
-    w.dout.sum(axis=-2, out=grads.head_b)
+    np.matmul(w.dout_t, w.post[-1], out=grads.head_w)
+    _sum_rows(w.dout, grads.head_b)
     np.matmul(w.dout, p.head_w, out=w.delta)         # gradient w.r.t. h_L
     da = w.a                                         # free once forward is done
     for l in range(cfg.hidden_layers - 1, -1, -1):
@@ -528,7 +565,7 @@ def _backward_batch(p: Parameters, cfg: MLPConfig, x: np.ndarray, y: np.ndarray,
             w.delta *= masks[l]
         np.multiply(w.delta, w.dacts[l], out=da)
         np.matmul(da.swapaxes(-1, -2), w.post[l - 1] if l else x, out=grads.hidden_w[l])
-        da.sum(axis=-2, out=grads.hidden_b[l])
+        _sum_rows(da, grads.hidden_b[l])
         if l:
             np.matmul(da, p.hidden_w[l], out=w.delta)
 
@@ -656,18 +693,18 @@ def _train_one_stack(data: tuple[np.ndarray, ...],
 
     def views():
         # rebuilt only when the stack shrinks: the index that selects its
-        # rows, the parameter and gradient views, the activation runs, the
-        # workspace of every pass and the two AdamW temporaries. A stack of
-        # one drops its row axis, because plain 2-D matmuls cost less than a
-        # stack of one.
+        # rows, the parameter and gradient views, the workspace of every
+        # pass with its activation runs bound, and the AdamW temporary. A
+        # stack of one drops its row axis, because plain 2-D matmuls cost
+        # less than a stack of one.
         lead = 0 if len(rows) == 1 else slice(None)
+        runs = _activation_runs([members[i][0].activation for i in rows])
         return (lead, Parameters(cfg, theta[lead]),
                 Parameters(cfg, np.empty_like(theta[lead])),
-                _activation_runs([members[i][0].activation for i in rows]),
-                _Workspace(cfg, theta[lead].shape[:-1], len(x_val), batch_rows),
-                np.empty_like(theta), np.empty_like(theta))
+                _Workspace(cfg, theta[lead].shape[:-1], len(x_val), batch_rows, runs),
+                np.empty_like(theta))
 
-    lead, params, grads, runs, ws, t1, t2 = views()
+    lead, params, grads, ws, t1 = views()
 
     train_losses: dict[int, list[float]] = {i: [] for i in rows}
     val_losses: dict[int, list[float]] = {i: [] for i in rows}
@@ -688,7 +725,7 @@ def _train_one_stack(data: tuple[np.ndarray, ...],
             masks = _make_masks(cfg, rngs, w.masks)
             if masks is not None:
                 masks = masks[:, lead]
-            mu, var = _forward_batch(params, cfg, w.x, masks, ws, runs, grad=True)
+            mu, var = _forward_batch(params, cfg, w.x, masks, ws, grad=True)
             batch_loss = _nll_arrays(mu, var, w.y, w)
             finite &= np.isfinite(batch_loss)
             epoch_loss += batch_loss * idx.shape[-1]
@@ -696,7 +733,9 @@ def _train_one_stack(data: tuple[np.ndarray, ...],
 
             # AdamW, each step of
             # theta -= lr * ((m / bias1) / (sqrt(v / bias2) + eps) + wd * theta)
-            # in place, on the gradient viewed in theta's shape
+            # in place, on the gradient viewed in theta's shape; once v is
+            # updated the gradient is spent, and its buffer is the second
+            # temporary t2
             step += 1
             bias1 = 1.0 - ADAM_BETA1**step
             bias2 = 1.0 - ADAM_BETA2**step
@@ -705,6 +744,7 @@ def _train_one_stack(data: tuple[np.ndarray, ...],
             m += np.multiply(g, 1.0 - ADAM_BETA1, out=t1)
             v *= ADAM_BETA2
             v += np.multiply(np.square(g, out=t1), 1.0 - ADAM_BETA2, out=t1)
+            t2 = g
             np.divide(m, bias1, out=t1)
             np.sqrt(np.divide(v, bias2, out=t2), out=t2)
             t2 += ADAM_EPS
@@ -719,7 +759,7 @@ def _train_one_stack(data: tuple[np.ndarray, ...],
             t1 *= tc.learning_rate
             theta -= t1
 
-        mu, var = _forward_batch(params, cfg, x_val, None, ws, runs)
+        mu, var = _forward_batch(params, cfg, x_val, None, ws)
         val_loss = np.atleast_1d(_nll_arrays(mu, var, y_val, ws.at(len(x_val))))
         # a network whose batch loss, parameters or validation loss stopped
         # being finite this epoch diverged in it
@@ -759,7 +799,7 @@ def _train_one_stack(data: tuple[np.ndarray, ...],
             best_val = best_val[keep]
             rows = [i for i, k in zip(rows, keep) if k]
             rngs = [rng for rng, k in zip(rngs, keep) if k]
-            lead, params, grads, runs, ws, t1, t2 = views()
+            lead, params, grads, ws, t1 = views()
 
     return failed
 

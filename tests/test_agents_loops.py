@@ -484,6 +484,8 @@ def test_a_task_reply_with_paths_is_schema_invalid(agent_workspace, drill_recipe
         fates.append((type(err.value), [s.status for s in saved.stages.values()],
                       saved.total_errors(), [r.status for r in executor.history],
                       sorted(p.name for p in ctx.workspace.iterdir())))
+        # a refused generate leaves nothing to patch: ReAct generates again
+        assert not any("nothing to patch" in o for o in planner.observations if o)
     assert fates[0] == fates[1]
     assert fates[0][1:] == (["done", "done", "pending", "pending"], 0, ["ok", "ok"],
                             ["data.csv", "ensemble", "model_spec.json", "model_task.json",

@@ -206,6 +206,9 @@ def test_scripted_directive_rules():
     assert directive(mid, "ok: generate_training_task → task document ready") \
         == "execute_task"
     assert directive(mid, "error: execute_task → RuntimeError: boom") == "patch_task"
+    # a refused generate leaves no document to patch: generate it again
+    assert directive(mid, "error: generate_training_task → SchemaInvalid: bad") \
+        == "generate_training_task"
     assert directive(mid, "ok: patch_task → patched") == "execute_task"
 
 

@@ -362,6 +362,40 @@ def test_agent_stop_then_resume(tmp_path, capsys):
     assert "status: completed" in capsys.readouterr().out
 
 
+def _tree(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_agent_resume_refuses_another_table(tmp_path, capsys):
+    # a resume continues on the staged data.csv: a --synthetic or --data
+    # table with other bytes is one error naming the file and the flag,
+    # with nothing written; the same table resumes to the end
+    ws = tmp_path / "wr"
+    first = ["agent", "--workspace", str(ws), "--synthetic", "600", "--members", "2",
+             "--epochs", "2"]
+    assert cli.main(first + ["--stop-after-stage", "training_execution"]) == 0
+    staged = _tree(ws)
+    other = tmp_path / "other.csv"
+    other.write_bytes((ws / "data.csv").read_bytes() + b"0,0,0,0,0,0\r\n")
+    for flags, flag in ((["--synthetic", "900", "--members", "3", "--epochs", "5"],
+                         "--synthetic"),
+                        (["--data", str(other)], "--data")):
+        capsys.readouterr()
+        assert cli.main(["agent", "--workspace", str(ws), *flags, "--resume"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(ws / "data.csv") in err and flag in err
+        assert _tree(ws) == staged
+    same = tmp_path / "same.csv"
+    same.write_bytes((ws / "data.csv").read_bytes())
+    shutil.copytree(ws, tmp_path / "wr2")
+    assert cli.main(first + ["--resume"]) == 0
+    assert cli.main(["agent", "--workspace", str(tmp_path / "wr2"), "--data", str(same),
+                     "--members", "2", "--epochs", "2", "--resume"]) == 0
+    assert "status: completed" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("mode", ["multi", "react"])
 def test_agent_resume_gives_up_on_a_terminal_error_at_once(tmp_path, capsys, mode):
     # a version-1 ensemble cannot be mended by a retry: one error, not the

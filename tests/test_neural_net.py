@@ -200,17 +200,25 @@ def test_activation_kernels_keep_the_bits_on_wide_inputs(kind):
 
 
 def test_each_kernel_keeps_its_bits_on_the_rows_of_a_mixed_stack():
-    # one stack row per activation, each run on its row slice through
-    # _activate, with and without the derivative
+    # one stack row per activation, each kernel bound by the workspace to its
+    # row slice, with and without the derivative
     kinds = ALL_KINDS
     x = np.stack([_wide_inputs()[:6000].reshape(-1, 3)] * len(kinds))
     runs = neural_net._activation_runs(kinds)
     assert len(runs) == len(kinds)
+    n = x.shape[1]
+    cfg = MLPConfig(5, 1, x.shape[2], kinds[0])
+    w = neural_net._Workspace(cfg, (len(kinds),), n, n, runs).at(n)
+    assert len(w.acts) == len(w.grad_acts[0]) == len(kinds)
     with np.errstate(all="ignore"):
-        h, d, s = (np.empty_like(x) for _ in range(3))
-        neural_net._activate(x.copy(), h, d, s, np.empty(x.shape, bool), runs)
-        h_alone = np.empty_like(x)
-        neural_net._activate(x.copy(), h_alone, None, s, np.empty(x.shape, bool), runs)
+        w.a[...] = x
+        for act in w.grad_acts[0]:
+            act()
+        h, d = w.post[0].copy(), w.dacts[0].copy()
+        w.a[...] = x
+        for act in w.acts:
+            act()
+        h_alone = w.post[0]
         for kind, rows in runs:
             plain_value, plain_deriv = _PLAIN[kind]
             assert h[rows].tobytes() == plain_value(x[rows]).tobytes(), kind
@@ -369,6 +377,85 @@ def test_backward_matches_finite_difference(kind):
     for a, f in zip(analytic.arrays(), fd):
         scale = max(np.max(np.abs(f)), 1e-8)
         assert np.max(np.abs(a - f)) / scale < 1e-4
+
+
+@pytest.mark.parametrize("shape", [(5, 64, 16), (64, 16), (3, 61, 7), (61, 3),
+                                   (5, 64, 2), (64, 2), (2, 4096, 96)])
+def test_einsum_column_sums_are_the_plain_column_sums(shape):
+    # what the bias gradients rely on: from two columns up (the U = 2 shapes
+    # are the head's dout), einsum's column sums have the bytes of
+    # sum(axis=-2) on finite values of widely spread magnitudes
+    rng = np.random.default_rng(shape[-1])
+    a = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+    assert np.einsum("...bu->...u", a).tobytes() == a.sum(axis=-2).tobytes()
+
+
+@pytest.mark.parametrize("units", [1, 2, 16])
+@pytest.mark.parametrize("members", [1, 5], ids=["stack_of_one", "stack_of_five"])
+def test_bias_gradients_are_the_plain_column_sums(units, members):
+    # the bias gradients of a step are sum(axis=-2) of dout and of the last
+    # da left in the workspace, byte for byte; units = 1 is the
+    # hidden_units == 1 guard, where sum adds one contiguous column pairwise
+    # and einsum would not
+    cfg = MLPConfig(5, 1, units, ActivationKind.GELU)
+    lead = (members,) if members > 1 else ()
+    theta = np.stack([init_params(cfg, 30 + i).flat for i in range(members)])
+    p = neural_net.Parameters(cfg, theta if lead else theta[0])
+    rng = np.random.default_rng(units)
+    n = 61
+    x, y = rng.normal(size=(n, 5)), rng.normal(size=lead + (n,))
+    ws = neural_net._Workspace(cfg, lead, n, n)
+    mu, var = _forward_batch(p, cfg, x, None, ws, grad=True)
+    _nll_arrays(mu, var, y, ws.at(n))
+    grads = neural_net.Parameters(cfg, np.empty_like(p.flat))
+    neural_net._backward_batch(p, cfg, x, y, None, ws, grads)
+    w = ws.at(n)
+    assert grads.head_b.tobytes() == w.dout.sum(axis=-2).tobytes()
+    assert grads.hidden_b[0].tobytes() == w.a.sum(axis=-2).tobytes()
+
+
+@pytest.mark.parametrize("kinds", [
+    [ActivationKind.GELU],
+    [ActivationKind.GELU] * 2 + [ActivationKind.RELU] * 2 + [ActivationKind.SOFTPLUS],
+], ids=["stack_of_one", "stack_of_five"])
+def test_contiguous_head_matches_the_column_view_forms(kinds):
+    # mu, var and dout from the contiguous head columns, against the head
+    # as (n, 2) column views: the bias added in place, softplus on the
+    # stride-2 raw column, and dmu and draw written straight into dout
+    cfg = MLPConfig(5, 2, 16, kinds[0])
+    lead = () if len(kinds) == 1 else (len(kinds),)
+    rng = np.random.default_rng(8)
+    theta = np.stack([init_params(cfg, 40 + i).flat for i in range(len(kinds))])
+    theta[:, -2:] = rng.normal(size=(len(kinds), 2))        # nonzero head biases
+    p = neural_net.Parameters(cfg, theta if lead else theta[0])
+    n = 61
+    x, y = rng.normal(size=(n, 5)), rng.normal(size=lead + (n,))
+    ws = neural_net._Workspace(cfg, lead, n, n, neural_net._activation_runs(kinds))
+    mu, var = _forward_batch(p, cfg, x, None, ws, grad=True)
+    mu, var = mu.copy(), var.copy()
+    w = ws.at(n)
+    _nll_arrays(mu, var, y, w)
+    neural_net._backward_batch(p, cfg, x, y, None, ws,
+                               neural_net.Parameters(cfg, np.empty_like(p.flat)))
+
+    out = np.matmul(w.post[-1], p.head_w.swapaxes(-1, -2))
+    out += p.head_b[..., None, :]
+    ref_var, sig, t = (np.empty(lead + (n,)) for _ in range(3))
+    neural_net._softplus(out[..., 1], ref_var, sig, t, None)
+    ref_var += VAR_FLOOR
+    assert mu.tobytes() == out[..., 0].copy().tobytes()
+    assert var.tobytes() == ref_var.tobytes()
+    dout = np.empty(lead + (n, 2))
+    dmu, draw = dout[..., 0], dout[..., 1]
+    np.subtract(out[..., 0], y, out=dmu)
+    dmu /= ref_var
+    dmu /= n
+    np.negative(np.square(np.subtract(y, out[..., 0])), out=draw)
+    draw /= np.square(ref_var) * 2.0
+    draw += np.divide(1.0, np.multiply(ref_var, 2.0))
+    draw /= n
+    draw *= sig
+    assert w.dout.tobytes() == dout.tobytes()
 
 
 def test_backward_validation():
