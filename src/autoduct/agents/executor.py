@@ -11,6 +11,7 @@ deterministically.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -242,7 +243,7 @@ class TaskExecutor:
         dropped = {METRIC_COLUMNS[name] for name in POINT_METRICS if name not in p["metrics"]}
         metrics = {k: v for k, v in me.report.to_dict().items() if k not in dropped}
         payload = {"metrics": metrics, "level": p["level"],
-                   "files": [w.name for w in written]}
+                   "files": [os.path.basename(w) for w in written]}
         write_json(report_dir / "metrics.json", payload)
         return (f"evaluated {metrics['n']} test rows; "
                 + "; ".join(f"{k}={metrics[k]:.3f}" for k in sorted(metrics)

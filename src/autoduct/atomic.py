@@ -25,8 +25,12 @@ def write_atomic(path: str | Path, write: Callable[[IO], None],
     """Replace `path` with what `write` writes to the file object it is
     given: bytes if `binary`, else UTF-8 text with no newline
     translation."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    # plain strings, not Path: pathlib interns every name it parses, and
+    # each temp name is new, so each would take an entry of CPython's
+    # interned-string table, which is reallocated (about 1 MB) each time
+    # such entries fill it
+    directory, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
     # mode 0o666 under the umask, as a plain open() would create the file
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:

@@ -43,11 +43,22 @@ Training workspace: ``train_stack`` allocates every array a step uses
 once per stack, in a ``_Workspace``: the gathered batch, one
 pre-activation buffer shared by all layers (backward reuses it), each
 layer's output and activation derivative, the head, the loss terms,
-``dout`` and ``delta``, the dropout masks, and the AdamW temporaries. It
-rebuilds them only when the stack shrinks. The batches, the short last
-batch and the per-epoch validation pass take views of the row count they
-need from the same buffers, and every step writes into them with ``out=``
-and in-place ufuncs. Each activation is a kernel that writes its value,
+``dout`` and ``delta``, the dropout masks, and one AdamW temporary (the
+spent gradient is the other). It rebuilds them only when the stack
+shrinks. The batches, the short last batch and the per-epoch validation
+pass take views of the row count they need from the same buffers, and
+every step writes into them with ``out=`` and in-place ufuncs. At these
+small shapes each ufunc costs about its call overhead, so what a step
+reuses is made once: ``Parameters`` makes its biases' broadcast views
+when it is built, and each workspace view binds every layer's activation
+kernels to their runs of stack rows when it is first asked for. The
+head's mean and raw-variance columns are contiguous arrays, each its
+column of the (..., n, 2) head matmul plus its bias, so softplus, the
+loss and the head's gradient arithmetic run on contiguous operands; two
+copies fill ``dout`` for the head's matmuls and bias sum. Bias gradients
+sum rows with ``einsum``, which gives ``sum(axis=-2)``'s bits from two
+columns up; a one-column sum stays ``sum``, which adds it pairwise.
+Each activation is a kernel that writes its value,
 and its derivative when asked, into given buffers, with the bits of the
 plain numpy expression it replaces. The piecewise units (leaky ReLU,
 ELU, SELU, softplus's derivative) select without masks, by arithmetic

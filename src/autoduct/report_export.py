@@ -34,6 +34,7 @@ counted into the edge bins.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Iterator
 from contextlib import contextmanager
 from functools import partial
@@ -64,8 +65,9 @@ def _row_template(prefix: str, columns: int) -> str:
 
 
 def export_report(me: ModelEvaluation, slices: SliceReport | None,
-                  directory: str | Path) -> list[Path]:
-    """Write the full file set and return the paths in a fixed order."""
+                  directory: str | Path) -> list[str]:
+    """Write the full file set and return the paths, as strings, in a
+    fixed order."""
     directory = Path(directory)
     try:
         directory.mkdir(parents=True, exist_ok=True)
@@ -87,9 +89,11 @@ def export_report(me: ModelEvaluation, slices: SliceReport | None,
         files += [(f"slice_{sid}.csv", partial(_write_slice_csv, result=result)),
                   (f"slice_{sid}.svg", partial(_write_slice_svg, result=result))]
 
-    written: list[Path] = []
+    # each path a plain string: the slice file names are new strings on
+    # every export, and pathlib would intern each one (see write_atomic)
+    written: list[str] = []
     for name, write in files:
-        path = directory / name
+        path = os.path.join(directory, name)
         try:
             write_atomic(path, write)
         except OSError as exc:

@@ -1,7 +1,9 @@
 import itertools
 import math
 import re
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,7 +45,7 @@ def _elements(path, local_name):
 
 
 def test_export_writes_fixed_file_set(evaluation, slice_report, tmp_path):
-    written = export_report(evaluation, slice_report, tmp_path / "out")
+    written = [Path(p) for p in export_report(evaluation, slice_report, tmp_path / "out")]
     assert [p.name for p in written] == ["metrics.csv", "predictions.csv",
                                          "parity.svg", "error_hist.svg",
                                          "ratio_hist.svg", "slice_g_sweep.csv",
@@ -51,7 +53,7 @@ def test_export_writes_fixed_file_set(evaluation, slice_report, tmp_path):
     assert all(p.is_file() for p in written)
 
     bare = export_report(evaluation, None, tmp_path / "bare")
-    assert [p.name for p in bare] == ["metrics.csv", "predictions.csv",
+    assert [Path(p).name for p in bare] == ["metrics.csv", "predictions.csv",
                                       "parity.svg", "error_hist.svg",
                                       "ratio_hist.svg"]
 
@@ -98,7 +100,7 @@ def test_predictions_csv_round_trips(evaluation, tmp_path):
 def test_double_export_is_byte_identical(evaluation, slice_report, tmp_path):
     first = export_report(evaluation, slice_report, tmp_path / "a")
     second = export_report(evaluation, slice_report, tmp_path / "b")
-    for p1, p2 in zip(first, second):
+    for p1, p2 in zip(map(Path, first), map(Path, second)):
         assert p1.name == p2.name
         assert p1.read_bytes() == p2.read_bytes(), f"{p1.name} not reproducible"
 
@@ -199,7 +201,7 @@ def test_slice_svg_layers(evaluation, slice_report, tmp_path):
 
 def test_all_svgs_parse_as_xml(evaluation, slice_report, tmp_path):
     written = export_report(evaluation, slice_report, tmp_path)
-    for path in written:
+    for path in map(Path, written):
         if path.suffix == ".svg":
             root = ET.fromstring(path.read_text(encoding="utf-8"))
             assert root.tag == "{http://www.w3.org/2000/svg}svg"
@@ -371,7 +373,8 @@ class _Cut(BaseException):
 def test_a_cut_export_leaves_every_file_as_it_was(evaluation, slice_report, tmp_path,
                                                    monkeypatch):
     out = tmp_path / "out"
-    before = {p.name: p.read_bytes() for p in export_report(evaluation, slice_report, out)}
+    before = {p.name: p.read_bytes()
+              for p in map(Path, export_report(evaluation, slice_report, out))}
     templates = []
 
     def count_rows(fh, template, table):
@@ -405,3 +408,19 @@ def test_export_raises_io_failure_when_a_file_cannot_be_written(evaluation, tmp_
     with pytest.raises(IoFailure, match="cannot write .*parity.svg"):
         export_report(evaluation, None, tmp_path)
     assert list(tmp_path.glob(".*.tmp")) == []
+
+
+def test_export_interns_no_file_name(evaluation, slice_report, tmp_path, monkeypatch):
+    # pathlib interns every name it parses. The temp names, and the slice
+    # file names, are new strings on each export, and each would take an
+    # entry of CPython's interned-string table, which is reallocated each
+    # time such entries fill it
+    interned = []
+    real = sys.intern
+    monkeypatch.setattr(sys, "intern", lambda s: interned.append(s) or real(s))
+    written = export_report(evaluation, slice_report, tmp_path)
+    seen = set(interned)
+    names = [Path(p).name for p in written]
+    assert "slice_g_sweep.csv" in names
+    assert not seen & set(names)
+    assert not [s for s in seen if s.endswith(".tmp")]
