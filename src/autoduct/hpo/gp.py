@@ -13,23 +13,37 @@ Kernel hyperparameters are chosen by maximizing the log marginal
 likelihood of the standardized objectives with a small multi-start
 first-order scheme (adaptive moment steps on the log parameters; start
 grid: length scale {0.5, 1.5, 3.0} x noise variance {1e-4, 1e-2}).
-Cholesky factorizations climb a jitter ladder 1e-10 .. 1e-4 before
-giving up. All starts ascend as one stack; the gradient is GPML eq. 5.9
+All starts ascend as one stack; the gradient is GPML eq. 5.9
 (Rasmussen & Williams 2006). A (d, n, n) tensor of squared coordinate
 differences is built once per fit, and viewed as a (d, n * n) matrix it
 turns both the scaled distances of every start and every length-scale
 gradient, (alpha alpha^T - L^-T L^-1) against it, into one matrix
 product each.
 
+Every factorization, in the ascent and of the fitted surrogate, is one
+Cholesky factorization of the bordered matrix
+
+    [[K_r, I], [I, c I]],  K_r = K + (noise + jitter) I,
+    c = 4 / (noise + jitter),
+
+whose factor is [[L, 0], [L^-T, M]]: L and L^-1 at once, where numpy
+offers no triangular solve. M M^T = c I - K_r^-1 is positive definite,
+because the Matern kernel is positive semi-definite, so the smallest
+eigenvalue of K_r is at least noise + jitter and the largest of K_r^-1
+at most c / 4. The jitter climbs a ladder 1e-10 .. 1e-4 before a
+factorization gives up; all starts take the first rung in one stacked
+call, and each climbs on its own only when that call is refused.
+
 Each of the 60 ascent steps computes, for all six starts at once, the
-kernel, its Cholesky factor and inverse, alpha = K^-1 z, the gradient,
-and which starts factorized at some jitter rung; then one Adam update
-in place. The NLML itself (0.5 z^T K^-1 z + sum log diag L + n/2 log 2pi)
-is formed only once, after the last step, to pick the best live start.
+kernel, L and L^-1, alpha = K^-1 z, the gradient, and which starts
+factorized at some jitter rung; then one Adam update in place. The
+NLML itself (0.5 z^T K^-1 z + sum log diag L + n/2 log 2pi) is formed
+only once, after the last step, to pick the best live start.
 
 Acquisition is the plug-in form of noisy expected improvement for
 minimization: the incumbent is the minimum posterior mean over the
-observed inputs, and EI uses the noise-free posterior at the candidate,
+observed inputs, and EI uses the noise-free posterior at the candidate
+(its variance sf2 - |L^-1 k*|^2 takes one matrix product),
 
     EI = (inc - mu) Phi(z) + sigma phi(z),  z = (inc - mu) / sigma
     (Snoek et al. 2012, arXiv:1206.2944).
@@ -37,7 +51,6 @@ observed inputs, and EI uses the noise-free posterior at the candidate,
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, replace
 
@@ -71,7 +84,7 @@ class GPSurrogate:
     log_lengthscales: np.ndarray
     log_signal_var: float
     log_noise_var: float
-    chol: np.ndarray            # L with L L^T = K(x, x) + noise + jitter
+    chol_inv: np.ndarray        # L^-1, with L L^T = K(x, x) + noise + jitter
     alpha: np.ndarray           # K^{-1} z for standardized objectives z
     jitter: float
 
@@ -88,13 +101,53 @@ def _kernel(a: np.ndarray, b: np.ndarray, log_ls: np.ndarray,
     return math.exp(log_sf2) * _matern52(np.sqrt(np.maximum(d2, 0.0)))
 
 
-def _chol_with_ladder(k: np.ndarray) -> tuple[np.ndarray, float]:
-    for jitter in _JITTERS:
-        try:
-            return np.linalg.cholesky(k + jitter * np.eye(k.shape[0])), jitter
-        except np.linalg.LinAlgError:
-            continue
-    raise SingularCovariance("covariance failed to factorize at every jitter level")
+def _bordered(s: int, n: int) -> np.ndarray:
+    """A stack of s (2n, 2n) zero matrices whose off-diagonal blocks hold
+    I: the constant part of _factor's bordered matrices."""
+    bordered = np.zeros((s, 2 * n, 2 * n))
+    bordered[:, n:, :n] = bordered[:, :n, n:] = np.eye(n)
+    return bordered
+
+
+def _factor(bordered: np.ndarray, k_signal: np.ndarray, noise: np.ndarray):
+    """L and L^-1 with L L^T = K_r = k_signal + (noise + jitter) I, for a
+    stack of signal covariances k_signal (s, n, n) and noise variances
+    noise (s,), from one Cholesky factor of [[K_r, I], [I, c I]] with
+    c = 4 / (noise + jitter): its top-left block is L and its bottom-left
+    block L^-T. `bordered` comes from _bordered(s, n) and is overwritten.
+
+    Every row takes the first jitter rung in one stacked call; only when
+    that call is refused does each row climb the ladder on its own.
+    Returns (chol, chol_inv, rungs): rungs is None when every row
+    factorized at the first rung, else each row's rung, NaN for a row that
+    none factorizes (its L and L^-1 are I)."""
+    s, n, _ = k_signal.shape
+    bordered[:, :n, :n] = k_signal
+    diag = bordered.reshape(s, -1)[:, ::2 * n + 1]
+    top, bottom = diag[:, :n], diag[:, n:]      # the diagonals of K_r and c I
+    top += noise[:, None]
+    try:    # one stacked call when every row factorizes at the first rung
+        top += _JITTERS[0]
+        bottom[...] = (4.0 / (noise + _JITTERS[0]))[:, None]
+        factor, rungs = np.linalg.cholesky(bordered), None
+    except np.linalg.LinAlgError:
+        kernel_diag = np.diagonal(k_signal, axis1=1, axis2=2) + noise[:, None]
+        # [[I, 0], [I, I]]: L = L^-T = I for a row that no rung factorizes
+        factor = np.array([np.eye(2 * n) + np.eye(2 * n, k=-n)] * s)
+        rungs = np.full(s, np.nan)
+        for i in range(s):
+            for jitter in _JITTERS:
+                np.add(kernel_diag[i], jitter, out=top[i])
+                bottom[i] = 4.0 / (noise[i] + jitter)
+                try:
+                    factor[i] = np.linalg.cholesky(bordered[i])
+                except np.linalg.LinAlgError:
+                    continue
+                rungs[i] = jitter
+                break
+    # L^-1 contiguous: with cond(K) near 1e8, K^-1 = L^-T L^-1 formed from
+    # strided views sums differently enough to move the gradient by 1e-9
+    return factor[:, :n, :n], np.ascontiguousarray(np.swapaxes(factor[:, n:, :n], 1, 2)), rungs
 
 
 def _likelihood(diff2: np.ndarray, z: np.ndarray):
@@ -113,29 +166,25 @@ def _likelihood(diff2: np.ndarray, z: np.ndarray):
     # the (d, n * n) view of diff2
     flat2 = diff2.reshape(d, n * n)
     flat2_t = flat2.T
-    eye = np.eye(n)
-    first_rung = _JITTERS[0] * eye
     half_n_log_2pi = 0.5 * n * math.log(2.0 * math.pi)
+    bordered = {}      # _factor's (s, 2n, 2n) buffer for a stack of s rows
 
     def evaluate(theta: np.ndarray, value: bool = True, grad: bool = True):
+        s = len(theta)
+        if s not in bordered:
+            bordered[s] = _bordered(s, n)
         ls = np.exp(theta[:, :d])
         sf2 = np.exp(theta[:, d])[:, None, None]
         sn2 = np.exp(theta[:, d + 1])
         r = np.sqrt((ls**-2 @ flat2).reshape(-1, n, n))
-        e = np.exp(-_SQRT5 * r)
-        # 1 + sqrt5 r is shared by the kernel (summed left to right, as
-        # _matern52 does) and its length-scale derivative
-        linear = 1.0 + _SQRT5 * r
-        k_signal = sf2 * ((linear + (5.0 / 3.0) * r**2) * e)
-        k = k_signal + sn2[:, None, None] * eye
-        try:    # one stacked call when every row factorizes at the first rung
-            chol, ok = np.linalg.cholesky(k + first_rung), None
-        except np.linalg.LinAlgError:
-            chol, ok = np.array([eye] * len(k)), np.zeros(len(k), bool)
-            for i, row in enumerate(k):
-                with contextlib.suppress(SingularCovariance):
-                    chol[i], ok[i] = _chol_with_ladder(row)[0], True
-        chol_inv = np.linalg.inv(chol)
+        root5_r = _SQRT5 * r
+        # sf2 exp(-sqrt5 r) and 1 + sqrt5 r are shared by the kernel and
+        # its length-scale derivative
+        scaled_e = sf2 * np.exp(-root5_r)
+        linear = 1.0 + root5_r
+        k_signal = (linear + (5.0 / 3.0) * r**2) * scaled_e
+        chol, chol_inv, rungs = _factor(bordered[s], k_signal, sn2)
+        ok = None if rungs is None else ~np.isnan(rungs)
         w = chol_inv @ z
         nlml = gradient = None
         if value:
@@ -149,9 +198,9 @@ def _likelihood(diff2: np.ndarray, z: np.ndarray):
             # d(LML)/dK = inner / 2
             inner = alpha[:, :, None] * alpha[:, None, :] - np.swapaxes(chol_inv, 1, 2) @ chol_inv
             gradient = np.empty_like(theta)
-            # dK/d(log ell_i) = sf2 * (5/3)(1 + sqrt5 r) exp(-sqrt5 r) * d_ij^2 / ell_i^2
-            common = sf2 * (5.0 / 3.0) * linear * e
-            gradient[:, :d] = -0.5 * ((inner * common).reshape(-1, n * n) @ flat2_t) / ls**2
+            # dK/d(log ell_i) = (5/3)(1 + sqrt5 r) sf2 exp(-sqrt5 r) * d_ij^2 / ell_i^2
+            gradient[:, :d] = (-5.0 / 6.0) * ((inner * (linear * scaled_e)).reshape(-1, n * n)
+                                              @ flat2_t) / ls**2
             gradient[:, d] = -0.5 * (inner * k_signal).sum(axis=(1, 2))
             gradient[:, d + 1] = -0.5 * sn2 * np.trace(inner, axis1=1, axis2=2)
             if ok is not None:
@@ -216,12 +265,16 @@ def fit_gp(x: np.ndarray, y: np.ndarray) -> GPSurrogate:
     best_theta = theta[int(np.argmin(nlml))]
 
     log_ls, log_sf2, log_sn2 = best_theta[:d], float(best_theta[d]), float(best_theta[d + 1])
-    k = _kernel(x, x, log_ls, log_sf2) + math.exp(log_sn2) * np.eye(n)
-    chol, jitter = _chol_with_ladder(k)
-    alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, z))
+    _, chol_inv, rungs = _factor(_bordered(1, n), _kernel(x, x, log_ls, log_sf2)[None],
+                                 np.array([math.exp(log_sn2)]))
+    jitter = _JITTERS[0] if rungs is None else float(rungs[0])
+    if math.isnan(jitter):
+        raise SingularCovariance("covariance failed to factorize at every jitter level")
+    chol_inv = chol_inv[0]
+    alpha = chol_inv.T @ (chol_inv @ z)
     return GPSurrogate(x=x, y_mean=y_mean, y_std=y_std, log_lengthscales=log_ls,
                        log_signal_var=log_sf2, log_noise_var=log_sn2,
-                       chol=chol, alpha=alpha, jitter=jitter)
+                       chol_inv=chol_inv, alpha=alpha, jitter=jitter)
 
 
 def posterior(gp: GPSurrogate, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -229,7 +282,7 @@ def posterior(gp: GPSurrogate, points: np.ndarray) -> tuple[np.ndarray, np.ndarr
     at encoded coordinates of shape (m, d)."""
     k_star = _kernel(points, gp.x, gp.log_lengthscales, gp.log_signal_var)
     mu = k_star @ gp.alpha
-    w = np.linalg.solve(gp.chol, k_star.T)
+    w = gp.chol_inv @ k_star.T
     var = math.exp(gp.log_signal_var) - (w**2).sum(axis=0)
     var = np.maximum(var, 0.0)
     return gp.y_mean + gp.y_std * mu, gp.y_std**2 * var

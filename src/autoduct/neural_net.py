@@ -43,21 +43,22 @@ Training workspace: ``train_stack`` allocates every array a step uses
 once per stack, in a ``_Workspace``: the gathered batch, one
 pre-activation buffer shared by all layers (backward reuses it), each
 layer's output and activation derivative, the head, the loss terms,
-``dout`` and ``delta``, the dropout masks, and one AdamW temporary (the
-spent gradient is the other). It rebuilds them only when the stack
-shrinks. The batches, the short last batch and the per-epoch validation
-pass take views of the row count they need from the same buffers, and
-every step writes into them with ``out=`` and in-place ufuncs. At these
-small shapes each ufunc costs about its call overhead, so what a step
-reuses is made once: ``Parameters`` makes its biases' broadcast views
-when it is built, and each workspace view binds every layer's activation
-kernels to their runs of stack rows when it is first asked for. The
-head's mean and raw-variance columns are contiguous arrays, each its
-column of the (..., n, 2) head matmul plus its bias, so softplus, the
-loss and the head's gradient arithmetic run on contiguous operands; two
-copies fill ``dout`` for the head's matmuls and bias sum. Bias gradients
-sum rows with ``einsum``, which gives ``sum(axis=-2)``'s bits from two
-columns up; a one-column sum stays ``sum``, which adds it pairwise.
+``dout`` and ``delta``, the dropout masks and their bool comparison, and
+one AdamW temporary (the spent gradient is the other). It rebuilds them
+only when the stack shrinks. The batches, the short last batch and the
+per-epoch validation pass take views of the row count they need from the
+same buffers, and every step writes into them with ``out=`` and in-place
+ufuncs. At these small shapes each ufunc costs about its call overhead,
+so what a step reuses is made once: ``Parameters`` makes its biases'
+broadcast views when it is built, and each workspace view binds every
+layer's activation kernels to their runs of stack rows when it is first
+asked for. The head's mean and raw-variance columns are contiguous
+arrays, each its column of the (..., n, 2) head matmul plus its bias, so
+softplus, the loss and the head's gradient arithmetic run on contiguous
+operands; two copies fill ``dout`` for the head's matmuls and bias sum.
+Bias gradients sum rows with ``einsum``, which gives ``sum(axis=-2)``'s
+bits from two columns up; a one-column sum stays ``sum``, which adds it
+pairwise.
 Each activation is a kernel that writes its value,
 and its derivative when asked, into given buffers, with the bits of the
 plain numpy expression it replaces. The piecewise units (leaky ReLU,
@@ -402,7 +403,8 @@ class _Workspace:
             *((f"post{l}", batch * units, float) for l in range(1, layers)),
             *((f"dact{l}", batch * units, float) for l in range(layers)),
             ("delta", batch * units, float), ("dout", batch * 2, float),
-            ("draws", batch * units * layers if cfg.dropout_rate else 0, float))}
+            *((name, batch * units * layers if cfg.dropout_rate else 0, dtype)
+              for name, dtype in (("draws", float), ("kept", bool))))}
 
     def at(self, n: int) -> SimpleNamespace:
         """The views for a pass of n rows; the gradient ones only when n
@@ -453,25 +455,27 @@ class _Workspace:
             w.dout_mu, w.dout_raw = w.dout[..., 0], w.dout[..., 1]
             shape = (layers, *(lead or (1,)), n, units)
             w.masks = view("draws", shape=shape) if cfg.dropout_rate else None
+            w.kept = view("kept", shape=shape) if cfg.dropout_rate else None
         return w
 
 
 def _make_masks(cfg: MLPConfig, rngs: list[np.random.Generator],
-                out: np.ndarray | None) -> np.ndarray | None:
+                out: np.ndarray | None, kept: np.ndarray | None = None) -> np.ndarray | None:
     """Inverted dropout masks for a stack of networks, one generator each,
     already divided by the keep probability; None without dropout. `out` is
     a float array of shape (hidden_layers, len(rngs), n, units) that
-    receives the masks and is returned. Each network draws its layers'
-    masks in layer order from its own generator."""
+    receives the masks and is returned; `kept`, a bool array of its shape,
+    takes the comparison (allocated when not given). Each network draws
+    its layers' masks in layer order from its own generator."""
     if cfg.dropout_rate == 0.0:
         return None
     keep = 1.0 - cfg.dropout_rate
     for r, rng in enumerate(rngs):
         for layer in out[:, r]:
             rng.random(out=layer)
-    # (draws < keep) / keep, the comparison's 0.0 / 1.0 over the draws
-    np.less(out, keep, out=out)
-    out /= keep
+    # (draws < keep) / keep: exactly 1 / keep where kept, +0.0 elsewhere
+    kept = np.less(out, keep, out=kept)
+    np.multiply(kept, 1.0 / keep, out=out)
     return out
 
 
@@ -733,7 +737,7 @@ def _train_one_stack(data: tuple[np.ndarray, ...],
             # mode="clip" gathers straight into out; the indices are valid
             np.take(x_train, idx, axis=0, out=w.x, mode="clip")
             np.take(y_train, idx, out=w.y, mode="clip")
-            masks = _make_masks(cfg, rngs, w.masks)
+            masks = _make_masks(cfg, rngs, w.masks, w.kept)
             if masks is not None:
                 masks = masks[:, lead]
             mu, var = _forward_batch(params, cfg, w.x, masks, ws, grad=True)

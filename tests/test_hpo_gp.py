@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from autoduct.errors import SingularCovariance
 from autoduct.hpo import optimize
-from autoduct.hpo.gp import (_JITTERS, _ei_arrays, _kernel, _likelihood, fit_gp,
-                             incumbent_value, posterior, propose_next)
+from autoduct.hpo.gp import (_JITTERS, _bordered, _ei_arrays, _factor, _kernel, _likelihood,
+                             fit_gp, incumbent_value, posterior, propose_next)
 from autoduct.hpo.optimize import TrialResult, run_bo
 from autoduct.hpo.sobol import sobol_points
 from autoduct.hpo.space import TrialConfig, canonicalize, default_space, encode
@@ -239,6 +240,47 @@ def test_gradient_only_evaluation_matches_the_full_call(n):
     assert ok is not None and ok.tolist() == [True] * 6 + [False]
 
 
+@pytest.mark.parametrize("n", [6, 16, 24])
+def test_bordered_factor_matches_cholesky_and_inverse(n):
+    # L and L^-1 from one Cholesky of [[K_r, I], [I, c I]] against
+    # np.linalg.cholesky and np.linalg.inv at the same jitter rung. Two
+    # backward-stable factorizations differ by rounding that grows with the
+    # condition number, so the relative tolerance is n eps cond(L); the same
+    # bound holds L^-1 L to I. The first stack factorizes at the first rung
+    # in one call; the second is refused (a row that needs a later rung)
+    # and climbs the ladder row by row, with one row that no rung
+    # factorizes, whose L and L^-1 are I
+    d = SPACE.encoded_dim
+    x = canonicalize(sobol_points(d, n, shift_seed=n), SPACE)
+    x[3] = x[1]
+    thetas, with_ladder = _ladder_thetas(x, d)
+    for stack in (thetas, with_ladder):
+        k_signal = np.stack([_kernel(x, x, t[:d], t[d]) for t in stack])
+        noise = np.exp(stack[:, d + 1])
+        chol, chol_inv, rungs = _factor(_bordered(len(stack), n), k_signal, noise)
+        assert chol_inv.flags.c_contiguous
+        want_rungs = []
+        for row, k in enumerate(k_signal):
+            try:
+                want, rung = reference_gp.chol_with_ladder(k + noise[row] * np.eye(n))
+            except SingularCovariance:
+                want_rungs.append(None)
+                assert np.array_equal(chol[row], np.eye(n))
+                assert np.array_equal(chol_inv[row], np.eye(n))
+                continue
+            want_rungs.append(rung)
+            tol = n * np.finfo(float).eps * np.linalg.cond(want)
+            want_inv = np.linalg.inv(want)
+            assert np.abs(chol[row] - want).max() <= tol * np.abs(want).max()
+            assert np.abs(chol_inv[row] - want_inv).max() <= tol * np.abs(want_inv).max()
+            assert np.abs(chol_inv[row] @ chol[row] - np.eye(n)).max() <= tol
+        if stack is thetas:
+            assert rungs is None and want_rungs == [_JITTERS[0]] * len(stack)
+        else:
+            assert [None if np.isnan(r) else r for r in rungs] == want_rungs
+            assert want_rungs[2] == _JITTERS[1] and want_rungs[-1] is None
+
+
 def _recorded_observation_sets():
     """The (x, y) of every fit of one run_bo, 16 Sobol + 9 BO trials on a
     formula objective with trial 3 diverged (n = 16 .. 24, one penalized
@@ -277,6 +319,19 @@ def test_fit_gp_matches_the_reference_ascent_bit_for_bit():
         for field in want.__dataclass_fields__:
             assert np.asarray(getattr(got, field)).tobytes() == \
                 np.asarray(getattr(want, field)).tobytes(), field
+
+
+def test_proposals_match_the_cholesky_inverse_and_solve_reference():
+    # the bordered factor moves the fit and the posterior by rounding only:
+    # on every recorded set, the fit that ascends on np.linalg.cholesky +
+    # np.linalg.inv and whose posterior solves L w = k* by np.linalg.solve
+    # proposes the same configuration
+    for i, (x, y) in enumerate(_recorded_observation_sets()):
+        seed = derive_seed(3, f"propose:{i}")
+        got = propose_next(fit_gp(x, y), SPACE, seed=seed)
+        want = reference_gp.propose_by_solve(reference_gp.fit_gp(x, y, matmul=False), SPACE,
+                                             seed=seed)
+        assert got.to_dict() == want.to_dict(), i
 
 
 # --- fitting and posterior -------------------------------------------------------

@@ -242,6 +242,30 @@ def test_dropout_masks_are_the_plain_expression(rate):
             draws[layer, r] = rng.random(size=shape[2:])
     assert masks.tobytes() == ((draws < keep) / keep).tobytes()
 
+
+@pytest.mark.parametrize("rate", [0.01, 0.07, 0.1, 0.3])
+@pytest.mark.parametrize("members", [1, 3])
+def test_workspace_dropout_masks_are_the_plain_expression(rate, members):
+    # the training step's masks, compared in the workspace's bool buffer
+    # and scaled into its float one, are (draws < keep) / keep byte for
+    # byte: for full batches and the short last batch, whose views share
+    # those buffers, and for a stack of one, which has no row axis
+    cfg = MLPConfig(5, 3, 24, ActivationKind.RELU, dropout_rate=rate)
+    keep = 1.0 - rate
+    lead = (members,) if members > 1 else ()
+    ws = neural_net._Workspace(cfg, lead, rows=20, batch_rows=32)
+    rngs = [np.random.default_rng(seed) for seed in range(members)]
+    plain = [np.random.default_rng(seed) for seed in range(members)]
+    for n in (32, 32, 7):
+        w = ws.at(n)
+        masks = _make_masks(cfg, rngs, w.masks, w.kept)
+        assert masks is w.masks and w.kept.dtype == bool
+        draws = np.empty((cfg.hidden_layers, members, n, cfg.hidden_units))
+        for r, rng in enumerate(plain):
+            for layer in range(cfg.hidden_layers):
+                draws[layer, r] = rng.random(size=(n, cfg.hidden_units))
+        assert masks.tobytes() == ((draws < keep) / keep).tobytes()
+
 # --- configuration ----------------------------------------------------------
 
 def test_mlp_config_validation():
