@@ -8,7 +8,7 @@ transitions; a loop that gives up marks its pending stage failed, so no
 stage is left in progress.
 """
 
-from .context import ProjectContext, STANDARD_ROLES
+from .context import ProjectContext
 from .state import STAGE_ORDER, StageState, WorkflowState, load_state, persist_state
 from .tasks import TaskDocument, validate_document
 from .executor import (FAULT_MARKER, ExecutionResult, FaultInjector,
@@ -20,8 +20,6 @@ from .planner import (
     PlanRequest,
     ScriptedPlanner,
     PipelineRecipe,
-    TokenUsage,
-    account_tokens,
 )
 from .multi_agent import (AgentOutcome, StageRun, generate_task, run_multi_agent,
                           tune_task)
@@ -30,13 +28,12 @@ from .react import (PlannerDirective, Transcript, act, build_tools, observe,
 from .report import render_report, synthesize_report
 
 __all__ = [
-    "ProjectContext", "STANDARD_ROLES", "STAGE_ORDER", "StageState",
-    "WorkflowState", "load_state", "persist_state", "TaskDocument",
-    "validate_document", "FAULT_MARKER", "ExecutionResult",
-    "FaultInjector", "TaskExecutor", "parse_fault_spec", "HttpPlanner",
-    "PlannerCall", "PlannerReply", "PlanRequest", "ScriptedPlanner",
-    "PipelineRecipe", "TokenUsage", "account_tokens",
-    "AgentOutcome", "StageRun", "generate_task", "run_multi_agent",
-    "tune_task", "PlannerDirective", "Transcript", "act", "build_tools",
-    "observe", "run_react", "think", "render_report", "synthesize_report",
+    "ProjectContext", "STAGE_ORDER", "StageState", "WorkflowState",
+    "load_state", "persist_state", "TaskDocument", "validate_document",
+    "FAULT_MARKER", "ExecutionResult", "FaultInjector", "TaskExecutor",
+    "parse_fault_spec", "HttpPlanner", "PlannerCall", "PlannerReply",
+    "PlanRequest", "ScriptedPlanner", "PipelineRecipe", "AgentOutcome",
+    "StageRun", "generate_task", "run_multi_agent", "tune_task",
+    "PlannerDirective", "Transcript", "act", "build_tools", "observe",
+    "run_react", "think", "render_report", "synthesize_report",
 ]

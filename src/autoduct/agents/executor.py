@@ -128,9 +128,9 @@ class TaskExecutor:
     """Dispatches model / train / evaluate documents to the engine.
 
     Every read and write is at a role's path in the context, so all of
-    them stay under the workspace root; a role the context does not bind
-    becomes an `UnboundRole` error result. Engine exceptions are captured,
-    never propagated.
+    them stay under the workspace root; a role outside the context's
+    layout becomes an `UnboundRole` error result. Engine exceptions are
+    captured, never propagated.
     """
 
     def __init__(self, ctx: ProjectContext, injector: FaultInjector | None = None):

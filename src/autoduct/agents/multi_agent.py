@@ -11,13 +11,14 @@ loop and for ReAct alike: it loads or creates the state, puts a stage in
 progress, records its errors, marks it done, and synthesizes the report,
 persisting the state after every transition so a killed run resumes
 where it stopped. It puts a stage in progress only when every earlier
-stage is done, so a planner that skips ahead gets an error result. The
-two loops are policies over it and differ only in who picks the next
-step. A loop that gives up (raises any AutoductError) calls `give_up()`
-first, which marks the pending stage failed with its error count kept,
-so no stage is left in progress. A terminal error (see errors.py) ends
-the run at once in both loops: `StageRun.execute` raises
-TerminalStageError, so neither loop patches or retries it.
+stage is done, so a planner that skips ahead gets an error result, and
+reaches the workspace through its executor's context. The two loops are
+policies over it and differ only in who picks the next step. A loop
+that gives up (raises any AutoductError) calls `give_up()` first, which
+marks the pending stage failed with its error count kept, so no stage
+is left in progress. A terminal error (see errors.py) ends the run at
+once in both loops: `StageRun.execute` raises TerminalStageError, so
+neither loop patches or retries it.
 """
 
 from __future__ import annotations
@@ -81,37 +82,35 @@ def tune_task(planner: PlannerBase, doc: TaskDocument,
 class StageRun:
     """A run's state and every persisted transition both loops make.
 
-    The constructor checks the loop arguments before any state is read
-    (an executor bound to another context, or a `stop_after_stage`
-    outside STAGE_ORDER, raises ValueError) and loads the saved state of
-    a resumed run, refusing one that belongs to another run or to the
+    The run's context is its executor's. The constructor checks the loop
+    arguments before any state is read (a `stop_after_stage` outside
+    STAGE_ORDER raises ValueError) and loads the saved state of a
+    resumed run, refusing one that belongs to another run or to the
     other loop, else starts a fresh one. `generate`, `execute` and
     `patch` act on the pending stage and return the ExecutionResult that
     ReAct observes; `give_up` and `finish` end the run.
     """
 
-    def __init__(self, mode: str, task: str, ctx: ProjectContext,
-                 planner: PlannerBase, executor: TaskExecutor,
-                 resume: bool = False, stop_after_stage: str | None = None):
-        if executor.ctx is not ctx:
-            raise ValueError("executor is bound to a different context")
+    def __init__(self, mode: str, task: str, planner: PlannerBase,
+                 executor: TaskExecutor, resume: bool = False,
+                 stop_after_stage: str | None = None):
         if stop_after_stage is not None and stop_after_stage not in STAGE_ORDER:
             raise ValueError(f"unknown stage {stop_after_stage!r}; "
                              f"expected one of {', '.join(STAGE_ORDER)}")
-        self.task, self.ctx = task, ctx
+        self.task, self.ctx = task, executor.ctx
         self.planner, self.executor = planner, executor
         self.stop_after_stage = stop_after_stage
-        self.state_path = ctx.path("state_file")
+        self.state_path = self.ctx.path("state_file")
         if resume and self.state_path.exists():
             state = load_state(self.state_path)
-            if state.run_id != ctx.run_id:
+            if state.run_id != self.ctx.run_id:
                 raise ValueError(f"state belongs to run {state.run_id!r}, "
-                                 f"context is {ctx.run_id!r}")
+                                 f"context is {self.ctx.run_id!r}")
             if state.mode != mode:
                 raise ValueError(f"state belongs to a {state.mode!r} run, "
                                  f"this loop is {mode!r}")
         else:
-            state = WorkflowState(run_id=ctx.run_id, mode=mode)
+            state = WorkflowState(run_id=self.ctx.run_id, mode=mode)
         self.state = state
         self.pending_doc: TaskDocument | None = None
         self.pending_stage: str | None = None
@@ -135,10 +134,10 @@ class StageRun:
         if self.state.is_done(stage):
             return ExecutionResult(status="error", action=name,
                                    log=f"{stage} is already done")
-        for prior in STAGE_ORDER[:STAGE_ORDER.index(stage)]:
-            if not self.state.is_done(prior):
-                return ExecutionResult(status="error", action=name, log=(
-                    f"cannot generate {stage}: {prior} is {self.state.status(prior)}"))
+        prior = self.state.first_undone_before(stage)
+        if prior is not None:
+            return ExecutionResult(status="error", action=name, log=(
+                f"cannot generate {stage}: {prior} is {self.state.status(prior)}"))
         doc = generate_task(self.planner, stage, self.ctx, self.task)
         save_document(doc, self.ctx.workspace / STAGE_TASKS[stage].doc_file)
         self.pending_doc, self.pending_stage = doc, stage
@@ -205,9 +204,8 @@ class StageRun:
         return report
 
 
-def run_multi_agent(task: str, ctx: ProjectContext, planner: PlannerBase,
-                    executor: TaskExecutor, max_retries: int = 3,
-                    resume: bool = False,
+def run_multi_agent(task: str, planner: PlannerBase, executor: TaskExecutor,
+                    max_retries: int = 3, resume: bool = False,
                     stop_after_stage: str | None = None) -> AgentOutcome:
     """Algorithm: for each stage, generate the task, execute it, and on
     error tune and re-execute up to max_retries attempts total.
@@ -218,12 +216,12 @@ def run_multi_agent(task: str, ctx: ProjectContext, planner: PlannerBase,
     `stop_after_stage` ends the run cleanly after the named stage (a
     controlled substitute for kill -9 in resume drills), and ends a
     resumed run at once if that stage is already done. A name outside
-    STAGE_ORDER, or an executor bound to another context, raises
-    ValueError before any state is read.
+    STAGE_ORDER raises ValueError before any state is read. The run's
+    workspace is the executor's context.
     """
     if max_retries < 1:
         raise ValueError("max_retries must be at least 1")
-    run = StageRun("multi", task, ctx, planner, executor, resume, stop_after_stage)
+    run = StageRun("multi", task, planner, executor, resume, stop_after_stage)
     if run.stopped():
         return AgentOutcome(report=None, state=run.state)
     try:

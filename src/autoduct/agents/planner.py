@@ -70,25 +70,6 @@ class PlannerCall:
     prompt: str | None = None
 
 
-@dataclass(frozen=True)
-class TokenUsage:
-    call_count: int
-    prompt_tokens: int
-    completion_tokens: int
-    total: int
-
-    def to_dict(self) -> dict:
-        return {"calls": self.call_count, "prompt": self.prompt_tokens,
-                "completion": self.completion_tokens, "total": self.total}
-
-
-def account_tokens(calls: list[PlannerCall]) -> TokenUsage:
-    prompt = sum(c.prompt_tokens for c in calls)
-    completion = sum(c.completion_tokens for c in calls)
-    return TokenUsage(call_count=len(calls), prompt_tokens=prompt,
-                      completion_tokens=completion, total=prompt + completion)
-
-
 # --- prompt assembly (shared by both loops) --------------------------------
 
 def build_task_prompt(stage: str, ctx: ProjectContext, task: str) -> str:
@@ -142,8 +123,12 @@ class PlannerBase:
             prompt=request.prompt if self.verbose else None))
         return reply
 
-    def usage(self) -> TokenUsage:
-        return account_tokens(self.calls)
+    def usage(self) -> dict:
+        """Token totals of the recorded calls, as report.json carries them."""
+        prompt = sum(c.prompt_tokens for c in self.calls)
+        completion = sum(c.completion_tokens for c in self.calls)
+        return {"calls": len(self.calls), "prompt": prompt,
+                "completion": completion, "total": prompt + completion}
 
     def _reply(self, request: PlanRequest) -> tuple[PlannerReply, int]:
         raise NotImplementedError

@@ -10,7 +10,8 @@ scripted or LLM planner route through patch_task and recover.
 
 The tools are thin wrappers over the run's `StageRun`, the one owner of
 persisted transitions it shares with the supervisor loop, so the two
-loops differ only in who picks the next step. As in the supervisor, a
+loops differ only in who picks the next step, and both reach the
+workspace through their executor's context. As in the supervisor, a
 run that gives up (an AutoductError from `think`, a terminal failure
 of `execute_task`, or the step budget running out) calls `give_up()`
 first: the pending stage is left failed, never in progress.
@@ -141,8 +142,7 @@ def build_tools(run: StageRun) -> dict:
     return tools
 
 
-def run_react(task: str, ctx: ProjectContext, planner: PlannerBase,
-              executor: TaskExecutor | None = None,
+def run_react(task: str, planner: PlannerBase, executor: TaskExecutor,
               max_steps: int = DEFAULT_MAX_STEPS,
               window_size: int = DEFAULT_WINDOW, resume: bool = False,
               stop_after_stage: str | None = None) -> AgentOutcome:
@@ -153,21 +153,20 @@ def run_react(task: str, ctx: ProjectContext, planner: PlannerBase,
     AutoductError the loop raises, it leaves the pending stage
     failed-but-resumable. A `stop_after_stage` ends the run once that
     stage is done, before any step if a resumed run has already done it.
-    A name outside STAGE_ORDER, or an executor bound to another context,
-    raises ValueError before any state is read. Returns the outcome with
-    the full transcript attached.
+    A name outside STAGE_ORDER raises ValueError before any state is
+    read. The run's workspace is the executor's context. Returns the
+    outcome with the full transcript attached.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
-    executor = executor or TaskExecutor(ctx)
-    run = StageRun("react", task, ctx, planner, executor, resume, stop_after_stage)
+    run = StageRun("react", task, planner, executor, resume, stop_after_stage)
     transcript = Transcript(window_size)
     if run.stopped():
         return AgentOutcome(report=None, state=run.state, transcript=transcript)
     tools = build_tools(run)
     try:
         for _ in range(max_steps):
-            directive = think(planner, task, run.state, transcript, ctx, tools)
+            directive = think(planner, task, run.state, transcript, run.ctx, tools)
             result = act(directive, tools)
             transcript.append(ReActStep(directive.thought, directive.action,
                                         observe(result)))

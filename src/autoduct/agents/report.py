@@ -49,7 +49,7 @@ def synthesize_report(ctx: ProjectContext, state: WorkflowState,
         "errors": {"total": state.total_errors(), "per_stage": per_stage_errors},
         "recoveries": recoveries,
         "metrics": metrics,
-        "tokens": planner.usage().to_dict(),
+        "tokens": planner.usage(),
     }
     if level is not None:
         report["level"] = level

@@ -101,11 +101,18 @@ class WorkflowState:
     def mark_in_progress(self, stage: str) -> None:
         self._set(stage, "in_progress")
 
-    def mark_done(self, stage: str) -> None:
-        order = STAGE_ORDER.index(stage)
-        for prior in STAGE_ORDER[:order]:
+    def first_undone_before(self, stage: str) -> str | None:
+        """The first stage before `stage` that is not done, else None: a
+        stage may be done, or have its task generated, only at None."""
+        for prior in STAGE_ORDER[:STAGE_ORDER.index(stage)]:
             if not self.is_done(prior):
-                raise ValueError(f"cannot finish {stage}: {prior} is {self.status(prior)}")
+                return prior
+        return None
+
+    def mark_done(self, stage: str) -> None:
+        prior = self.first_undone_before(stage)
+        if prior is not None:
+            raise ValueError(f"cannot finish {stage}: {prior} is {self.status(prior)}")
         self._set(stage, "done")
 
     def mark_failed(self, stage: str) -> None:
@@ -155,9 +162,8 @@ def load_state(path: str | Path) -> WorkflowState:
         raise CorruptState(f"malformed state file {path}: {exc}") from exc
 
     # monotonicity: a done stage implies every prior stage is done
-    for i, name in enumerate(STAGE_ORDER):
-        if state.is_done(name):
-            for prior in STAGE_ORDER[:i]:
-                if not state.is_done(prior):
-                    raise CorruptState(f"{name} is done but {prior} is not")
+    for name in STAGE_ORDER:
+        prior = state.first_undone_before(name)
+        if state.is_done(name) and prior is not None:
+            raise CorruptState(f"{name} is done but {prior} is not")
     return state

@@ -341,12 +341,12 @@ def _recipe(args) -> PipelineRecipe:
     return recipe
 
 
-def _stage_dataset(args, workspace: Path, resume: bool = False) -> None:
-    """Put the run's dataset at <workspace>/data.csv, replacing any
+def _stage_dataset(args, ctx: ProjectContext, resume: bool = False) -> None:
+    """Put the run's dataset at the context's `dataset_file`, replacing any
     previous one atomically. A resume keeps the staged table, and refuses,
     before it writes anything, a --data or --synthetic table whose bytes
     differ from it: the finished stages were run on the staged one."""
-    target = workspace / "data.csv"
+    target = ctx.path("dataset_file")
     if resume and target.exists():
         if args.data:
             flag, table = "--data", Path(args.data).read_bytes()
@@ -383,17 +383,17 @@ def _planner_for(args, recipe: PipelineRecipe):
 def _run_agent_once(args, workspace: Path, run_id: str, recipe: PipelineRecipe,
                     injector: FaultInjector | None, resume: bool = False,
                     stop_after_stage: str | None = None):
-    # a usage error in the planner flags must come before any file is written
+    # a bad planner flag or a refused workspace must fail before any write
     planner = _planner_for(args, recipe)
     workspace.mkdir(parents=True, exist_ok=True)
-    _stage_dataset(args, workspace, resume=resume)
-    ctx = ProjectContext.create(workspace, run_id)
+    ctx = ProjectContext(workspace, run_id)
+    _stage_dataset(args, ctx, resume=resume)
     executor = TaskExecutor(ctx, injector)
     if args.mode == "multi":
-        return run_multi_agent(args.task, ctx, planner, executor,
+        return run_multi_agent(args.task, planner, executor,
                                max_retries=args.max_retries,
                                resume=resume, stop_after_stage=stop_after_stage)
-    return run_react(args.task, ctx, planner, executor, max_steps=args.max_steps,
+    return run_react(args.task, planner, executor, max_steps=args.max_steps,
                      resume=resume, stop_after_stage=stop_after_stage)
 
 
@@ -463,8 +463,8 @@ def cmd_direct(args) -> int:
     recipe = _recipe(args)
     workspace = Path(args.workspace)
     workspace.mkdir(parents=True, exist_ok=True)
-    _stage_dataset(args, workspace)
-    ctx = ProjectContext.create(workspace, "direct")
+    ctx = ProjectContext(workspace, "direct")
+    _stage_dataset(args, ctx)
     executor = TaskExecutor(ctx)
     for kind in (task.kind for task in STAGE_TASKS.values()):
         doc = TaskDocument(kind=kind, payload=recipe.payload_for(kind),

@@ -62,8 +62,6 @@ class Dataset:
     input-only grids.
     """
 
-    feature_names = FEATURE_NAMES
-
     def __init__(self, features: np.ndarray, targets: np.ndarray | None,
                  provenance: str):
         features = np.asarray(features, dtype=np.float64)
@@ -496,7 +494,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> Dataset:
         rows[:, j] = (np.fromiter((lo * (hi / lo) ** v for v in memoryview(u)), np.float64, cfg.n)
                       if name in ("P", "G") else lo + u * (hi - lo))
     oracle = synthetic_oracle(rows)
-    noise = gen.normals(cfg.n) * (cfg.noise_scale * (0.05 * oracle + 10.0))   # NOISE_FORMULA
+    noise = gen.normals(cfg.n) * synthetic_noise_std(rows, cfg.noise_scale)
     lo, hi = REFERENCE_ENVELOPE[TARGET_NAME]
     targets = np.clip(oracle + noise, lo, hi)
     provenance = (f"synthetic:seed={cfg.seed},n={cfg.n},"

@@ -18,12 +18,12 @@ dropped)
     loss = mean_i [ (y_i - mu_i)^2 / (2 var_i) + log(var_i) / 2 ]
 
 by mini-batch gradient descent with adaptive moment estimates and
-decoupled weight decay. Gradients are computed analytically
-(``backward`` is the public entry point); the test suite checks them
-against central finite differences of a per-row reference network. A
-network's parameters are views into one flat float64 buffer, all
-weight matrices first and all biases after, so the AdamW update is one
-vector operation and weight decay touches one leading span.
+decoupled weight decay. Gradients are computed analytically; the test
+suite checks them against central finite differences of a per-row
+reference network. A network's parameters are views into one flat
+float64 buffer, all weight matrices first and all biases after, so the
+AdamW update is one vector operation and weight decay touches one
+leading span.
 
 There is one training loop, ``train_stack``, and it takes any list of
 networks. Those that differ only in activation and seed (one
@@ -86,8 +86,7 @@ from __future__ import annotations
 import base64
 import itertools
 import math
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
 from types import SimpleNamespace
@@ -99,7 +98,6 @@ from .errors import (
     CorruptArtifact,
     DimensionMismatch,
     DivergedLoss,
-    LengthMismatch,
 )
 
 VAR_FLOOR = 1e-6        # on the normalized target scale
@@ -353,7 +351,6 @@ class TrainHistory:
     train_losses: list[float]
     val_losses: list[float]
     best_epoch: int
-    wall_time_s: float = field(compare=False)
 
 
 def init_params(cfg: MLPConfig, seed: int) -> Parameters:
@@ -585,27 +582,6 @@ def _backward_batch(p: Parameters, cfg: MLPConfig, x: np.ndarray, y: np.ndarray,
             np.matmul(da, p.hidden_w[l], out=w.delta)
 
 
-def backward(p: Parameters, cfg: MLPConfig,
-             batch: tuple[np.ndarray, np.ndarray]) -> Parameters:
-    """Analytic gradient of the mean NLL over a (features, targets) batch,
-    without dropout or weight decay: training applies its own masks and
-    decays the weights in the AdamW update."""
-    x, y = batch
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != cfg.input_dim:
-        raise DimensionMismatch(f"expected batch of shape (n, {cfg.input_dim})")
-    if x.shape[0] == 0:
-        raise LengthMismatch("batch must be non-empty")
-    n = x.shape[0]
-    ws = _Workspace(cfg, p.flat.shape[:-1], n, n)
-    mu, var = _forward_batch(p, cfg, x, None, ws, grad=True)
-    _nll_arrays(mu, var, y, ws.at(n))
-    grads = Parameters(cfg, np.empty_like(p.flat))
-    _backward_batch(p, cfg, x, y, None, ws, grads)
-    return grads
-
-
 def stack_key(mlp: MLPConfig, tc: TrainConfig) -> tuple:
     """What networks must share to train as one stack: everything but the
     activation and the seed."""
@@ -684,7 +660,6 @@ def _train_one_stack(data: tuple[np.ndarray, ...],
     stack on the normalized (x_train, y_train, x_val, y_val) and puts each
     result in `results` under i. Returns the lowest-indexed member's
     DivergedLoss, or None when no member diverged."""
-    started = time.perf_counter()
     cfg, tc = members[indices[0]]
     x_train, y_train, x_val, y_val = data
 
@@ -798,8 +773,7 @@ def _train_one_stack(data: tuple[np.ndarray, ...],
             done[r] = stale[i] > tc.patience or epoch == tc.epochs - 1
             if done[r]:
                 results[i] = (Parameters(members[i][0], best_theta[r].copy()),
-                              TrainHistory(train_losses[i], val_losses[i], best_epoch[i],
-                                           time.perf_counter() - started))
+                              TrainHistory(train_losses[i], val_losses[i], best_epoch[i]))
 
         # finished and diverged networks leave the stack, and so does every
         # network indexed above a diverged one: training the members in

@@ -55,7 +55,7 @@ def agent_workspace(tmp_path, tiny_dataset):
     def _make(name="ws", run_id="run-t"):
         ws = tmp_path / name
         ws.mkdir()
-        ctx = ProjectContext.create(ws, run_id=run_id)
+        ctx = ProjectContext(ws, run_id=run_id)
         write_csv(tiny_dataset, ctx.path("dataset_file"))
         return ctx
     return _make

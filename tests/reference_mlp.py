@@ -1,16 +1,22 @@
-"""Per-row reference network for the gradient checks.
+"""Per-row reference network for the gradient checks, and the analytic
+gradient they check.
 
 An independent oracle for `neural_net`: one input row at a time, in plain
 Python loops over units, with every activation formula written out here
 rather than taken from the library. Only the parameter layout
 (`Parameters` views) and `VAR_FLOOR` are shared with the code under test.
+
+`backward` is the other side of each check: the library's analytic
+gradient of one batch, through the private passes training runs.
 """
 
 import math
 
 import numpy as np
 
-from autoduct.neural_net import VAR_FLOOR
+from autoduct.errors import DimensionMismatch, LengthMismatch
+from autoduct.neural_net import (VAR_FLOOR, Parameters, _backward_batch,
+                                 _forward_batch, _nll_arrays, _Workspace)
 
 
 def _softplus(v):
@@ -71,4 +77,24 @@ def fd_gradient(p, cfg, x, y, h=1e-6):
             flat[j] = orig
             g[j] = (hi - lo) / (2.0 * h)
         grads.append(g.reshape(arr.shape))
+    return grads
+
+
+def backward(p, cfg, batch):
+    """Analytic gradient of the mean NLL over a (features, targets) batch,
+    without dropout or weight decay: training applies its own masks and
+    decays the weights in the AdamW update."""
+    x, y = batch
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != cfg.input_dim:
+        raise DimensionMismatch(f"expected batch of shape (n, {cfg.input_dim})")
+    if x.shape[0] == 0:
+        raise LengthMismatch("batch must be non-empty")
+    n = x.shape[0]
+    ws = _Workspace(cfg, p.flat.shape[:-1], n, n)
+    mu, var = _forward_batch(p, cfg, x, None, ws, grad=True)
+    _nll_arrays(mu, var, y, ws.at(n))
+    grads = Parameters(cfg, np.empty_like(p.flat))
+    _backward_batch(p, cfg, x, y, None, ws, grads)
     return grads

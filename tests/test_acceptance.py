@@ -28,10 +28,9 @@ from autoduct.hpo import (default_space, make_trial_evaluator,
                           run_parallel_bo, select_top_k)
 from autoduct.hpo.gp import _ei_arrays
 from autoduct.hpo.sobol import sobol_points
-from autoduct.neural_net import (ActivationKind, MLPConfig, TrainConfig,
-                                 backward, init_params)
+from autoduct.neural_net import ActivationKind, MLPConfig, TrainConfig, init_params
 
-from reference_mlp import fd_gradient
+from reference_mlp import backward, fd_gradient
 from test_hpo_optimize import run_bests
 
 MC_DRAWS = 1_000_000
@@ -211,8 +210,7 @@ def test_ac05_sobol_and_ei_oracles():
 def _run_multi(ctx, recipe, injector=None, **kwargs):
     planner = ScriptedPlanner(recipe)
     executor = TaskExecutor(ctx, injector=injector)
-    outcome = run_multi_agent("CHF regression pipeline", ctx, planner,
-                              executor, **kwargs)
+    outcome = run_multi_agent("CHF regression pipeline", planner, executor, **kwargs)
     return outcome, planner
 
 
@@ -245,8 +243,7 @@ def test_ac07_react_trace_fidelity(agent_workspace, drill_recipe):
     planner = ScriptedPlanner(drill_recipe, verbose=True)
     injector = FaultInjector.from_spec("stage=evaluate,attempt=1")
     executor = TaskExecutor(ctx, injector=injector)
-    outcome = run_react("CHF regression pipeline", ctx, planner,
-                        executor=executor)
+    outcome = run_react("CHF regression pipeline", planner, executor)
 
     steps = outcome.transcript.history
     error_indices = [i for i, s in enumerate(steps)
@@ -319,7 +316,7 @@ def test_ac10_resume_and_byte_identical_reports(agent_workspace, drill_recipe):
                             stop_after_stage="training_execution")
     assert outcome.report is None
 
-    resumed_ctx = ProjectContext.create(interrupted.workspace, run_id="run-t")
+    resumed_ctx = ProjectContext(interrupted.workspace, run_id="run-t")
     resumed, _ = _run_multi(resumed_ctx, drill_recipe, resume=True)
 
     straight, _ = _run_multi(agent_workspace("straight"), drill_recipe)

@@ -1,21 +1,21 @@
 import json
+import re
 
 import pytest
 
-from autoduct.agents.context import (STANDARD_ROLES, ProjectContext,
-                                     _DEFAULT_LAYOUT)
+from autoduct.agents.context import ProjectContext, _DEFAULT_LAYOUT
 from autoduct.agents.state import (STAGE_ORDER, STAGE_TASKS, STATE_FORMAT_VERSION,
                                    WorkflowState, load_state, persist_state)
 from autoduct.errors import CorruptState, UnboundRole, VersionMismatch
 
 
-# --- role registry --------------------------------------------------------------
+# --- role table ------------------------------------------------------------------
 
-def test_create_binds_standard_layout(tmp_path):
-    ctx = ProjectContext.create(tmp_path, run_id="r1")
-    assert STANDARD_ROLES == ("dataset_file", "model_spec", "ensemble_dir",
-                              "report_dir", "state_file")
-    assert set(ctx.roles()) == set(STANDARD_ROLES)
+def test_context_resolves_the_standard_layout(tmp_path):
+    ctx = ProjectContext(tmp_path, run_id="r1")
+    assert ctx.roles() == {"dataset_file": "data.csv", "ensemble_dir": "ensemble",
+                           "model_spec": "model_spec.json", "report_dir": "report",
+                           "state_file": "state.json"}
     for role, rel in _DEFAULT_LAYOUT.items():
         assert ctx.path(role) == tmp_path.resolve() / rel
 
@@ -25,55 +25,60 @@ def test_context_requires_existing_directory(tmp_path):
         ProjectContext(tmp_path / "missing", run_id="x")
 
 
-def test_bind_rejects_rebinding(tmp_path):
-    ctx = ProjectContext(tmp_path, run_id="x")
-    ctx.bind("dataset_file", tmp_path / "a.csv")
-    with pytest.raises(ValueError, match="already bound"):
-        ctx.bind("dataset_file", tmp_path / "b.csv")
+def _assert_refused(ws, target):
+    # the constructor resolves every role path once, links included
+    message = f"{target.resolve()} is outside the workspace {ws.resolve()}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ProjectContext(ws, run_id="r")
+
+
+def _workspace_with_link(parent, name, role_file, target):
+    ws = parent / name
+    ws.mkdir()
+    (ws / role_file).symlink_to(target)
+    return ws
 
 
 def test_bind_rejects_escaping_paths(tmp_path):
-    ws = tmp_path / "ws"
-    ws.mkdir()
-    ctx = ProjectContext(ws, run_id="x")
-    with pytest.raises(ValueError, match="outside the workspace"):
-        ctx.bind("dataset_file", tmp_path / "outside.csv")
-    with pytest.raises(ValueError, match="outside the workspace"):
-        ctx.bind("report_dir", ws / ".." / "sneaky")
-    with pytest.raises(ValueError, match="outside the workspace"):
-        ctx.bind("model_spec", "/etc/passwd")
+    # a file role, a directory role through a traversal, an absolute target
+    for i, (role_file, target) in enumerate([
+            ("data.csv", tmp_path / "outside.csv"),
+            ("report", tmp_path / "ws_1" / ".." / "sneaky"),
+            ("model_spec.json", tmp_path.resolve() / "abs" / "spec.json")]):
+        ws = _workspace_with_link(tmp_path, f"ws_{i}", role_file, target)
+        _assert_refused(ws, target)
 
 
 def test_create_refuses_a_role_symlinked_out_of_the_workspace(tmp_path):
-    # create resolves every role path once, links included
-    ws, outside = tmp_path / "ws", tmp_path / "outside"
-    ws.mkdir()
+    outside = tmp_path / "outside"
     outside.mkdir()
-    (ws / "report").symlink_to(outside, target_is_directory=True)
-    with pytest.raises(ValueError, match=f"^{outside} is outside the workspace {ws}$"):
-        ProjectContext.create(ws, run_id="r")
+    ws = _workspace_with_link(tmp_path, "ws", "report", outside)
+    _assert_refused(ws, outside)
 
 
 def test_contains_resolves_traversals(tmp_path):
-    ws = tmp_path / "ws"
-    ws.mkdir()
-    ctx = ProjectContext(ws, run_id="x")
-    assert ctx.contains(ws)
-    assert ctx.contains(ws / "deep" / "nested" / "file.json")
-    assert not ctx.contains(tmp_path)
-    assert not ctx.contains(ws / ".." / "ws2")
+    # a link that stays inside the workspace is accepted, however it is spelled
+    ws = _workspace_with_link(tmp_path, "ws", "report",
+                              tmp_path / "ws" / "deep" / ".." / "nested")
+    assert ProjectContext(ws, run_id="r").path("report_dir") == ws.resolve() / "nested"
+    # a traversal out of the workspace is not
+    ws = _workspace_with_link(tmp_path, "ws2", "data.csv",
+                              tmp_path / "ws2" / ".." / "ws" / "data.csv")
+    _assert_refused(ws, tmp_path / "ws" / "data.csv")
     # prefix collision: /a/ws-evil is not inside /a/ws
-    assert not ctx.contains(str(ws) + "-evil/file")
+    ws = _workspace_with_link(tmp_path, "ws3", "report", tmp_path / "ws3-evil")
+    _assert_refused(ws, tmp_path / "ws3-evil")
 
 
 def test_unbound_role_error(tmp_path):
+    # a role name outside the fixed layout, as a planner payload may carry
     ctx = ProjectContext(tmp_path, run_id="x")
     with pytest.raises(UnboundRole):
-        ctx.path("dataset_file")
+        ctx.path("topk")
 
 
 def test_roles_snapshot_sorted(tmp_path):
-    ctx = ProjectContext.create(tmp_path, run_id="r")
+    ctx = ProjectContext(tmp_path, run_id="r")
     names = list(ctx.roles())
     assert names == sorted(names)
 

@@ -27,16 +27,14 @@ from autoduct.neural_net import ActivationKind
 def _multi(ctx, recipe, injector=None, **kwargs):
     planner = ScriptedPlanner(recipe)
     executor = TaskExecutor(ctx, injector=injector)
-    outcome = run_multi_agent("CHF regression pipeline", ctx, planner,
-                              executor, **kwargs)
+    outcome = run_multi_agent("CHF regression pipeline", planner, executor, **kwargs)
     return outcome, planner, executor
 
 
 def _react(ctx, recipe, injector=None, **kwargs):
     planner = ScriptedPlanner(recipe)
     executor = TaskExecutor(ctx, injector=injector)
-    outcome = run_react("CHF regression pipeline", ctx, planner,
-                        executor=executor, **kwargs)
+    outcome = run_react("CHF regression pipeline", planner, executor, **kwargs)
     return outcome, planner, executor
 
 
@@ -61,20 +59,6 @@ def test_tune_task_requires_log(agent_workspace, drill_recipe):
     patched = tune_task(planner, doc, "RuntimeError: boom")
     assert patched.provenance["patch_count"] == 1
     assert patched.provenance["patched_by"] == "scripted"
-
-
-def test_execute_task_checks_context_identity(agent_workspace, drill_recipe):
-    # both loops refuse an executor bound to another workspace at entry:
-    # no planner call, no state, no task document in either workspace
-    for loop in (run_multi_agent, run_react):
-        ctx = agent_workspace(f"{loop.__name__}_one")
-        other = agent_workspace(f"{loop.__name__}_two")
-        planner = ScriptedPlanner(drill_recipe)
-        with pytest.raises(ValueError, match="different context"):
-            loop("t", ctx, planner, TaskExecutor(other))
-        assert planner.calls == []
-        for workspace in (ctx.workspace, other.workspace):
-            assert sorted(p.name for p in workspace.iterdir()) == ["data.csv"]
 
 
 # --- supervisor loop --------------------------------------------------------------
@@ -125,7 +109,7 @@ def test_multi_agent_exhausts_persistent_fault(agent_workspace, drill_recipe):
     planner = ScriptedPlanner(drill_recipe)
     executor = TaskExecutor(ctx, injector=injector)
     with pytest.raises(StageExhausted) as err:
-        run_multi_agent("t", ctx, planner, executor, max_retries=3)
+        run_multi_agent("t", planner, executor, max_retries=3)
     assert err.value.stage == "evaluation_execution"
     assert err.value.error_count == 3
     # the message names the cause: the injected fault of the last attempt
@@ -156,7 +140,7 @@ def test_multi_agent_gives_up_on_a_malformed_planner_reply(agent_workspace, dril
     ctx = agent_workspace()
     executor = TaskExecutor(ctx, FaultInjector.from_spec("stage=train,attempt=1"))
     with pytest.raises(SchemaInvalid, match="usage"):
-        run_multi_agent("t", ctx, planner, executor)
+        run_multi_agent("t", planner, executor)
     assert replies == []
 
     saved = load_state(ctx.path("state_file"))
@@ -181,7 +165,7 @@ def test_multi_agent_stop_and_resume(agent_workspace, drill_recipe, tmp_path):
 
     # fresh context, planner, and executor: only the state file carries over
     from autoduct.agents.context import ProjectContext
-    resumed_ctx = ProjectContext.create(ctx.workspace, run_id="run-t")
+    resumed_ctx = ProjectContext(ctx.workspace, run_id="run-t")
     resumed, planner, _ = _multi(resumed_ctx, drill_recipe, resume=True)
     assert resumed.report["status"] == "completed"
     # the first two stages were skipped, so only the evaluate task was planned
@@ -196,7 +180,7 @@ def test_multi_agent_resume_rejects_foreign_state(agent_workspace, drill_recipe)
     ctx = agent_workspace("owned", run_id="run-a")
     _multi(ctx, drill_recipe, stop_after_stage="model_generation")
     from autoduct.agents.context import ProjectContext
-    stranger = ProjectContext.create(ctx.workspace, run_id="run-b")
+    stranger = ProjectContext(ctx.workspace, run_id="run-b")
     with pytest.raises(ValueError, match="belongs to run"):
         _multi(stranger, drill_recipe, resume=True)
 
@@ -217,7 +201,7 @@ def test_multi_agent_finished_run_reloads_report(agent_workspace, drill_recipe):
     ctx = agent_workspace()
     first, _, _ = _multi(ctx, drill_recipe)
     from autoduct.agents.context import ProjectContext
-    again_ctx = ProjectContext.create(ctx.workspace, run_id="run-t")
+    again_ctx = ProjectContext(ctx.workspace, run_id="run-t")
     again, planner, executor = _multi(again_ctx, drill_recipe, resume=True)
     assert again.report == first.report
     assert planner.calls == []
@@ -270,11 +254,11 @@ def test_react_step_budget(agent_workspace, drill_recipe):
     ctx = agent_workspace()
     planner = ScriptedPlanner(drill_recipe)
     with pytest.raises(StepBudgetExhausted):
-        run_react("t", ctx, planner, max_steps=3)
+        run_react("t", planner, TaskExecutor(ctx), max_steps=3)
     saved = load_state(ctx.path("state_file"))
     assert not saved.is_done("evaluation_execution")
     with pytest.raises(ValueError):
-        run_react("t", ctx, planner, max_steps=0)
+        run_react("t", planner, TaskExecutor(ctx), max_steps=0)
 
 
 def test_react_rejects_unknown_tool(agent_workspace, drill_recipe):
@@ -291,7 +275,7 @@ def test_react_rejects_unknown_tool(agent_workspace, drill_recipe):
     ctx = agent_workspace()
     executor = TaskExecutor(ctx)
     with pytest.raises(UnknownTool):
-        run_react("t", ctx, RogueDirectives(drill_recipe), executor=executor)
+        run_react("t", RogueDirectives(drill_recipe), executor)
     assert executor.history == []        # nothing ran on a bad directive
 
 
@@ -307,14 +291,14 @@ def test_react_rejects_missing_action(agent_workspace, drill_recipe):
 
     ctx = agent_workspace()
     with pytest.raises(SchemaInvalid):
-        run_react("t", ctx, SilentDirectives(drill_recipe))
+        run_react("t", SilentDirectives(drill_recipe), TaskExecutor(ctx))
 
 
 def test_react_window_bounds_prompt_history(agent_workspace, drill_recipe):
     ctx = agent_workspace()
     planner = ScriptedPlanner(drill_recipe, verbose=True)
     executor = TaskExecutor(ctx)
-    run_react("t", ctx, planner, executor=executor, window_size=2)
+    run_react("t", planner, executor, window_size=2)
     directive_prompts = [c.prompt for c in planner.calls
                          if c.purpose == "directive"]
     assert len(directive_prompts) == 7
@@ -332,7 +316,7 @@ def test_react_stop_and_resume(agent_workspace, drill_recipe):
     assert outcome.state.is_done("training_execution")
 
     from autoduct.agents.context import ProjectContext
-    resumed_ctx = ProjectContext.create(ctx.workspace, run_id="run-t")
+    resumed_ctx = ProjectContext(ctx.workspace, run_id="run-t")
     resumed, _, _ = _react(resumed_ctx, drill_recipe, resume=True)
     assert resumed.report["status"] == "completed"
 
@@ -374,7 +358,7 @@ def test_react_gives_up_leaving_the_pending_stage_failed(
     planner = (ScriptedPlanner(drill_recipe) if how == "budget"
                else _GivesUpOnError(drill_recipe, how))
     with pytest.raises(error):
-        run_react("CHF regression pipeline", ctx, planner,
+        run_react("CHF regression pipeline", planner,
                   TaskExecutor(ctx, FaultInjector.from_spec(spec)),
                   max_steps=max_steps)
     saved = load_state(ctx.path("state_file"))
@@ -382,7 +366,7 @@ def test_react_gives_up_leaving_the_pending_stage_failed(
     assert saved.error_count(stage) == errors
     assert "in_progress" not in [s.status for s in saved.stages.values()]
 
-    resumed_ctx = ProjectContext.create(ctx.workspace, run_id="run-t")
+    resumed_ctx = ProjectContext(ctx.workspace, run_id="run-t")
     resumed, _, _ = _react(resumed_ctx, drill_recipe, resume=True)
     clean, _, _ = _react(agent_workspace("clean"), drill_recipe)
     assert resumed.report["metrics"] == clean.report["metrics"]
@@ -400,11 +384,11 @@ def test_terminal_error_ends_the_stage_at_once(agent_workspace, drill_recipe, mo
     manifest = ctx.path("ensemble_dir") / "manifest.json"
     manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "format_version": 1}))
 
-    resumed_ctx = ProjectContext.create(ctx.workspace, run_id="run-t")
+    resumed_ctx = ProjectContext(ctx.workspace, run_id="run-t")
     planner = ScriptedPlanner(drill_recipe)
     loop = {"multi": run_multi_agent, "react": run_react}[mode]
     with pytest.raises(TerminalStageError) as err:
-        loop("CHF regression pipeline", resumed_ctx, planner, TaskExecutor(resumed_ctx),
+        loop("CHF regression pipeline", planner, TaskExecutor(resumed_ctx),
              resume=True)
     assert err.value.stage == "evaluation_execution"
     assert err.value.error_count == 1
@@ -430,14 +414,14 @@ def test_a_report_stage_that_raises_is_left_failed(agent_workspace, drill_recipe
     metrics.write_text("{bad", encoding="utf-8")
 
     with pytest.raises(CorruptArtifact, match=f"^unreadable {re.escape(str(metrics))}: "):
-        run(ProjectContext.create(ctx.workspace, run_id="run-t"), drill_recipe, resume=True)
+        run(ProjectContext(ctx.workspace, run_id="run-t"), drill_recipe, resume=True)
     saved = load_state(ctx.path("state_file"))
     assert [s.status for s in saved.stages.values()] == ["done", "done", "done", "failed"]
     assert saved.total_errors() == 0
     assert not (ctx.path("report_dir") / "report.json").exists()
 
     metrics.write_bytes(good)
-    outcome, _, _ = run(ProjectContext.create(ctx.workspace, run_id="run-t"), drill_recipe,
+    outcome, _, _ = run(ProjectContext(ctx.workspace, run_id="run-t"), drill_recipe,
                         resume=True)
     assert outcome.report["stages"]["report_synthesis"] == "done"
     assert outcome.report["metrics"] == json.loads(good)["metrics"]
@@ -475,7 +459,7 @@ def test_a_task_reply_with_paths_is_schema_invalid(agent_workspace, drill_recipe
         executor = TaskExecutor(ctx)
         loop = {"multi": run_multi_agent, "react": run_react}[mode]
         with pytest.raises(AutoductError) as err:
-            loop("CHF regression pipeline", ctx, planner, executor)
+            loop("CHF regression pipeline", planner, executor)
         refusal = (f"SchemaInvalid: evaluate payload invalid: Additional properties "
                    f"are not allowed ('{key}' was unexpected)")
         assert refusal in [f"SchemaInvalid: {err.value}",
@@ -525,7 +509,7 @@ def test_loops_agree_under_any_fault_plan(agent_workspace, drill_recipe,
         except AutoductError:
             saved = load_state(ctx.path("state_file"))
             assert "in_progress" not in [s.status for s in saved.stages.values()]
-            resumed_ctx = ProjectContext.create(ctx.workspace, run_id="run-t")
+            resumed_ctx = ProjectContext(ctx.workspace, run_id="run-t")
             resumed, _, _ = run(resumed_ctx, drill_recipe, resume=True)
             assert resumed.report["metrics"] == clean_metrics
             continue
@@ -567,7 +551,7 @@ def test_tool_names_order(agent_workspace, drill_recipe):
     ctx = agent_workspace()
     planner = ScriptedPlanner(drill_recipe, verbose=True)
     with pytest.raises(StepBudgetExhausted):
-        run_react("t", ctx, planner, max_steps=1)
+        run_react("t", planner, TaskExecutor(ctx), max_steps=1)
     assert f"Available tools: {', '.join(expected)}\n" in planner.calls[0].prompt
 
 
@@ -618,7 +602,7 @@ def test_react_refuses_to_regenerate_a_done_stage(agent_workspace, drill_recipe)
     planner = AsksTwice(drill_recipe, ctx)
     executor = TaskExecutor(ctx)
     with pytest.raises(StepBudgetExhausted):
-        run_react("t", ctx, planner, executor=executor, max_steps=5)
+        run_react("t", planner, executor, max_steps=5)
 
     assert [c.purpose for c in planner.calls if c.purpose != "directive"] == \
         ["task:model_generation"]
@@ -642,7 +626,7 @@ def test_react_refuses_to_generate_past_an_unfinished_stage(agent_workspace,
                                       "execute_task", "read_log"))
     executor = TaskExecutor(ctx)
     with pytest.raises(StepBudgetExhausted):
-        run_react("t", ctx, planner, executor=executor, max_steps=4)
+        run_react("t", planner, executor, max_steps=4)
 
     assert planner.observations[2] == (
         "error: generate_training_task → cannot generate training_execution: "
@@ -664,7 +648,7 @@ def test_resumed_run_whose_stop_stage_is_done_ends_before_any_step(
     saved = ctx.path("state_file").read_bytes()
 
     from autoduct.agents.context import ProjectContext
-    resumed_ctx = ProjectContext.create(ctx.workspace, run_id="run-t")
+    resumed_ctx = ProjectContext(ctx.workspace, run_id="run-t")
     outcome, planner, executor = run(resumed_ctx, drill_recipe, resume=True,
                                      stop_after_stage="model_generation")
     assert outcome.report is None
@@ -686,12 +670,12 @@ def test_resume_in_the_other_loop_is_refused_before_any_step(agent_workspace,
     saved = ctx.path("state_file").read_bytes()
 
     from autoduct.agents.context import ProjectContext
-    resumed_ctx = ProjectContext.create(ctx.workspace, run_id="run-t")
+    resumed_ctx = ProjectContext(ctx.workspace, run_id="run-t")
     planner = ScriptedPlanner(drill_recipe)
     executor = TaskExecutor(resumed_ctx)
     with pytest.raises(ValueError, match="state belongs to a '{}' run, this loop is '{}'"
                        .format(*modes)):
-        loop("t", resumed_ctx, planner, executor, resume=True)
+        loop("t", planner, executor, resume=True)
     assert planner.calls == [] and executor.history == []
     assert ctx.path("state_file").read_bytes() == saved
     assert not (ctx.path("report_dir") / "report.json").exists()
@@ -768,5 +752,5 @@ def test_loops_never_write_outside_workspace(agent_workspace, drill_recipe,
 
     inside_tmp = [p for p in written if tmp_path.resolve() in p.parents]
     assert inside_tmp, "expected the run to write artifacts"
-    offenders = [p for p in inside_tmp if not ctx.contains(p)]
+    offenders = [p for p in inside_tmp if not p.is_relative_to(ctx.workspace)]
     assert offenders == []

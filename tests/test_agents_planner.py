@@ -8,9 +8,9 @@ from autoduct.agents.executor import FAULT_MARKER
 from autoduct.agents.planner import (SCRIPTED_COMPLETION_TOKENS,
                                      SCRIPTED_PROMPT_TOKENS, HttpPlanner,
                                      PipelineRecipe, PlanRequest, PlannerCall,
-                                     ScriptedPlanner, account_tokens,
-                                     build_directive_prompt, build_patch_prompt,
-                                     build_task_prompt, prompt_digest)
+                                     ScriptedPlanner, build_directive_prompt,
+                                     build_patch_prompt, build_task_prompt,
+                                     prompt_digest)
 from autoduct.agents.state import STAGE_TASKS
 from autoduct.agents.tasks import TaskDocument, validate_document
 from autoduct.errors import AuthFailure, PlannerUnavailable, SchemaInvalid
@@ -36,26 +36,28 @@ def _directive_request(state_summary, last_observation=None):
 
 # --- token accounting ------------------------------------------------------------
 
-def test_account_tokens_worked_example():
+def _planner_with_calls(calls):
+    planner = ScriptedPlanner()
+    planner.calls.extend(calls)
+    return planner
+
+
+def test_usage_worked_example():
     # seven scripted calls at 75 + 25 each
-    calls = [PlannerCall("task", "d", SCRIPTED_PROMPT_TOKENS,
-                         SCRIPTED_COMPLETION_TOKENS) for _ in range(7)]
-    usage = account_tokens(calls)
-    assert usage.call_count == 7
-    assert usage.prompt_tokens == 525
-    assert usage.completion_tokens == 175
-    assert usage.total == 700
-    assert usage.to_dict() == {"calls": 7, "prompt": 525, "completion": 175,
+    planner = _planner_with_calls(PlannerCall("task", "d", SCRIPTED_PROMPT_TOKENS,
+                                              SCRIPTED_COMPLETION_TOKENS)
+                                  for _ in range(7))
+    assert planner.usage() == {"calls": 7, "prompt": 525, "completion": 175,
                                "total": 700}
 
 
-def test_account_tokens_mixed_calls():
-    calls = [PlannerCall("task", "d", 100, 20),
-             PlannerCall("patch", "d", 40, 5)]
-    usage = account_tokens(calls)
-    assert (usage.prompt_tokens, usage.completion_tokens, usage.total) \
-        == (140, 25, 165)
-    assert account_tokens([]).total == 0
+def test_usage_of_mixed_calls():
+    planner = _planner_with_calls([PlannerCall("task", "d", 100, 20),
+                                   PlannerCall("patch", "d", 40, 5)])
+    assert planner.usage() == {"calls": 2, "prompt": 140, "completion": 25,
+                               "total": 165}
+    assert ScriptedPlanner().usage() == {"calls": 0, "prompt": 0, "completion": 0,
+                                         "total": 0}
 
 
 def test_plan_request_kind_gate():
@@ -78,7 +80,7 @@ def test_task_prompt_mentions_objective_and_roles(agent_workspace):
 def test_task_prompt_digests_are_pinned(tmp_path):
     # the prompt text, and so every *_task.json prompt_digest, must not move
     # when the stage instructions move; pinned on the standard layout
-    ctx = ProjectContext.create(tmp_path, run_id="run-t")
+    ctx = ProjectContext(tmp_path, run_id="run-t")
     digests = {stage: prompt_digest(build_task_prompt(stage, ctx, "t"))
                for stage in STAGE_TASKS}
     assert digests == {
@@ -97,17 +99,10 @@ def test_identical_context_gives_identical_digest(agent_workspace):
     b = build_task_prompt("training_execution", ctx, "t")
     assert prompt_digest(a) == prompt_digest(b)
     # role paths are listed relative to the workspace, so the same layout
-    # elsewhere gives the same digest, and a different binding another one
+    # elsewhere gives the same digest
     elsewhere = agent_workspace("elsewhere")
     c = build_task_prompt("training_execution", elsewhere, "t")
     assert prompt_digest(a) == prompt_digest(c)
-    moved = ProjectContext(elsewhere.workspace, run_id="run-t")
-    for role, path in elsewhere.roles().items():
-        moved.bind(role, elsewhere.workspace / "inputs" / path if role == "dataset_file"
-                   else elsewhere.workspace / path)
-    d = build_task_prompt("training_execution", moved, "t")
-    assert "  dataset_file: inputs/data.csv\n" in d
-    assert prompt_digest(a) != prompt_digest(d)
 
 
 def test_patch_prompt_embeds_document_and_log():
@@ -143,7 +138,7 @@ def test_scripted_task_payloads_validate():
         assert reply.completion_tokens == SCRIPTED_COMPLETION_TOKENS
     assert len(planner.calls) == 3
     assert planner.calls[0].purpose == "task:model_generation"
-    assert planner.usage().total == 300
+    assert planner.usage()["total"] == 300
 
 
 def test_scripted_patch_retries_injected_fault_unchanged():
@@ -292,7 +287,7 @@ def test_http_happy_path_and_request_shape(monkeypatch):
     assert body["messages"][0]["role"] == "system"
     assert body["messages"][1]["content"] == "p"
     assert planner.calls[0].attempts == 1
-    assert planner.usage().total == 152
+    assert planner.usage()["total"] == 152
 
 
 def test_http_retries_transient_failures(monkeypatch):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from autoduct import cli
+from autoduct.agents import ProjectContext
 from autoduct.dataset import BLIND_SLICES, load_csv, write_csv
 
 # keep every trained network tiny; these suffixes go on most commands
@@ -151,18 +152,22 @@ def test_agent_resume_without_metrics_is_one_error_naming_the_file(tmp_path, cap
 
 
 def test_agent_refuses_a_role_symlinked_out_of_the_workspace(tmp_path, capsys):
-    # every role path is resolved when the run's context is created: a
-    # report directory linked out of the workspace ends the run there, with
-    # one error line and nothing written outside
-    ws, outside = tmp_path / "ws", tmp_path / "outside"
-    ws.mkdir()
+    # every role path is resolved when the run's context is built, before
+    # the dataset is staged: in `agent` as in `direct`, a report directory
+    # linked out of the workspace ends the run there, with one error line
+    # and no file written anywhere
+    outside = tmp_path / "outside"
     outside.mkdir()
-    (ws / "report").symlink_to(outside, target_is_directory=True)
-    assert cli.main(["agent", "--workspace", str(ws), "--synthetic", "120", *_FAST]) == 1
-    err = capsys.readouterr().err
-    assert err == f"error: {outside} is outside the workspace {ws}\n"
+    for command in ("agent", "direct"):
+        ws = tmp_path / command
+        ws.mkdir()
+        (ws / "report").symlink_to(outside, target_is_directory=True)
+        assert cli.main([command, "--workspace", str(ws), "--synthetic", "120", *_FAST]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {outside.resolve()} is outside the workspace {ws.resolve()}\n"
+        assert [p.name for p in ws.iterdir()] == ["report"]
     assert list(outside.iterdir()) == []
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["outside", "ws"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["agent", "direct", "outside"]
 
 
 def test_bad_fractions_are_an_error(tmp_path, capsys):
@@ -766,6 +771,7 @@ def test_failed_staging_copy_keeps_the_previous_table(tmp_path, monkeypatch):
     table = tmp_path / "t.csv"
     table.write_bytes(b"D,L,P,G,X,CHF\r\n" + b"0.008,1,10000,2000,0.1,1500\r\n" * 500)
     args = argparse.Namespace(data=str(table), synthetic=None, seed=0)
+    ctx = ProjectContext(workspace, run_id="r")
 
     def cut(src, dst):
         dst.write(src.read(100))
@@ -773,11 +779,11 @@ def test_failed_staging_copy_keeps_the_previous_table(tmp_path, monkeypatch):
 
     monkeypatch.setattr(shutil, "copyfileobj", cut)
     with pytest.raises(OSError):
-        cli._stage_dataset(args, workspace)
+        cli._stage_dataset(args, ctx)
     assert (workspace / "data.csv").read_bytes() == b"previous"
     assert [p.name for p in workspace.iterdir()] == ["data.csv"]
     monkeypatch.undo()
-    cli._stage_dataset(args, workspace)
+    cli._stage_dataset(args, ctx)
     assert (workspace / "data.csv").read_bytes() == table.read_bytes()
     assert [p.name for p in workspace.iterdir()] == ["data.csv"]
 

@@ -15,11 +15,11 @@ from autoduct.errors import (CorruptArtifact, DimensionMismatch, DivergedLoss,
                              LengthMismatch)
 from autoduct.neural_net import (_ACTIVATIONS, VAR_FLOOR, ActivationKind,
                                  MLPConfig, TrainConfig, _forward_batch,
-                                 _make_masks, _nll_arrays, backward,
-                                 init_params, params_from_doc, params_to_doc,
-                                 predict_batch, train)
+                                 _make_masks, _nll_arrays, init_params,
+                                 params_from_doc, params_to_doc, predict_batch,
+                                 train)
 
-from reference_mlp import fd_gradient, forward_row
+from reference_mlp import backward, fd_gradient, forward_row
 
 ALL_KINDS = list(ActivationKind)
 IDENTITY = Normalizer(np.zeros(5), np.ones(5), 0.0, 1.0)

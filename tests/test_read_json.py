@@ -64,7 +64,7 @@ def _finished_report_site(ctx):
     for stage in STAGE_ORDER:
         state.mark_done(stage)
     persist_state(state, ctx.path("state_file"))
-    run = StageRun("multi", "t", ctx, ScriptedPlanner(PipelineRecipe()),
+    run = StageRun("multi", "t", ScriptedPlanner(PipelineRecipe()),
                    TaskExecutor(ctx), resume=True)
     return path, run.finish
 
