@@ -39,6 +39,11 @@ from .state import (STAGE_ORDER, STAGE_TASKS, WorkflowState, load_state,
 from .tasks import TaskDocument, save_document, validate_document
 
 
+# the loops' defaults, which the CLI's --task and --max-retries flags read
+DEFAULT_TASK = "CHF regression pipeline"
+DEFAULT_MAX_RETRIES = 3
+
+
 @dataclass
 class AgentOutcome:
     """What a loop hands back: the synthesized report (None when the run
@@ -50,7 +55,7 @@ class AgentOutcome:
 
 
 def generate_task(planner: PlannerBase, stage: str, ctx: ProjectContext,
-                  task: str = "CHF regression pipeline") -> TaskDocument:
+                  task: str = DEFAULT_TASK) -> TaskDocument:
     """Ask the planner for a stage's task document.
 
     The prompt is assembled here, at runtime, from the stage template and
@@ -205,7 +210,7 @@ class StageRun:
 
 
 def run_multi_agent(task: str, planner: PlannerBase, executor: TaskExecutor,
-                    max_retries: int = 3, resume: bool = False,
+                    max_retries: int = DEFAULT_MAX_RETRIES, resume: bool = False,
                     stop_after_stage: str | None = None) -> AgentOutcome:
     """Algorithm: for each stage, generate the task, execute it, and on
     error tune and re-execute up to max_retries attempts total.

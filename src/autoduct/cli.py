@@ -29,6 +29,8 @@ from . import __version__
 from .agents import (FaultInjector, HttpPlanner, PipelineRecipe,
                      ProjectContext, ScriptedPlanner, TaskExecutor,
                      parse_fault_spec, render_report, run_multi_agent, run_react)
+from .agents.multi_agent import DEFAULT_MAX_RETRIES, DEFAULT_TASK
+from .agents.react import DEFAULT_MAX_STEPS
 from .agents.state import STAGE_TASKS, STATE_FORMAT_VERSION
 from .agents.tasks import TASK_FORMAT_VERSION, TaskDocument, validate_document
 from .atomic import read_json, write_atomic, write_json
@@ -204,9 +206,11 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--planner", choices=["scripted", "llm"], default="scripted")
             p.add_argument("--endpoint")
             p.add_argument("--model")
-            p.add_argument("--task", default="CHF regression pipeline")
-            p.add_argument("--max-retries", dest="max_retries", type=int, default=3)
-            p.add_argument("--max-steps", dest="max_steps", type=int, default=40)
+            p.add_argument("--task", default=DEFAULT_TASK)
+            p.add_argument("--max-retries", dest="max_retries", type=int,
+                           default=DEFAULT_MAX_RETRIES)
+            p.add_argument("--max-steps", dest="max_steps", type=int,
+                           default=DEFAULT_MAX_STEPS)
         if name == "agent":
             p.add_argument("--run-id", dest="run_id", default="run-001")
             p.add_argument("--inject-fault", dest="inject_fault",
@@ -383,6 +387,8 @@ def _planner_for(args, recipe: PipelineRecipe):
 def _run_agent_once(args, workspace: Path, run_id: str, recipe: PipelineRecipe,
                     injector: FaultInjector | None, resume: bool = False,
                     stop_after_stage: str | None = None):
+    """Run one agent loop over `workspace`; returns the run's context and
+    the loop's outcome."""
     # a bad planner flag or a refused workspace must fail before any write
     planner = _planner_for(args, recipe)
     workspace.mkdir(parents=True, exist_ok=True)
@@ -390,25 +396,24 @@ def _run_agent_once(args, workspace: Path, run_id: str, recipe: PipelineRecipe,
     _stage_dataset(args, ctx, resume=resume)
     executor = TaskExecutor(ctx, injector)
     if args.mode == "multi":
-        return run_multi_agent(args.task, planner, executor,
-                               max_retries=args.max_retries,
-                               resume=resume, stop_after_stage=stop_after_stage)
-    return run_react(args.task, planner, executor, max_steps=args.max_steps,
-                     resume=resume, stop_after_stage=stop_after_stage)
+        return ctx, run_multi_agent(args.task, planner, executor,
+                                    max_retries=args.max_retries,
+                                    resume=resume, stop_after_stage=stop_after_stage)
+    return ctx, run_react(args.task, planner, executor, max_steps=args.max_steps,
+                          resume=resume, stop_after_stage=stop_after_stage)
 
 
 def cmd_agent(args) -> int:
-    workspace = Path(args.workspace)
     recipe = _recipe(args)
     injector = FaultInjector.from_spec(args.inject_fault) if args.inject_fault else None
-    outcome = _run_agent_once(args, workspace, run_id=args.run_id, recipe=recipe,
-                              injector=injector, resume=args.resume,
-                              stop_after_stage=args.stop_after_stage)
+    ctx, outcome = _run_agent_once(args, Path(args.workspace), run_id=args.run_id,
+                                   recipe=recipe, injector=injector, resume=args.resume,
+                                   stop_after_stage=args.stop_after_stage)
     if outcome.report is None:
         print(f"stopped after stage {args.stop_after_stage}; resume with --resume")
         return EXIT_OK
     print(render_report(outcome.report), end="")
-    print(f"report: {workspace / 'report' / 'report.json'}")
+    print(f"report: {ctx.path('report_dir') / 'report.json'}")
     return EXIT_OK
 
 
@@ -439,8 +444,8 @@ def cmd_trials(args) -> int:
                                    "base_seed": base_recipe.base_seed + 1000 * i})
         injector = FaultInjector(fault_plan) if i in fault_runs else None
         try:
-            outcome = _run_agent_once(args, run_dir, run_id=f"trial-{i:03d}",
-                                      recipe=recipe, injector=injector)
+            _, outcome = _run_agent_once(args, run_dir, run_id=f"trial-{i:03d}",
+                                         recipe=recipe, injector=injector)
             reports.append(outcome.report)
             status = outcome.report["status"]
             errors = outcome.report["errors"]["total"]

@@ -12,9 +12,7 @@ threads.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,8 +47,8 @@ REFERENCE_ENVELOPE = {
     "CHF": (50.0, 16339.3),
 }
 
-# Rows per block when reading and writing tables: enough to amortise the
-# per-call cost, small enough to keep transient memory low.
+# Rows per block when writing tables and in inference (neural_net): enough
+# to amortise the per-call cost, small enough to keep transient memory low.
 _BLOCK_ROWS = 4096
 
 
@@ -151,9 +149,9 @@ def load_csv(path: str | Path, require_target: bool = True) -> Dataset:
     read is kept only when it has at least one row and every value is
     finite. In every other case (a refused line, a cell numpy cannot
     parse, a non-finite value, no rows, or a file that cannot seek) the
-    rows are parsed again from the first data row by `_parse_rows`, the
-    csv module plus `float()`. That parser is the reference for what the
-    fast read may accept, and it raises every row error.
+    rows are parsed again, cell by cell from the first data row, by
+    `_parse_rows`, the csv module plus `float()`: the reference for what
+    the fast read may accept, which raises every row error.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig") as fh:
@@ -232,57 +230,27 @@ def _parse_plain_rows(fh: TextIO, cols: list[int]) -> np.ndarray | None:
 
 def _parse_rows(reader, path: Path, cols: list[int],
                 names: tuple[str, ...]) -> np.ndarray:
-    """Parse the rows left in `reader` into an (n, len(cols)) array.
-
-    Rows are parsed a block at a time with `float()`. A block that holds
-    a bad cell is scanned again cell by cell, so `NonFiniteValue` names
-    the first bad cell's data row (blank rows count) and column. A line
-    the csv module cannot parse raises `MalformedCsv` with its line
-    number, unless a row before it holds a bad cell. No non-blank row
-    raises `EmptyFile`.
-    """
-    blocks = []
-    rows_read = 0
-    while True:
-        rows = []
+    """Parse the rows left in `reader`, one cell at a time in file order,
+    into an (n, len(cols)) array; the file's first error is raised. A bad
+    cell raises `NonFiniteValue` naming its data row (blank rows count)
+    and column, a line the csv module cannot parse `MalformedCsv` naming
+    its line, and no non-blank row `EmptyFile`."""
+    def cells():
         try:
-            # extend keeps the rows read before a malformed line, so
-            # a bad cell among them is reported first
-            rows.extend(itertools.islice(reader, _BLOCK_ROWS))
+            for row_number, row in enumerate(reader, start=1):
+                if any(map(str.strip, row)):
+                    for col, name in zip(cols, names):
+                        yield _parse_value(row, path, row_number, col, name)
         except csv.Error as exc:
-            _parse_block(rows, path, rows_read + 1, cols, names)
             raise _malformed(path, reader, exc) from None
-        if not rows:
-            break
-        block = _parse_block(rows, path, rows_read + 1, cols, names)
-        if len(block):
-            blocks.append(block)
-        rows_read += len(rows)
-    if not blocks:
+    values = np.fromiter(cells(), np.float64)
+    if not len(values):
         raise EmptyFile(f"{path} has no data rows")
-    return np.concatenate(blocks)
+    return values.reshape(-1, len(cols))
 
 
 def _malformed(path: Path, reader, exc: csv.Error) -> MalformedCsv:
     return MalformedCsv(f"{path}: malformed CSV at line {reader.line_num}: {exc}")
-
-
-def _parse_block(rows: list[list[str]], path: Path, first_row: int, cols: list[int],
-                 names: tuple[str, ...]) -> np.ndarray:
-    """Parse the non-blank rows of one block into a (k, len(cols)) array."""
-    kept = [row for row in rows if any(map(str.strip, row))]
-    try:
-        values = np.fromiter(map(float, itertools.chain.from_iterable(
-            map(operator.itemgetter(*cols), kept))), np.float64, len(kept) * len(cols))
-    except (ValueError, IndexError):
-        values = None
-    if values is not None and np.isfinite(values).all():
-        return values.reshape(len(kept), len(cols))
-    for row_number, row in enumerate(rows, start=first_row):
-        if any(map(str.strip, row)):
-            for col, name in zip(cols, names):
-                _parse_value(row, path, row_number, col, name)
-    raise AssertionError("a rejected block has no bad cell")
 
 
 def _parse_value(row: list[str], path: Path, row_number: int, col: int,

@@ -357,6 +357,20 @@ def test_agent_command_multi(tmp_path, capsys):
     assert (ws / "report" / "report.json").is_file()
 
 
+def test_agent_prints_the_resolved_report_path(tmp_path, capsys):
+    # the printed path comes from the run's layout, resolved like every
+    # path an error names, not from --workspace as typed
+    real = tmp_path / "real"
+    real.mkdir()
+    link = tmp_path / "link"
+    link.symlink_to(real, target_is_directory=True)
+    assert cli.main(["agent", "--workspace", str(link), "--synthetic", "120",
+                     "--seed", "5", *_FAST]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith(f"\nreport: {real.resolve() / 'report' / 'report.json'}\n")
+    assert (real / "report" / "report.json").is_file()
+
+
 def test_agent_stop_then_resume(tmp_path, capsys):
     ws = tmp_path / "agent_ws"
     base = ["agent", "--workspace", str(ws), "--synthetic", "120",

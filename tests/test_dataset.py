@@ -137,14 +137,23 @@ def test_load_csv_oversized_field_is_malformed_csv(tmp_path, lines, line):
     assert "field larger than field limit" in message
 
 
-def test_load_csv_bad_cell_before_malformed_line_wins(tmp_path):
-    # both lines fall in the first 4096-row block; the earlier row is reported
-    rows = ([_GOOD_ROW, "0.008,1.0,10000,2000,nan,1500"] + [_GOOD_ROW] * 7
-            + [_OVERSIZED_ROW])
+@pytest.mark.parametrize("rows, row, column", [
+    # both lines among the first rows
+    ([_GOOD_ROW, "0.008,1.0,10000,2000,nan,1500"] + [_GOOD_ROW] * 7 + [_OVERSIZED_ROW],
+     2, "X"),
+    # the bad cell near row 4,000, the oversized line near row 5,000
+    ([_GOOD_ROW] * 3999 + ["0.008,1.0,10000,x,0.1,1500"] + [_GOOD_ROW] * 1000
+     + [_OVERSIZED_ROW] + [_GOOD_ROW] * 3, 4000, "G"),
+    # both lines past row 4,096
+    ([_GOOD_ROW] * 4500 + ["0.008,inf,10000,2000,0.1,1500"] + [_GOOD_ROW] * 99
+     + [_OVERSIZED_ROW] + [_GOOD_ROW] * 3, 4501, "L"),
+])
+def test_load_csv_bad_cell_before_malformed_line_wins(tmp_path, rows, row, column):
+    # the earlier row is reported, wherever the two lines fall in the file
     p = _write(tmp_path / "big.csv", "D,L,P,G,X,CHF\n" + "\n".join(rows) + "\n")
     with pytest.raises(NonFiniteValue) as err:
         load_csv(p)
-    assert (err.value.row, err.value.column) == (2, "X")
+    assert (err.value.row, err.value.column) == (row, column)
 
 
 def test_load_csv_parses_cells_as_float_does(tmp_path):
