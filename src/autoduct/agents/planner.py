@@ -59,8 +59,7 @@ class PlannerReply:
 
 @dataclass(frozen=True)
 class PlannerCall:
-    """Audit record: digests by default, full prompt only when the
-    backend was built verbose."""
+    """Audit record of one call: the prompt, its digest and its tokens."""
 
     purpose: str
     prompt_digest: str
@@ -109,8 +108,7 @@ class PlannerBase:
 
     name = "planner"
 
-    def __init__(self, verbose: bool = False):
-        self.verbose = verbose
+    def __init__(self):
         self.calls: list[PlannerCall] = []
 
     def plan(self, request: PlanRequest) -> PlannerReply:
@@ -120,7 +118,7 @@ class PlannerBase:
             purpose=purpose, prompt_digest=prompt_digest(request.prompt),
             prompt_tokens=reply.prompt_tokens,
             completion_tokens=reply.completion_tokens, attempts=attempts,
-            prompt=request.prompt if self.verbose else None))
+            prompt=request.prompt))
         return reply
 
     def usage(self) -> dict:
@@ -201,8 +199,8 @@ class ScriptedPlanner(PlannerBase):
 
     name = "scripted"
 
-    def __init__(self, recipe: PipelineRecipe | None = None, verbose: bool = False):
-        super().__init__(verbose)
+    def __init__(self, recipe: PipelineRecipe | None = None):
+        super().__init__()
         self.recipe = recipe or PipelineRecipe()
 
     def _reply(self, request: PlanRequest) -> tuple[PlannerReply, int]:
@@ -250,6 +248,10 @@ class ScriptedPlanner(PlannerBase):
 # --- HTTP chat-completions backend ------------------------------------------
 
 _TRANSIENT_STATUS = (429, 500, 502, 503, 504)
+API_KEY_ENV = "AUTODUCT_API_KEY"
+_ATTEMPTS = 3
+_BACKOFF_S = 0.25
+_TIMEOUT_S = 60.0
 
 _SYSTEM_PROMPTS = {
     "task": ("You are the task-generation agent of a CHF regression pipeline. "
@@ -278,30 +280,22 @@ def _default_transport(url: str, body: dict, headers: dict,
 
 class HttpPlanner(PlannerBase):
     """Chat-completions client. Credentials come only from the
-    environment; transient failures retry with exponential backoff."""
+    `API_KEY_ENV` environment variable; a transient failure is retried,
+    up to `_ATTEMPTS` attempts, with exponential backoff."""
 
     name = "llm"
 
-    def __init__(self, endpoint: str, model: str,
-                 api_key_env: str = "AUTODUCT_API_KEY", max_retries: int = 3,
-                 backoff_s: float = 0.25, timeout_s: float = 60.0,
-                 transport=None, sleep=time.sleep, verbose: bool = False):
-        super().__init__(verbose)
-        if max_retries < 1:
-            raise ValueError("max_retries must be at least 1")
+    def __init__(self, endpoint: str, model: str, transport=None, sleep=time.sleep):
+        super().__init__()
         self.endpoint = endpoint.rstrip("/")
         self.model = model
-        self.api_key_env = api_key_env
-        self.max_retries = max_retries
-        self.backoff_s = backoff_s
-        self.timeout_s = timeout_s
         self.transport = transport or _default_transport
         self.sleep = sleep
 
     def _reply(self, request: PlanRequest) -> tuple[PlannerReply, int]:
-        api_key = os.environ.get(self.api_key_env, "")
+        api_key = os.environ.get(API_KEY_ENV, "")
         if not api_key:
-            raise AuthFailure(f"no credentials: set {self.api_key_env}")
+            raise AuthFailure(f"no credentials: set {API_KEY_ENV}")
         body = {"model": self.model,
                 "messages": [{"role": "system",
                               "content": _SYSTEM_PROMPTS[request.kind]},
@@ -312,27 +306,24 @@ class HttpPlanner(PlannerBase):
         url = self.endpoint + "/chat/completions"
         import requests  # transports signal network failures with its exceptions
 
-        last_error = "no attempt made"
-        for attempt in range(1, self.max_retries + 1):
+        for attempt in range(1, _ATTEMPTS + 1):
+            if attempt > 1:
+                self.sleep(_BACKOFF_S * 2 ** (attempt - 2))
             try:
-                status, doc = self.transport(url, body, headers, self.timeout_s)
+                status, doc = self.transport(url, body, headers, _TIMEOUT_S)
             except requests.RequestException as exc:
                 last_error = f"{type(exc).__name__}: {exc}"
-                if attempt < self.max_retries:
-                    self.sleep(self.backoff_s * 2 ** (attempt - 1))
                 continue
             if status in (401, 403):
                 raise AuthFailure(f"endpoint rejected credentials (HTTP {status})")
             if status in _TRANSIENT_STATUS:
                 last_error = f"HTTP {status}"
-                if attempt < self.max_retries:
-                    self.sleep(self.backoff_s * 2 ** (attempt - 1))
                 continue
             if status != 200:
                 raise PlannerUnavailable(f"endpoint returned HTTP {status}")
             return self._parse(doc), attempt
         raise PlannerUnavailable(
-            f"planner unreachable after {self.max_retries} attempts ({last_error})")
+            f"planner unreachable after {_ATTEMPTS} attempts ({last_error})")
 
     @staticmethod
     def _parse(doc: dict) -> PlannerReply:

@@ -30,7 +30,7 @@ from .planner import PlanRequest, PlannerBase, build_directive_prompt
 from .state import STAGE_TASKS, WorkflowState
 
 OBSERVATION_LIMIT = 512
-DEFAULT_WINDOW = 8
+WINDOW_SIZE = 8            # steps of recent history each directive prompt shows
 DEFAULT_MAX_STEPS = 40
 
 
@@ -51,10 +51,9 @@ class PlannerDirective:
 class Transcript:
     """Append-only history with a bounded recent window."""
 
-    def __init__(self, window_size: int = DEFAULT_WINDOW):
-        if window_size < 1:
-            raise ValueError("window_size must be at least 1")
-        self.window_size = window_size
+    window_size = WINDOW_SIZE
+
+    def __init__(self):
         self.history: list[ReActStep] = []
 
     def append(self, step: ReActStep) -> None:
@@ -143,8 +142,7 @@ def build_tools(run: StageRun) -> dict:
 
 
 def run_react(task: str, planner: PlannerBase, executor: TaskExecutor,
-              max_steps: int = DEFAULT_MAX_STEPS,
-              window_size: int = DEFAULT_WINDOW, resume: bool = False,
+              max_steps: int = DEFAULT_MAX_STEPS, resume: bool = False,
               stop_after_stage: str | None = None) -> AgentOutcome:
     """Think -> act -> observe until finish_task or the step budget.
 
@@ -160,7 +158,7 @@ def run_react(task: str, planner: PlannerBase, executor: TaskExecutor,
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
     run = StageRun("react", task, planner, executor, resume, stop_after_stage)
-    transcript = Transcript(window_size)
+    transcript = Transcript()
     if run.stopped():
         return AgentOutcome(report=None, state=run.state, transcript=transcript)
     tools = build_tools(run)

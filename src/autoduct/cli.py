@@ -303,8 +303,7 @@ def cmd_tune(args) -> int:
 
     evaluator = make_trial_evaluator(splits, normalizer, epochs=args.epochs,
                                      patience=args.patience, base_seed=args.seed)
-    board = run_parallel_bo(default_space(), evaluator, run_count=args.runs,
-                            n_sobol=args.sobol, n_bo=args.bo,
+    board = run_parallel_bo(default_space(), evaluator, n_sobol=args.sobol, n_bo=args.bo,
                             seeds=[args.seed + i for i in range(args.runs)],
                             log_path=log_path)
     top = select_top_k(board, args.top_k)

@@ -16,11 +16,12 @@ them is `neural_net.train_stack`'s: it groups members into stacks and
 raises a divergence as training them in order would. `train_ensemble`
 only checks the member list and wraps the results.
 
-Predictions are columnar: an EnsemblePrediction for N inputs and M
-members holds the four moments as (N,) arrays and the member outputs as
-C-contiguous (N, M) arrays, one row per input. Each moment is a
-reduction over axis 1, so every row is summed in member order with the
-same pairwise summation as a one-dimensional array of the M values.
+Predictions are columnar: `Ensemble.predict` writes the member outputs
+for N inputs into C-contiguous (N, M) working arrays, one row per input,
+and the EnsemblePrediction it returns holds the four moments as (N,)
+arrays. Each moment is a reduction over axis 1, so every row is summed
+in member order with the same pairwise summation as a one-dimensional
+array of the M values.
 
 On disk an ensemble is one document, <dir>/manifest.json: the format
 version, the normalizer once, and for each member its seed, provenance,
@@ -60,14 +61,12 @@ class EnsembleMember:
 
 @dataclass(frozen=True)
 class EnsemblePrediction:
-    """Mixture moments of N inputs: (N,) arrays, members as (N, M)."""
+    """Mixture moments of N inputs, as (N,) arrays."""
 
     mean: np.ndarray
     aleatory_var: np.ndarray
     epistemic_var: np.ndarray
     total_var: np.ndarray
-    member_means: np.ndarray
-    member_vars: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -137,8 +136,7 @@ def _moments(member_means: np.ndarray, member_vars: np.ndarray) -> EnsemblePredi
     epistemic = ((member_means - mean[:, None]) ** 2).mean(axis=1)
     return EnsemblePrediction(mean=mean, aleatory_var=aleatory,
                               epistemic_var=epistemic,
-                              total_var=aleatory + epistemic,
-                              member_means=member_means, member_vars=member_vars)
+                              total_var=aleatory + epistemic)
 
 
 def interval(ep: EnsemblePrediction, level: float) -> tuple[np.ndarray, np.ndarray]:

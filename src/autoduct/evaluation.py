@@ -15,7 +15,7 @@ fraction taken over the closed interval [0.5, 2.0].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -177,13 +177,7 @@ class TrialStats:
     avg_total_tokens: float
 
     def to_dict(self) -> dict:
-        return {"n_runs": self.n_runs, "avg_rmse": self.avg_rmse,
-                "min_rmse": self.min_rmse, "max_rmse": self.max_rmse,
-                "completed_zero_errors": self.completed_zero_errors,
-                "completed_one_error": self.completed_one_error,
-                "completed_two_plus_errors": self.completed_two_plus_errors,
-                "failures": self.failures,
-                "avg_total_tokens": self.avg_total_tokens}
+        return asdict(self)
 
 
 def aggregate_trials(run_reports: list[dict]) -> TrialStats:

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .. import neural_net
+from .. import evaluation, neural_net
 from ..dataset import Normalizer, SplitDataset
 from ..errors import DivergedLoss, InsufficientTrials, IoFailure
 from ..rng import derive_seed
@@ -127,18 +127,14 @@ def run_bo(space: SearchSpace, n_sobol: int, n_bo: int, evaluator: Evaluator,
     return Leaderboard(tuple(results))
 
 
-def run_parallel_bo(space: SearchSpace, evaluator: Evaluator, run_count: int = 5,
-                    n_sobol: int = 16, n_bo: int = 32,
-                    seeds: list[int] | None = None,
+def run_parallel_bo(space: SearchSpace, evaluator: Evaluator, n_sobol: int, n_bo: int,
+                    seeds: list[int],
                     log_path: str | Path | None = None) -> Leaderboard:
-    """Independent runs merged into one board. run ids are 0..run_count-1
-    and seeds must be pairwise distinct so the runs explore differently."""
-    if run_count < 1:
+    """One independent run per seed, merged into one board. Run i has
+    run id i and seed seeds[i]; seeds must be pairwise distinct so the
+    runs explore differently."""
+    if not seeds:
         raise ValueError("need at least one run")
-    if seeds is None:
-        seeds = list(range(run_count))
-    if len(seeds) != run_count:
-        raise ValueError("need exactly one seed per run")
     if len(set(seeds)) != len(seeds):
         raise ValueError(f"run seeds must be pairwise distinct, got {seeds}")
 
@@ -148,7 +144,7 @@ def run_parallel_bo(space: SearchSpace, evaluator: Evaluator, run_count: int = 5
                              run_id=run_id, log_path=log_path).results))
 
 
-def select_top_k(board: Leaderboard, k: int = 15) -> list[TrialConfig]:
+def select_top_k(board: Leaderboard, k: int) -> list[TrialConfig]:
     """The k configurations with the lowest validation RMSE; ties keep
     board order (run id, then trial id)."""
     if k < 1:
@@ -172,8 +168,7 @@ def trial_to_configs(tc: TrialConfig, input_dim: int, epochs: int, patience: int
 
 
 def make_trial_evaluator(splits: SplitDataset, normalizer: Normalizer,
-                         epochs: int = 60, patience: int = 10,
-                         base_seed: int = 0) -> Evaluator:
+                         epochs: int, patience: int, base_seed: int) -> Evaluator:
     """Evaluator that trains one network per configuration and scores it
     by validation RMSE in physical units.
 
@@ -196,7 +191,7 @@ def make_trial_evaluator(splits: SplitDataset, normalizer: Normalizer,
             return TrialResult(tc, None, "diverged",
                                time.perf_counter() - started)
         mu, _ = neural_net.predict_batch(params, mlp_cfg, normalizer, val_x)
-        rmse = float(np.sqrt(np.mean((val_y - mu) ** 2)))
-        return TrialResult(tc, rmse, "ok", time.perf_counter() - started)
+        return TrialResult(tc, evaluation.rmse(val_y, mu), "ok",
+                           time.perf_counter() - started)
 
     return evaluate

@@ -285,9 +285,9 @@ class TrainConfig:
     learning_rate: float
     weight_decay: float
     batch_size: int
-    epochs: int = 300
-    seed: int = 0
-    patience: int = 30
+    epochs: int
+    seed: int
+    patience: int
 
     def __post_init__(self):
         if self.learning_rate <= 0:

@@ -130,9 +130,9 @@ def test_ac04_bo_matches_or_beats_sobol(tiny_splits, tiny_normalizer):
                                      epochs=6, patience=3, base_seed=0)
     space = default_space()
     seeds = [0, 1, 2, 3, 4]
-    bo = run_parallel_bo(space, evaluator, run_count=5, n_sobol=16, n_bo=32,
+    bo = run_parallel_bo(space, evaluator, n_sobol=16, n_bo=32,
                          seeds=seeds)
-    sobol_only = run_parallel_bo(space, evaluator, run_count=5, n_sobol=48,
+    sobol_only = run_parallel_bo(space, evaluator, n_sobol=48,
                                  n_bo=0, seeds=seeds)
     assert len(bo.results) == 240
     assert len(sobol_only.results) == 240
@@ -240,7 +240,7 @@ def test_ac06_supervisor_trace_fidelity(agent_workspace, drill_recipe):
 
 def test_ac07_react_trace_fidelity(agent_workspace, drill_recipe):
     ctx = agent_workspace()
-    planner = ScriptedPlanner(drill_recipe, verbose=True)
+    planner = ScriptedPlanner(drill_recipe)
     injector = FaultInjector.from_spec("stage=evaluate,attempt=1")
     executor = TaskExecutor(ctx, injector=injector)
     outcome = run_react("CHF regression pipeline", planner, executor)

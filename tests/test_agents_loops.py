@@ -14,8 +14,8 @@ from autoduct.agents.executor import FaultInjector, TaskExecutor
 from autoduct.agents.multi_agent import (AgentOutcome, generate_task,
                                          run_multi_agent, tune_task)
 from autoduct.agents.planner import HttpPlanner, PlannerReply, ScriptedPlanner
-from autoduct.agents.react import (OBSERVATION_LIMIT, ReActStep, Transcript,
-                                   act, observe, run_react)
+from autoduct.agents.react import (OBSERVATION_LIMIT, WINDOW_SIZE, ReActStep,
+                                   Transcript, act, observe, run_react)
 from autoduct.agents.report import render_report
 from autoduct.agents.state import STAGE_TASKS, load_state
 from autoduct.errors import (AutoductError, CorruptArtifact, PlannerUnavailable,
@@ -295,17 +295,18 @@ def test_react_rejects_missing_action(agent_workspace, drill_recipe):
 
 
 def test_react_window_bounds_prompt_history(agent_workspace, drill_recipe):
+    # two faults add a patch and a re-execution each: 11 directives, so
+    # the tail of the run has more than WINDOW_SIZE steps of history
     ctx = agent_workspace()
-    planner = ScriptedPlanner(drill_recipe, verbose=True)
-    executor = TaskExecutor(ctx)
-    run_react("t", planner, executor, window_size=2)
+    planner = ScriptedPlanner(drill_recipe)
+    injector = FaultInjector.from_spec("stage=train,attempt=1;stage=evaluate,attempt=1")
+    run_react("t", planner, TaskExecutor(ctx, injector=injector))
     directive_prompts = [c.prompt for c in planner.calls
                          if c.purpose == "directive"]
-    assert len(directive_prompts) == 7
+    assert len(directive_prompts) == 11 > WINDOW_SIZE + 1
     for prompt in directive_prompts:
-        assert prompt.count(" | action: ") <= 2
-    # the tail of the run has more than two steps of history available
-    assert directive_prompts[-1].count(" | action: ") == 2
+        assert prompt.count(" | action: ") <= WINDOW_SIZE
+    assert directive_prompts[-1].count(" | action: ") == WINDOW_SIZE
 
 
 def test_react_stop_and_resume(agent_workspace, drill_recipe):
@@ -549,7 +550,7 @@ def test_tool_names_order(agent_workspace, drill_recipe):
                 "generate_evaluation_task", "execute_task", "patch_task",
                 "read_log", "finish_task")
     ctx = agent_workspace()
-    planner = ScriptedPlanner(drill_recipe, verbose=True)
+    planner = ScriptedPlanner(drill_recipe)
     with pytest.raises(StepBudgetExhausted):
         run_react("t", planner, TaskExecutor(ctx), max_steps=1)
     assert f"Available tools: {', '.join(expected)}\n" in planner.calls[0].prompt
@@ -693,17 +694,17 @@ def test_unknown_stop_stage_is_rejected_before_any_state(agent_workspace,
 # --- transcript mechanics ------------------------------------------------------------
 
 def test_transcript_window_and_rendering():
-    t = Transcript(window_size=2)
-    for i in range(4):
+    t = Transcript()
+    n = WINDOW_SIZE + 2
+    for i in range(n):
         t.append(ReActStep(f"think{i}", f"act{i}", f"obs{i}"))
-    assert len(t) == 4
-    assert [s.action for s in t.window()] == ["act2", "act3"]
-    assert t.last_observation() == "obs3"
+    assert len(t) == n
+    assert t.window_size == WINDOW_SIZE
+    assert [s.action for s in t.window()] == [f"act{i}" for i in range(2, n)]
+    assert t.last_observation() == f"obs{n - 1}"
     rendered = t.render_window()
-    assert rendered == ["thought: think2 | action: act2 | obs: obs2",
-                        "thought: think3 | action: act3 | obs: obs3"]
-    with pytest.raises(ValueError):
-        Transcript(window_size=0)
+    assert rendered == [f"thought: think{i} | action: act{i} | obs: obs{i}"
+                        for i in range(2, n)]
     assert Transcript().last_observation() == ""
 
 

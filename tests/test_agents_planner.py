@@ -222,14 +222,11 @@ def test_recipe_slices_flow_into_evaluate_payload():
     assert "slices" not in PipelineRecipe().payload_for("evaluate")
 
 
-def test_verbose_planner_retains_prompts():
-    quiet = ScriptedPlanner()
-    quiet.plan(_task_request(prompt="secret"))
-    assert quiet.calls[0].prompt is None
-    loud = ScriptedPlanner(verbose=True)
-    loud.plan(_task_request(prompt="secret"))
-    assert loud.calls[0].prompt == "secret"
-    assert loud.calls[0].prompt_digest == prompt_digest("secret")
+def test_planner_retains_prompts():
+    planner = ScriptedPlanner()
+    planner.plan(_task_request(prompt="secret"))
+    assert planner.calls[0].prompt == "secret"
+    assert planner.calls[0].prompt_digest == prompt_digest("secret")
 
 
 # --- HTTP backend -------------------------------------------------------------------------
@@ -253,10 +250,10 @@ class _FakeTransport:
         return outcome
 
 
-def _planner(transport, **kwargs):
+def _planner(transport):
     sleeps = []
     planner = HttpPlanner("https://api.example.test/v1/", "planner-model",
-                          transport=transport, sleep=sleeps.append, **kwargs)
+                          transport=transport, sleep=sleeps.append)
     return planner, sleeps
 
 
@@ -281,6 +278,7 @@ def test_http_happy_path_and_request_shape(monkeypatch):
 
     url, body, headers, timeout = transport.requests[0]
     assert url == "https://api.example.test/v1/chat/completions"
+    assert timeout == 60.0
     assert headers["Authorization"] == "Bearer sk-test"
     assert body["model"] == "planner-model"
     assert body["temperature"] == 0
@@ -294,7 +292,7 @@ def test_http_retries_transient_failures(monkeypatch):
     monkeypatch.setenv(KEY_ENV, "sk-test")
     transport = _FakeTransport([(503, {}), requests.ConnectionError("down"),
                                 _ok_response({"x": 1})])
-    planner, sleeps = _planner(transport, max_retries=3, backoff_s=0.25)
+    planner, sleeps = _planner(transport)
     reply = planner.plan(_task_request())
     assert reply.payload == {"x": 1}
     assert sleeps == [0.25, 0.5]             # exponential backoff
@@ -303,19 +301,19 @@ def test_http_retries_transient_failures(monkeypatch):
 
 def test_http_exhausts_retry_budget(monkeypatch):
     monkeypatch.setenv(KEY_ENV, "sk-test")
-    transport = _FakeTransport([(503, {}), (429, {})])
-    planner, sleeps = _planner(transport, max_retries=2)
-    with pytest.raises(PlannerUnavailable, match="after 2 attempts"):
+    transport = _FakeTransport([(503, {}), (429, {}), requests.ConnectionError("down")])
+    planner, sleeps = _planner(transport)
+    with pytest.raises(PlannerUnavailable, match="after 3 attempts"):
         planner.plan(_task_request())
-    assert len(transport.requests) == 2
-    assert sleeps == [0.25]
+    assert len(transport.requests) == 3
+    assert sleeps == [0.25, 0.5]
 
 
 def test_http_auth_rejection_never_retries(monkeypatch):
     monkeypatch.setenv(KEY_ENV, "sk-test")
     for status in (401, 403):
         transport = _FakeTransport([(status, {})])
-        planner, sleeps = _planner(transport, max_retries=3)
+        planner, sleeps = _planner(transport)
         with pytest.raises(AuthFailure):
             planner.plan(_task_request())
         assert len(transport.requests) == 1
@@ -387,7 +385,3 @@ def test_http_missing_usage_defaults_to_zero(monkeypatch):
     reply = planner.plan(_task_request())
     assert (reply.prompt_tokens, reply.completion_tokens) == (0, 9)
 
-
-def test_http_constructor_validation():
-    with pytest.raises(ValueError):
-        HttpPlanner("https://x", "m", max_retries=0)

@@ -75,8 +75,6 @@ def test_aggregate_single_member_passthrough():
     np.testing.assert_array_equal(ep.aleatory_var, [0.7])
     np.testing.assert_array_equal(ep.epistemic_var, [0.0])
     np.testing.assert_array_equal(ep.total_var, [0.7])
-    np.testing.assert_array_equal(ep.member_means, [[3.0]])
-    np.testing.assert_array_equal(ep.member_vars, [[0.7]])
 
 
 def test_aggregate_validation():
@@ -91,9 +89,7 @@ def test_aggregate_validation():
 def _one_row(mean, aleatory, epistemic):
     return EnsemblePrediction(mean=np.array([mean]), aleatory_var=np.array([aleatory]),
                               epistemic_var=np.array([epistemic]),
-                              total_var=np.array([aleatory + epistemic]),
-                              member_means=np.array([[mean]]),
-                              member_vars=np.array([[aleatory]]))
+                              total_var=np.array([aleatory + epistemic]))
 
 
 def test_interval_worked_example():
@@ -146,16 +142,15 @@ def test_member_prediction_order_and_aggregation(tiny_ensemble, tiny_splits):
     raw = tiny_splits.test.features[:3]
     ep = tiny_ensemble.predict(raw)
     assert ep.mean.shape == ep.total_var.shape == (3,)
-    assert ep.member_means.shape == ep.member_vars.shape == (3, tiny_ensemble.size)
-    assert ep.member_means.flags.c_contiguous and ep.member_vars.flags.c_contiguous
-    for j, member in enumerate(tiny_ensemble.members):
-        mu, var = predict_batch(member.params, member.config,
-                                tiny_ensemble.normalizer, raw)
-        assert np.array_equal(ep.member_means[:, j], mu)
-        assert np.array_equal(ep.member_vars[:, j], var)
+    # member j's outputs are column j of the (N, M) stack the moments reduce
+    columns = [predict_batch(member.params, member.config, tiny_ensemble.normalizer, raw)
+               for member in tiny_ensemble.members]
+    member_means = np.column_stack([mu for mu, _ in columns])
+    member_vars = np.column_stack([var for _, var in columns])
+    _assert_predictions_equal(ep, _moments(member_means, member_vars))
 
     for i in range(3):
-        row = _one_input(ep.member_means[i], ep.member_vars[i])
+        row = _one_input(member_means[i], member_vars[i])
         for f in fields(EnsemblePrediction):
             assert np.array_equal(getattr(ep, f.name)[i:i + 1], getattr(row, f.name))
     # single-row matmuls may take a different BLAS path, so allow float slack
@@ -166,14 +161,16 @@ def test_member_prediction_order_and_aggregation(tiny_ensemble, tiny_splits):
 
 
 def _traced_excess(ens, raw):
-    """Ensemble.predict's traced peak minus the bytes of what it returns."""
+    """Ensemble.predict's traced peak minus the bytes of what it returns
+    and of the two (N, M) float64 member arrays its moments reduce."""
     tracemalloc.start()
     try:
         ep = ens.predict(raw)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return peak - sum(getattr(ep, f.name).nbytes for f in fields(EnsemblePrediction))
+    members = 2 * len(raw) * ens.size * 8
+    return peak - members - sum(getattr(ep, f.name).nbytes for f in fields(EnsemblePrediction))
 
 
 def test_predict_memory_is_bounded_by_a_row_block(tiny_ensemble, tiny_splits):
@@ -200,8 +197,7 @@ def _per_row_predict(ens, raw):
         mean = float(mus.mean())
         aleatory = float(vars_.mean())
         epistemic = float(((mus - mean) ** 2).mean())
-        rows.append((mean, aleatory, epistemic, aleatory + epistemic,
-                     tuple(float(m) for m in mus), tuple(float(v) for v in vars_)))
+        rows.append((mean, aleatory, epistemic, aleatory + epistemic))
     return [np.array(column) for column in zip(*rows)]
 
 

@@ -216,7 +216,7 @@ def test_run_bo_all_warmup_diverged_still_proposes():
 
 def test_run_parallel_bo_merges_runs(tmp_path):
     log = tmp_path / "all.jsonl"
-    board = run_parallel_bo(SPACE, _smooth_evaluator, run_count=3, n_sobol=3,
+    board = run_parallel_bo(SPACE, _smooth_evaluator, n_sobol=3,
                             n_bo=1, seeds=[10, 11, 12], log_path=log)
     assert len(board.results) == 12
     assert sorted({r.config.run_id for r in board.results}) == [0, 1, 2]
@@ -229,19 +229,9 @@ def test_run_parallel_bo_merges_runs(tmp_path):
 
 def test_run_parallel_bo_seed_validation():
     with pytest.raises(ValueError):
-        run_parallel_bo(SPACE, _smooth_evaluator, run_count=2, n_sobol=2,
-                        n_bo=0, seeds=[5, 5])
+        run_parallel_bo(SPACE, _smooth_evaluator, n_sobol=2, n_bo=0, seeds=[5, 5])
     with pytest.raises(ValueError):
-        run_parallel_bo(SPACE, _smooth_evaluator, run_count=2, n_sobol=2,
-                        n_bo=0, seeds=[1])
-    with pytest.raises(ValueError):
-        run_parallel_bo(SPACE, _smooth_evaluator, run_count=0, n_sobol=2, n_bo=0)
-
-
-def test_run_parallel_bo_default_seeds():
-    board = run_parallel_bo(SPACE, _smooth_evaluator, run_count=2, n_sobol=2,
-                            n_bo=0)
-    assert len(board.results) == 4
+        run_parallel_bo(SPACE, _smooth_evaluator, n_sobol=2, n_bo=0, seeds=[])
 
 
 # --- selection ------------------------------------------------------------------------------
@@ -299,7 +289,8 @@ def test_make_trial_evaluator_trains_and_scores(tiny_splits):
 
 def test_make_trial_evaluator_absorbs_divergence(tiny_splits):
     norm = fit_normalizer(tiny_splits.train)
-    evaluate = make_trial_evaluator(tiny_splits, norm, epochs=3, patience=3)
+    evaluate = make_trial_evaluator(tiny_splits, norm, epochs=3, patience=3,
+                                    base_seed=0)
     wild = TrialConfig(1e80, 1e-4, 0.0, 128, 6, 8, ActivationKind.RELU,
                        trial_id=1, run_id=0)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -287,11 +287,11 @@ def test_config_dict_round_trip():
 
 def test_train_config_validation():
     with pytest.raises(ValueError):
-        TrainConfig(0.0, 1e-5, 64)
+        TrainConfig(0.0, 1e-5, 64, epochs=10, seed=0, patience=5)
     with pytest.raises(ValueError):
-        TrainConfig(1e-3, -1e-5, 64)
+        TrainConfig(1e-3, -1e-5, 64, epochs=10, seed=0, patience=5)
     with pytest.raises(ValueError):
-        TrainConfig(1e-3, 1e-5, 0)
+        TrainConfig(1e-3, 1e-5, 0, epochs=10, seed=0, patience=5)
 
 
 # --- initialization ----------------------------------------------------------

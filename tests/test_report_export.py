@@ -227,8 +227,7 @@ def _prediction(rng, n, scale):
     aleatory = rng.uniform(1.0, 0.01 * scale**2, size=n)
     epistemic = rng.uniform(0.0, 0.001 * scale**2, size=n)
     aleatory[5], epistemic[6], epistemic[7] = 5e-324, -0.0, 0.1
-    return EnsemblePrediction(mean, aleatory, epistemic, aleatory + epistemic,
-                              mean[:, None], aleatory[:, None])
+    return EnsemblePrediction(mean, aleatory, epistemic, aleatory + epistemic)
 
 
 @pytest.fixture(scope="module")
