@@ -8,8 +8,7 @@ from .ensemble import (Ensemble, EnsemblePrediction, interval, load_ensemble,
 from .errors import AutoductError
 from .evaluation import (aggregate_trials, evaluate_model, evaluate_slices,
                          mape, rmse, rmspe)
-from .hpo import (SearchSpace, TrialConfig, default_space, run_bo,
-                  run_parallel_bo, select_top_k)
+from .hpo import TrialConfig, run_bo, run_parallel_bo, select_top_k
 from .neural_net import ActivationKind, MLPConfig, TrainConfig, train
 from .report_export import export_report
 
@@ -21,7 +20,7 @@ __all__ = [
     "EnsemblePrediction", "interval", "load_ensemble",
     "save_ensemble", "train_ensemble", "AutoductError", "aggregate_trials",
     "evaluate_model", "evaluate_slices", "mape", "rmse", "rmspe",
-    "SearchSpace", "TrialConfig", "default_space", "run_bo",
+    "TrialConfig", "run_bo",
     "run_parallel_bo", "select_top_k", "ActivationKind", "MLPConfig",
     "TrainConfig", "train", "export_report", "__version__",
 ]

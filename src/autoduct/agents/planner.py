@@ -21,6 +21,7 @@ import os
 import time
 from dataclasses import dataclass
 
+from ..dataset import FEATURE_NAMES
 from ..errors import AuthFailure, PlannerUnavailable, SchemaInvalid
 from ..evaluation import POINT_METRICS, TWO_SIGMA_LEVEL
 from .context import ProjectContext
@@ -134,6 +135,10 @@ class PlannerBase:
 
 # --- scripted backend -------------------------------------------------------
 
+# the activations the recipe's members cycle through, in member order
+MEMBER_ACTIVATIONS = ("relu", "gelu", "softplus")
+
+
 @dataclass(frozen=True)
 class PipelineRecipe:
     """Known-good payload parameters the scripted planner emits.
@@ -142,12 +147,10 @@ class PipelineRecipe:
     and short training. Callers with real budgets override fields.
     """
 
-    input_dim: int = 5
     member_count: int = 3
     hidden_layers: int = 2
     hidden_units: int = 16
     dropout_rate: float = 0.0
-    activations: tuple[str, ...] = ("relu", "gelu", "softplus")
     fractions: tuple[float, float, float] = (0.72, 0.18, 0.10)
     split_seed: int = 1
     learning_rate: float = 3e-3
@@ -157,20 +160,19 @@ class PipelineRecipe:
     patience: int = 10
     base_seed: int = 100
     level: float = TWO_SIGMA_LEVEL
-    metrics: tuple[str, ...] = POINT_METRICS
     slices: tuple[dict, ...] = ()
 
     def members(self) -> list[dict]:
         return [{"hidden_layers": self.hidden_layers,
                  "hidden_units": self.hidden_units,
-                 "activation": self.activations[i % len(self.activations)],
+                 "activation": MEMBER_ACTIVATIONS[i % len(MEMBER_ACTIVATIONS)],
                  "dropout_rate": self.dropout_rate}
                 for i in range(self.member_count)]
 
     def payload_for(self, kind: str) -> dict:
         split = {"fractions": list(self.fractions), "seed": self.split_seed}
         if kind == "model":
-            return {"input_dim": self.input_dim, "members": self.members(),
+            return {"input_dim": len(FEATURE_NAMES), "members": self.members(),
                     "output_role": "model_spec"}
         if kind == "train":
             return {"data_role": "dataset_file", "model_role": "model_spec",
@@ -184,7 +186,7 @@ class PipelineRecipe:
         if kind == "evaluate":
             payload = {"data_role": "dataset_file", "ensemble_role": "ensemble_dir",
                        "output_role": "report_dir", "split": split,
-                       "level": self.level, "metrics": list(self.metrics)}
+                       "level": self.level, "metrics": list(POINT_METRICS)}
             if self.slices:
                 payload["slices"] = [dict(s) for s in self.slices]
             return payload

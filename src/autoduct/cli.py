@@ -41,7 +41,7 @@ from .ensemble import ENSEMBLE_FORMAT_VERSION, load_ensemble
 from .errors import AutoductError
 from .evaluation import (TWO_SIGMA_LEVEL, aggregate_trials, evaluate_model,
                          evaluate_slices, format_trial_table)
-from .hpo import default_space, make_trial_evaluator, run_parallel_bo, select_top_k
+from .hpo import make_trial_evaluator, run_parallel_bo, select_top_k
 from .report_export import export_report
 from .rng import STREAM_VERSION
 
@@ -303,7 +303,7 @@ def cmd_tune(args) -> int:
 
     evaluator = make_trial_evaluator(splits, normalizer, epochs=args.epochs,
                                      patience=args.patience, base_seed=args.seed)
-    board = run_parallel_bo(default_space(), evaluator, n_sobol=args.sobol, n_bo=args.bo,
+    board = run_parallel_bo(evaluator, n_sobol=args.sobol, n_bo=args.bo,
                             seeds=[args.seed + i for i in range(args.runs)],
                             log_path=log_path)
     top = select_top_k(board, args.top_k)

@@ -88,7 +88,6 @@ def rmspe(y, yhat) -> float:
 
 @dataclass(frozen=True)
 class RatioAnalysis:
-    ratios: np.ndarray
     mean: float
     std: float
     inside_frac: float
@@ -102,7 +101,7 @@ def ratio_analysis(y, yhat) -> RatioAnalysis:
     ratios = yhat / y
     lo, hi = RATIO_INSIDE_BOUNDS
     inside = float(np.mean((ratios >= lo) & (ratios <= hi)))
-    return RatioAnalysis(ratios=ratios, mean=float(ratios.mean()),
+    return RatioAnalysis(mean=float(ratios.mean()),
                          std=float(ratios.std()), inside_frac=inside)
 
 

@@ -1,6 +1,6 @@
 """Bayesian optimization over the network hyperparameter space."""
 
-from .space import SearchSpace, TrialConfig, decode, default_space, encode
+from .space import TrialConfig, decode, encode
 from .sobol import sample_sobol, sobol_points
 from .gp import GPSurrogate, fit_gp, incumbent_value, propose_next
 from .optimize import (
@@ -13,7 +13,7 @@ from .optimize import (
 )
 
 __all__ = [
-    "SearchSpace", "TrialConfig", "decode", "default_space", "encode",
+    "TrialConfig", "decode", "encode",
     "sample_sobol", "sobol_points", "GPSurrogate", "fit_gp",
     "incumbent_value", "propose_next",
     "Leaderboard", "TrialResult", "make_trial_evaluator", "run_bo",

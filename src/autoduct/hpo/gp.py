@@ -60,7 +60,7 @@ from ..errors import SingularCovariance
 from ..rng import derive_seed
 from ..stats import standard_normal_cdf_pdf
 from .sobol import sobol_points
-from .space import SearchSpace, TrialConfig, canonicalize, decode
+from .space import ENCODED_DIM, TrialConfig, canonicalize, decode
 
 _SQRT5 = math.sqrt(5.0)
 _JITTERS = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
@@ -305,8 +305,7 @@ def _ei_arrays(mu: np.ndarray, var: np.ndarray, incumbent: float) -> np.ndarray:
     return np.maximum(out, 0.0)
 
 
-def propose_next(gp: GPSurrogate, space: SearchSpace,
-                 candidate_count: int = 2048, seed: int = 0) -> TrialConfig:
+def propose_next(gp: GPSurrogate, candidate_count: int = 2048, seed: int = 0) -> TrialConfig:
     """Argmax of EI over a shifted quasi-random candidate set.
 
     Candidates are canonicalized (decode then encode, as one array) so
@@ -315,8 +314,8 @@ def propose_next(gp: GPSurrogate, space: SearchSpace,
     """
     if candidate_count < 1:
         raise ValueError("need at least one candidate")
-    raw = sobol_points(space.encoded_dim, candidate_count,
+    raw = sobol_points(ENCODED_DIM, candidate_count,
                        shift_seed=derive_seed(seed, "propose-candidates"))
-    mu, var = posterior(gp, canonicalize(raw, space))
+    mu, var = posterior(gp, canonicalize(raw))
     ei = _ei_arrays(mu, var, incumbent_value(gp))
-    return replace(decode(raw[int(np.argmax(ei))], space), origin="bo")
+    return replace(decode(raw[int(np.argmax(ei))]), origin="bo")

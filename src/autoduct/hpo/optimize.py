@@ -31,7 +31,7 @@ from ..errors import DivergedLoss, InsufficientTrials, IoFailure
 from ..rng import derive_seed
 from .gp import fit_gp, propose_next
 from .sobol import sample_sobol
-from .space import SearchSpace, TrialConfig, encode
+from .space import ENCODED_DIM, TrialConfig, encode
 
 # objective assigned to a diverged trial when no trial has succeeded yet
 _FALLBACK_PENALTY = 1e6
@@ -97,8 +97,7 @@ def _append_log(log_path: Path | None, result: TrialResult) -> None:
         raise IoFailure(f"cannot append to trial log {log_path}: {exc}") from exc
 
 
-def run_bo(space: SearchSpace, n_sobol: int, n_bo: int, evaluator: Evaluator,
-           seed: int, run_id: int = 0,
+def run_bo(n_sobol: int, n_bo: int, evaluator: Evaluator, seed: int, run_id: int = 0,
            log_path: str | Path | None = None) -> Leaderboard:
     """One optimization run; trials are numbered 0..n_sobol+n_bo-1 in
     evaluation order."""
@@ -108,8 +107,8 @@ def run_bo(space: SearchSpace, n_sobol: int, n_bo: int, evaluator: Evaluator,
         raise ValueError("surrogate-stage budget must be non-negative")
     log_path = Path(log_path) if log_path is not None else None
 
-    warmup = sample_sobol(space, n_sobol, shift_seed=derive_seed(seed, "sobol-init"))
-    x = np.empty((n_sobol + n_bo, space.encoded_dim))
+    warmup = sample_sobol(n_sobol, shift_seed=derive_seed(seed, "sobol-init"))
+    x = np.empty((n_sobol + n_bo, ENCODED_DIM))
     rmse = np.empty(n_sobol + n_bo)
     results: list[TrialResult] = []
     for i in range(n_sobol + n_bo):
@@ -117,18 +116,17 @@ def run_bo(space: SearchSpace, n_sobol: int, n_bo: int, evaluator: Evaluator,
             cfg = warmup[i]
         else:
             gp = fit_gp(x[:i], _objective_for_gp(rmse[:i]))
-            cfg = propose_next(gp, space, seed=derive_seed(seed, f"propose:{i - n_sobol}"))
+            cfg = propose_next(gp, seed=derive_seed(seed, f"propose:{i - n_sobol}"))
         cfg = replace(cfg, trial_id=i, run_id=run_id)
         result = replace(evaluator(cfg), config=cfg)
         results.append(result)
         _append_log(log_path, result)
-        x[i] = encode(cfg, space)
+        x[i] = encode(cfg)
         rmse[i] = result.rmse if result.status == "ok" else np.nan
     return Leaderboard(tuple(results))
 
 
-def run_parallel_bo(space: SearchSpace, evaluator: Evaluator, n_sobol: int, n_bo: int,
-                    seeds: list[int],
+def run_parallel_bo(evaluator: Evaluator, n_sobol: int, n_bo: int, seeds: list[int],
                     log_path: str | Path | None = None) -> Leaderboard:
     """One independent run per seed, merged into one board. Run i has
     run id i and seed seeds[i]; seeds must be pairwise distinct so the
@@ -140,7 +138,7 @@ def run_parallel_bo(space: SearchSpace, evaluator: Evaluator, n_sobol: int, n_bo
 
     return Leaderboard(tuple(
         result for run_id, seed in enumerate(seeds)
-        for result in run_bo(space, n_sobol, n_bo, evaluator, seed=seed,
+        for result in run_bo(n_sobol, n_bo, evaluator, seed=seed,
                              run_id=run_id, log_path=log_path).results))
 
 

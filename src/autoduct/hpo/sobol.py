@@ -27,7 +27,7 @@ import numpy as np
 
 from ..errors import DimensionOverflow
 from ..rng import SplitMix64
-from .space import SearchSpace, TrialConfig, decode
+from .space import ENCODED_DIM, TrialConfig, decode
 
 _BITS = 32
 _MAX_POINTS = 2**31
@@ -102,7 +102,7 @@ def sobol_points(dim: int, n: int, shift_seed: int = 0) -> np.ndarray:
     return (states ^ shifts) / 2.0**_BITS
 
 
-def sample_sobol(space: SearchSpace, n: int, shift_seed: int = 0) -> list[TrialConfig]:
+def sample_sobol(n: int, shift_seed: int = 0) -> list[TrialConfig]:
     """Quasi-random configurations: cube points mapped through decode.
 
     Trial ids number the points 0..n-1; callers that merge stages assign
@@ -110,6 +110,6 @@ def sample_sobol(space: SearchSpace, n: int, shift_seed: int = 0) -> list[TrialC
     """
     if n < 1:
         raise ValueError("need at least one point")
-    points = sobol_points(space.encoded_dim, n, shift_seed)
-    return [replace(decode(point, space), trial_id=i, origin="sobol")
+    points = sobol_points(ENCODED_DIM, n, shift_seed)
+    return [replace(decode(point), trial_id=i, origin="sobol")
             for i, point in enumerate(points)]

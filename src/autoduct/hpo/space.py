@@ -9,8 +9,9 @@ and each categorical dimension becomes a one-hot block, giving
 
     3 + 3 + 2 + 7 + 6 = 21
 
-coordinates for the default space. encode returns a configuration's
-(encoded_dim,) row; a search stacks its trials' rows into one matrix.
+coordinates (ENCODED_DIM). The space is fixed: its seven ranges are
+the module constants below. encode returns a configuration's
+(ENCODED_DIM,) row; a search stacks its trials' rows into one matrix.
 Decoding accepts any point of the cube (one-hot blocks need not be
 exact) and snaps each block to the choice with the largest weight, ties
 to the lowest index. canonicalize applies decode-then-encode to a whole
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -28,45 +30,20 @@ from ..errors import OutOfDomain
 from ..neural_net import ActivationKind
 
 
-@dataclass(frozen=True)
-class SearchSpace:
-    learning_rate: tuple[float, float] = (1e-4, 1e-2)   # log-uniform
-    weight_decay: tuple[float, float] = (1e-4, 1e-2)    # log-uniform
-    dropout_rate: tuple[float, float] = (0.0, 0.3)      # uniform
-    batch_sizes: tuple[int, ...] = (128, 256, 512)
-    hidden_layers: tuple[int, ...] = (6, 7)
-    hidden_units: tuple[int, ...] = (8, 16, 24, 32, 48, 64, 96)
-    activations: tuple[ActivationKind, ...] = tuple(ActivationKind)
+LEARNING_RATE = (1e-4, 1e-2)     # log-uniform
+WEIGHT_DECAY = (1e-4, 1e-2)      # log-uniform
+DROPOUT_RATE = (0.0, 0.3)        # uniform
+BATCH_SIZES = (128, 256, 512)
+HIDDEN_LAYERS = (6, 7)
+HIDDEN_UNITS = (8, 16, 24, 32, 48, 64, 96)
+ACTIVATIONS = tuple(ActivationKind)
 
-    def __post_init__(self):
-        for name in ("learning_rate", "weight_decay", "dropout_rate"):
-            lo, hi = getattr(self, name)
-            if not lo < hi:
-                raise ValueError(f"{name} bounds must satisfy lo < hi")
-        if self.learning_rate[0] <= 0 or self.weight_decay[0] <= 0:
-            raise ValueError("log-uniform bounds must be positive")
-        for name in ("batch_sizes", "hidden_layers", "hidden_units", "activations"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} must offer at least one choice")
-
-    @property
-    def encoded_dim(self) -> int:
-        return 3 + len(self.batch_sizes) + len(self.hidden_layers) \
-            + len(self.hidden_units) + len(self.activations)
-
-    def _blocks(self) -> list[tuple[int, tuple]]:
-        """(start offset, choices) for each categorical block."""
-        blocks = []
-        offset = 3
-        for choices in (self.batch_sizes, self.hidden_layers,
-                        self.hidden_units, self.activations):
-            blocks.append((offset, choices))
-            offset += len(choices)
-        return blocks
-
-
-def default_space() -> SearchSpace:
-    return SearchSpace()
+_CATEGORICAL = (BATCH_SIZES, HIDDEN_LAYERS, HIDDEN_UNITS, ACTIVATIONS)
+ENCODED_DIM = 3 + sum(len(choices) for choices in _CATEGORICAL)
+# (start offset, choices) of each categorical block, after the three
+# continuous coordinates: offsets 3, 6, 8 and 15
+_BLOCKS = tuple(zip(accumulate((len(c) for c in _CATEGORICAL[:-1]), initial=3),
+                    _CATEGORICAL))
 
 
 @dataclass(frozen=True)
@@ -116,14 +93,16 @@ class TrialConfig:
                    origin=str(doc["origin"]))
 
 
-# (field name, log scale) of the continuous coordinates 0, 1, 2
-_CONTINUOUS = (("learning_rate", True), ("weight_decay", True), ("dropout_rate", False))
+# (field name, bounds, log scale) of the continuous coordinates 0, 1, 2
+_CONTINUOUS = (("learning_rate", LEARNING_RATE, True),
+               ("weight_decay", WEIGHT_DECAY, True),
+               ("dropout_rate", DROPOUT_RATE, False))
 
 
-def _check_points(points: np.ndarray, space: SearchSpace) -> None:
-    """Rows of `points` (m, encoded_dim) lie in the unit cube."""
-    if points.ndim != 2 or points.shape[1] != space.encoded_dim:
-        raise OutOfDomain(f"expected {space.encoded_dim} coordinates")
+def _check_points(points: np.ndarray) -> None:
+    """Rows of `points` (m, ENCODED_DIM) lie in the unit cube."""
+    if points.ndim != 2 or points.shape[1] != ENCODED_DIM:
+        raise OutOfDomain(f"expected {ENCODED_DIM} coordinates")
     if not np.all((points >= 0.0) & (points <= 1.0)):
         raise OutOfDomain("coordinates must lie in the unit cube")
 
@@ -145,14 +124,14 @@ def _unit_to_continuous(u: float, bounds: tuple[float, float], log: bool) -> flo
     return lo + u * (hi - lo)
 
 
-def encode(tc: TrialConfig, space: SearchSpace) -> np.ndarray:
-    """The (encoded_dim,) cube row of a configuration: continuous
+def encode(tc: TrialConfig) -> np.ndarray:
+    """The (ENCODED_DIM,) cube row of a configuration: continuous
     coordinates in [0, 1], each categorical block exactly one-hot."""
-    coords = np.zeros(space.encoded_dim)
-    for col, (name, log) in enumerate(_CONTINUOUS):
-        coords[col] = _continuous_to_unit(getattr(tc, name), getattr(space, name), log, name)
+    coords = np.zeros(ENCODED_DIM)
+    for col, (name, bounds, log) in enumerate(_CONTINUOUS):
+        coords[col] = _continuous_to_unit(getattr(tc, name), bounds, log, name)
     values = (tc.batch_size, tc.hidden_layers, tc.hidden_units, tc.activation)
-    for (offset, choices), value in zip(space._blocks(), values):
+    for (offset, choices), value in zip(_BLOCKS, values):
         try:
             coords[offset + choices.index(value)] = 1.0
         except ValueError:
@@ -160,39 +139,39 @@ def encode(tc: TrialConfig, space: SearchSpace) -> np.ndarray:
     return coords
 
 
-def decode(point: np.ndarray, space: SearchSpace) -> TrialConfig:
+def decode(point: np.ndarray) -> TrialConfig:
     """Map a cube point (an encoded row or any point of the cube, e.g. a
     quasi-random sample) back to a configuration; categorical blocks are
     resolved by argmax with ties going to the lowest index."""
     coords = np.asarray(point, dtype=np.float64)
-    _check_points(coords[None], space)
+    _check_points(coords[None])
     choice_values = []
-    for offset, choices in space._blocks():
+    for offset, choices in _BLOCKS:
         block = coords[offset:offset + len(choices)]
         choice_values.append(choices[int(np.argmax(block))])
     batch, layers, units, activation = choice_values
-    continuous = {name: _unit_to_continuous(float(coords[col]), getattr(space, name), log)
-                  for col, (name, log) in enumerate(_CONTINUOUS)}
+    continuous = {name: _unit_to_continuous(float(coords[col]), bounds, log)
+                  for col, (name, bounds, log) in enumerate(_CONTINUOUS)}
     return TrialConfig(**continuous, batch_size=batch, hidden_layers=layers,
                        hidden_units=units, activation=activation)
 
 
-def canonicalize(raw: np.ndarray, space: SearchSpace) -> np.ndarray:
-    """Row i equals encode(decode(raw[i], space), space): the continuous
+def canonicalize(raw: np.ndarray) -> np.ndarray:
+    """Row i equals encode(decode(raw[i])): the continuous
     columns make the same round trip through physical values and each
     one-hot block snaps to its argmax, ties to the lowest index. Raises
     OutOfDomain where decode or encode would."""
     raw = np.asarray(raw, dtype=np.float64)
-    _check_points(raw, space)
+    _check_points(raw)
     out = np.zeros_like(raw)
-    for col, (name, log) in enumerate(_CONTINUOUS):
-        lo, hi = getattr(space, name)
-        value = _unit_to_continuous(raw[:, col], (lo, hi), log)
+    for col, (name, bounds, log) in enumerate(_CONTINUOUS):
+        lo, hi = bounds
+        value = _unit_to_continuous(raw[:, col], bounds, log)
         if not np.all((lo <= value) & (value <= hi)):
             raise OutOfDomain(f"{name} outside [{lo}, {hi}]")
         out[:, col] = np.log(value / lo) / math.log(hi / lo) if log \
             else (value - lo) / (hi - lo)
     rows = np.arange(raw.shape[0])
-    for offset, choices in space._blocks():
+    for offset, choices in _BLOCKS:
         out[rows, offset + np.argmax(raw[:, offset:offset + len(choices)], axis=1)] = 1.0
     return out

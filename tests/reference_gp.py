@@ -33,7 +33,7 @@ from autoduct.hpo.gp import (_JITTERS, _LOG_BOUNDS, _OPT_LR, _OPT_STEPS, _SQRT5,
                              _START_LENGTHSCALES, _START_NOISE_VARS, GPSurrogate,
                              _bordered, _ei_arrays, _factor, _kernel, incumbent_value)
 from autoduct.hpo.sobol import sobol_points
-from autoduct.hpo.space import canonicalize, decode
+from autoduct.hpo.space import ENCODED_DIM, canonicalize, decode
 from autoduct.rng import derive_seed
 
 
@@ -153,14 +153,14 @@ def fit_gp(x, y, matmul=True):
     return GPSurrogate(**fields, chol_inv=chol_inv, alpha=alpha, jitter=jitter)
 
 
-def propose_by_solve(fit, space, candidate_count=2048, seed=0):
+def propose_by_solve(fit, candidate_count=2048, seed=0):
     """`autoduct.hpo.gp.propose_next` on a `fit_gp(x, y, matmul=False)`
     fit, with the posterior's L w = k* solved by `np.linalg.solve`."""
-    raw = sobol_points(space.encoded_dim, candidate_count,
+    raw = sobol_points(ENCODED_DIM, candidate_count,
                        shift_seed=derive_seed(seed, "propose-candidates"))
-    k_star = _kernel(canonicalize(raw, space), fit.x, fit.log_lengthscales, fit.log_signal_var)
+    k_star = _kernel(canonicalize(raw), fit.x, fit.log_lengthscales, fit.log_signal_var)
     w = np.linalg.solve(fit.chol, k_star.T)
     var = np.maximum(math.exp(fit.log_signal_var) - (w**2).sum(axis=0), 0.0)
     mu, var = fit.y_mean + fit.y_std * (k_star @ fit.alpha), fit.y_std**2 * var
     ei = _ei_arrays(mu, var, incumbent_value(fit))
-    return replace(decode(raw[int(np.argmax(ei))], space), origin="bo")
+    return replace(decode(raw[int(np.argmax(ei))]), origin="bo")

@@ -24,8 +24,7 @@ from autoduct.dataset import (BLIND_SLICES, SyntheticConfig, build_slice_grid,
 from autoduct.ensemble import _moments, interval, train_ensemble
 from autoduct.errors import StageExhausted
 from autoduct.evaluation import evaluate_slices, mape, rmse, rmspe
-from autoduct.hpo import (default_space, make_trial_evaluator,
-                          run_parallel_bo, select_top_k)
+from autoduct.hpo import make_trial_evaluator, run_parallel_bo, select_top_k
 from autoduct.hpo.gp import _ei_arrays
 from autoduct.hpo.sobol import sobol_points
 from autoduct.neural_net import ActivationKind, MLPConfig, TrainConfig, init_params
@@ -128,12 +127,9 @@ def test_ac03_interval_coverage_on_held_out_data(calibration_run):
 def test_ac04_bo_matches_or_beats_sobol(tiny_splits, tiny_normalizer):
     evaluator = make_trial_evaluator(tiny_splits, tiny_normalizer,
                                      epochs=6, patience=3, base_seed=0)
-    space = default_space()
     seeds = [0, 1, 2, 3, 4]
-    bo = run_parallel_bo(space, evaluator, n_sobol=16, n_bo=32,
-                         seeds=seeds)
-    sobol_only = run_parallel_bo(space, evaluator, n_sobol=48,
-                                 n_bo=0, seeds=seeds)
+    bo = run_parallel_bo(evaluator, n_sobol=16, n_bo=32, seeds=seeds)
+    sobol_only = run_parallel_bo(evaluator, n_sobol=48, n_bo=0, seeds=seeds)
     assert len(bo.results) == 240
     assert len(sobol_only.results) == 240
 

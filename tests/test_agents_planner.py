@@ -208,9 +208,9 @@ def test_scripted_directive_rules():
 
 
 def test_recipe_members_cycle_activations():
-    recipe = PipelineRecipe(member_count=5, activations=("relu", "gelu"))
+    recipe = PipelineRecipe(member_count=5)
     kinds = [m["activation"] for m in recipe.members()]
-    assert kinds == ["relu", "gelu", "relu", "gelu", "relu"]
+    assert kinds == ["relu", "gelu", "softplus", "relu", "gelu"]
     with pytest.raises(ValueError):
         recipe.payload_for("deploy")
 

@@ -9,14 +9,14 @@ from autoduct.hpo.gp import (_JITTERS, _bordered, _ei_arrays, _factor, _kernel, 
                              fit_gp, incumbent_value, posterior, propose_next)
 from autoduct.hpo.optimize import TrialResult, run_bo
 from autoduct.hpo.sobol import sobol_points
-from autoduct.hpo.space import TrialConfig, canonicalize, default_space, encode
+from autoduct.hpo.space import (ACTIVATIONS, BATCH_SIZES, ENCODED_DIM, HIDDEN_LAYERS,
+                                HIDDEN_UNITS, LEARNING_RATE, TrialConfig, canonicalize,
+                                encode)
 from autoduct.neural_net import ActivationKind
 from autoduct.rng import derive_seed
 from autoduct.stats import normal_cdf, normal_pdf
 
 import reference_gp
-
-SPACE = default_space()
 
 
 def _toy_observations(n=8, seed=0, noise=0.0):
@@ -28,12 +28,12 @@ def _toy_observations(n=8, seed=0, noise=0.0):
             learning_rate=float(10 ** rng.uniform(-4, -2)),
             weight_decay=float(10 ** rng.uniform(-4, -2)),
             dropout_rate=float(rng.uniform(0, 0.3)),
-            batch_size=int(rng.choice(SPACE.batch_sizes)),
-            hidden_layers=int(rng.choice(SPACE.hidden_layers)),
-            hidden_units=int(rng.choice(SPACE.hidden_units)),
-            activation=ActivationKind(rng.choice([a.value for a in SPACE.activations])),
+            batch_size=int(rng.choice(BATCH_SIZES)),
+            hidden_layers=int(rng.choice(HIDDEN_LAYERS)),
+            hidden_units=int(rng.choice(HIDDEN_UNITS)),
+            activation=ActivationKind(rng.choice([a.value for a in ACTIVATIONS])),
         )
-        p = encode(tc, SPACE)
+        p = encode(tc)
         x.append(p)
         y.append(float(np.sin(3 * p[0]) + p[2] ** 2 + 0.3 * p[5] + noise * rng.normal()))
     return np.array(x), np.array(y)
@@ -111,7 +111,7 @@ def test_nlml_gradient_matches_finite_difference_full_space():
     # the search space's dimension, with more observations than one fit's
     # warm-up: every length-scale term of the einsum is checked
     rng = np.random.default_rng(21)
-    n, d = 20, SPACE.encoded_dim
+    n, d = 20, ENCODED_DIM
     x = rng.uniform(size=(n, d))
     z = rng.normal(size=n)
     theta = np.concatenate([rng.uniform(-0.5, 1.0, size=d), [0.2, -2.0]])
@@ -129,8 +129,8 @@ def test_stacked_nlml_matches_scalar_reference():
     # rows of a stack are independent and each equals the one-vector
     # computation with a per-dimension loop and solves against eye(n)
     rng = np.random.default_rng(5)
-    n, d = 16, SPACE.encoded_dim
-    x = canonicalize(sobol_points(d, n, shift_seed=77), SPACE)
+    n, d = 16, ENCODED_DIM
+    x = canonicalize(sobol_points(d, n, shift_seed=77))
     z = rng.normal(size=n)
     thetas = np.array([[math.log(ls0)] * d + [0.0, math.log(sn0)]
                        for ls0 in (0.5, 1.5, 3.0) for sn0 in (1e-4, 1e-2)])
@@ -168,8 +168,8 @@ def test_nlml_matmul_form_matches_the_einsum_reference(n):
     # (two equal inputs, the longest length scales, signal variance e^60)
     # factorizes at no jitter level
     rng = np.random.default_rng(40 + n)
-    d = SPACE.encoded_dim
-    x = canonicalize(sobol_points(d, n, shift_seed=n), SPACE)
+    d = ENCODED_DIM
+    x = canonicalize(sobol_points(d, n, shift_seed=n))
     x[3] = x[1]
     z = rng.normal(size=n)
     thetas = np.column_stack([rng.uniform(math.log(0.05), math.log(20.0), size=(7, d)),
@@ -205,8 +205,8 @@ def test_likelihood_matches_the_matmul_reference_bit_for_bit(n):
     # the per-fit likelihood forms each float as one matmul-form call does:
     # all rows at the first rung (no `ok` array), and with a ladder row and
     # an unfactorizable row in the stack
-    d = SPACE.encoded_dim
-    x = canonicalize(sobol_points(d, n, shift_seed=n), SPACE)
+    d = ENCODED_DIM
+    x = canonicalize(sobol_points(d, n, shift_seed=n))
     x[3] = x[1]
     z = np.random.default_rng(n).normal(size=n)
     for thetas in _ladder_thetas(x, d):
@@ -223,8 +223,8 @@ def test_gradient_only_evaluation_matches_the_full_call(n):
     # what an ascent step reads: the same gradient bits, and rows flagged
     # exactly where the full call's NLML is not finite; no flags at all when
     # every row factorizes at the first rung
-    d = SPACE.encoded_dim
-    x = canonicalize(sobol_points(d, n, shift_seed=n), SPACE)
+    d = ENCODED_DIM
+    x = canonicalize(sobol_points(d, n, shift_seed=n))
     x[3] = x[1]
     z = np.random.default_rng(n).normal(size=n)
     evaluate = _likelihood(_diff2(x), z)
@@ -250,8 +250,8 @@ def test_bordered_factor_matches_cholesky_and_inverse(n):
     # in one call; the second is refused (a row that needs a later rung)
     # and climbs the ladder row by row, with one row that no rung
     # factorizes, whose L and L^-1 are I
-    d = SPACE.encoded_dim
-    x = canonicalize(sobol_points(d, n, shift_seed=n), SPACE)
+    d = ENCODED_DIM
+    x = canonicalize(sobol_points(d, n, shift_seed=n))
     x[3] = x[1]
     thetas, with_ladder = _ladder_thetas(x, d)
     for stack in (thetas, with_ladder):
@@ -299,7 +299,7 @@ def _recorded_observation_sets():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optimize, "fit_gp", record)
-        run_bo(SPACE, n_sobol=16, n_bo=9, evaluator=objective, seed=3)
+        run_bo(n_sobol=16, n_bo=9, evaluator=objective, seed=3)
     x, y = sets[-1]
     x = x.copy()
     x[3] = x[1]
@@ -328,8 +328,8 @@ def test_proposals_match_the_cholesky_inverse_and_solve_reference():
     # proposes the same configuration
     for i, (x, y) in enumerate(_recorded_observation_sets()):
         seed = derive_seed(3, f"propose:{i}")
-        got = propose_next(fit_gp(x, y), SPACE, seed=seed)
-        want = reference_gp.propose_by_solve(reference_gp.fit_gp(x, y, matmul=False), SPACE,
+        got = propose_next(fit_gp(x, y), seed=seed)
+        want = reference_gp.propose_by_solve(reference_gp.fit_gp(x, y, matmul=False),
                                              seed=seed)
         assert got.to_dict() == want.to_dict(), i
 
@@ -443,8 +443,8 @@ def test_ei_arrays_match_scalar_formula():
     # the array form against per-element normal_cdf / normal_pdf, over the
     # posterior of real candidates and a z grid reaching far into the tails
     gp = fit_gp(*_toy_observations(n=8, seed=6))
-    raw = sobol_points(SPACE.encoded_dim, 2048, shift_seed=derive_seed(1, "propose-candidates"))
-    mu_c, var_c = posterior(gp, canonicalize(raw, SPACE))
+    raw = sobol_points(ENCODED_DIM, 2048, shift_seed=derive_seed(1, "propose-candidates"))
+    mu_c, var_c = posterior(gp, canonicalize(raw))
     grid = np.linspace(-12.0, 12.0, 4001)
     mu = np.concatenate([mu_c, -0.7 * grid, [1.0, -1.0]])
     var = np.concatenate([var_c, np.full_like(grid, 0.49), [0.0, 0.0]])
@@ -466,21 +466,21 @@ def test_ei_arrays_match_scalar_formula():
 
 def test_propose_next_deterministic_and_in_domain():
     gp = fit_gp(*_toy_observations(n=8, seed=9))
-    a = propose_next(gp, SPACE, candidate_count=128, seed=3)
-    b = propose_next(gp, SPACE, candidate_count=128, seed=3)
+    a = propose_next(gp, candidate_count=128, seed=3)
+    b = propose_next(gp, candidate_count=128, seed=3)
     assert a == b
     assert a.origin == "bo"
-    assert a.batch_size in SPACE.batch_sizes
-    assert a.hidden_units in SPACE.hidden_units
-    assert SPACE.learning_rate[0] <= a.learning_rate <= SPACE.learning_rate[1]
-    c = propose_next(gp, SPACE, candidate_count=128, seed=4)
+    assert a.batch_size in BATCH_SIZES
+    assert a.hidden_units in HIDDEN_UNITS
+    assert LEARNING_RATE[0] <= a.learning_rate <= LEARNING_RATE[1]
+    c = propose_next(gp, candidate_count=128, seed=4)
     assert isinstance(c, TrialConfig)
 
 
 def test_propose_next_candidate_validation():
     gp = fit_gp(*_toy_observations(n=4))
     with pytest.raises(ValueError):
-        propose_next(gp, SPACE, candidate_count=0)
+        propose_next(gp, candidate_count=0)
 
 
 def test_propose_next_is_argmax_over_canonical_candidates():
@@ -490,13 +490,13 @@ def test_propose_next_is_argmax_over_canonical_candidates():
 
     gp = fit_gp(*_toy_observations(n=8, seed=12))
     count, seed = 64, 1
-    chosen = propose_next(gp, SPACE, candidate_count=count, seed=seed)
+    chosen = propose_next(gp, candidate_count=count, seed=seed)
 
-    raw = sobol_points(SPACE.encoded_dim, count,
+    raw = sobol_points(ENCODED_DIM, count,
                        shift_seed=derive_seed(seed, "propose-candidates"))
-    configs = [decode(raw[i], SPACE) for i in range(count)]
+    configs = [decode(raw[i]) for i in range(count)]
     inc = incumbent_value(gp)
-    eis = [_ei_arrays(*posterior(gp, encode(c, SPACE)[None, :]), inc)[0]
+    eis = [_ei_arrays(*posterior(gp, encode(c)[None, :]), inc)[0]
            for c in configs]
     assert chosen.assignment() == configs[int(np.argmax(eis))].assignment()
     assert max(eis) >= 0.0

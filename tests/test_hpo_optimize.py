@@ -12,10 +12,8 @@ from autoduct.hpo.optimize import (Leaderboard, TrialResult, _objective_for_gp,
                                    make_trial_evaluator, run_bo,
                                    run_parallel_bo, select_top_k,
                                    trial_to_configs)
-from autoduct.hpo.space import TrialConfig, default_space, encode
+from autoduct.hpo.space import TrialConfig, encode
 from autoduct.neural_net import ActivationKind
-
-SPACE = default_space()
 
 
 def _smooth_evaluator(tc):
@@ -100,14 +98,14 @@ def test_divergence_penalty_rule():
 
 def test_run_bo_structure_and_reproducibility(tmp_path):
     log = tmp_path / "trials.jsonl"
-    board = run_bo(SPACE, n_sobol=4, n_bo=3, evaluator=_smooth_evaluator,
+    board = run_bo(n_sobol=4, n_bo=3, evaluator=_smooth_evaluator,
                    seed=5, run_id=2, log_path=log)
     assert len(board.results) == 7
     assert [r.config.trial_id for r in board.results] == list(range(7))
     assert all(r.config.run_id == 2 for r in board.results)
     assert [r.config.origin for r in board.results] == ["sobol"] * 4 + ["bo"] * 3
 
-    again = run_bo(SPACE, n_sobol=4, n_bo=3, evaluator=_smooth_evaluator,
+    again = run_bo(n_sobol=4, n_bo=3, evaluator=_smooth_evaluator,
                    seed=5, run_id=2)
     assert [r.to_dict() for r in again.results] == [r.to_dict() for r in board.results]
 
@@ -125,13 +123,13 @@ def test_run_bo_encodes_each_trial_once_into_its_fits(monkeypatch):
         fits.append((x.copy(), y.copy()))
         return fit_gp(x, y)
 
-    def spy_encode(tc, space):
+    def spy_encode(tc):
         encoded.append(tc)
-        return encode(tc, space)
+        return encode(tc)
 
     monkeypatch.setattr(optimize, "fit_gp", spy_fit_gp)
     monkeypatch.setattr(optimize, "encode", spy_encode)
-    board = run_bo(SPACE, n_sobol=4, n_bo=3, evaluator=_diverging_evaluator({2}),
+    board = run_bo(n_sobol=4, n_bo=3, evaluator=_diverging_evaluator({2}),
                    seed=11)
     results = board.results
     assert [r.status for r in results].count("diverged") == 1
@@ -139,7 +137,7 @@ def test_run_bo_encodes_each_trial_once_into_its_fits(monkeypatch):
     assert [len(x) for x, _ in fits] == [4, 5, 6]
     for x, y in fits:
         earlier = results[:len(x)]
-        assert np.array_equal(x, np.array([encode(r.config, SPACE) for r in earlier]))
+        assert np.array_equal(x, np.array([encode(r.config) for r in earlier]))
         ok_rmses = [r.rmse for r in earlier if r.status == "ok"]
         assert y.tolist() == [r.rmse if r.status == "ok" else 2.0 * max(ok_rmses)
                               for r in earlier]
@@ -176,28 +174,28 @@ _GOLDEN_TRAJECTORY = [
 def test_run_bo_golden_trajectory(tiny_splits, tiny_normalizer):
     evaluator = make_trial_evaluator(tiny_splits, tiny_normalizer, epochs=2,
                                      patience=2, base_seed=0)
-    board = run_bo(SPACE, n_sobol=6, n_bo=4, evaluator=evaluator, seed=7)
+    board = run_bo(n_sobol=6, n_bo=4, evaluator=evaluator, seed=7)
     got = [(r.config.trial_id, r.config.origin, *r.config.assignment()[:-1],
             r.config.activation.value, r.rmse) for r in board.results]
     assert got == _GOLDEN_TRAJECTORY
 
 
 def test_run_bo_seed_changes_warmup():
-    a = run_bo(SPACE, 4, 0, _smooth_evaluator, seed=1)
-    b = run_bo(SPACE, 4, 0, _smooth_evaluator, seed=2)
+    a = run_bo(4, 0, _smooth_evaluator, seed=1)
+    b = run_bo(4, 0, _smooth_evaluator, seed=2)
     assert [r.config.assignment() for r in a.results] \
         != [r.config.assignment() for r in b.results]
 
 
 def test_run_bo_budget_validation():
     with pytest.raises(ValueError):
-        run_bo(SPACE, 1, 3, _smooth_evaluator, seed=0)
+        run_bo(1, 3, _smooth_evaluator, seed=0)
     with pytest.raises(ValueError):
-        run_bo(SPACE, 4, -1, _smooth_evaluator, seed=0)
+        run_bo(4, -1, _smooth_evaluator, seed=0)
 
 
 def test_run_bo_survives_diverged_trials():
-    board = run_bo(SPACE, 4, 2, _diverging_evaluator({1, 4}), seed=3)
+    board = run_bo(4, 2, _diverging_evaluator({1, 4}), seed=3)
     statuses = [r.status for r in board.results]
     assert statuses[1] == "diverged"
     assert statuses[4] == "diverged"
@@ -206,7 +204,7 @@ def test_run_bo_survives_diverged_trials():
 
 
 def test_run_bo_all_warmup_diverged_still_proposes():
-    board = run_bo(SPACE, n_sobol=2, n_bo=1,
+    board = run_bo(n_sobol=2, n_bo=1,
                    evaluator=_diverging_evaluator({0, 1}), seed=7)
     assert len(board.results) == 3
     assert board.results[2].config.origin == "bo"
@@ -216,7 +214,7 @@ def test_run_bo_all_warmup_diverged_still_proposes():
 
 def test_run_parallel_bo_merges_runs(tmp_path):
     log = tmp_path / "all.jsonl"
-    board = run_parallel_bo(SPACE, _smooth_evaluator, n_sobol=3,
+    board = run_parallel_bo(_smooth_evaluator, n_sobol=3,
                             n_bo=1, seeds=[10, 11, 12], log_path=log)
     assert len(board.results) == 12
     assert sorted({r.config.run_id for r in board.results}) == [0, 1, 2]
@@ -229,9 +227,9 @@ def test_run_parallel_bo_merges_runs(tmp_path):
 
 def test_run_parallel_bo_seed_validation():
     with pytest.raises(ValueError):
-        run_parallel_bo(SPACE, _smooth_evaluator, n_sobol=2, n_bo=0, seeds=[5, 5])
+        run_parallel_bo(_smooth_evaluator, n_sobol=2, n_bo=0, seeds=[5, 5])
     with pytest.raises(ValueError):
-        run_parallel_bo(SPACE, _smooth_evaluator, n_sobol=2, n_bo=0, seeds=[])
+        run_parallel_bo(_smooth_evaluator, n_sobol=2, n_bo=0, seeds=[])
 
 
 # --- selection ------------------------------------------------------------------------------

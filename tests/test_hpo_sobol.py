@@ -5,7 +5,8 @@ from scipy.stats import qmc
 from autoduct.errors import DimensionOverflow
 from autoduct.hpo.sobol import (MAX_DIM, _direction_integers, sample_sobol,
                                 sobol_points)
-from autoduct.hpo.space import default_space
+from autoduct.hpo.space import (ACTIVATIONS, BATCH_SIZES, ENCODED_DIM, HIDDEN_LAYERS,
+                                HIDDEN_UNITS, LEARNING_RATE)
 from autoduct.rng import derive_seed
 from reference_rng import ScalarSplitMix64
 
@@ -139,22 +140,21 @@ def test_dimension_limits():
 
 
 def test_max_dim_covers_default_space():
-    assert MAX_DIM >= default_space().encoded_dim
+    assert MAX_DIM >= ENCODED_DIM
 
 
 def test_sample_sobol_configs():
-    space = default_space()
-    configs = sample_sobol(space, 12, shift_seed=5)
+    configs = sample_sobol(12, shift_seed=5)
     assert len(configs) == 12
     assert [c.trial_id for c in configs] == list(range(12))
     assert all(c.origin == "sobol" for c in configs)
     for c in configs:
-        assert space.learning_rate[0] <= c.learning_rate <= space.learning_rate[1]
-        assert c.batch_size in space.batch_sizes
-        assert c.hidden_layers in space.hidden_layers
-        assert c.hidden_units in space.hidden_units
-        assert c.activation in space.activations
+        assert LEARNING_RATE[0] <= c.learning_rate <= LEARNING_RATE[1]
+        assert c.batch_size in BATCH_SIZES
+        assert c.hidden_layers in HIDDEN_LAYERS
+        assert c.hidden_units in HIDDEN_UNITS
+        assert c.activation in ACTIVATIONS
     # quasi-random coverage: a dozen points should not collapse
     assert len({c.assignment() for c in configs}) > 1
     with pytest.raises(ValueError):
-        sample_sobol(space, 0)
+        sample_sobol(0)
