@@ -42,7 +42,6 @@ class ExecutionResult:
     action: str
     log: str
     wall_time_s: float = field(default=0.0, compare=False)
-    injected_fault: bool = False
     terminal: bool = False      # the error's class is one no retry can change
 
     def __post_init__(self):
@@ -84,11 +83,13 @@ def parse_fault_spec(spec: str) -> dict[str, frozenset[int]]:
                 raise ValueError(f"malformed fault clause {clause!r}")
             if key == "stage":
                 stage = _fault_kind(value)
-            elif key == "attempt":
-                attempts.add(int(value))
-            elif key == "attempts":
-                lo, _, hi = value.partition("-")
-                attempts.update(range(int(lo), int(hi or lo) + 1))
+            elif key in ("attempt", "attempts"):
+                lo, _, hi = value.partition("-") if key == "attempts" else (value, "", "")
+                try:
+                    attempts.update(range(int(lo), int(hi or lo) + 1))
+                except ValueError:
+                    raise ValueError(f"fault clause {clause!r}: {key} takes whole "
+                                     f"numbers, got {value!r}") from None
             else:
                 raise ValueError(f"unknown fault spec key {key!r}")
         if stage is None or not attempts:
@@ -111,9 +112,6 @@ class FaultInjector:
     def from_spec(cls, spec: str) -> "FaultInjector":
         return cls(parse_fault_spec(spec))
 
-    def calls(self, kind: str) -> int:
-        return self._calls.get(kind, 0)
-
     def should_fail(self, kind: str) -> bool:
         self._calls[kind] = self._calls.get(kind, 0) + 1
         return self._calls[kind] in self.plan.get(kind, frozenset())
@@ -130,46 +128,33 @@ class TaskExecutor:
     Every read and write is at a role's path in the context, so all of
     them stay under the workspace root; a role outside the context's
     layout becomes an `UnboundRole` error result. Engine exceptions are
-    captured, never propagated.
+    captured, never propagated. It keeps no record of past results: each
+    one goes back to the caller alone.
     """
 
     def __init__(self, ctx: ProjectContext, injector: FaultInjector | None = None):
         self.ctx = ctx
         self.injector = injector
-        self.history: list[ExecutionResult] = []
 
     def execute(self, doc: TaskDocument) -> ExecutionResult:
         start = time.perf_counter()
         try:
             validate_document(doc)
         except Exception as exc:
-            return self._record(self._error(doc.kind, exc, start))
+            return self._error(doc.kind, exc, start)
 
         if self.injector is not None and self.injector.should_fail(doc.kind):
-            result = ExecutionResult(
-                status="error", action=doc.kind,
-                log=self.injector.synthetic_log(doc.kind),
-                wall_time_s=time.perf_counter() - start, injected_fault=True)
-            return self._record(result)
+            return ExecutionResult(status="error", action=doc.kind,
+                                   log=self.injector.synthetic_log(doc.kind),
+                                   wall_time_s=time.perf_counter() - start)
 
         try:
             runner = {"model": self._run_model, "train": self._run_train,
                       "evaluate": self._run_evaluate}[doc.kind]
-            result = ExecutionResult(status="ok", action=doc.kind, log=runner(doc),
-                                     wall_time_s=time.perf_counter() - start)
+            return ExecutionResult(status="ok", action=doc.kind, log=runner(doc),
+                                   wall_time_s=time.perf_counter() - start)
         except Exception as exc:
-            result = self._error(doc.kind, exc, start)
-        return self._record(result)
-
-    def last_log(self) -> str:
-        for result in reversed(self.history):
-            if not result.ok:
-                return result.log
-        return self.history[-1].log if self.history else ""
-
-    def _record(self, result: ExecutionResult) -> ExecutionResult:
-        self.history.append(result)
-        return result
+            return self._error(doc.kind, exc, start)
 
     @staticmethod
     def _error(action: str, exc: Exception, start: float) -> ExecutionResult:
@@ -237,9 +222,9 @@ class TaskExecutor:
         ds = load_csv(data_path)
         splits = split(ds, tuple(p["split"]["fractions"]), p["split"]["seed"])
         me = evaluate_model(ens, splits.test, level=p["level"])
-        slice_report = evaluate_slices(ens, specs, level=p["level"]) if specs else None
+        slices = evaluate_slices(ens, specs, level=p["level"]) if specs else ()
 
-        written = export_report(me, slice_report, report_dir)
+        written = export_report(me, slices, report_dir)
         dropped = {METRIC_COLUMNS[name] for name in POINT_METRICS if name not in p["metrics"]}
         metrics = {k: v for k, v in me.report.to_dict().items() if k not in dropped}
         payload = {"metrics": metrics, "level": p["level"],

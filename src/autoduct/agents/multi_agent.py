@@ -119,7 +119,7 @@ class StageRun:
         self.state = state
         self.pending_doc: TaskDocument | None = None
         self.pending_stage: str | None = None
-        self.last_failure: ExecutionResult | None = None
+        self.last_result: ExecutionResult | None = None
         self.stage_times: dict[str, float] = {}
 
     def stopped(self) -> bool:
@@ -158,15 +158,15 @@ class StageRun:
         if self.pending_doc is None:
             return ExecutionResult(status="error", action="execute_task",
                                    log="no task document pending; generate one first")
-        result = replace(self.executor.execute(self.pending_doc), action="execute_task")
+        result = self.last_result = replace(self.executor.execute(self.pending_doc),
+                                            action="execute_task")
         stage = self.pending_stage
         if result.ok:
             self.stage_times[stage] = self.stage_times.get(stage, 0.0) + result.wall_time_s
             self.state.mark_done(stage)
-            self.pending_doc = self.pending_stage = self.last_failure = None
+            self.pending_doc = self.pending_stage = None
         else:
             self.state.record_error(stage)
-            self.last_failure = result
         self._persist()
         if result.terminal:
             raise TerminalStageError(stage, self.state.error_count(stage), result.first_line())
@@ -174,11 +174,11 @@ class StageRun:
 
     def patch(self) -> ExecutionResult:
         """Replace the pending document with the planner's correction
-        from the last failure's log."""
-        if self.pending_doc is None or self.last_failure is None:
+        from the log of the last execution, which must have failed."""
+        if self.pending_doc is None or self.last_result is None or self.last_result.ok:
             return ExecutionResult(status="error", action="patch_task",
                                    log="nothing to patch: no failed task on record")
-        doc = tune_task(self.planner, self.pending_doc, self.last_failure.log)
+        doc = tune_task(self.planner, self.pending_doc, self.last_result.log)
         save_document(doc, self.ctx.workspace / STAGE_TASKS[self.pending_stage].doc_file)
         self.pending_doc = doc
         return ExecutionResult(status="ok", action="patch_task",

@@ -125,7 +125,7 @@ def build_tools(run: StageRun) -> dict:
     every directive prompt lists the tools in this order."""
 
     def read_log(args: dict) -> ExecutionResult:
-        log = run.last_failure.log if run.last_failure else run.executor.last_log()
+        log = run.last_result.log if run.last_result else ""
         return ExecutionResult(status="ok", action="read_log",
                                log=log or "no log recorded yet")
 

@@ -116,10 +116,9 @@ class TaskDocument:
     kind: str
     payload: dict
     provenance: dict
-    version: int = TASK_FORMAT_VERSION
 
     def to_dict(self) -> dict:
-        return {"version": self.version, "kind": self.kind,
+        return {"version": TASK_FORMAT_VERSION, "kind": self.kind,
                 "payload": self.payload, "provenance": self.provenance}
 
     def patched(self, payload: dict, extra_provenance: dict) -> "TaskDocument":
@@ -141,8 +140,6 @@ def validate_document(doc: TaskDocument) -> TaskDocument:
     from jsonschema import Draft202012Validator
     from jsonschema.exceptions import best_match
 
-    if doc.version != TASK_FORMAT_VERSION:
-        raise SchemaInvalid(f"unsupported task document version {doc.version!r}")
     schema = _SCHEMAS.get(doc.kind) if isinstance(doc.kind, str) else None
     if schema is None:
         raise SchemaInvalid(f"unknown task kind {doc.kind!r}")

@@ -132,9 +132,12 @@ def _config_value(action: argparse.Action, key: str, value):
 
 
 def _parse_fracs(text: str) -> tuple[float, float, float]:
-    parts = [float(p) for p in text.split(",")]
+    try:
+        parts = [float(p) for p in text.split(",")]
+    except ValueError:
+        parts = []
     if len(parts) != 3:
-        raise ValueError(f"fracs: expected three comma-separated fractions, got {text!r}")
+        raise ValueError(f"--fracs: expected three comma-separated fractions, got {text!r}")
     return tuple(parts)
 
 
@@ -495,10 +498,10 @@ def cmd_evaluate(args) -> int:
         ds = split(ds, args.fracs, args.split_seed).test
         label = "test"
     me = evaluate_model(ens, ds, level=args.level, split_label=label)
-    slice_report = evaluate_slices(ens, specs, level=args.level) if specs else None
+    slices = evaluate_slices(ens, specs, level=args.level) if specs else ()
 
     out_dir = Path(args.out_dir)
-    written = export_report(me, slice_report, out_dir)
+    written = export_report(me, slices, out_dir)
     for key, value in me.report.to_dict().items():
         print(f"  {key}: {value}")
     print(f"wrote {len(written)} files to {out_dir}")

@@ -60,8 +60,7 @@ class Dataset:
     input-only grids.
     """
 
-    def __init__(self, features: np.ndarray, targets: np.ndarray | None,
-                 provenance: str):
+    def __init__(self, features: np.ndarray, targets: np.ndarray | None):
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[1] != len(FEATURE_NAMES):
             raise ValueError(f"features must be (n, {len(FEATURE_NAMES)})")
@@ -79,7 +78,6 @@ class Dataset:
         features.setflags(write=False)
         self.features = features
         self.targets = targets
-        self.provenance = provenance
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -95,9 +93,9 @@ class Dataset:
             return self.targets
         return self.features[:, FEATURE_NAMES.index(name)]
 
-    def subset(self, indices: np.ndarray, provenance: str) -> "Dataset":
+    def subset(self, indices: np.ndarray) -> "Dataset":
         targets = None if self.targets is None else self.targets[indices]
-        return Dataset(self.features[indices], targets, provenance)
+        return Dataset(self.features[indices], targets)
 
 
 @dataclass(frozen=True)
@@ -187,9 +185,8 @@ def load_csv(path: str | Path, require_target: bool = True) -> Dataset:
             table = _parse_rows(reader, path, cols, names)
 
     if not has_target:
-        return Dataset(table, None, provenance=str(path))
-    return Dataset(np.ascontiguousarray(table[:, :-1]), table[:, -1].copy(),
-                   provenance=str(path))
+        return Dataset(table, None)
+    return Dataset(np.ascontiguousarray(table[:, :-1]), table[:, -1].copy())
 
 
 # A quote, which a comma split ignores; a NUL, which the csv module
@@ -321,18 +318,18 @@ def split(ds: Dataset, fractions: tuple[float, float, float],
     the remainder goes to test.
     """
     f_train, f_val, f_test = fractions
-    if min(fractions) < 0 or abs(f_train + f_val + f_test - 1.0) > 1e-9:
+    # both comparisons are false for NaN, so a non-finite fraction fails
+    if not (min(fractions) >= 0 and abs(f_train + f_val + f_test - 1.0) <= 1e-9):
         raise FractionSumInvalid(f"fractions {fractions} must be non-negative and sum to 1")
     n = len(ds)
     order = SplitMix64(seed).permutation(n)
     # 1e-9 slack absorbs float representation error in n*f (e.g. 1000*0.72)
     n_train = int(math.floor(n * f_train + 1e-9))
     n_val = int(math.floor(n * f_val + 1e-9))
-    tag = ds.provenance
     return SplitDataset(
-        train=ds.subset(order[:n_train], f"{tag}#train"),
-        validation=ds.subset(order[n_train:n_train + n_val], f"{tag}#validation"),
-        test=ds.subset(order[n_train + n_val:], f"{tag}#test"),
+        train=ds.subset(order[:n_train]),
+        validation=ds.subset(order[n_train:n_train + n_val]),
+        test=ds.subset(order[n_train + n_val:]),
     )
 
 
@@ -409,13 +406,10 @@ def fit_normalizer(train: Dataset) -> Normalizer:
 # in mass flux and pressure, decreasing trend in quality and heated length,
 # weak inverse dependence on diameter. Values stay well inside the
 # reference envelope for inputs inside the envelope.
-ORACLE_FORMULA = ("chf0 = 150 + 1200*(G/1000)^0.55*(P/10000)^0.30"
-                  "*(1-0.45*X)*(1+0.25*exp(-L/2))*(0.008/D)^0.1")
-NOISE_FORMULA = "sigma = noise_scale*(0.05*chf0 + 10)"
-
-
 def synthetic_oracle(features: np.ndarray) -> np.ndarray:
-    """Noise-free response surface, vectorized over (n, 5) inputs."""
+    """Noise-free response surface, vectorized over (n, 5) inputs:
+    chf0 = 150 + 1200*(G/1000)^0.55*(P/10000)^0.30*(1-0.45*X)
+    *(1+0.25*exp(-L/2))*(0.008/D)^0.1."""
     f = np.asarray(features, dtype=np.float64)
     d, l, p, g, x = (f[:, i] for i in range(5))
     return (150.0
@@ -428,7 +422,8 @@ def synthetic_oracle(features: np.ndarray) -> np.ndarray:
 
 
 def synthetic_noise_std(features: np.ndarray, noise_scale: float) -> np.ndarray:
-    """Input-dependent noise level matching NOISE_FORMULA."""
+    """Input-dependent noise level:
+    sigma = noise_scale*(0.05*chf0 + 10)."""
     return noise_scale * (0.05 * synthetic_oracle(features) + 10.0)
 
 
@@ -451,8 +446,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> Dataset:
     Gaussian noise, and clamp the target to the reference envelope.
 
     One SplitMix64 stream: n uniforms per column, then n normals; powers
-    of P and G on libm, per element (see rng). Fully determined by cfg;
-    the provenance records the oracle and noise law for tests to recompute.
+    of P and G on libm, per element (see rng). Fully determined by cfg.
     """
     gen = SplitMix64(cfg.seed)
     rows = np.empty((cfg.n, len(FEATURE_NAMES)))
@@ -464,10 +458,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> Dataset:
     oracle = synthetic_oracle(rows)
     noise = gen.normals(cfg.n) * synthetic_noise_std(rows, cfg.noise_scale)
     lo, hi = REFERENCE_ENVELOPE[TARGET_NAME]
-    targets = np.clip(oracle + noise, lo, hi)
-    provenance = (f"synthetic:seed={cfg.seed},n={cfg.n},"
-                  f"noise_scale={cfg.noise_scale!r},{ORACLE_FORMULA},{NOISE_FORMULA}")
-    return Dataset(rows, targets, provenance)
+    return Dataset(rows, np.clip(oracle + noise, lo, hi))
 
 
 # --- slice grids ----------------------------------------------------------
@@ -522,7 +513,7 @@ def build_slice_grid(spec: SliceSpec) -> Dataset:
     rows = np.empty((spec.count, len(FEATURE_NAMES)))
     for j, name in enumerate(FEATURE_NAMES):
         rows[:, j] = values if name == spec.varying else spec.constants[name]
-    return Dataset(rows, None, provenance=f"slice:{spec.slice_id}:{spec.varying}")
+    return Dataset(rows, None)
 
 
 def _slice(slice_id, varying, lo, hi, **constants) -> SliceSpec:

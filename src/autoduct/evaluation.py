@@ -141,14 +141,8 @@ class SliceResult:
     band_hi: np.ndarray
 
 
-@dataclass(frozen=True)
-class SliceReport:
-    results: tuple[SliceResult, ...]
-    level: float
-
-
 def evaluate_slices(ens: Ensemble, specs: list[SliceSpec],
-                    level: float = TWO_SIGMA_LEVEL) -> SliceReport:
+                    level: float = TWO_SIGMA_LEVEL) -> tuple[SliceResult, ...]:
     """Mean and total-uncertainty band along each slice grid."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie strictly inside (0, 1), got {level}")
@@ -158,7 +152,7 @@ def evaluate_slices(ens: Ensemble, specs: list[SliceSpec],
         preds = ens.predict(grid.features)
         band_lo, band_hi = interval(preds, level)
         results.append(SliceResult(spec, grid, preds, band_lo, band_hi))
-    return SliceReport(tuple(results), level)
+    return tuple(results)
 
 
 @dataclass(frozen=True)

@@ -342,9 +342,6 @@ class Parameters:
     def arrays(self) -> list[np.ndarray]:
         return [*self.hidden_w, *self.hidden_b, self.head_w, self.head_b]
 
-    def copy(self) -> "Parameters":
-        return Parameters(self._cfg, self.flat.copy())
-
 
 @dataclass(frozen=True)
 class TrainHistory:

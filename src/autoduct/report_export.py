@@ -47,8 +47,7 @@ from .atomic import write_atomic
 from .dataset import _write_rows
 from .ensemble import interval
 from .errors import IoFailure
-from .evaluation import (METRIC_COLUMNS, MetricsReport, ModelEvaluation, SliceReport,
-                         SliceResult)
+from .evaluation import METRIC_COLUMNS, MetricsReport, ModelEvaluation, SliceResult
 
 METRICS_HEADER = ",".join(["split", "n", *METRIC_COLUMNS.values()])
 POINTS_HEADER = "row,y_true,y_pred,aleatory_var,epistemic_var,total_var"
@@ -64,10 +63,10 @@ def _row_template(prefix: str, columns: int) -> str:
     return prefix.replace("%", "%%") + ",".join(["%.17g"] * columns) + "\n"
 
 
-def export_report(me: ModelEvaluation, slices: SliceReport | None,
+def export_report(me: ModelEvaluation, slices: tuple[SliceResult, ...],
                   directory: str | Path) -> list[str]:
-    """Write the full file set and return the paths, as strings, in a
-    fixed order."""
+    """Write the full file set, two files per slice result (none for
+    `()`), and return the paths, as strings, in a fixed order."""
     directory = Path(directory)
     try:
         directory.mkdir(parents=True, exist_ok=True)
@@ -84,7 +83,7 @@ def export_report(me: ModelEvaluation, slices: SliceReport | None,
         ("ratio_hist.svg", lambda fh: _write_histogram_svg(
             fh, yhat / y, RATIO_BIN_EDGES, "predicted / measured")),
     ]
-    for result in slices.results if slices is not None else ():
+    for result in slices:
         sid = result.spec.slice_id
         files += [(f"slice_{sid}.csv", partial(_write_slice_csv, result=result)),
                   (f"slice_{sid}.svg", partial(_write_slice_svg, result=result))]

@@ -76,7 +76,7 @@ def generate_synthetic(n, noise_scale=1.0, seed=0):
     sigma = synthetic_noise_std(rows, noise_scale)
     noise = np.array([gen.normal() for _ in range(n)])
     lo, hi = REFERENCE_ENVELOPE[TARGET_NAME]
-    return Dataset(rows, np.clip(oracle + sigma * noise, lo, hi), "reference")
+    return Dataset(rows, np.clip(oracle + sigma * noise, lo, hi))
 
 
 def split_order(n, seed):

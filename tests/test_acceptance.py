@@ -356,8 +356,7 @@ def test_ac11_slice_protocol(tiny_ensemble):
         for name, value in constants.items():
             assert np.all(grid.column(name) == value)
 
-    report = evaluate_slices(tiny_ensemble, list(BLIND_SLICES), level=0.95)
-    for result in report.results:
+    for result in evaluate_slices(tiny_ensemble, list(BLIND_SLICES), level=0.95):
         means = result.predictions.mean
         assert np.all(np.isfinite(means))
         widths = result.band_hi - result.band_lo

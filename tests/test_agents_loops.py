@@ -10,12 +10,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from autoduct.agents.context import ProjectContext
-from autoduct.agents.executor import FaultInjector, TaskExecutor
-from autoduct.agents.multi_agent import (AgentOutcome, generate_task,
+from autoduct.agents.executor import (FAULT_MARKER, ExecutionResult, FaultInjector,
+                                      TaskExecutor)
+from autoduct.agents.multi_agent import (AgentOutcome, StageRun, generate_task,
                                          run_multi_agent, tune_task)
 from autoduct.agents.planner import HttpPlanner, PlannerReply, ScriptedPlanner
 from autoduct.agents.react import (OBSERVATION_LIMIT, WINDOW_SIZE, ReActStep,
-                                   Transcript, act, observe, run_react)
+                                   Transcript, act, build_tools, observe, run_react)
 from autoduct.agents.report import render_report
 from autoduct.agents.state import STAGE_TASKS, load_state
 from autoduct.errors import (AutoductError, CorruptArtifact, PlannerUnavailable,
@@ -24,16 +25,28 @@ from autoduct.errors import (AutoductError, CorruptArtifact, PlannerUnavailable,
 from autoduct.neural_net import ActivationKind
 
 
+class _Recording(TaskExecutor):
+    """A TaskExecutor that keeps every result it returns, in order."""
+
+    def __init__(self, ctx, injector=None):
+        super().__init__(ctx, injector)
+        self.results = []
+
+    def execute(self, doc):
+        self.results.append(super().execute(doc))
+        return self.results[-1]
+
+
 def _multi(ctx, recipe, injector=None, **kwargs):
     planner = ScriptedPlanner(recipe)
-    executor = TaskExecutor(ctx, injector=injector)
+    executor = _Recording(ctx, injector=injector)
     outcome = run_multi_agent("CHF regression pipeline", planner, executor, **kwargs)
     return outcome, planner, executor
 
 
 def _react(ctx, recipe, injector=None, **kwargs):
     planner = ScriptedPlanner(recipe)
-    executor = TaskExecutor(ctx, injector=injector)
+    executor = _Recording(ctx, injector=injector)
     outcome = run_react("CHF regression pipeline", planner, executor, **kwargs)
     return outcome, planner, executor
 
@@ -83,7 +96,7 @@ def test_multi_agent_fault_free(agent_workspace, drill_recipe):
     assert (report_dir / "report.json").is_file()
     assert (report_dir / "timings.json").is_file()
     assert (report_dir / "report.txt").read_text() == render_report(report)
-    assert [r.status for r in executor.history] == ["ok", "ok", "ok"]
+    assert [r.status for r in executor.results] == ["ok", "ok", "ok"]
 
 
 def test_multi_agent_recovers_from_injected_fault(agent_workspace, drill_recipe):
@@ -98,9 +111,9 @@ def test_multi_agent_recovers_from_injected_fault(agent_workspace, drill_recipe)
     assert report["recoveries"] == 1
     assert report["tokens"]["calls"] == 4          # three tasks, one patch
     assert report["tokens"]["total"] == 400
-    statuses = [r.status for r in executor.history]
+    statuses = [r.status for r in executor.results]
     assert statuses == ["ok", "ok", "error", "ok"]
-    assert executor.history[2].injected_fault
+    assert executor.results[2].first_line().startswith(f"RuntimeError: {FAULT_MARKER}")
 
 
 def test_multi_agent_exhausts_persistent_fault(agent_workspace, drill_recipe):
@@ -205,7 +218,7 @@ def test_multi_agent_finished_run_reloads_report(agent_workspace, drill_recipe):
     again, planner, executor = _multi(again_ctx, drill_recipe, resume=True)
     assert again.report == first.report
     assert planner.calls == []
-    assert executor.history == []
+    assert executor.results == []
 
 
 # --- react loop ------------------------------------------------------------------------
@@ -250,6 +263,25 @@ def test_react_recovers_from_injected_fault(agent_workspace, drill_recipe):
     assert outcome.report["tokens"]["total"] == 1300
 
 
+def test_read_log_returns_the_last_execution_log(agent_workspace, drill_recipe):
+    # a faulted model attempt, its successful retry, then a successful
+    # training execution: the log read is the training's, not the fault's
+    ctx = agent_workspace()
+    run = StageRun("react", "t", ScriptedPlanner(drill_recipe),
+                   TaskExecutor(ctx, FaultInjector.from_spec("stage=model,attempt=1")))
+    read_log = build_tools(run)["read_log"]
+    assert read_log({}).log == "no log recorded yet"
+    run.generate("model_generation")
+    fault = run.execute()
+    assert not fault.ok and read_log({}).log == fault.log
+    assert run.execute().ok
+    run.generate("training_execution")
+    trained = run.execute()
+    assert trained.ok and trained.log.startswith("trained 2 members")
+    assert read_log({}) == ExecutionResult(status="ok", action="read_log", log=trained.log)
+    assert run.patch().log == "nothing to patch: no failed task on record"
+
+
 def test_react_step_budget(agent_workspace, drill_recipe):
     ctx = agent_workspace()
     planner = ScriptedPlanner(drill_recipe)
@@ -273,10 +305,10 @@ def test_react_rejects_unknown_tool(agent_workspace, drill_recipe):
             return super()._reply(request)
 
     ctx = agent_workspace()
-    executor = TaskExecutor(ctx)
+    executor = _Recording(ctx)
     with pytest.raises(UnknownTool):
         run_react("t", RogueDirectives(drill_recipe), executor)
-    assert executor.history == []        # nothing ran on a bad directive
+    assert executor.results == []        # nothing ran on a bad directive
 
 
 def test_react_rejects_missing_action(agent_workspace, drill_recipe):
@@ -457,7 +489,7 @@ def test_a_task_reply_with_paths_is_schema_invalid(agent_workspace, drill_recipe
                        ("surprise", {"surprise": 1})):
         ctx = agent_workspace(f"{key}-{mode}")
         planner = _AddsAKey(drill_recipe, extra)
-        executor = TaskExecutor(ctx)
+        executor = _Recording(ctx)
         loop = {"multi": run_multi_agent, "react": run_react}[mode]
         with pytest.raises(AutoductError) as err:
             loop("CHF regression pipeline", planner, executor)
@@ -467,7 +499,7 @@ def test_a_task_reply_with_paths_is_schema_invalid(agent_workspace, drill_recipe
                            *(o.partition(" → ")[2] for o in planner.observations if o)]
         saved = load_state(ctx.path("state_file"))
         fates.append((type(err.value), [s.status for s in saved.stages.values()],
-                      saved.total_errors(), [r.status for r in executor.history],
+                      saved.total_errors(), [r.status for r in executor.results],
                       sorted(p.name for p in ctx.workspace.iterdir())))
         # a refused generate leaves nothing to patch: ReAct generates again
         assert not any("nothing to patch" in o for o in planner.observations if o)
@@ -601,7 +633,7 @@ def test_react_refuses_to_regenerate_a_done_stage(agent_workspace, drill_recipe)
 
     ctx = agent_workspace()
     planner = AsksTwice(drill_recipe, ctx)
-    executor = TaskExecutor(ctx)
+    executor = _Recording(ctx)
     with pytest.raises(StepBudgetExhausted):
         run_react("t", planner, executor, max_steps=5)
 
@@ -611,7 +643,7 @@ def test_react_refuses_to_regenerate_a_done_stage(agent_workspace, drill_recipe)
     assert planner.observations[3].startswith("error: generate_model → ")
     assert planner.observations[4] == ("error: execute_task → no task document "
                                        "pending; generate one first")
-    assert len(executor.history) == 1
+    assert len(executor.results) == 1
     saved = load_state(ctx.path("state_file"))
     assert saved.is_done("model_generation")
     assert saved.status("training_execution") == "pending"
@@ -625,7 +657,7 @@ def test_react_refuses_to_generate_past_an_unfinished_stage(agent_workspace,
     ctx = agent_workspace()
     planner = _Directs(drill_recipe, ("generate_model", "generate_training_task",
                                       "execute_task", "read_log"))
-    executor = TaskExecutor(ctx)
+    executor = _Recording(ctx)
     with pytest.raises(StepBudgetExhausted):
         run_react("t", planner, executor, max_steps=4)
 
@@ -635,7 +667,7 @@ def test_react_refuses_to_generate_past_an_unfinished_stage(agent_workspace,
     assert [c.purpose for c in planner.calls if c.purpose != "directive"] == \
         ["task:model_generation"]
     assert not (ctx.workspace / "training_task.json").exists()
-    assert [(r.action, r.status) for r in executor.history] == [("model", "ok")]
+    assert [(r.action, r.status) for r in executor.results] == [("model", "ok")]
     saved = load_state(ctx.path("state_file"))
     assert [s.status for s in saved.stages.values()] == [
         "done", "pending", "pending", "pending"]
@@ -653,7 +685,7 @@ def test_resumed_run_whose_stop_stage_is_done_ends_before_any_step(
     outcome, planner, executor = run(resumed_ctx, drill_recipe, resume=True,
                                      stop_after_stage="model_generation")
     assert outcome.report is None
-    assert planner.calls == [] and executor.history == []
+    assert planner.calls == [] and executor.results == []
     assert [s.status for s in outcome.state.stages.values()] == [
         "done", "done", "pending", "pending"]
     assert ctx.path("state_file").read_bytes() == saved
@@ -673,11 +705,11 @@ def test_resume_in_the_other_loop_is_refused_before_any_step(agent_workspace,
     from autoduct.agents.context import ProjectContext
     resumed_ctx = ProjectContext(ctx.workspace, run_id="run-t")
     planner = ScriptedPlanner(drill_recipe)
-    executor = TaskExecutor(resumed_ctx)
+    executor = _Recording(resumed_ctx)
     with pytest.raises(ValueError, match="state belongs to a '{}' run, this loop is '{}'"
                        .format(*modes)):
         loop("t", planner, executor, resume=True)
-    assert planner.calls == [] and executor.history == []
+    assert planner.calls == [] and executor.results == []
     assert ctx.path("state_file").read_bytes() == saved
     assert not (ctx.path("report_dir") / "report.json").exists()
 

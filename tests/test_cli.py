@@ -179,6 +179,28 @@ def test_bad_fractions_are_an_error(tmp_path, capsys):
     assert "three comma-separated fractions" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["data", "split", "--data", "{data}", "--fracs", "a,b,c", "--out-dir", "{out}"],
+     "--fracs: expected three comma-separated fractions, got 'a,b,c'"),
+    (["data", "split", "--data", "{data}", "--fracs", "0.5,nan,0.5", "--out-dir", "{out}"],
+     "fractions (0.5, nan, 0.5) must be non-negative and sum to 1"),
+    (["agent", "--workspace", "{out}", "--data", "{data}",
+      "--inject-fault", "stage=train,attempt=x"],
+     "fault clause 'stage=train,attempt=x': attempt takes whole numbers, got 'x'"),
+    (["trials", "--workspace", "{out}", "--data", "{data}", "--n", "1",
+      "--fault-runs", "1", "--fault-spec", "stage=train,attempts=1-y"],
+     "fault clause 'stage=train,attempts=1-y': attempts takes whole numbers, got '1-y'"),
+], ids=["fracs_not_numbers", "fracs_nan", "inject_fault_attempt", "trials_fault_spec"])
+def test_malformed_flag_value_is_one_line_naming_it(tmp_path, capsys, argv, line):
+    data = tmp_path / "d.csv"
+    cli.main(["data", "gen", "--n", "30", "--seed", "1", "--out", str(data)])
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert cli.main([a.format(data=data, out=out) for a in argv]) == 1
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert not out.exists()
+
+
 def test_direct_then_evaluate(tmp_path, capsys):
     ws = tmp_path / "ws"
     assert cli.main(["direct", "--workspace", str(ws), "--synthetic", "120",

@@ -179,7 +179,7 @@ def _awkward_dataset(targets):
         y = rng.uniform(50.0, 16000.0, size=n)
         y[::5] = np.round(y[::5])
         y[2] = 0.1
-    return Dataset(features, y, provenance="awkward")
+    return Dataset(features, y)
 
 
 def _csv_writer_oracle(ds: Dataset) -> bytes:
@@ -457,6 +457,11 @@ def test_split_fraction_validation(tiny_dataset):
         split(tiny_dataset, (0.8, 0.3, 0.1), seed=0)
     with pytest.raises(FractionSumInvalid):
         split(tiny_dataset, (0.5, 0.3, 0.1), seed=0)
+    # non-finite fractions: NaN compares false against every bound
+    for fractions in ((0.5, math.nan, 0.5), (math.nan, 0.5, 0.5), (0.5, 0.5, math.nan),
+                      (math.inf, 0.0, 0.0), (1.0, -math.inf, math.inf)):
+        with pytest.raises(FractionSumInvalid):
+            split(tiny_dataset, fractions, seed=0)
 
 
 @given(st.integers(min_value=10, max_value=300), st.integers(min_value=0, max_value=50))
@@ -473,7 +478,7 @@ def test_split_counts_floor_rule(n, seed):
                                      (25000, 7)])
 def test_split_order_equals_the_scalar_shuffle(n, seed):
     # the split's row order is today's scalar Fisher-Yates, bit for bit
-    ds = Dataset(np.arange(5.0 * n).reshape(n, 5), np.arange(float(n)), "rows")
+    ds = Dataset(np.arange(5.0 * n).reshape(n, 5), np.arange(float(n)))
     sp = split(ds, (0.72, 0.18, 0.10), seed=seed)
     order = np.concatenate([s.features[:, 0] for s in (sp.train, sp.validation, sp.test)])
     assert order.tobytes() == (5.0 * reference_rng.split_order(n, seed)).tobytes()
@@ -511,7 +516,7 @@ def test_normalizer_variance_scale(tiny_splits):
 def test_normalizer_degenerate_feature():
     rows = np.tile([0.008, 1.0, 8000.0, 900.0, 0.2], (10, 1))
     rows[:, 1] = np.linspace(0.1, 2, 10)     # only L varies
-    ds = Dataset(rows, np.linspace(100, 200, 10), "test")
+    ds = Dataset(rows, np.linspace(100, 200, 10))
     with pytest.raises(DegenerateFeature):
         fit_normalizer(ds)
 
@@ -580,7 +585,7 @@ def test_validate_ranges_counts_violations():
         [0.020, 1.0, 10000.0, 1000.0, 0.0],      # D above envelope
         [0.008, 1.0, 30000.0, 1000.0, 2.0],      # P and X outside
     ])
-    ds = Dataset(rows, np.array([1000.0, 1000.0, 99999.0]), "test")
+    ds = Dataset(rows, np.array([1000.0, 1000.0, 99999.0]))
     report = validate_ranges(ds)
     assert not report.ok
     assert report.entries["D"].outside == 1

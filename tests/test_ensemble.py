@@ -224,7 +224,7 @@ def test_predict_rejects_non_finite_member_output(head_row, tiny_ensemble, tiny_
     # a NaN head weight makes one member's mean (row 0) or variance (row 1)
     # NaN for every input
     broken = tiny_ensemble.members[1]
-    params = broken.params.copy()
+    params = Parameters(broken.config, broken.params.flat.copy())
     params.head_w[head_row, 0] = np.nan
     members = list(tiny_ensemble.members)
     members[1] = EnsembleMember(params, broken.config, broken.seed, broken.provenance)

@@ -133,7 +133,7 @@ def test_evaluate_model_validation(tiny_ensemble, tiny_splits):
     with pytest.raises(ValueError, match="level"):
         evaluate_model(tiny_ensemble, ds, level=1.0)
     from autoduct.dataset import Dataset
-    bare = Dataset(ds.features, None, "grid")
+    bare = Dataset(ds.features, None)
     with pytest.raises(ValueError, match="targets"):
         evaluate_model(tiny_ensemble, bare)
 
@@ -145,9 +145,7 @@ _SPEC = SliceSpec(slice_id="s1", varying="G", lo=100.0, hi=4000.0, count=21,
 
 
 def test_evaluate_slices_band_is_z_times_total_std(tiny_ensemble):
-    report = evaluate_slices(tiny_ensemble, [_SPEC], level=0.8)
-    assert report.level == 0.8
-    (result,) = report.results
+    (result,) = evaluate_slices(tiny_ensemble, [_SPEC], level=0.8)
     assert result.spec is _SPEC
     grid = build_slice_grid(_SPEC)
     np.testing.assert_array_equal(result.grid.features, grid.features)

@@ -12,8 +12,8 @@ from autoduct import report_export
 from autoduct.dataset import Dataset, SliceSpec, _write_rows, build_slice_grid
 from autoduct.ensemble import EnsemblePrediction, interval
 from autoduct.errors import IoFailure
-from autoduct.evaluation import (MetricsReport, ModelEvaluation, SliceReport,
-                                 SliceResult, evaluate_model, evaluate_slices)
+from autoduct.evaluation import (MetricsReport, ModelEvaluation, SliceResult,
+                                 evaluate_model, evaluate_slices)
 from autoduct.report_export import (ERROR_BIN_EDGES, METRICS_HEADER,
                                     POINTS_HEADER, RATIO_BIN_EDGES,
                                     SLICE_HEADER, _STYLE, _c, _Canvas,
@@ -30,7 +30,7 @@ def evaluation(tiny_ensemble, tiny_splits):
 
 
 @pytest.fixture(scope="module")
-def slice_report(tiny_ensemble):
+def slice_results(tiny_ensemble):
     return evaluate_slices(tiny_ensemble, [_SPEC], level=0.9)
 
 
@@ -44,22 +44,22 @@ def _elements(path, local_name):
     return [el for el in root.iter() if el.tag.rsplit("}", 1)[-1] == local_name]
 
 
-def test_export_writes_fixed_file_set(evaluation, slice_report, tmp_path):
-    written = [Path(p) for p in export_report(evaluation, slice_report, tmp_path / "out")]
+def test_export_writes_fixed_file_set(evaluation, slice_results, tmp_path):
+    written = [Path(p) for p in export_report(evaluation, slice_results, tmp_path / "out")]
     assert [p.name for p in written] == ["metrics.csv", "predictions.csv",
                                          "parity.svg", "error_hist.svg",
                                          "ratio_hist.svg", "slice_g_sweep.csv",
                                          "slice_g_sweep.svg"]
     assert all(p.is_file() for p in written)
 
-    bare = export_report(evaluation, None, tmp_path / "bare")
+    bare = export_report(evaluation, (), tmp_path / "bare")
     assert [Path(p).name for p in bare] == ["metrics.csv", "predictions.csv",
                                       "parity.svg", "error_hist.svg",
                                       "ratio_hist.svg"]
 
 
 def test_metrics_csv_round_trips(evaluation, tmp_path):
-    export_report(evaluation, None, tmp_path)
+    export_report(evaluation, (), tmp_path)
     header, rows = _rows(tmp_path / "metrics.csv")
     assert header == METRICS_HEADER
     assert header == ("split,n,rmse_kw_m2,mape_pct,rmspe_pct,"
@@ -78,7 +78,7 @@ def test_metrics_csv_round_trips(evaluation, tmp_path):
 
 
 def test_predictions_csv_round_trips(evaluation, tmp_path):
-    export_report(evaluation, None, tmp_path)
+    export_report(evaluation, (), tmp_path)
     header, rows = _rows(tmp_path / "predictions.csv")
     assert header == POINTS_HEADER
     assert header == "row,y_true,y_pred,aleatory_var,epistemic_var,total_var"
@@ -97,9 +97,9 @@ def test_predictions_csv_round_trips(evaluation, tmp_path):
         assert values[4] == values[2] + values[3]
 
 
-def test_double_export_is_byte_identical(evaluation, slice_report, tmp_path):
-    first = export_report(evaluation, slice_report, tmp_path / "a")
-    second = export_report(evaluation, slice_report, tmp_path / "b")
+def test_double_export_is_byte_identical(evaluation, slice_results, tmp_path):
+    first = export_report(evaluation, slice_results, tmp_path / "a")
+    second = export_report(evaluation, slice_results, tmp_path / "b")
     for p1, p2 in zip(map(Path, first), map(Path, second)):
         assert p1.name == p2.name
         assert p1.read_bytes() == p2.read_bytes(), f"{p1.name} not reproducible"
@@ -116,7 +116,7 @@ def _parity_canvas(me):
 
 
 def test_parity_svg_structure(evaluation, tmp_path):
-    export_report(evaluation, None, tmp_path)
+    export_report(evaluation, (), tmp_path)
     path = tmp_path / "parity.svg"
     n = len(evaluation.dataset)
     assert _elements(path, "circle") == []
@@ -149,7 +149,7 @@ def test_histogram_bin_edges_are_fixed():
 
 
 def test_error_histogram_bars_match_recomputed_counts(evaluation, tmp_path):
-    export_report(evaluation, None, tmp_path)
+    export_report(evaluation, (), tmp_path)
     y = evaluation.dataset.targets
     yhat = evaluation.predictions.mean
     errors_pct = np.clip(100.0 * (yhat - y) / y, ERROR_BIN_EDGES[0],
@@ -166,10 +166,10 @@ def test_error_histogram_bars_match_recomputed_counts(evaluation, tmp_path):
     assert len(rbars) == int(np.count_nonzero(rcounts))
 
 
-def test_slice_csv_round_trips(evaluation, slice_report, tmp_path):
-    result = slice_report.results[0]
+def test_slice_csv_round_trips(evaluation, slice_results, tmp_path):
+    (result,) = slice_results
     export_dir = tmp_path / "out"
-    export_report(evaluation, slice_report, export_dir)
+    export_report(evaluation, slice_results, export_dir)
     header, rows = _rows(export_dir / "slice_g_sweep.csv")
     assert header == SLICE_HEADER
     assert len(rows) == _SPEC.count
@@ -187,8 +187,8 @@ def test_slice_csv_round_trips(evaluation, slice_report, tmp_path):
         assert float(row[6]) == result.band_hi[i]
 
 
-def test_slice_svg_layers(evaluation, slice_report, tmp_path):
-    export_report(evaluation, slice_report, tmp_path)
+def test_slice_svg_layers(evaluation, slice_results, tmp_path):
+    export_report(evaluation, slice_results, tmp_path)
     path = tmp_path / "slice_g_sweep.svg"
     polygons = _elements(path, "polygon")
     assert [p.get("class") for p in polygons] == ["band"]
@@ -199,8 +199,8 @@ def test_slice_svg_layers(evaluation, slice_report, tmp_path):
     assert len(points) == 2 * _SPEC.count
 
 
-def test_all_svgs_parse_as_xml(evaluation, slice_report, tmp_path):
-    written = export_report(evaluation, slice_report, tmp_path)
+def test_all_svgs_parse_as_xml(evaluation, slice_results, tmp_path):
+    written = export_report(evaluation, slice_results, tmp_path)
     for path in map(Path, written):
         if path.suffix == ".svg":
             root = ET.fromstring(path.read_text(encoding="utf-8"))
@@ -211,7 +211,7 @@ def test_export_raises_io_failure_on_unwritable_target(evaluation, tmp_path):
     blocker = tmp_path / "not_a_dir"
     blocker.write_text("file in the way")
     with pytest.raises(IoFailure, match="cannot create"):
-        export_report(evaluation, None, blocker)
+        export_report(evaluation, (), blocker)
 
 
 # --- byte oracles -------------------------------------------------------------
@@ -242,7 +242,7 @@ def awkward():
     features[4096] = _AWKWARD[2:]
     targets = rng.uniform(100.0, 9000.0, size=n)
     targets[::5] = np.round(targets[::5])
-    dataset = Dataset(features, targets, "awkward")
+    dataset = Dataset(features, targets)
     report = MetricsReport("test 100%s,x", n, -0.0, 5e-324, 1.7976931348623157e308,
                            0.1, 2.0, 1.0)
     me = ModelEvaluation(report, _prediction(rng, n, 3000.0), dataset, 0.9)
@@ -253,7 +253,7 @@ def awkward():
     pred.mean[1], pred.mean[2] = -0.0, 5e-324
     lo, hi = interval(pred, 0.9)
     result = SliceResult(spec, build_slice_grid(spec), pred, lo, hi)
-    return me, SliceReport((result,), 0.9)
+    return me, (result,)
 
 
 def _csv_oracle(header, prefix, table):
@@ -347,7 +347,7 @@ def test_export_matches_per_value_oracles(awkward, tmp_path):
 
     assert (tmp_path / "parity.svg").read_bytes() == _parity_oracle(me)
 
-    (result,) = slices.results
+    (result,) = slices
     columns = np.column_stack([result.grid.column("G"), result.predictions.mean,
                                np.sqrt(result.predictions.total_var), result.band_lo,
                                result.band_hi])
@@ -369,11 +369,11 @@ class _Cut(BaseException):
     """A write cut short, as by a kill or a full disk."""
 
 
-def test_a_cut_export_leaves_every_file_as_it_was(evaluation, slice_report, tmp_path,
+def test_a_cut_export_leaves_every_file_as_it_was(evaluation, slice_results, tmp_path,
                                                    monkeypatch):
     out = tmp_path / "out"
     before = {p.name: p.read_bytes()
-              for p in map(Path, export_report(evaluation, slice_report, out))}
+              for p in map(Path, export_report(evaluation, slice_results, out))}
     templates = []
 
     def count_rows(fh, template, table):
@@ -381,7 +381,7 @@ def test_a_cut_export_leaves_every_file_as_it_was(evaluation, slice_report, tmp_
         _write_rows(fh, template, table)
 
     monkeypatch.setattr(report_export, "_write_rows", count_rows)
-    export_report(evaluation, slice_report, tmp_path / "count")
+    export_report(evaluation, slice_results, tmp_path / "count")
 
     for cut_at in range(len(templates)):
         calls = itertools.count()
@@ -395,7 +395,7 @@ def test_a_cut_export_leaves_every_file_as_it_was(evaluation, slice_report, tmp_
 
         monkeypatch.setattr(report_export, "_write_rows", cut_rows)
         with pytest.raises(_Cut):
-            export_report(evaluation, slice_report, out)
+            export_report(evaluation, slice_results, out)
         # no temp file is left, and each file has the first export's bytes
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before, cut_at
     # each of the 7 files makes at least one table write, so each was cut
@@ -405,11 +405,11 @@ def test_a_cut_export_leaves_every_file_as_it_was(evaluation, slice_report, tmp_
 def test_export_raises_io_failure_when_a_file_cannot_be_written(evaluation, tmp_path):
     (tmp_path / "parity.svg").mkdir()
     with pytest.raises(IoFailure, match="cannot write .*parity.svg"):
-        export_report(evaluation, None, tmp_path)
+        export_report(evaluation, (), tmp_path)
     assert list(tmp_path.glob(".*.tmp")) == []
 
 
-def test_export_interns_no_file_name(evaluation, slice_report, tmp_path, monkeypatch):
+def test_export_interns_no_file_name(evaluation, slice_results, tmp_path, monkeypatch):
     # pathlib interns every name it parses. The temp names, and the slice
     # file names, are new strings on each export, and each would take an
     # entry of CPython's interned-string table, which is reallocated each
@@ -417,7 +417,7 @@ def test_export_interns_no_file_name(evaluation, slice_report, tmp_path, monkeyp
     interned = []
     real = sys.intern
     monkeypatch.setattr(sys, "intern", lambda s: interned.append(s) or real(s))
-    written = export_report(evaluation, slice_report, tmp_path)
+    written = export_report(evaluation, slice_results, tmp_path)
     seen = set(interned)
     names = [Path(p).name for p in written]
     assert "slice_g_sweep.csv" in names
